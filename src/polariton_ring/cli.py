@@ -122,8 +122,6 @@ def _cmd_solve(cfg: dict, workers: int) -> tuple[str, dict]:
         _decode_observable(o, f"observables[{k}]") for k, o in enumerate(cfg.get("observables", []))
     ]
     report, rho = solve_spec(model)
-    if not report.unique:
-        raise SteadyStateError("steady state is not unique for this model")
     pops = [float(rho.mat[i, i].real) for i in range(rho.dim)]
     lines = ["index,population"] + [f"{i},{p:.12g}" for i, p in enumerate(pops)]
     payload = {
@@ -197,12 +195,12 @@ def _cmd_validate(cfg: dict, workers: int) -> tuple[str, dict]:
     distances = {}
     for ratio in ratios:
         scale = ratio * base.kappa / max(base.J)
-        micro = replace(
-            base,
-            J=tuple(j * scale for j in base.J),
-            alpha=tuple(a * scale for a in base.alpha),
-        )
         try:
+            micro = replace(
+                base,
+                J=tuple(j * scale for j in base.J),
+                alpha=tuple(a * scale for a in base.alpha),
+            )
             dist = validate_effective(micro)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

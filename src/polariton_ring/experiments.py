@@ -20,9 +20,6 @@ from .models import (
     WEAK_COUPLING_RATIO,
     apply_path,
     build_model,
-    build_pair_effective,
-    build_pair_thermal,
-    build_ring3_effective,
     derive_effective,
     thermal_pair_spec,
     validate_path,
@@ -37,7 +34,7 @@ from .observables import (
     trace_distance,
 )
 from .optimize import OptimizeReport, multistart_maximize
-from .steady import SteadyStateReport, evolve_to_steady, steady_state_on
+from .steady import SteadyStateError, SteadyStateReport, evolve_to_steady, steady_state_on
 from .superop import assemble
 
 T_VALIDITY_MAX = 0.1  # reservoir temperatures beyond this leave the model's regime
@@ -159,9 +156,12 @@ class SweepResult:
 
 def solve_spec(spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
     """Build, assemble and solve one model; returns the report and the state
-    tagged with its factor structure."""
+    tagged with its factor structure. Raises SteadyStateError if the steady
+    state is not unique."""
     space, h, terms = build_model(spec)
     report = steady_state_on(assemble(h, terms), space)
+    if not report.unique:
+        raise SteadyStateError(f"steady state is not unique for this {spec.model} model")
     return report, report.rho
 
 
@@ -375,14 +375,13 @@ def validate_effective(micro: MicroParams) -> float:
         gauged = EffectiveParams(
             n_sites=eff.n_sites, Gamma=eff.Gamma, x=(abs(eff.x[0]),), y=eff.y, z=eff.z, n_p=eff.n_p
         )
-        eff_space, eff_h, eff_terms = build_pair_thermal(gauged)
+        eff_spec = ModelSpec("pair_thermal", gauged)
         u = np.diag(np.exp(1j * theta * np.array([0.0, 1.0, 1.0, 2.0])))
         marginal = DensityMatrix(marginal.space, u.conj().T @ marginal.mat @ u)
     else:
-        builder = {"ring3": build_ring3_effective, "pair3": build_pair_effective}[micro.geometry]
-        eff_space, eff_h, eff_terms = builder(eff)
-    eff_report = steady_state_on(assemble(eff_h, eff_terms), eff_space)
-    return trace_distance(marginal, eff_report.rho)
+        eff_spec = ModelSpec({"ring3": "ring3_eff", "pair3": "pair_eff"}[micro.geometry], eff)
+    _, eff_rho = solve_spec(eff_spec)
+    return trace_distance(marginal, eff_rho)
 
 
 def fwhm(coords: np.ndarray, values: np.ndarray) -> float:

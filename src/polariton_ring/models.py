@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass, replace
-from math import prod
 
 import numpy as np
 
@@ -35,7 +34,10 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 # J <= WEAK_COUPLING_RATIO * kappa counts as the adiabatic-elimination regime.
 WEAK_COUPLING_RATIO = 0.1
 
-MICRO_DIM_GUARD = 300
+# Largest dense Liouvillian (complex128, d² × d²) a micro model may need.
+# Admits the ring at n_boson=2 (d = 64, 256 MiB); rejects it at n_boson=3
+# (d = 216, about 35 GB).
+MICRO_L_BYTES_BUDGET = 512 * 2**20
 
 EFFECTIVE_MODELS = ("ring3_eff", "pair_eff", "pair_thermal")
 MODEL_NAMES = EFFECTIVE_MODELS + ("micro",)
@@ -67,6 +69,9 @@ class MicroParams:
     def __post_init__(self):
         for name in ("J", "alpha", "phi", "omega_c", "omega_p"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        scalars = (self.kappa, self.gamma_p, self.omega_d, self.n_c, self.n_p)
+        if not all(map(cmath.isfinite, self.J + self.alpha + self.phi + self.omega_c + self.omega_p + scalars)):
+            raise ValueError("micro parameters must be finite")
         if self.n_sites not in (2, 3):
             raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites}")
         n_guides = len(self.J)
@@ -83,6 +88,12 @@ class MicroParams:
             raise ValueError("rates and occupations must be nonnegative")
         if self.n_boson < 2:
             raise ValueError("boson truncation must be at least 2")
+        d = 2**self.n_sites * self.n_boson**n_guides
+        if 16 * d**4 > MICRO_L_BYTES_BUDGET:
+            raise ValueError(
+                f"dense Liouvillian of dimension {d}² needs {16 * d**4 / 2**20:.0f} MiB, "
+                f"over the budget of {MICRO_L_BYTES_BUDGET / 2**20:.0f} MiB"
+            )
         weak = all(a <= j for a, j in zip(self.alpha, self.J)) and max(self.J) <= WEAK_COUPLING_RATIO * self.kappa
         if not weak:
             warnings.warn(
@@ -130,6 +141,8 @@ class EffectiveParams:
         object.__setattr__(self, "x", tuple(complex(v) for v in self.x))
         object.__setattr__(self, "y", tuple(float(v) for v in self.y))
         object.__setattr__(self, "z", tuple(float(v) for v in self.z))
+        if not all(map(cmath.isfinite, self.Gamma + self.x + self.y + self.z + (self.n_p,))):
+            raise ValueError("effective parameters must be finite")
         if self.n_sites not in (2, 3):
             raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites}")
         n = len(self.Gamma)
@@ -181,6 +194,13 @@ def derive_effective(p: MicroParams, detunings: tuple[float, ...] | None = None)
 
 
 BuildResult = tuple[HilbertSpace, np.ndarray, list[DissipatorTerm]]
+
+
+def _thermal_drive(x: complex) -> float:
+    """The single-guide thermal model takes a real drive x >= 0."""
+    if x.imag != 0 or x.real < 0:
+        raise ValueError(f"thermal-model drive x must be real and >= 0 (its phase is a gauge), got {x}")
+    return x.real
 
 
 def _qubit_ops(space: HilbertSpace) -> list[np.ndarray]:
@@ -249,17 +269,13 @@ def build_pair_thermal(p: EffectiveParams) -> BuildResult:
     """
     if p.n_sites != 2 or len(p.Gamma) != 1:
         raise ValueError("thermal pair model needs n_sites=2 and scalar guide parameters")
-    x = p.x[0]
-    if abs(x.imag) > 0:
-        raise ValueError("thermal-model drive x must be real (phase is removable by gauge)")
-    if x.real < 0:
-        raise ValueError("thermal-model drive x must be >= 0")
+    x = _thermal_drive(p.x[0])
     gam_big = p.Gamma[0]
     gamma = 2.0 * gam_big * (p.z[0] - 1.0)
     space = HilbertSpace((2, 2))
     P1, P2 = _qubit_ops(space)
     h = gam_big * p.y[0] * (P1.conj().T @ P2)
-    h = h + gam_big * x.real * (P1.conj().T + P2.conj().T)
+    h = h + gam_big * x * (P1.conj().T + P2.conj().T)
     h = h + h.conj().T
     w_down = gam_big + gamma * (p.n_p + 1.0) / 2.0
     w_up = gamma * p.n_p / 2.0
@@ -281,8 +297,6 @@ def build_full_micro(p: MicroParams) -> BuildResult:
     convention with the thermal (n_c, n_p) splittings applied to both.
     """
     dims = [2] * p.n_sites + [p.n_boson] * p.n_guides
-    if prod(dims) > MICRO_DIM_GUARD:
-        raise ValueError(f"total dimension {prod(dims)} exceeds guard {MICRO_DIM_GUARD}")
     space = HilbertSpace(dims)
     P = [embed(SIGMA_MINUS, i, space) for i in range(p.n_sites)]
     lower = np.diag(np.sqrt(np.arange(1, p.n_boson)), 1).astype(complex)
@@ -347,6 +361,8 @@ class ModelSpec:
                 raise ValueError(f"{self.model} needs n_sites={_EFF_N_SITES[self.model]}")
             if len(self.params.Gamma) != _EFF_N_GUIDES[self.model]:
                 raise ValueError(f"{self.model} needs {_EFF_N_GUIDES[self.model]} guide entries")
+            if self.model == "pair_thermal":
+                _thermal_drive(self.params.x[0])
 
 
 def build_model(spec: ModelSpec) -> BuildResult:

@@ -1,6 +1,6 @@
-"""Steady states of Liouvillians: trace-constrained linear solve, RK4 time
-evolution as an independent cross-check, and a spectral-gap estimate for
-choosing integration horizons."""
+"""Steady states of Liouvillians: trace-constrained linear solve, exact time
+propagation as an independent cross-check, and a spectral-gap estimate for
+choosing the propagation horizon."""
 
 from __future__ import annotations
 
@@ -21,12 +21,13 @@ from .superop import Superoperator, unvec, vec
 RESIDUAL_TOL = 1e-8
 CLAMP_TOL = 1e-8
 UNIQUENESS_TOL = 1e-10
+# Unused by the package; only bench/tracing.py reads it, as the step-size
+# rule dt·‖L‖ = 0.1 behind its steady.rk4_steps count.
 STABILITY_LIMIT = 0.1
-TRACE_DRIFT_TOL = 1e-12
 
 
 class SteadyStateError(RuntimeError):
-    """The linear solve produced a solution outside its advertised tolerances."""
+    """A steady state is not unique, or a solve fell outside its advertised tolerances."""
 
 
 @dataclass(frozen=True)
@@ -121,37 +122,18 @@ def steady_state_on(l: Superoperator, space: HilbertSpace, check_unique: bool = 
     )
 
 
-def evolve(l: Superoperator, rho0: DensityMatrix, t_final: float, dt: float) -> DensityMatrix:
-    """Integrate dρ/dt = Lρ with classical fixed-step RK4 on vec(ρ).
+def evolve(l: Superoperator, rho0: DensityMatrix, t_final: float) -> DensityMatrix:
+    """Exact propagation vec(ρ(t)) = exp(L·t)·vec(ρ₀).
 
-    Requires dt·‖L‖∞ ≤ 0.1 (stability guard). The trace is renormalized each
-    step after asserting its drift stayed below 1e-12.
+    The exponential is scipy's scaling-and-squaring Padé algorithm (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 2009). The trace is not
+    renormalized: the returned DensityMatrix checks it stays within 1e-10.
     """
-    if t_final < 0 or dt <= 0:
-        raise ValueError("need t_final >= 0 and dt > 0")
-    scale = l.norm_inf()
-    if dt * scale > STABILITY_LIMIT * (1 + 1e-12):
-        raise ValueError(f"dt·‖L‖ = {dt * scale:.3f} violates the stability guard {STABILITY_LIMIT}")
+    if t_final < 0:
+        raise ValueError("need t_final >= 0")
     if rho0.dim != l.dim:
         raise ValueError("state and Liouvillian dimensions differ")
-
-    d = l.dim
-    diag_idx = np.arange(d) * (d + 1)
-    mat = l.mat
-    v = vec(rho0.mat)
-    steps = int(np.ceil(t_final / dt - 1e-9)) if t_final > 0 else 0
-    for _ in range(steps):
-        k1 = mat @ v
-        k2 = mat @ (v + (dt / 2) * k1)
-        k3 = mat @ (v + (dt / 2) * k2)
-        k4 = mat @ (v + dt * k3)
-        v = v + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        tr = v[diag_idx].sum().real
-        if abs(tr - 1.0) > TRACE_DRIFT_TOL:
-            raise SteadyStateError(f"trace drifted to {tr} within one step")
-        v /= tr
-        if not np.isfinite(v).all():
-            raise SteadyStateError("non-finite state during evolution; reduce dt")
+    v = scipy.linalg.expm(t_final * l.mat) @ vec(rho0.mat)
     return DensityMatrix(rho0.space, hermitize(unvec(v)))
 
 
@@ -161,8 +143,7 @@ def spectral_gap(l: Superoperator, max_iter: int = 100, seed: int = 7) -> float:
     Inverse iteration on L restricted to the trace-zero subspace (which L maps
     into itself); about 10% accuracy, which is all the time-horizon choice
     needs. Returns 0.0 if the restricted operator is numerically singular
-    (degenerate steady state) - callers should then fall back to a
-    conservative horizon.
+    (degenerate steady state).
     """
     d = l.dim
     basis = traceless_basis(d)
@@ -195,13 +176,16 @@ def spectral_gap(l: Superoperator, max_iter: int = 100, seed: int = 7) -> float:
 def evolve_to_steady(l: Superoperator, space: HilbertSpace,
                      rho0: DensityMatrix | None = None,
                      decades: float = 30.0) -> DensityMatrix:
-    """Run the RK4 integrator long enough for transients to decay to ~e^{-decades}."""
+    """Propagate long enough for transients to decay to ~e^{-decades}.
+
+    Raises SteadyStateError when the spectral gap is zero (below
+    UNIQUENESS_TOL·‖L‖): the steady state is then degenerate, and the
+    propagated state would depend on ρ₀.
+    """
     if rho0 is None:
         d = space.dim
         rho0 = DensityMatrix(space, np.eye(d, dtype=complex) / d)
-    scale = l.norm_inf()
     gap = spectral_gap(l)
-    if gap <= 0:
-        gap = 1e-4 * max(scale, 1.0)  # conservative long horizon
-    dt = STABILITY_LIMIT / max(scale, 1e-12)
-    return evolve(l, rho0, decades / gap, dt)
+    if gap <= UNIQUENESS_TOL * l.norm_inf():
+        raise SteadyStateError(f"spectral gap {gap:.2e} is numerically zero: the steady state is degenerate")
+    return evolve(l, rho0, decades / gap)

@@ -233,7 +233,7 @@ def test_criterion_6_property_suites(rng):
         cross = max(cross, trace_distance(report.rho, rho_t))
     ok &= check("6c steady-state residuals", worst_res <= 1e-8, f"worst residual/|L| = {worst_res:.2e}")
     ok &= check("6d steady-state positivity", worst_eig >= -1e-8, f"worst eigenvalue {worst_eig:.2e}")
-    ok &= check("6e linear solve vs RK4 agreement", cross <= 1e-6, f"worst distance {cross:.2e}")
+    ok &= check("6e linear solve vs propagation", cross <= 1e-6, f"worst distance {cross:.2e}")
 
     space2 = HilbertSpace((2, 2))
     worst_bound = 0.0

@@ -99,6 +99,37 @@ def test_degenerate_model_exits_1(tmp_path):
     assert not out.exists()
 
 
+def test_non_unique_sweep_point_exits_1(tmp_path, capsys):
+    # the dark-state model of test_degenerate_model_exits_1, reached by a sweep
+    model = {"model": "pair_thermal", "Gamma": [1.0], "x": [[0.0, 0.0]], "y": [0.0], "z": [1.0]}
+    cfg = write_config(tmp_path, {
+        "model": model,
+        "axes": [{"path": "y[0]", "grid": [0.0, 1.0]}],
+        "observables": [{"kind": "concurrence", "sites": [0, 1]}],
+    })
+    out = tmp_path / "data.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "grid point {'y[0]': 0.0}" in err and "not unique" in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("Gamma", [float("nan")]), ("z", [float("inf")]), ("x", [[-1.0, 0.0]]), ("x", [[0.0, 1.0]])],
+)
+def test_bad_model_values_exit_2_without_outputs(tmp_path, capsys, field, value):
+    model = {"model": "pair_thermal", "Gamma": [1.0], "x": [[1.0, 0.0]], "y": [15.0], "z": [1.01]}
+    model[field] = value
+    cfg = write_config(tmp_path, {"model": model})
+    out = tmp_path / "data.csv"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
 def sweep_config(count=3):
     return {
         "model": pair_model_json(),

@@ -49,7 +49,7 @@ def test_derive_effective_z_ring_convention():
     p = MicroParams(
         n_sites=3, J=(1.0, 1.0, 1.0), kappa=10.0, gamma_p=0.008,
         alpha=(0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0),
-        omega_c=(5.0, 5.0, 5.0), omega_p=(5.0, 5.0, 5.0), omega_d=5.0,
+        omega_c=(5.0, 5.0, 5.0), omega_p=(5.0, 5.0, 5.0), omega_d=5.0, n_boson=2,
     )
     eff = derive_effective(p)
     assert np.allclose(eff.Gamma, 0.2)
@@ -208,14 +208,14 @@ def test_thermal_detailed_balance_limit():
 
 
 def test_thermal_rejects_bad_drive():
-    with pytest.raises(ValueError):
-        build_pair_thermal(
-            EffectiveParams(n_sites=2, Gamma=(1.0,), x=(1j,), y=(0.0,), z=(1.0,))
-        )
-    with pytest.raises(ValueError):
-        build_pair_thermal(
-            EffectiveParams(n_sites=2, Gamma=(1.0,), x=(-1.0,), y=(0.0,), z=(1.0,))
-        )
+    for x in (1j, -1.0, complex(1.0, 1e-3)):
+        params = EffectiveParams(n_sites=2, Gamma=(1.0,), x=(x,), y=(0.0,), z=(1.0,))
+        with pytest.raises(ValueError, match="drive"):
+            build_pair_thermal(params)
+        with pytest.raises(ValueError, match="drive"):
+            ModelSpec("pair_thermal", params)
+    with pytest.raises(ValueError, match="drive"):
+        apply_path(thermal_pair_spec(x=1.0), "x[0].re", -1.0)
 
 
 def test_thermal_rejects_negative_occupation():
@@ -246,17 +246,40 @@ def test_micro_truncation_convergence():
     assert trace_distance(margs[1], margs[2]) <= 1e-4
 
 
+def ring_micro_json(n_boson):
+    return {
+        "model": "micro", "n_sites": 3, "J": [0.05] * 3, "kappa": 1.0, "gamma_p": 0.0,
+        "alpha": [0.0] * 3, "phi": [0.0] * 3, "omega_c": [1.0] * 3, "omega_p": [1.0] * 3,
+        "omega_d": 1.0, "n_boson": n_boson,
+    }
+
+
 def test_micro_dimension_guard():
-    with pytest.raises(ValueError):
+    # the dense L of the ring at n_boson=2 is 4096² complex (256 MiB): admitted;
+    # at n_boson=3 it is 46656² (about 35 GB): rejected before anything is built
+    assert model_spec_from_json(ring_micro_json(2)).params.geometry == "ring3"
+    for n_boson in (3, 5):
+        with pytest.raises(ValueError, match="budget"):
+            model_spec_from_json(ring_micro_json(n_boson))
+    with pytest.raises(ValueError, match="budget"):
         MicroParams(
             n_sites=3, J=(0.05,) * 3, kappa=1.0, gamma_p=0.0, alpha=(0.0,) * 3,
-            phi=(0.0,) * 3, omega_c=(1.0,) * 3, omega_p=(1.0,) * 3, omega_d=1.0, n_boson=5,
-        ).n_boson and build_full_micro(
-            MicroParams(
-                n_sites=3, J=(0.05,) * 3, kappa=1.0, gamma_p=0.0, alpha=(0.0,) * 3,
-                phi=(0.0,) * 3, omega_c=(1.0,) * 3, omega_p=(1.0,) * 3, omega_d=1.0, n_boson=5,
-            )
+            phi=(0.0,) * 3, omega_c=(1.0,) * 3, omega_p=(1.0,) * 3, omega_d=1.0, n_boson=3,
         )
+
+
+def test_params_reject_non_finite():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            EffectiveParams(n_sites=2, Gamma=(bad,), x=(0.0,), y=(0.0,), z=(1.0,))
+        with pytest.raises(ValueError, match="finite"):
+            EffectiveParams(n_sites=2, Gamma=(1.0,), x=(complex(0.0, bad),), y=(0.0,), z=(1.0,))
+        with pytest.raises(ValueError, match="finite"):
+            EffectiveParams(n_sites=2, Gamma=(1.0,), x=(0.0,), y=(0.0,), z=(bad,))
+        with pytest.raises(ValueError, match="finite"):
+            micro_pair(kappa=bad)
+        with pytest.raises(ValueError, match="finite"):
+            micro_pair(omega_p=(5.0, bad))
 
 
 def test_micro_thermal_occupations_detailed_balance():
