@@ -21,8 +21,6 @@ from .superop import (
     DissipatorTerm,
     Superoperator,
     assemble,
-    commutator_super,
-    dissipator_super,
     unvec,
     vec,
 )

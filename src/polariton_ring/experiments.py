@@ -253,16 +253,20 @@ def optimize_concurrence(
     if sites is None:
         sites = (1, 2) if model.model == "ring3_eff" else (0, 1)
     obs = ObservableSpec("concurrence", sites=sites)
+    names = ["|".join(g) for g in groups]
 
     def objective(x: np.ndarray) -> float:
         spec = model
         for group, value in zip(groups, x):
             for path in group:
                 spec = apply_path(spec, path, float(value))
-        _, rho = solve_spec(spec)
+        try:
+            _, rho = solve_spec(spec)
+        except SteadyStateError as exc:
+            point = {n: float(v) for n, v in zip(names, x)}
+            raise SweepError(f"parameters {point} failed: {exc}") from exc
         return obs.evaluate(rho)
 
-    names = ["|".join(g) for g in groups]
     report = multistart_maximize(objective, bounds, budget=budget, param_names=names)
     # re-evaluation must reproduce the reported best
     check = objective(np.array([report.best_params[n] for n in names]))
@@ -338,7 +342,10 @@ def thermal_map(
         gibbs = gibbs_two_qubit(ThermalSpec(T=t))
         for i, x in enumerate(xs):
             spec = thermal_pair_spec(x=abs(x), n_p=n_p, y=y, z=z)
-            _, rho = solve_spec(spec)
+            try:
+                _, rho = solve_spec(spec)
+            except SteadyStateError as exc:
+                raise SweepError(f"point {{'x': {x}, 'T_R': {t}}} failed: {exc}") from exc
             d[i, j] = trace_distance(rho, gibbs)
     dd = np.empty_like(d)
     coords = np.array(xs)

@@ -34,7 +34,8 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 # J <= WEAK_COUPLING_RATIO * kappa counts as the adiabatic-elimination regime.
 WEAK_COUPLING_RATIO = 0.1
 
-# Largest dense Liouvillian (complex128, d² × d²) a micro model may need.
+# Largest dense Liouvillian (complex128, d² × d²) a micro ModelSpec may need;
+# MicroParams alone is not limited, since only a ModelSpec is built into L.
 # Admits the ring at n_boson=2 (d = 64, 256 MiB); rejects it at n_boson=3
 # (d = 216, about 35 GB).
 MICRO_L_BYTES_BUDGET = 512 * 2**20
@@ -88,12 +89,6 @@ class MicroParams:
             raise ValueError("rates and occupations must be nonnegative")
         if self.n_boson < 2:
             raise ValueError("boson truncation must be at least 2")
-        d = 2**self.n_sites * self.n_boson**n_guides
-        if 16 * d**4 > MICRO_L_BYTES_BUDGET:
-            raise ValueError(
-                f"dense Liouvillian of dimension {d}² needs {16 * d**4 / 2**20:.0f} MiB, "
-                f"over the budget of {MICRO_L_BYTES_BUDGET / 2**20:.0f} MiB"
-            )
         weak = all(a <= j for a, j in zip(self.alpha, self.J)) and max(self.J) <= WEAK_COUPLING_RATIO * self.kappa
         if not weak:
             warnings.warn(
@@ -354,6 +349,12 @@ class ModelSpec:
         if self.model == "micro":
             if not isinstance(self.params, MicroParams):
                 raise ValueError("micro model needs MicroParams")
+            d = 2**self.params.n_sites * self.params.n_boson**self.params.n_guides
+            if 16 * d**4 > MICRO_L_BYTES_BUDGET:
+                raise ValueError(
+                    f"dense Liouvillian of dimension {d}² needs {16 * d**4 / 2**20:.0f} MiB, "
+                    f"over the budget of {MICRO_L_BYTES_BUDGET / 2**20:.0f} MiB"
+                )
         else:
             if not isinstance(self.params, EffectiveParams):
                 raise ValueError(f"{self.model} needs EffectiveParams")

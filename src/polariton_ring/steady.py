@@ -58,8 +58,9 @@ def traceless_basis(d: int) -> np.ndarray:
     return house[:, 1:]
 
 
-def steady_state(l: Superoperator, check_unique: bool = True) -> SteadyStateReport:
-    """Unique steady state of a trace-preserving Liouvillian.
+def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
+    """Unique steady state of a trace-preserving Liouvillian, tagged with the
+    factor structure of ``space``.
 
     Solves the stacked system [L; vec(I)†]·vec(ρ) = [0; 1] by least squares,
     symmetrizes, clamps eigenvalues within −1e-8 of zero and renormalizes.
@@ -97,12 +98,11 @@ def steady_state(l: Superoperator, check_unique: bool = True) -> SteadyStateRepo
     if residual > RESIDUAL_TOL * max(scale, 1.0):
         raise SteadyStateError(f"steady-state residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
 
-    if unique and check_unique:
+    if unique:
         basis = traceless_basis(d)
         svals = np.linalg.svd(l.mat @ basis, compute_uv=False)
         unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
 
-    space = HilbertSpace((d,))
     return SteadyStateReport(
         rho=DensityMatrix(space, rho),
         residual=residual,
@@ -111,15 +111,9 @@ def steady_state(l: Superoperator, check_unique: bool = True) -> SteadyStateRepo
     )
 
 
-def steady_state_on(l: Superoperator, space: HilbertSpace, check_unique: bool = True) -> SteadyStateReport:
-    """Same as :func:`steady_state` but tags the state with its factor structure."""
-    report = steady_state(l, check_unique=check_unique)
-    return SteadyStateReport(
-        rho=DensityMatrix(space, report.rho.mat),
-        residual=report.residual,
-        min_eigenvalue=report.min_eigenvalue,
-        unique=report.unique,
-    )
+def steady_state(l: Superoperator) -> SteadyStateReport:
+    """:func:`steady_state_on` with the state on a single factor of dimension ``l.dim``."""
+    return steady_state_on(l, HilbertSpace((l.dim,)))
 
 
 def evolve(l: Superoperator, rho0: DensityMatrix, t_final: float) -> DensityMatrix:

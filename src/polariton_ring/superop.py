@@ -58,11 +58,6 @@ class Superoperator:
         """Action on a density matrix given and returned in matrix form."""
         return unvec(self.mat @ vec(rho_mat))
 
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return Superoperator(self.dim, self.mat + other.mat)
-
     def norm_inf(self) -> float:
         """Max absolute row sum; cheap upper bound on the spectral radius."""
         return float(np.abs(self.mat).sum(axis=1).max())
@@ -111,49 +106,31 @@ class DissipatorTerm:
     def is_diagonal(left: np.ndarray, right: np.ndarray) -> bool:
         return bool(np.array_equal(left, right))
 
-    def sort_key(self) -> tuple:
-        return (self.weight, self.left.tobytes(), self.right.tobytes())
 
+def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:
+    """Full generator ρ ↦ −i[h, ρ] + Σ w (2 LρR† − R†Lρ − ρR†L), built in one pass.
 
-def zero_super(dim: int) -> Superoperator:
-    return Superoperator(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
-
-
-def commutator_super(h) -> Superoperator:
-    """Superoperator for ρ ↦ −i[h, ρ]; h must be Hermitian."""
+    With M = Σ w R†L the generator is
+    Σ 2w (R̄ ⊗ L) + I ⊗ (−ih − M) + (ih − M)ᵀ ⊗ I: one Kronecker product per
+    term plus two. Terms are added in the order given; builders emit them in
+    a fixed order, so repeated assembly is bit-stable. h must be Hermitian,
+    and trace preservation is asserted after assembly.
+    """
     h = as_complex(h)
     if herm_defect(h) > 1e-10:
         raise NonHermitianError(f"Hamiltonian not Hermitian: defect {herm_defect(h):.2e}")
     d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return Superoperator(d, -1j * (np.kron(eye, h) - np.kron(h.T, eye)))
-
-
-def dissipator_super(term: DissipatorTerm) -> Superoperator:
-    """Superoperator for ρ ↦ w (2 LρR† − R†Lρ − ρR†L)."""
-    left, right, w = term.left, term.right, term.weight
-    d = left.shape[0]
-    eye = np.eye(d, dtype=complex)
-    rl = right.conj().T @ left
-    mat = w * (2.0 * np.kron(right.conj(), left) - np.kron(eye, rl) - np.kron(rl.T, eye))
-    return Superoperator(d, mat)
-
-
-def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:
-    """Full generator: commutator of h plus the sum of all dissipator terms.
-
-    Terms are summed in a canonical sorted order so repeated assembly is
-    bit-stable. Trace preservation is asserted after assembly.
-    """
-    h = as_complex(h)
-    d = h.shape[0]
-    total = commutator_super(h)
-    acc = zero_super(d)
-    for term in sorted(terms, key=DissipatorTerm.sort_key):
+    m = np.zeros((d, d), dtype=complex)
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for term in terms:
         if term.left.shape[0] != d:
             raise ValueError(f"term dimension {term.left.shape[0]} != Hamiltonian dimension {d}")
-        acc = acc + dissipator_super(term)
-    total = total + acc
+        m += term.weight * (term.right.conj().T @ term.left)
+        mat += (2.0 * term.weight) * np.kron(term.right.conj(), term.left)
+    eye = np.eye(d, dtype=complex)
+    mat += np.kron(eye, -1j * h - m)
+    mat += np.kron((1j * h - m).T, eye)
+    total = Superoperator(d, mat)
     defect = total.trace_defect()
     if defect > TRACE_PRESERVATION_TOL:
         raise AssemblyError(

@@ -115,6 +115,35 @@ def test_non_unique_sweep_point_exits_1(tmp_path, capsys):
     assert not summary_path(out).exists()
 
 
+def test_non_unique_thermal_point_exits_1(tmp_path, capsys):
+    # y = 0, z = 1 leaves the pair's singlet dark at x = 0
+    cfg = write_config(tmp_path, {"x_grid": [0.0, 1.0], "t_grid": [0.05], "y": 0.0, "z": 1.0})
+    out = tmp_path / "thermal.csv"
+    assert main(["thermal", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "{'x': 0.0, 'T_R': 0.05}" in err and "not unique" in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+def test_non_unique_optimize_point_exits_1(tmp_path, capsys):
+    model = {"model": "pair_thermal", "Gamma": [1.0], "x": [[0.0, 0.0]], "y": [0.0], "z": [1.0]}
+    cfg = write_config(tmp_path, {"model": model, "free": ["y[0]"], "bounds": [[0.0, 0.0]], "budget": 10})
+    out = tmp_path / "opt.csv"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "{'y[0]': 0.0}" in err and "not unique" in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+def test_thermal_bad_z_exits_2(tmp_path):
+    cfg = write_config(tmp_path, {"x_grid": [0.0, 1.0], "t_grid": [0.05], "y": 0.0, "z": 0.5})
+    out = tmp_path / "thermal.csv"
+    assert main(["thermal", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("Gamma", [float("nan")]), ("z", [float("inf")]), ("x", [[-1.0, 0.0]]), ("x", [[0.0, 1.0]])],

@@ -49,7 +49,7 @@ def test_derive_effective_z_ring_convention():
     p = MicroParams(
         n_sites=3, J=(1.0, 1.0, 1.0), kappa=10.0, gamma_p=0.008,
         alpha=(0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0),
-        omega_c=(5.0, 5.0, 5.0), omega_p=(5.0, 5.0, 5.0), omega_d=5.0, n_boson=2,
+        omega_c=(5.0, 5.0, 5.0), omega_p=(5.0, 5.0, 5.0), omega_d=5.0,
     )
     eff = derive_effective(p)
     assert np.allclose(eff.Gamma, 0.2)
@@ -256,16 +256,22 @@ def ring_micro_json(n_boson):
 
 def test_micro_dimension_guard():
     # the dense L of the ring at n_boson=2 is 4096² complex (256 MiB): admitted;
-    # at n_boson=3 it is 46656² (about 35 GB): rejected before anything is built
+    # at n_boson=3 it is 46656² (about 35 GB): rejected when the ModelSpec is
+    # made, before anything is built. MicroParams alone carries no budget.
     assert model_spec_from_json(ring_micro_json(2)).params.geometry == "ring3"
     for n_boson in (3, 5):
         with pytest.raises(ValueError, match="budget"):
             model_spec_from_json(ring_micro_json(n_boson))
+    params = MicroParams(
+        n_sites=3, J=(0.05,) * 3, kappa=1.0, gamma_p=0.0, alpha=(0.0,) * 3,
+        phi=(0.0,) * 3, omega_c=(1.0,) * 3, omega_p=(1.0,) * 3, omega_d=1.0, n_boson=3,
+    )
     with pytest.raises(ValueError, match="budget"):
-        MicroParams(
-            n_sites=3, J=(0.05,) * 3, kappa=1.0, gamma_p=0.0, alpha=(0.0,) * 3,
-            phi=(0.0,) * 3, omega_c=(1.0,) * 3, omega_p=(1.0,) * 3, omega_d=1.0, n_boson=3,
-        )
+        ModelSpec("micro", params)
+    from polariton_ring.experiments import validate_effective
+
+    with pytest.raises(ValueError, match="budget"):
+        validate_effective(params)
 
 
 def test_params_reject_non_finite():

@@ -9,11 +9,8 @@ from polariton_ring.superop import (
     DissipatorTerm,
     Superoperator,
     assemble,
-    commutator_super,
-    dissipator_super,
     unvec,
     vec,
-    zero_super,
 )
 
 
@@ -24,14 +21,14 @@ def test_vec_is_column_stacking():
 
 
 def test_commutator_zero_hamiltonian():
-    s = commutator_super(np.zeros((2, 2)))
+    s = assemble(np.zeros((2, 2)), [])
     assert np.abs(s.mat).max() == 0.0
 
 
 def test_commutator_phase_rotation():
     # h = diag(0, w): |0><1| picks up +iw
     w = 0.7
-    s = commutator_super(np.diag([0.0, w]))
+    s = assemble(np.diag([0.0, w]), [])
     e01 = np.zeros((2, 2), dtype=complex)
     e01[0, 1] = 1.0
     assert np.abs(s.apply(e01) - 1j * w * e01).max() <= 1e-14
@@ -42,20 +39,20 @@ def test_commutator_matches_direct(seed):
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, 3)
     rho = random_density_mat(rng, 3)
-    got = commutator_super(h).apply(rho)
+    got = assemble(h, []).apply(rho)
     want = -1j * (h @ rho - rho @ h)
     assert np.abs(got - want).max() <= 1e-12
 
 
 def test_commutator_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        commutator_super(np.array([[0, 1], [0, 0]], dtype=complex))
+        assemble(np.array([[0, 1], [0, 0]], dtype=complex), [])
 
 
 def test_dissipator_two_level_decay():
     # weight kappa/2 gives population decay at rate kappa
     kappa = 2.0
-    s = dissipator_super(DissipatorTerm(SIGMA_MINUS, SIGMA_MINUS, kappa / 2))
+    s = assemble(np.zeros((2, 2)), [DissipatorTerm(SIGMA_MINUS, SIGMA_MINUS, kappa / 2)])
     excited = np.diag([0.0, 1.0]).astype(complex)
     drho = s.apply(excited)
     assert abs(drho[1, 1] - (-kappa)) <= 1e-14
@@ -63,8 +60,17 @@ def test_dissipator_two_level_decay():
 
 
 def test_dissipator_zero_ops():
-    s = dissipator_super(DissipatorTerm(np.zeros((2, 2)), np.zeros((2, 2)), 1.0))
+    s = assemble(np.zeros((2, 2)), [DissipatorTerm(np.zeros((2, 2)), np.zeros((2, 2)), 1.0)])
     assert np.abs(s.mat).max() == 0.0
+
+
+def direct_generator(h, terms, rho):
+    """−i[h, ρ] + Σ w (2 LρR† − R†Lρ − ρR†L), evaluated on ρ directly."""
+    out = -1j * (h @ rho - rho @ h)
+    for t in terms:
+        r_dag_l = t.right.conj().T @ t.left
+        out = out + t.weight * (2 * t.left @ rho @ t.right.conj().T - r_dag_l @ rho - rho @ r_dag_l)
+    return out
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -77,10 +83,24 @@ def test_dissipator_cross_term_matches_direct(seed):
     p2 = embed(SIGMA_MINUS, 1, space)
     w = 0.37
     rho = random_density_mat(rng, 4)
-    got = dissipator_super(DissipatorTerm(p1, p2, w)).apply(rho)
-    r_dag_l = p2.conj().T @ p1
-    want = w * (2 * p1 @ rho @ p2.conj().T - r_dag_l @ rho - rho @ r_dag_l)
-    assert np.abs(got - want).max() <= 1e-12
+    zero = np.zeros((4, 4))
+    cross = [DissipatorTerm(p1, p2, w)]
+    got = assemble(zero, cross).apply(rho)
+    assert np.abs(got - direct_generator(zero, cross, rho)).max() <= 1e-12
+
+    # a random Hamiltonian with diagonal, cross and generic terms in one list
+    h = random_hermitian(rng, 4)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    mixed = [
+        DissipatorTerm(p1, p1, rng.uniform(0, 2)),
+        DissipatorTerm(p2.conj().T, p2.conj().T, rng.uniform(0, 2)),
+        DissipatorTerm(p1, p2, w),
+        DissipatorTerm(p2, p1, w),
+        DissipatorTerm(g, p1 + p2, rng.normal()),
+        DissipatorTerm(g, g, rng.uniform(0, 2)),
+    ]
+    got = assemble(h, mixed).apply(rho)
+    assert np.abs(got - direct_generator(h, mixed, rho)).max() <= 1e-12
 
 
 def test_dissipator_term_validation():
@@ -149,8 +169,8 @@ def test_assemble_linearity_exact():
     a = [DissipatorTerm(p1, p1, 0.5)]
     b = [DissipatorTerm(p2, p2, 2.0), DissipatorTerm(p1, p2, 4.0), DissipatorTerm(p2, p1, 4.0)]
     lhs = assemble(h, a + b)
-    rhs = assemble(h, a) + assemble(np.zeros((4, 4)), b)
-    assert np.array_equal(lhs.mat, rhs.mat)
+    rhs = assemble(h, a).mat + assemble(np.zeros((4, 4)), b).mat
+    assert np.array_equal(lhs.mat, rhs)
 
 
 def test_superoperator_shape_validation():
@@ -160,4 +180,4 @@ def test_superoperator_shape_validation():
 
 def test_zero_super_apply(rng):
     rho = random_density_mat(rng, 3)
-    assert np.abs(zero_super(3).apply(rho)).max() == 0.0
+    assert np.abs(Superoperator(3, np.zeros((9, 9))).apply(rho)).max() == 0.0
