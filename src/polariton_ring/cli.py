@@ -152,7 +152,10 @@ def _cmd_optimize(cfg: dict, workers: int) -> tuple[str, dict]:
     free: list[str | tuple[str, ...]] = [
         tuple(entry) if isinstance(entry, list) else str(entry) for entry in cfg["free"]
     ]
-    bounds = [(float(lo), float(hi)) for lo, hi in cfg["bounds"]]
+    try:
+        bounds = [(float(lo), float(hi)) for lo, hi in cfg["bounds"]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bounds must be a list of [lo, hi] pairs: {exc}") from exc
     budget = int(cfg.get("budget", 2000))
     sites = tuple(cfg["sites"]) if "sites" in cfg else None
     try:
@@ -191,6 +194,9 @@ def _cmd_validate(cfg: dict, workers: int) -> tuple[str, dict]:
         raise ConfigError("validate needs a micro model")
     base = model.params
     ratios = [float(v) for v in cfg.get("j_over_kappa", [])] or [max(base.J) / base.kappa]
+    bad = [r for r in ratios if not (np.isfinite(r) and r > 0)]
+    if bad:
+        raise ConfigError(f"j_over_kappa values must be finite and > 0, got {bad}")
     lines = ["j_over_kappa,distance"]
     distances = {}
     for ratio in ratios:

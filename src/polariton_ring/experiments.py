@@ -54,6 +54,8 @@ class Axis:
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ValueError(f"axis {self.path!r} has an empty grid")
+        if not all(np.isfinite(grid)):
+            raise ValueError(f"axis {self.path!r} grid values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"axis {self.path!r} grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -198,8 +199,18 @@ def _thermal_drive(x: complex) -> float:
     return x.real
 
 
-def _qubit_ops(space: HilbertSpace) -> list[np.ndarray]:
-    return [embed(SIGMA_MINUS, i, space) for i in range(space.n_factors)]
+@cache
+def _qubit_ops(factor_dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """σ⁻ embedded at each qubit of an all-qubit space, built once per geometry.
+
+    The arrays are shared by every model built on that geometry, so they are
+    read-only.
+    """
+    space = HilbertSpace(factor_dims)
+    ops = tuple(embed(SIGMA_MINUS, i, space) for i in range(space.n_factors))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
 
 
 def build_ring3_effective(p: EffectiveParams) -> BuildResult:
@@ -212,7 +223,7 @@ def build_ring3_effective(p: EffectiveParams) -> BuildResult:
     if p.n_sites != 3 or len(p.Gamma) != 3:
         raise ValueError("ring model needs n_sites=3 and three guide parameter entries")
     space = HilbertSpace((2, 2, 2))
-    P = _qubit_ops(space)
+    P = _qubit_ops(space.factor_dims)
     h = np.zeros((8, 8), dtype=complex)
     for i in range(3):
         j = (i + 1) % 3
@@ -239,7 +250,7 @@ def build_pair_effective(p: EffectiveParams) -> BuildResult:
     if p.n_sites != 2 or len(p.Gamma) != 3:
         raise ValueError("pair model needs n_sites=2 and three guide parameter entries")
     space = HilbertSpace((2, 2))
-    P1, P2 = _qubit_ops(space)
+    P1, P2 = _qubit_ops(space.factor_dims)
     g1, g2, g3 = p.Gamma
     h = g2 * p.y[1] * (P1.conj().T @ P2)
     h = h + (g1 * p.x[0] + g2 * p.x[1]) * P1.conj().T
@@ -268,7 +279,7 @@ def build_pair_thermal(p: EffectiveParams) -> BuildResult:
     gam_big = p.Gamma[0]
     gamma = 2.0 * gam_big * (p.z[0] - 1.0)
     space = HilbertSpace((2, 2))
-    P1, P2 = _qubit_ops(space)
+    P1, P2 = _qubit_ops(space.factor_dims)
     h = gam_big * p.y[0] * (P1.conj().T @ P2)
     h = h + gam_big * x * (P1.conj().T + P2.conj().T)
     h = h + h.conj().T

@@ -141,6 +141,11 @@ def multistart_maximize(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    for k, (lo, hi) in enumerate(bounds):
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"bounds[{k}] = [{lo}, {hi}] must be finite")
+        if lo > hi:
+            raise ValueError(f"bounds[{k}] = [{lo}, {hi}] has lower bound above upper bound")
     names = list(param_names) if param_names is not None else [f"p{i}" for i in range(len(bounds))]
     starts = corner_starts(bounds)
     trace: list[tuple[dict[str, float], float]] = []

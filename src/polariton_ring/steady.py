@@ -5,6 +5,7 @@ choosing the propagation horizon."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg
@@ -40,22 +41,25 @@ class SteadyStateReport:
     unique: bool
 
 
-def traceless_basis(d: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the trace-zero subspace of vec space.
-
-    Built from the Householder reflection that maps e₀ to vec(I)/√d; columns
-    1..d²−1 of that reflection are then orthonormal and traceless.
-    """
-    n = d * d
-    t = vec(np.eye(d, dtype=complex)) / np.sqrt(d)
-    w = t.copy()
+@cache
+def _householder_vector(d: int) -> np.ndarray:
+    """Unit vector w whose reflection I − 2ww† maps e₀ to vec(I)/√d, so that
+    columns 1..d²−1 of the reflection are an orthonormal basis B of the
+    trace-zero subspace of vec space. Zero for d = 1, where that subspace is
+    empty. Built once per dimension and read-only."""
+    w = vec(np.eye(d, dtype=complex)) / np.sqrt(d)
     w[0] -= 1.0
     nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        return np.eye(n, dtype=complex)[:, 1:]
-    w /= nw
-    house = np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj())
-    return house[:, 1:]
+    if nw > 1e-14:
+        w /= nw
+    w.setflags(write=False)
+    return w
+
+
+def _traceless_columns(l: Superoperator) -> np.ndarray:
+    """L·B without forming B: the rank-one update (L − 2(Lw)w†)[:, 1:]."""
+    w = _householder_vector(l.dim)
+    return l.mat[:, 1:] - 2.0 * np.outer(l.mat @ w, w[1:].conj())
 
 
 def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
@@ -98,9 +102,8 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     if residual > RESIDUAL_TOL * max(scale, 1.0):
         raise SteadyStateError(f"steady-state residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
 
-    if unique:
-        basis = traceless_basis(d)
-        svals = np.linalg.svd(l.mat @ basis, compute_uv=False)
+    if unique and n > 1:
+        svals = np.linalg.svd(_traceless_columns(l), compute_uv=False)
         unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
 
     return SteadyStateReport(
@@ -139,9 +142,10 @@ def spectral_gap(l: Superoperator, max_iter: int = 100, seed: int = 7) -> float:
     needs. Returns 0.0 if the restricted operator is numerically singular
     (degenerate steady state).
     """
-    d = l.dim
-    basis = traceless_basis(d)
-    m = basis.conj().T @ (l.mat @ basis)
+    # B†(L·B): rows 1.. of the reflection I − 2ww† applied to L·B
+    lb = _traceless_columns(l)
+    w = _householder_vector(l.dim)
+    m = lb[1:] - 2.0 * np.outer(w[1:], w.conj() @ lb)
     try:
         lu = scipy.linalg.lu_factor(m)
     except scipy.linalg.LinAlgError:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NonHermitianError, as_complex, herm_defect, hermitize
+from .linalg import NonHermitianError, _kron, as_complex, herm_defect, hermitize
 
 TRACE_PRESERVATION_TOL = 1e-10
 
@@ -126,10 +126,10 @@ def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:
         if term.left.shape[0] != d:
             raise ValueError(f"term dimension {term.left.shape[0]} != Hamiltonian dimension {d}")
         m += term.weight * (term.right.conj().T @ term.left)
-        mat += (2.0 * term.weight) * np.kron(term.right.conj(), term.left)
+        mat += (2.0 * term.weight) * _kron(term.right.conj(), term.left)
     eye = np.eye(d, dtype=complex)
-    mat += np.kron(eye, -1j * h - m)
-    mat += np.kron((1j * h - m).T, eye)
+    mat += _kron(eye, -1j * h - m)
+    mat += _kron((1j * h - m).T, eye)
     total = Superoperator(d, mat)
     defect = total.trace_defect()
     if defect > TRACE_PRESERVATION_TOL:

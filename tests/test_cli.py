@@ -264,6 +264,40 @@ def test_validate_cli_fast(tmp_path):
     assert out.read_text().startswith("j_over_kappa,distance")
 
 
+@pytest.mark.parametrize("grid", [[0.0, float("nan")], [float("-inf"), 0.0]])
+def test_sweep_non_finite_grid_exits_2(tmp_path, capsys, grid):
+    cfg_obj = sweep_config()
+    cfg_obj["axes"][0]["grid"] = grid
+    cfg = write_config(tmp_path, cfg_obj)
+    out = tmp_path / "data.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+@pytest.mark.parametrize("ratio", [0.0, -0.05, float("nan"), float("inf")])
+def test_validate_bad_ratio_exits_2(tmp_path, capsys, ratio):
+    cfg_obj = json.loads((CONFIGS / "validate.json").read_text())
+    cfg_obj["j_over_kappa"] = [0.05, ratio]
+    cfg = write_config(tmp_path, cfg_obj)
+    out = tmp_path / "val.csv"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "j_over_kappa" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+@pytest.mark.parametrize("bounds", [[[5.0, -5.0]], [[0.0, float("nan")]], [[1.0]], [3.0]])
+def test_optimize_bad_bounds_exit_2(tmp_path, capsys, bounds):
+    cfg = write_config(tmp_path, {"model": pair_model_json(), "free": ["x[1].re"], "bounds": bounds, "budget": 10})
+    out = tmp_path / "opt.csv"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "bounds" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
 def test_validate_requires_micro_model(tmp_path):
     cfg = write_config(tmp_path, {"micro": pair_model_json()})
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.csv")]) == 2

@@ -8,6 +8,7 @@ from polariton_ring.linalg import (
     HilbertSpace,
     NonHermitianError,
     RankDeficientError,
+    _kron,
     basis_state,
     embed,
     herm_eig,
@@ -49,6 +50,17 @@ def test_kron_associative(seed):
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     assert np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((4, 4), (4, 4)), ((2, 3), (3, 2)), ((1, 1), (3, 3)),
+                                              ((2, 2), (1, 1)), ((1, 1), (1, 1))])
+def test_kron_bitwise_equals_numpy(rng, shape_a, shape_b):
+    for _ in range(5):
+        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+        want = np.kron(a, b)
+        assert np.array_equal(_kron(a, b), want)
+        assert np.array_equal(kron(a, b), want)
 
 
 def test_kron_rejects_nonfinite():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from polariton_ring import models
 from polariton_ring.linalg import HilbertSpace, herm_defect, partial_trace
 from polariton_ring.models import (
     EffectiveParams,
@@ -398,3 +399,44 @@ def test_model_spec_type_checks():
         ModelSpec("micro", fig5_pair_spec().params)
     with pytest.raises(ValueError):
         ModelSpec("pair_thermal", fig5_pair_spec().params)
+
+
+# --- cached qubit operators -------------------------------------------------------
+
+
+def test_cached_qubit_operators_are_read_only():
+    for dims in ((2, 2), (2, 2, 2)):
+        ops = models._qubit_ops(dims)
+        assert len(ops) == len(dims)
+        for op in ops:
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+    _, _, terms = build_model(fig5_pair_spec())
+    assert terms[0].left is models._qubit_ops((2, 2))[0]
+
+
+def test_builds_share_no_mutable_state():
+    first = build_model(fig5_pair_spec(phi1=0.3))
+    second = build_model(thermal_pair_spec(x=2.0, n_p=0.2))
+    arrays = [
+        [first[1]] + [a for t in first[2] for a in (t.left, t.right)],
+        [second[1]] + [a for t in second[2] for a in (t.left, t.right)],
+    ]
+    assert first[1].flags.writeable and second[1].flags.writeable
+    for a in arrays[0]:
+        for b in arrays[1]:
+            if np.shares_memory(a, b):
+                assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_qubit_operators_embedded_once_per_geometry(monkeypatch):
+    for spec in (fig3_ring_spec(), fig5_pair_spec()):
+        build_model(spec)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("embed called for a cached geometry")
+
+    monkeypatch.setattr(models, "embed", fail)
+    for spec in (fig3_ring_spec(phi1=0.1), fig5_pair_spec(phi1=0.2), thermal_pair_spec(x=1.0)):
+        build_model(spec)

@@ -58,6 +58,20 @@ def test_multistart_collapsed_bounds():
     assert report.best_params["p0"] == 1.5
 
 
+@pytest.mark.parametrize("bounds", [[(5.0, -5.0)], [(0.0, 1.0), (2.0, 1.9)], [(0.0, float("nan"))],
+                                    [(-float("inf"), 1.0)]])
+def test_multistart_rejects_bad_bounds(bounds):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 0.0
+
+    with pytest.raises(ValueError, match="bounds"):
+        multistart_maximize(f, bounds, budget=50)
+    assert not calls
+
+
 def test_multistart_budget_one():
     report = multistart_maximize(lambda x: 1.0, [(0, 1)], budget=1)
     assert report.evaluations >= 1

@@ -6,16 +6,31 @@ from polariton_ring.models import SIGMA_MINUS, EffectiveParams, build_pair_therm
 from polariton_ring.observables import trace_distance
 from polariton_ring.steady import (
     SteadyStateError,
+    _traceless_columns,
     evolve,
     evolve_to_steady,
     spectral_gap,
     steady_state,
     steady_state_on,
-    traceless_basis,
 )
-from polariton_ring.superop import DissipatorTerm, Superoperator, assemble
+from polariton_ring.superop import DissipatorTerm, Superoperator, assemble, unvec, vec
 
 QUBIT = HilbertSpace((2,))
+
+
+def traceless_basis(d: int) -> np.ndarray:
+    """Oracle: dense orthonormal basis (columns) of the trace-zero subspace of
+    vec space, columns 1..d²−1 of the Householder reflection that maps e₀ to
+    vec(I)/√d."""
+    n = d * d
+    w = vec(np.eye(d, dtype=complex)) / np.sqrt(d)
+    w[0] -= 1.0
+    nw = np.linalg.norm(w)
+    if nw < 1e-14:
+        return np.eye(n, dtype=complex)[:, 1:]
+    w /= nw
+    house = np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj())
+    return house[:, 1:]
 
 
 def decay_liouvillian(kappa=1.0):
@@ -145,8 +160,6 @@ def test_traceless_basis_properties():
         b = traceless_basis(d)
         assert b.shape == (d * d, d * d - 1)
         assert np.abs(b.conj().T @ b - np.eye(d * d - 1)).max() <= 1e-12
-        from polariton_ring.superop import unvec
-
         for k in range(b.shape[1]):
             assert abs(np.trace(unvec(b[:, k]))) <= 1e-12
 
@@ -154,3 +167,29 @@ def test_traceless_basis_properties():
 def test_evolve_dimension_mismatch():
     with pytest.raises(ValueError):
         evolve(Superoperator(3, np.zeros((9, 9))), basis_state(QUBIT, 0), 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_traceless_columns_match_dense_basis(rng, d):
+    n = d * d
+    lmat = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+    lb = _traceless_columns(Superoperator(d, lmat))
+    assert lb.shape == (n, n - 1)
+    assert np.abs(lb - lmat @ traceless_basis(d)).max() <= 1e-13
+
+
+def test_spectral_gap_matches_dense_restriction():
+    from polariton_ring.models import build_model, fig3_ring_spec
+
+    space, h, terms = build_model(fig3_ring_spec())
+    liouv = assemble(h, terms)
+    basis = traceless_basis(liouv.dim)
+    eigs = np.linalg.eigvals(basis.conj().T @ liouv.mat @ basis)
+    assert spectral_gap(liouv) == pytest.approx(np.abs(eigs.real).min(), rel=0.1)
+
+
+def test_steady_state_one_level():
+    report = steady_state(Superoperator(1, np.zeros((1, 1))))
+    assert report.unique
+    assert report.rho.mat.tolist() == [[1.0]]
+    assert report.residual == 0.0

@@ -173,6 +173,38 @@ def test_assemble_linearity_exact():
     assert np.array_equal(lhs.mat, rhs)
 
 
+def kron_reference_assemble(h, terms):
+    """The one-pass formula of ``assemble`` written with ``np.kron``."""
+    d = h.shape[0]
+    m = np.zeros((d, d), dtype=complex)
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for term in terms:
+        m += term.weight * (term.right.conj().T @ term.left)
+        mat += (2.0 * term.weight) * np.kron(term.right.conj(), term.left)
+    eye = np.eye(d, dtype=complex)
+    mat += np.kron(eye, -1j * h - m)
+    mat += np.kron((1j * h - m).T, eye)
+    return mat
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_assemble_bitwise_equals_kron_reference(rng, d):
+    def op():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    for _ in range(3):
+        h = random_hermitian(rng, d)
+        a, b, c = op(), op(), op()
+        terms = [
+            DissipatorTerm(a, a, 0.7),
+            DissipatorTerm(b, b, 1.3),
+            DissipatorTerm(a, c, -0.4),
+            DissipatorTerm(c, a, -0.4),
+            DissipatorTerm(b, a, 0.25),
+        ]
+        assert np.array_equal(assemble(h, terms).mat, kron_reference_assemble(h, terms))
+
+
 def test_superoperator_shape_validation():
     with pytest.raises(ValueError):
         Superoperator(2, np.zeros((3, 3)))
