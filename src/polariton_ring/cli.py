@@ -56,17 +56,32 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _decode_int(value, where: str) -> int:
+    """A JSON number with an integral value; strings and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _decode_float(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+
+
 def _decode_grid(obj, where: str) -> tuple[float, ...]:
     if isinstance(obj, list):
         if not obj:
             raise ConfigError(f"{where}: grid list is empty")
-        return tuple(float(v) for v in obj)
+        return tuple(_decode_float(v, f"{where}[{k}]") for k, v in enumerate(obj))
     if isinstance(obj, dict):
         _require_keys(obj, {"start", "stop", "count"}, {"start", "stop", "count"}, where)
-        count = int(obj["count"])
+        count = _decode_int(obj["count"], f"{where}.count")
         if count < 1:
             raise ConfigError(f"{where}: count must be >= 1")
-        return tuple(np.linspace(float(obj["start"]), float(obj["stop"]), count))
+        start, stop = (_decode_float(obj[k], f"{where}.{k}") for k in ("start", "stop"))
+        return tuple(np.linspace(start, stop, count))
     raise ConfigError(f"{where}: grid must be a list or a start/stop/count object")
 
 
@@ -87,7 +102,7 @@ def _decode_observable(obj, where: str) -> ObservableSpec:
             T=float(obj["T"]) if "T" in obj else None,
             omega=float(obj.get("omega", 1.0)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -156,8 +171,11 @@ def _cmd_optimize(cfg: dict, workers: int) -> tuple[str, dict]:
         bounds = [(float(lo), float(hi)) for lo, hi in cfg["bounds"]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bounds must be a list of [lo, hi] pairs: {exc}") from exc
-    budget = int(cfg.get("budget", 2000))
-    sites = tuple(cfg["sites"]) if "sites" in cfg else None
+    budget = _decode_int(cfg.get("budget", 2000), "budget")
+    try:
+        sites = tuple(cfg["sites"]) if "sites" in cfg else None
+    except TypeError as exc:
+        raise ConfigError(f"sites must be a list: {exc}") from exc
     try:
         report = optimize_concurrence(model, free, bounds, budget=budget, sites=sites)
     except ValueError as exc:

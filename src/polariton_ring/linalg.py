@@ -1,6 +1,7 @@
 """Dense complex linear algebra and Hilbert-space composition.
 
-Everything here works on plain ``numpy`` arrays of ``complex128``. States carry
+Everything here works on plain ``numpy`` arrays of ``complex128``, except that
+:func:`lstsq_solve` keeps a real system real. States carry
 their tensor-factor structure through :class:`HilbertSpace` /
 :class:`DensityMatrix`, which validate the physical invariants (hermiticity,
 unit trace, positivity) on construction.
@@ -9,12 +10,12 @@ unit trace, positivity) on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -179,20 +180,40 @@ def psd_sqrt(a) -> np.ndarray:
     return hermitize(s)
 
 
+@cache
+def _gelsy(dtype: str, rows: int, cols: int, nrhs: int):
+    """LAPACK ?gelsy for one dtype and system shape, with its workspace size."""
+    gelsy, gelsy_lwork = scipy.linalg.lapack.get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.dtype(dtype))
+    work, info = gelsy_lwork(rows, cols, nrhs, LSTSQ_COND)
+    if info != 0:
+        raise ValueError(f"gelsy workspace query failed with info {info}")
+    return gelsy, int(work.real)
+
+
 def lstsq_solve(m, b) -> tuple[np.ndarray, float]:
     """Least-squares solve min ‖m·x − b‖₂ via column-pivoted QR (LAPACK gelsy).
 
-    Returns the solution together with the achieved residual norm. Raises
-    :class:`RankDeficientError` when the numerical rank drops below the column
-    count.
+    A real system is solved in real arithmetic and gives a real x; a complex
+    m or b gives a complex x. Returns the solution together with the achieved
+    residual norm. Raises :class:`RankDeficientError` when the numerical rank
+    drops below the column count, and ``ValueError`` for non-finite input.
     """
-    m = as_complex(m)
-    b = np.asarray(b, dtype=complex)
+    dtype = complex if np.iscomplexobj(m) or np.iscomplexobj(b) else float
+    m = np.asarray(m, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
+    if not (np.isfinite(m).all() and np.isfinite(b).all()):
+        raise ValueError("matrix contains non-finite entries")
     rows, cols = m.shape
     if rows < cols:
         raise ValueError(f"system is underdetermined: {rows} rows < {cols} cols")
-    x, _, rank, _ = scipy.linalg.lstsq(m, b, cond=LSTSQ_COND, lapack_driver="gelsy")
+    if b.shape[0] != rows:
+        raise ValueError(f"right-hand side has {b.shape[0]} rows, matrix has {rows}")
+    gelsy, lwork = _gelsy(m.dtype.char, rows, cols, b.shape[1] if b.ndim == 2 else 1)
+    _, x, _, rank, info = gelsy(m, b, np.zeros(cols, dtype=np.int32), LSTSQ_COND, lwork)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gelsy")
     if rank < cols:
         raise RankDeficientError(f"rank {rank} < {cols} columns")
+    x = x[:cols]
     residual = float(np.linalg.norm(m @ x - b))
     return x, residual

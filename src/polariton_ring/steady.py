@@ -9,8 +9,10 @@ from functools import cache
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .linalg import (
+    HERM_TOL,
     DensityMatrix,
     HilbertSpace,
     RankDeficientError,
@@ -25,6 +27,8 @@ UNIQUENESS_TOL = 1e-10
 # Unused by the package; only bench/tracing.py reads it, as the step-size
 # rule dt·‖L‖ = 0.1 behind its steady.rk4_steps count.
 STABILITY_LIMIT = 0.1
+
+_getrf, _getri = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getri"), dtype=np.float64)
 
 
 class SteadyStateError(RuntimeError):
@@ -62,31 +66,110 @@ def _traceless_columns(l: Superoperator) -> np.ndarray:
     return l.mat[:, 1:] - 2.0 * np.outer(l.mat @ w, w[1:].conj())
 
 
+@cache
+def _hermitian_basis(d: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Per-dimension maps of the orthonormal Hermitian basis of vec space,
+    ordered {E_ii}, {(E_ij + E_ji)/√2}, {i(E_ij − E_ji)/√2} with i < j in
+    ``np.triu_indices`` order. Returns the flat index that permutes a d²×d²
+    matrix to the vec order diagonal, upper (E_ij), lower (E_ji); the
+    ``triu_indices`` pair; and the d×d Householder reflection whose first
+    column is the normalized trace row on the diagonal coordinates, so that
+    its other columns, padded with the identity on the off-diagonal
+    coordinates, are an orthonormal basis B_r of the trace-zero subspace.
+    Read-only."""
+    n = d * d
+    iu = np.triu_indices(d, 1)
+    perm = np.concatenate([np.arange(d) * (d + 1), iu[0] + d * iu[1], iu[1] + d * iu[0]])
+    take = (perm[:, None] * n + perm[None, :]).ravel()
+    w = np.full(d, 1.0 / np.sqrt(d))
+    w[0] -= 1.0
+    nw = np.linalg.norm(w)
+    if nw > 1e-14:
+        w /= nw
+    house = np.eye(d) - 2.0 * np.outer(w, w)
+    for a in (take, *iu, house):
+        a.setflags(write=False)
+    return take, iu, house
+
+
+def _real_form(l: Superoperator) -> np.ndarray:
+    """U†LU for the unitary U whose columns are the Hermitian basis of
+    :func:`_hermitian_basis`, without forming U: one permutation, then block
+    sums and differences of the off-diagonal halves. Returned complex; its
+    imaginary part vanishes (to rounding) when L preserves hermiticity, as
+    every Lindblad generator does."""
+    d = l.dim
+    n = d * d
+    take, _, _ = _hermitian_basis(d)
+    p, q = slice(d, (n + d) // 2), slice((n + d) // 2, n)
+    r = np.sqrt(0.5)
+    a = l.mat.take(take).reshape(n, n)
+    a = np.concatenate([a[:, :d], r * (a[:, p] + a[:, q]), (1j * r) * (a[:, p] - a[:, q])], axis=1)
+    return np.concatenate([a[:d], r * (a[p] + a[q]), (-1j * r) * (a[p] - a[q])])
+
+
+def _from_real(c: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian matrix with coordinates c in the basis of :func:`_hermitian_basis`."""
+    _, iu, _ = _hermitian_basis(d)
+    m = len(iu[0])
+    rho = np.diag(c[:d].astype(complex))
+    upper = np.sqrt(0.5) * (c[d:d + m] + 1j * c[d + m:])
+    rho[iu] = upper
+    rho[iu[1], iu[0]] = upper.conj()
+    return rho
+
+
+def _certified_unique(lb: np.ndarray, m: np.ndarray) -> bool:
+    """Rigorous sufficient test that lb = L_r·B_r passes the uniqueness test
+    σ_min > UNIQUENESS_TOL·σ_max, from the square restriction M = B_rᵀ·lb.
+    σ_min(lb) ≥ σ_min(M) ≥ 1/‖M⁻¹‖_F and σ_max(lb) ≤ ‖lb‖_F, so one LU and
+    inverse of M giving ‖lb‖_F·‖M⁻¹‖_F below 1e-2/UNIQUENESS_TOL proves the
+    test passes, with a 100× margin for rounding in the computed inverse.
+    False means "not proven", never "not unique". Overwrites m."""
+    # Mᵀ has the same inverse norm and is Fortran-ordered, so LAPACK factors it in place
+    lu, piv, info = _getrf(m.T, overwrite_a=True)
+    if info != 0:
+        return False
+    inv, info = _getri(lu, piv, overwrite_lu=True)
+    if info != 0:
+        return False
+    return bool(np.linalg.norm(lb) * np.linalg.norm(inv) < 1e-2 / UNIQUENESS_TOL)
+
+
 def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     """Unique steady state of a trace-preserving Liouvillian, tagged with the
     factor structure of ``space``.
 
-    Solves the stacked system [L; vec(I)†]·vec(ρ) = [0; 1] by least squares,
-    symmetrizes, clamps eigenvalues within −1e-8 of zero and renormalizes.
-    Uniqueness is certified by the smallest singular value of L restricted to
-    the trace-zero subspace.
+    Works in the orthonormal Hermitian basis (:func:`_real_form`), where a
+    Lindblad generator is a real matrix L_r: solves the stacked real system
+    [L_r; t]·c = [0; 1] (t the trace row) by least squares, rebuilds ρ from c,
+    clamps eigenvalues within −1e-8 of zero and renormalizes. The residual is
+    checked on the original complex L. Uniqueness is the smallest singular
+    value of L_r restricted to the trace-zero subspace, relative to the
+    largest; an LU bound certifies it cheaply when the restriction is well
+    conditioned, and the exact singular values decide every other case.
     """
     d = l.dim
     n = d * d
-    diag_row = vec(np.eye(d, dtype=complex)).conj()
-    stacked = np.vstack([l.mat, diag_row[None, :]])
-    rhs = np.zeros(n + 1, dtype=complex)
+    scale = l.norm_inf()
+    lc = _real_form(l)
+    if float(np.abs(lc.imag).max()) > HERM_TOL * max(scale, 1.0):
+        raise SteadyStateError("generator does not preserve hermiticity")
+    lr = lc.real
+    stacked = np.zeros((n + 1, n))
+    stacked[:n] = lr
+    stacked[n, :d] = 1.0
+    rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
 
     unique = True
     try:
-        x, _ = lstsq_solve(stacked, rhs)
+        c, _ = lstsq_solve(stacked, rhs)
     except RankDeficientError:
         unique = False
-        x, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
+        c, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
 
-    rho = hermitize(unvec(x))
-    w, v = np.linalg.eigh(rho)
+    w, v = np.linalg.eigh(_from_real(c, d))
     min_eig = float(w.min())
     if min_eig < -CLAMP_TOL:
         raise SteadyStateError(
@@ -98,13 +181,15 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     rho /= np.trace(rho).real
 
     residual = float(np.linalg.norm(l.mat @ vec(rho)))
-    scale = l.norm_inf()
     if residual > RESIDUAL_TOL * max(scale, 1.0):
         raise SteadyStateError(f"steady-state residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
 
     if unique and n > 1:
-        svals = np.linalg.svd(_traceless_columns(l), compute_uv=False)
-        unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
+        _, _, house = _hermitian_basis(d)
+        lb = np.concatenate([lr[:, :d] @ house[:, 1:], lr[:, d:]], axis=1)
+        if not _certified_unique(lb, np.concatenate([house[1:] @ lb[:d], lb[d:]])):
+            svals = np.linalg.svd(lb, compute_uv=False)
+            unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
 
     return SteadyStateReport(
         rho=DensityMatrix(space, rho),

@@ -298,6 +298,58 @@ def test_optimize_bad_bounds_exit_2(tmp_path, capsys, bounds):
     assert not summary_path(out).exists()
 
 
+@pytest.mark.parametrize(
+    "x_grid",
+    [["a"], [0.0, None], {"start": -1.0, "stop": 1.0, "count": "many"}, {"start": -1.0, "stop": 1.0, "count": 2.5},
+     {"start": "a", "stop": 1.0, "count": 3}],
+)
+def test_thermal_bad_grid_exits_2(tmp_path, capsys, x_grid):
+    cfg = write_config(tmp_path, {"x_grid": x_grid, "t_grid": [0.05]})
+    out = tmp_path / "thermal.csv"
+    assert main(["thermal", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "x_grid" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+@pytest.mark.parametrize("count", ["3", 2.5, True, float("inf")])
+def test_sweep_non_integer_count_exits_2(tmp_path, capsys, count):
+    cfg_obj = sweep_config()
+    cfg_obj["axes"][0]["grid"]["count"] = count
+    cfg = write_config(tmp_path, cfg_obj)
+    out = tmp_path / "data.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "count must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+@pytest.mark.parametrize("budget", ["many", 10.5, None])
+def test_optimize_non_integer_budget_exits_2(tmp_path, capsys, budget):
+    cfg = write_config(
+        tmp_path, {"model": pair_model_json(), "free": ["x[1].re"], "bounds": [[-1.0, 1.0]], "budget": budget}
+    )
+    out = tmp_path / "opt.csv"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "budget must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+def test_non_list_sites_exit_2(tmp_path, capsys):
+    solve_cfg = write_config(tmp_path, {"model": pair_model_json(), "observables": [{"kind": "concurrence", "sites": 5}]})
+    opt_cfg = write_config(
+        tmp_path, {"model": pair_model_json(), "free": ["x[1].re"], "bounds": [[-1.0, 1.0]], "budget": 5, "sites": 5},
+        name="opt.json",
+    )
+    for command, cfg in (("solve", solve_cfg), ("optimize", opt_cfg)):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        assert not summary_path(out).exists()
+
+
 def test_validate_requires_micro_model(tmp_path):
     cfg = write_config(tmp_path, {"micro": pair_model_json()})
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.csv")]) == 2

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_density_mat, random_hermitian
+import scipy.linalg
+
 from polariton_ring.linalg import (
+    LSTSQ_COND,
     DensityMatrix,
     HilbertSpace,
     NonHermitianError,
@@ -262,6 +265,44 @@ def test_lstsq_rank_deficient():
     m[:, 1] = 1.0
     with pytest.raises(RankDeficientError):
         lstsq_solve(m, np.ones(4, dtype=complex))
+
+
+def test_lstsq_real_system_stays_real(rng):
+    m = rng.normal(size=(65, 64)) + 8 * np.eye(65, 64)
+    b = rng.normal(size=65)
+    x, res = lstsq_solve(m, b)
+    assert x.dtype == np.float64
+    x_ref, *_ = np.linalg.lstsq(m, b, rcond=None)
+    assert np.abs(x - x_ref).max() <= 1e-12
+    assert abs(res - np.linalg.norm(m @ x_ref - b)) <= 1e-12
+
+
+def test_lstsq_complex_matches_scipy_gelsy(rng):
+    m = rng.normal(size=(17, 16)) + 1j * rng.normal(size=(17, 16))
+    for b in (rng.normal(size=17) + 1j * rng.normal(size=17), rng.normal(size=17)):
+        x, res = lstsq_solve(m, b)
+        x_ref, *_ = scipy.linalg.lstsq(m, b, cond=LSTSQ_COND, lapack_driver="gelsy")
+        assert x.dtype == np.complex128
+        assert np.array_equal(x, x_ref)
+        assert res == float(np.linalg.norm(m @ x_ref - b))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lstsq_rank_deficient_both_dtypes(dtype):
+    m = np.ones((4, 2), dtype=dtype)
+    with pytest.raises(RankDeficientError):
+        lstsq_solve(m, np.ones(4, dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("where", ["m", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lstsq_non_finite_rejected(dtype, where, bad):
+    m = np.eye(3, dtype=dtype)
+    b = np.ones(3, dtype=dtype)
+    (m if where == "m" else b)[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        lstsq_solve(m, b)
 
 
 def test_lstsq_underdetermined_rejected():

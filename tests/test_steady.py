@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from polariton_ring.linalg import HilbertSpace, basis_state, embed
-from polariton_ring.models import SIGMA_MINUS, EffectiveParams, build_pair_thermal
+from conftest import random_hermitian
+from polariton_ring import steady
+from polariton_ring.linalg import HilbertSpace, basis_state, embed, hermitize
+from polariton_ring.models import SIGMA_MINUS, EffectiveParams, build_model, build_pair_thermal, bundled_models
 from polariton_ring.observables import trace_distance
 from polariton_ring.steady import (
+    UNIQUENESS_TOL,
     SteadyStateError,
+    _from_real,
+    _real_form,
     _traceless_columns,
     evolve,
     evolve_to_steady,
@@ -193,3 +198,126 @@ def test_steady_state_one_level():
     assert report.unique
     assert report.rho.mat.tolist() == [[1.0]]
     assert report.residual == 0.0
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Oracle: the unitary U whose columns are vec of E_ii, then (E_ij + E_ji)/√2,
+    then i(E_ij − E_ji)/√2 for i < j in ``np.triu_indices`` order."""
+    cols = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        cols.append(vec(e))
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    for phase, sign in ((1.0, 1.0), (1j, -1.0)):
+        for i, j in pairs:
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = phase / np.sqrt(2)
+            e[j, i] = sign * phase / np.sqrt(2)
+            cols.append(vec(e))
+    return np.array(cols).T
+
+
+def random_lindblad(rng, d, n_jumps=3):
+    """Random Hermiticity-preserving generator: random h, diagonal jump terms
+    and one Hermitian-paired cross term."""
+    ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n_jumps)]
+    terms = [DissipatorTerm(a, a, float(rng.uniform(0.1, 1.0))) for a in ops]
+    terms += [DissipatorTerm(ops[0], ops[1], 0.05), DissipatorTerm(ops[1], ops[0], 0.05)]
+    return assemble(random_hermitian(rng, d), terms)
+
+
+def stacked_lstsq_oracle(liouv):
+    """The complex solve: [L; vec(I)†]·vec(ρ) = [0; 1] by least squares, then
+    hermitize, clamp and renormalize."""
+    d = liouv.dim
+    stacked = np.vstack([liouv.mat, vec(np.eye(d, dtype=complex))[None, :]])
+    rhs = np.zeros(d * d + 1, dtype=complex)
+    rhs[-1] = 1.0
+    x, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
+    w, v = np.linalg.eigh(hermitize(unvec(x)))
+    rho = hermitize((v * np.clip(w, 0.0, None)) @ v.conj().T)
+    return rho / np.trace(rho).real
+
+
+def bare_svd_unique(liouv) -> bool:
+    svals = np.linalg.svd(_traceless_columns(liouv), compute_uv=False)
+    return bool(svals[-1] > UNIQUENESS_TOL * svals[0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_real_form_matches_dense_basis(rng, d):
+    u = hermitian_basis(d)
+    assert np.abs(u.conj().T @ u - np.eye(d * d)).max() <= 1e-14
+    liouv = random_lindblad(rng, d)
+    oracle = u.conj().T @ liouv.mat @ u
+    scale = max(1.0, liouv.norm_inf())
+    assert np.abs(oracle.imag).max() <= 1e-14 * scale
+    assert np.abs(_real_form(liouv).imag).max() <= 1e-14 * scale
+    assert np.abs(_real_form(liouv) - oracle).max() <= 1e-14 * scale
+    # any complex matrix: the transform itself, imaginary part included
+    n = d * d
+    lmat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert np.abs(_real_form(Superoperator(d, lmat)) - u.conj().T @ lmat @ u).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_from_real_round_trips(rng, d):
+    c = rng.normal(size=d * d)
+    rho = _from_real(c, d)
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.abs(rho - unvec(hermitian_basis(d) @ c)).max() <= 1e-15
+    # and back: the coordinates of a Hermitian matrix are real
+    coords = hermitian_basis(d).conj().T @ vec(rho)
+    assert np.abs(coords - c).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(bundled_models()))
+def test_steady_state_matches_complex_stacked_solve(name):
+    space, h, terms = build_model(bundled_models()[name])
+    liouv = assemble(h, terms)
+    report = steady_state_on(liouv, space)
+    assert report.unique
+    assert np.abs(report.rho.mat - stacked_lstsq_oracle(liouv)).max() <= 1e-13
+
+
+def near_dark_liouvillian(eps):
+    """Collective decay of two qubits plus local decay eps on qubit 0: the
+    singlet is dark at eps = 0, and the gap closes like eps."""
+    space, liouv = collective_decay_liouvillian()
+    p1 = embed(SIGMA_MINUS, 0, space)
+    return Superoperator(4, liouv.mat + assemble(np.zeros((4, 4)), [DissipatorTerm(p1, p1, eps)]).mat)
+
+
+def test_uniqueness_decision_equals_bare_svd(rng, monkeypatch):
+    outcomes = []
+    certify = steady._certified_unique
+
+    def spy(lb, m):
+        outcomes.append(certify(lb, m))
+        return outcomes[-1]
+
+    monkeypatch.setattr(steady, "_certified_unique", spy)
+    generators = [random_lindblad(rng, d) for d in (2, 3, 4) for _ in range(4)]
+    # two decoupled decay channels: |0> and |2> are both steady
+    a = np.zeros((4, 4), dtype=complex)
+    a[0, 1] = 1.0
+    b = np.zeros((4, 4), dtype=complex)
+    b[2, 3] = 1.0
+    generators.append(assemble(np.diag([0.3, -0.2, 0.0, 0.0]), [DissipatorTerm(a, a, 0.5), DissipatorTerm(b, b, 0.5)]))
+    generators += [near_dark_liouvillian(eps) for eps in (1e-1, 1e-4, 1e-7, 1e-9, 1e-13, 0.0)]
+    decisions = []
+    for liouv in generators:
+        report = steady_state(liouv)
+        assert report.unique == bare_svd_unique(liouv)
+        decisions.append(report.unique)
+    assert True in outcomes and False in outcomes  # the exact SVD was consulted
+    assert True in decisions and False in decisions
+    assert steady_state(near_dark_liouvillian(1e-7)).unique
+
+
+def test_steady_state_rejects_non_hermiticity_preserving_generator(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    liouv = assemble(np.zeros((2, 2)), [DissipatorTerm(SIGMA_MINUS, SIGMA_MINUS, 0.5), DissipatorTerm(a, SIGMA_MINUS, 0.3)])
+    with pytest.raises(SteadyStateError, match="hermiticity"):
+        steady_state(liouv)
