@@ -35,7 +35,7 @@ from .experiments import (
     thermal_map,
     validate_effective,
 )
-from .models import ModelSpec, model_spec_from_json, model_spec_to_json
+from .models import ModelSpec, model_space, model_spec_from_json, model_spec_to_json
 from .steady import SteadyStateError
 
 ENV_WORKERS = "POLARITON_RING_THREADS"
@@ -92,13 +92,21 @@ def _decode_model(obj, where: str = "model") -> ModelSpec:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _decode_sites(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of site indices, got {value!r}")
+    return tuple(_decode_int(s, f"{where}[{k}]") for k, s in enumerate(value))
+
+
 def _decode_observable(obj, where: str) -> ObservableSpec:
     _require_keys(obj, {"kind", "sites", "level", "T", "omega"}, {"kind"}, where)
+    sites = _decode_sites(obj["sites"], f"{where}.sites") if "sites" in obj else None
+    level = _decode_int(obj.get("level", 0), f"{where}.level")
     try:
         return ObservableSpec(
             kind=obj["kind"],
-            sites=tuple(obj["sites"]) if "sites" in obj else None,
-            level=int(obj.get("level", 0)),
+            sites=sites,
+            level=level,
             T=float(obj["T"]) if "T" in obj else None,
             omega=float(obj.get("omega", 1.0)),
         )
@@ -136,6 +144,11 @@ def _cmd_solve(cfg: dict, workers: int) -> tuple[str, dict]:
     observables = [
         _decode_observable(o, f"observables[{k}]") for k, o in enumerate(cfg.get("observables", []))
     ]
+    for k, obs in enumerate(observables):
+        try:
+            obs.check_space(model_space(model))
+        except ValueError as exc:
+            raise ConfigError(f"observables[{k}]: {exc}") from exc
     report, rho = solve_spec(model)
     pops = [float(rho.mat[i, i].real) for i in range(rho.dim)]
     lines = ["index,population"] + [f"{i},{p:.12g}" for i, p in enumerate(pops)]
@@ -172,10 +185,7 @@ def _cmd_optimize(cfg: dict, workers: int) -> tuple[str, dict]:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bounds must be a list of [lo, hi] pairs: {exc}") from exc
     budget = _decode_int(cfg.get("budget", 2000), "budget")
-    try:
-        sites = tuple(cfg["sites"]) if "sites" in cfg else None
-    except TypeError as exc:
-        raise ConfigError(f"sites must be a list: {exc}") from exc
+    sites = _decode_sites(cfg["sites"], "sites") if "sites" in cfg else None
     try:
         report = optimize_concurrence(model, free, bounds, budget=budget, sites=sites)
     except ValueError as exc:
@@ -211,7 +221,10 @@ def _cmd_validate(cfg: dict, workers: int) -> tuple[str, dict]:
     if model.model != "micro":
         raise ConfigError("validate needs a micro model")
     base = model.params
-    ratios = [float(v) for v in cfg.get("j_over_kappa", [])] or [max(base.J) / base.kappa]
+    raw = cfg.get("j_over_kappa", [])
+    if not isinstance(raw, list):
+        raise ConfigError(f"j_over_kappa must be a list of numbers, got {raw!r}")
+    ratios = [_decode_float(v, f"j_over_kappa[{k}]") for k, v in enumerate(raw)] or [max(base.J) / base.kappa]
     bad = [r for r in ratios if not (np.isfinite(r) and r > 0)]
     if bad:
         raise ConfigError(f"j_over_kappa values must be finite and > 0, got {bad}")

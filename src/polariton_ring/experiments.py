@@ -12,15 +12,19 @@ from math import prod
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix, HilbertSpace, partial_trace
 from .models import (
+    EFFECTIVE_MODELS,
     EffectiveParams,
     MicroParams,
     ModelSpec,
     WEAK_COUPLING_RATIO,
     apply_path,
     build_model,
+    coefficients,
     derive_effective,
+    model_pieces,
+    model_space,
     thermal_pair_spec,
     validate_path,
 )
@@ -35,7 +39,7 @@ from .observables import (
 )
 from .optimize import OptimizeReport, multistart_maximize
 from .steady import SteadyStateError, SteadyStateReport, evolve_to_steady, steady_state_on
-from .superop import assemble
+from .superop import AssemblyError, Superoperator, assemble, check_trace_preserving
 
 T_VALIDITY_MAX = 0.1  # reservoir temperatures beyond this leave the model's regime
 CSV_FORMAT = "%.12g"
@@ -91,6 +95,22 @@ class ObservableSpec:
         elif self.kind != "purity":
             raise ValueError(f"unknown observable kind {self.kind!r}")
 
+    def check_space(self, space: HilbertSpace) -> None:
+        """Raise ValueError unless this observable applies to states on ``space``."""
+        dims = space.factor_dims
+        if self.sites is not None:
+            if len(set(self.sites)) != len(self.sites):
+                raise ValueError(f"{self.kind} sites {list(self.sites)} must be distinct")
+            if not all(0 <= s < len(dims) for s in self.sites):
+                raise ValueError(f"{self.kind} sites {list(self.sites)} out of range for {len(dims)} factors")
+        if self.kind == "concurrence" and any(dims[s] != 2 for s in self.sites):
+            raise ValueError(f"concurrence needs two qubit factors, sites {list(self.sites)} have dims {dims}")
+        if self.kind == "population" and not 0 <= self.level < dims[self.sites[0]]:
+            raise ValueError(f"population level {self.level} out of range for a factor of dimension "
+                             f"{dims[self.sites[0]]}")
+        if self.kind == "trace_distance_to_gibbs" and dims != (2, 2):
+            raise ValueError(f"trace_distance_to_gibbs needs a two-qubit model, got factors {dims}")
+
     @property
     def column(self) -> str:
         if self.kind == "concurrence":
@@ -130,6 +150,9 @@ class SweepPlan:
             raise ValueError("a sweep needs at least one observable")
         for axis in self.axes:
             validate_path(self.model, axis.path)
+        space = model_space(self.model)
+        for obs in self.observables:
+            obs.check_space(space)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -156,15 +179,65 @@ class SweepResult:
         return np.array([row[idx] for row in self.rows])
 
 
+def _unique(report: SteadyStateReport, model: str) -> tuple[SteadyStateReport, DensityMatrix]:
+    if not report.unique:
+        raise SteadyStateError(f"steady state is not unique for this {model} model")
+    return report, report.rho
+
+
 def solve_spec(spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
     """Build, assemble and solve one model; returns the report and the state
     tagged with its factor structure. Raises SteadyStateError if the steady
     state is not unique."""
     space, h, terms = build_model(spec)
-    report = steady_state_on(assemble(h, terms), space)
-    if not report.unique:
-        raise SteadyStateError(f"steady state is not unique for this {spec.model} model")
-    return report, report.rho
+    return _unique(steady_state_on(assemble(h, terms), space), spec.model)
+
+
+# Largest entry of compiled L minus assembled L, relative to max(‖L‖_∞, 1),
+# that the compile's self-check accepts.
+COMPILE_TOL = 1e-12
+
+
+class CompiledModel:
+    """One effective model as L(θ) = Σ_k c_k(θ)·L_k, for the points of one call.
+
+    Each piece of :func:`models.model_pieces` is assembled once into a
+    read-only (K, d⁴) real stack; a point is then one contraction of its
+    coefficients with that stack, the trace-preservation check and the
+    unchanged :func:`steady_state_on`. The compile checks itself at ``base``:
+    the contracted L must match ``assemble(*build_model(base)[1:])`` to
+    COMPILE_TOL, or it raises AssemblyError.
+    """
+
+    def __init__(self, base: ModelSpec):
+        pieces = model_pieces(base.model)
+        self.space = pieces.space
+        d = self.space.dim
+        zero_h = np.zeros((d, d), dtype=complex)
+        mats = [assemble(h, []) for h in pieces.hams] + [assemble(zero_h, list(g)) for g in pieces.groups]
+        self._stack = np.stack([m.mat for m in mats]).view(float).reshape(len(mats), -1)
+        self._stack.setflags(write=False)
+        expected = assemble(*build_model(base)[1:])
+        error = float(np.abs(self.liouvillian(base).mat - expected.mat).max())
+        if error > COMPILE_TOL * max(expected.norm_inf(), 1.0):
+            raise AssemblyError(f"compiled {base.model} Liouvillian differs from the assembled one by {error:.2e}")
+
+    def liouvillian(self, spec: ModelSpec) -> Superoperator:
+        n = self.space.dim**2
+        mat = (coefficients(spec) @ self._stack).view(complex).reshape(n, n)
+        return check_trace_preserving(Superoperator(self.space.dim, mat))
+
+    def solve(self, spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
+        """:func:`solve_spec` through the compiled L."""
+        return _unique(steady_state_on(self.liouvillian(spec), self.space), spec.model)
+
+
+def _point_solver(base: ModelSpec):
+    """The solve for every point of one call near ``base``: compiled for an
+    effective model, :func:`solve_spec` for ``micro``."""
+    if base.model in EFFECTIVE_MODELS:
+        return CompiledModel(base).solve
+    return solve_spec
 
 
 def _grid_points(axes: tuple[Axis, ...]):
@@ -184,10 +257,12 @@ def _grid_points(axes: tuple[Axis, ...]):
 def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
     """Evaluate the plan on the full grid.
 
-    Grid points are independent; with ``workers > 1`` they are evaluated by a
-    thread pool, written into a preallocated table by index, so the result is
-    identical for any worker count.
+    The model is compiled once for the whole grid. Grid points are
+    independent; with ``workers > 1`` they are evaluated by a thread pool,
+    written into a preallocated table by index, so the result is identical for
+    any worker count.
     """
+    solve = _point_solver(plan.model)
 
     def eval_point(item) -> tuple[int, list[float]]:
         flat, coords = item
@@ -195,7 +270,7 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
             spec = plan.model
             for axis, value in zip(plan.axes, coords):
                 spec = apply_path(spec, axis.path, value)
-            _, rho = solve_spec(spec)
+            _, rho = solve(spec)
             values = [obs.evaluate(rho) for obs in plan.observables]
         except Exception as exc:
             raise SweepError(f"grid point {dict(zip(plan.header, coords))} failed: {exc}") from exc
@@ -244,7 +319,8 @@ def optimize_concurrence(
     """Maximize steady-state concurrence over the given parameter paths.
 
     Each entry of ``free`` is a path or a tuple of paths receiving one shared
-    value (to express constraints such as equal drive magnitudes).
+    value (to express constraints such as equal drive magnitudes). The model
+    is compiled once for all evaluations.
     """
     if len(free) != len(bounds):
         raise ValueError("need one bounds pair per free parameter")
@@ -255,7 +331,9 @@ def optimize_concurrence(
     if sites is None:
         sites = (1, 2) if model.model == "ring3_eff" else (0, 1)
     obs = ObservableSpec("concurrence", sites=sites)
+    obs.check_space(model_space(model))
     names = ["|".join(g) for g in groups]
+    solve = _point_solver(model)
 
     def objective(x: np.ndarray) -> float:
         spec = model
@@ -263,7 +341,7 @@ def optimize_concurrence(
             for path in group:
                 spec = apply_path(spec, path, float(value))
         try:
-            _, rho = solve_spec(spec)
+            _, rho = solve(spec)
         except SteadyStateError as exc:
             point = {n: float(v) for n, v in zip(names, x)}
             raise SweepError(f"parameters {point} failed: {exc}") from exc
@@ -323,7 +401,8 @@ def thermal_map(
     Columns: x, T_R, d, abs_dd_dx, t_in_range. Rows are row-major in (x, T).
     The drive magnitude is |x|, so the map is even in x by construction.
     Temperatures above 0.1 (units of the polariton quantum) are outside the
-    model's validity; they are computed anyway and flagged.
+    model's validity; they are computed anyway and flagged. The pair_thermal
+    model is compiled once for the whole map, at its first point.
     """
     xs = tuple(float(v) for v in x_grid)
     ts = tuple(float(v) for v in t_grid)
@@ -339,13 +418,15 @@ def thermal_map(
             stacklevel=2,
         )
     d = np.empty((len(xs), len(ts)))
+    base = thermal_pair_spec(x=abs(xs[0]), n_p=thermal_occupation(ThermalSpec(T=ts[0])), y=y, z=z)
+    solve = CompiledModel(base).solve
     for j, t in enumerate(ts):
         n_p = thermal_occupation(ThermalSpec(T=t))
         gibbs = gibbs_two_qubit(ThermalSpec(T=t))
         for i, x in enumerate(xs):
             spec = thermal_pair_spec(x=abs(x), n_p=n_p, y=y, z=z)
             try:
-                _, rho = solve_spec(spec)
+                _, rho = solve(spec)
             except SteadyStateError as exc:
                 raise SweepError(f"point {{'x': {x}, 'T_R': {t}}} failed: {exc}") from exc
             d[i, j] = trace_distance(rho, gibbs)
@@ -428,10 +509,12 @@ def cross_section_concurrence(model: ModelSpec, count: int = 161,
     if sites is None:
         sites = (1, 2) if model.model == "ring3_eff" else (0, 1)
     obs = ObservableSpec("concurrence", sites=sites)
+    obs.check_space(model_space(model))
     phis = np.linspace(0.0, 2 * np.pi, count)
     base = apply_path(model, fixed_path, fixed_value)
+    solve = _point_solver(base)
     values = np.empty_like(phis)
     for i, phi in enumerate(phis):
-        _, rho = solve_spec(apply_path(base, sweep_path, phi))
+        _, rho = solve(apply_path(base, sweep_path, phi))
         values[i] = obs.evaluate(rho)
     return phis, values

@@ -213,6 +213,85 @@ def _qubit_ops(factor_dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return ops
 
 
+# --- affine form of the effective models ---------------------------------------
+#
+# Each effective generator is linear in a few real coefficients,
+# L(θ) = Σ_k c_k(θ)·L_k. A model is stated once, as fixed operator pieces per
+# geometry (ModelPieces) plus a coefficient map; the builders and the compiled
+# sweeps (experiments.CompiledModel) both start from these two.
+
+
+@dataclass(frozen=True)
+class ModelPieces:
+    """Fixed operators of one effective model.
+
+    ``hams`` are Hermitian h-pieces and ``groups`` unit-weight term groups (a
+    cross pair is one group). With coefficients c, h = Σ_k c_k·hams[k] and
+    group g enters at weight c[len(hams) + g]. Built once per model; the
+    arrays are read-only.
+    """
+
+    space: HilbertSpace
+    hams: tuple[np.ndarray, ...]
+    groups: tuple[tuple[DissipatorTerm, ...], ...]
+
+    def build(self, c) -> BuildResult:
+        """(space, h, terms) at coefficients c; groups at weight 0 are left out."""
+        n_h = len(self.hams)
+        d = self.space.dim
+        h = np.zeros((d, d), dtype=complex)
+        for ck, hk in zip(c[:n_h], self.hams):
+            h += ck * hk
+        terms = [DissipatorTerm(t.left, t.right, ck) for ck, group in zip(c[n_h:], self.groups) if ck != 0
+                 for t in group]
+        return self.space, h, terms
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    """The h-piece a + a†."""
+    return _frozen(a + a.conj().T)
+
+
+def _herm_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h-pieces of u·a + h.c. for complex u: a + a† weighs Re u, i(a − a†) weighs Im u."""
+    return _herm(a), _herm(1j * a)
+
+
+def _group(*pairs: tuple[np.ndarray, np.ndarray]) -> tuple[DissipatorTerm, ...]:
+    return tuple(DissipatorTerm(left, right, 1.0) for left, right in pairs)
+
+
+@cache
+def _ring3_pieces() -> ModelPieces:
+    space = HilbertSpace((2, 2, 2))
+    P = _qubit_ops(space.factor_dims)
+    hams = []
+    for i in range(3):
+        j = (i + 1) % 3
+        hams += [_herm(P[i].conj().T @ P[j]), *_herm_pair(P[i].conj().T + P[j].conj().T)]
+    groups = [_group((P[i], P[i])) for i in range(3)]
+    groups += [_group((P[i], P[(i + 1) % 3]), (P[(i + 1) % 3], P[i])) for i in range(3)]
+    return ModelPieces(space, tuple(hams), tuple(groups))
+
+
+def _ring3_coefficients(p: EffectiveParams) -> list[float]:
+    """Per guide i: Γ_i y_i, Re Γ_i x_i, Im Γ_i x_i; then the site decay
+    weights Γ_{i−1}z_{i−1} + Γ_i z_i; then the cross weights Γ_i."""
+    if p.n_sites != 3 or len(p.Gamma) != 3:
+        raise ValueError("ring model needs n_sites=3 and three guide parameter entries")
+    c = []
+    for i in range(3):
+        gx = p.Gamma[i] * p.x[i]
+        c += [p.Gamma[i] * p.y[i], gx.real, gx.imag]
+    c += [p.Gamma[i - 1] * p.z[i - 1] + p.Gamma[i] * p.z[i] for i in range(3)]
+    return c + list(p.Gamma)
+
+
 def build_ring3_effective(p: EffectiveParams) -> BuildResult:
     """Three-qubit ring model with guides eliminated.
 
@@ -220,25 +299,32 @@ def build_ring3_effective(p: EffectiveParams) -> BuildResult:
     site i decays with weight Γ_{i−1}z_{i−1} + Γ_i z_i, and guide i mixes its
     two neighbours through the cross terms F_{i,i+1}, F_{i+1,i} at weight Γ_i.
     """
-    if p.n_sites != 3 or len(p.Gamma) != 3:
-        raise ValueError("ring model needs n_sites=3 and three guide parameter entries")
-    space = HilbertSpace((2, 2, 2))
-    P = _qubit_ops(space.factor_dims)
-    h = np.zeros((8, 8), dtype=complex)
-    for i in range(3):
-        j = (i + 1) % 3
-        h += p.Gamma[i] * p.y[i] * (P[i].conj().T @ P[j])
-        h += p.Gamma[i] * p.x[i] * (P[i].conj().T + P[j].conj().T)
-    h = h + h.conj().T
-    terms = []
-    for i in range(3):
-        w = p.Gamma[i - 1] * p.z[i - 1] + p.Gamma[i] * p.z[i]
-        terms.append(DissipatorTerm(P[i], P[i], w))
-    for i in range(3):
-        j = (i + 1) % 3
-        terms.append(DissipatorTerm(P[i], P[j], p.Gamma[i]))
-        terms.append(DissipatorTerm(P[j], P[i], p.Gamma[i]))
-    return space, h, terms
+    return _ring3_pieces().build(_ring3_coefficients(p))
+
+
+@cache
+def _pair_pieces() -> ModelPieces:
+    space = HilbertSpace((2, 2))
+    P1, P2 = _qubit_ops(space.factor_dims)
+    hams = (
+        _herm(P1.conj().T @ P2),
+        *_herm_pair(P1.conj().T),
+        *_herm_pair(P1.conj().T + P2.conj().T),
+        *_herm_pair(P2.conj().T),
+    )
+    groups = (_group((P1, P1)), _group((P2, P2)), _group((P1, P2), (P2, P1)))
+    return ModelPieces(space, hams, groups)
+
+
+def _pair_coefficients(p: EffectiveParams) -> list[float]:
+    """Γ₂y₂; Re and Im of Γ₁x₁, Γ₂x₂, Γ₃x₃; decay weights Γ₂z₂+Γ₁, Γ₂z₂+Γ₃; cross weight Γ₂."""
+    if p.n_sites != 2 or len(p.Gamma) != 3:
+        raise ValueError("pair model needs n_sites=2 and three guide parameter entries")
+    g1, g2, g3 = p.Gamma
+    c = [g2 * p.y[1]]
+    for gx in (g1 * p.x[0], g2 * p.x[1], g3 * p.x[2]):
+        c += [gx.real, gx.imag]
+    return c + [g2 * p.z[1] + g1, g2 * p.z[1] + g3, g2]
 
 
 def build_pair_effective(p: EffectiveParams) -> BuildResult:
@@ -247,22 +333,30 @@ def build_pair_effective(p: EffectiveParams) -> BuildResult:
     H = Γ₂y₂ P₁†P₂ + (Γ₁x₁+Γ₂x₂) P₁† + (Γ₂x₂+Γ₃x₃) P₂† + h.c.;
     diagonal decay weights Γ₂z₂+Γ₁ and Γ₂z₂+Γ₃, cross weight Γ₂.
     """
-    if p.n_sites != 2 or len(p.Gamma) != 3:
-        raise ValueError("pair model needs n_sites=2 and three guide parameter entries")
+    return _pair_pieces().build(_pair_coefficients(p))
+
+
+@cache
+def _thermal_pieces() -> ModelPieces:
     space = HilbertSpace((2, 2))
     P1, P2 = _qubit_ops(space.factor_dims)
-    g1, g2, g3 = p.Gamma
-    h = g2 * p.y[1] * (P1.conj().T @ P2)
-    h = h + (g1 * p.x[0] + g2 * p.x[1]) * P1.conj().T
-    h = h + (g2 * p.x[1] + g3 * p.x[2]) * P2.conj().T
-    h = h + h.conj().T
-    terms = [
-        DissipatorTerm(P1, P1, g2 * p.z[1] + g1),
-        DissipatorTerm(P2, P2, g2 * p.z[1] + g3),
-        DissipatorTerm(P1, P2, g2),
-        DissipatorTerm(P2, P1, g2),
-    ]
-    return space, h, terms
+    U1, U2 = _frozen(P1.conj().T), _frozen(P2.conj().T)
+    hams = (_herm(U1 @ P2), _herm(U1 + U2))
+    groups = (_group((P1, P1)), _group((U1, U1)), _group((P2, P2)), _group((U2, U2)),
+              _group((P1, P2), (P2, P1)))
+    return ModelPieces(space, hams, groups)
+
+
+def _thermal_coefficients(p: EffectiveParams) -> list[float]:
+    """Γy, Γx; per site the downward and upward weights; cross weight Γ."""
+    if p.n_sites != 2 or len(p.Gamma) != 1:
+        raise ValueError("thermal pair model needs n_sites=2 and scalar guide parameters")
+    x = _thermal_drive(p.x[0])
+    gam_big = p.Gamma[0]
+    gamma = 2.0 * gam_big * (p.z[0] - 1.0)
+    w_down = gam_big + gamma * (p.n_p + 1.0) / 2.0
+    w_up = gamma * p.n_p / 2.0
+    return [gam_big * p.y[0], gam_big * x, w_down, w_up, w_down, w_up, gam_big]
 
 
 def build_pair_thermal(p: EffectiveParams) -> BuildResult:
@@ -273,26 +367,7 @@ def build_pair_thermal(p: EffectiveParams) -> BuildResult:
     qubit decay hidden in z (γ = 2Γ(z−1)) is promoted to its thermal form:
     downward weight γ(n_p+1)/2, upward weight γ·n_p/2 per site.
     """
-    if p.n_sites != 2 or len(p.Gamma) != 1:
-        raise ValueError("thermal pair model needs n_sites=2 and scalar guide parameters")
-    x = _thermal_drive(p.x[0])
-    gam_big = p.Gamma[0]
-    gamma = 2.0 * gam_big * (p.z[0] - 1.0)
-    space = HilbertSpace((2, 2))
-    P1, P2 = _qubit_ops(space.factor_dims)
-    h = gam_big * p.y[0] * (P1.conj().T @ P2)
-    h = h + gam_big * x * (P1.conj().T + P2.conj().T)
-    h = h + h.conj().T
-    w_down = gam_big + gamma * (p.n_p + 1.0) / 2.0
-    w_up = gamma * p.n_p / 2.0
-    terms = []
-    for P in (P1, P2):
-        terms.append(DissipatorTerm(P, P, w_down))
-        if w_up > 0:
-            terms.append(DissipatorTerm(P.conj().T, P.conj().T, w_up))
-    terms.append(DissipatorTerm(P1, P2, gam_big))
-    terms.append(DissipatorTerm(P2, P1, gam_big))
-    return space, h, terms
+    return _thermal_pieces().build(_thermal_coefficients(p))
 
 
 def build_full_micro(p: MicroParams) -> BuildResult:
@@ -302,8 +377,7 @@ def build_full_micro(p: MicroParams) -> BuildResult:
     ``partial_trace(rho, range(n_sites))``. Decay weights follow the κ/2, γ/2
     convention with the thermal (n_c, n_p) splittings applied to both.
     """
-    dims = [2] * p.n_sites + [p.n_boson] * p.n_guides
-    space = HilbertSpace(dims)
+    space = _micro_space(p)
     P = [embed(SIGMA_MINUS, i, space) for i in range(p.n_sites)]
     lower = np.diag(np.sqrt(np.arange(1, p.n_boson)), 1).astype(complex)
     A = [embed(lower, p.n_sites + g, space) for g in range(p.n_guides)]
@@ -334,6 +408,10 @@ def build_full_micro(p: MicroParams) -> BuildResult:
     return space, h, terms
 
 
+def _micro_space(p: MicroParams) -> HilbertSpace:
+    return HilbertSpace([2] * p.n_sites + [p.n_boson] * p.n_guides)
+
+
 # --- declarative model specification -----------------------------------------
 
 _BUILDERS = {
@@ -360,7 +438,7 @@ class ModelSpec:
         if self.model == "micro":
             if not isinstance(self.params, MicroParams):
                 raise ValueError("micro model needs MicroParams")
-            d = 2**self.params.n_sites * self.params.n_boson**self.params.n_guides
+            d = _micro_space(self.params).dim
             if 16 * d**4 > MICRO_L_BYTES_BUDGET:
                 raise ValueError(
                     f"dense Liouvillian of dimension {d}² needs {16 * d**4 / 2**20:.0f} MiB, "
@@ -379,6 +457,30 @@ class ModelSpec:
 
 def build_model(spec: ModelSpec) -> BuildResult:
     return _BUILDERS[spec.model](spec.params)
+
+
+_AFFINE = {
+    "ring3_eff": (_ring3_pieces, _ring3_coefficients),
+    "pair_eff": (_pair_pieces, _pair_coefficients),
+    "pair_thermal": (_thermal_pieces, _thermal_coefficients),
+}
+
+
+def model_pieces(model: str) -> ModelPieces:
+    """The fixed operator pieces of an effective model (cached, read-only)."""
+    return _AFFINE[model][0]()
+
+
+def coefficients(spec: ModelSpec) -> np.ndarray:
+    """The real coefficients c(θ), one per piece of ``model_pieces(spec.model)``."""
+    return np.array(_AFFINE[spec.model][1](spec.params))
+
+
+def model_space(spec: ModelSpec) -> HilbertSpace:
+    """The factor structure of the model's states."""
+    if spec.model == "micro":
+        return _micro_space(spec.params)
+    return model_pieces(spec.model).space
 
 
 def _complex_pair(v) -> complex:

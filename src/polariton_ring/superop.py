@@ -130,11 +130,15 @@ def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:
     eye = np.eye(d, dtype=complex)
     mat += _kron(eye, -1j * h - m)
     mat += _kron((1j * h - m).T, eye)
-    total = Superoperator(d, mat)
-    defect = total.trace_defect()
+    return check_trace_preserving(Superoperator(d, mat))
+
+
+def check_trace_preserving(l: Superoperator) -> Superoperator:
+    """``l`` itself; raises AssemblyError if its trace defect exceeds TRACE_PRESERVATION_TOL."""
+    defect = l.trace_defect()
     if defect > TRACE_PRESERVATION_TOL:
         raise AssemblyError(
             f"assembled Liouvillian is not trace preserving (defect {defect:.2e}); "
             "check term weights/units"
         )
-    return total
+    return l

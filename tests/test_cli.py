@@ -363,3 +363,75 @@ def test_bundled_configs_parse(tmp_path):
     out = tmp_path / "ring.csv"
     code = main(["solve", "--config", str(CONFIGS / "solve_ring_undriven.json"), "--out", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "ratios", [["a"], [None], 0.05, "0.05", {"a": 1}], ids=["string", "null", "scalar", "text", "object"]
+)
+def test_validate_undecodable_ratios_exit_2(tmp_path, capsys, ratios):
+    cfg_obj = json.loads((CONFIGS / "validate.json").read_text())
+    cfg_obj["j_over_kappa"] = ratios
+    cfg = write_config(tmp_path, cfg_obj)
+    out = tmp_path / "val.csv"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "j_over_kappa" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+RING_MODEL = json.loads((CONFIGS / "solve_ring_undriven.json").read_text())["model"]
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if anything reaches a steady-state solve."""
+    from polariton_ring import experiments
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a steady state was solved before the config was checked")
+
+    monkeypatch.setattr(experiments, "steady_state_on", forbidden)
+
+
+@pytest.mark.parametrize(
+    "observable, message",
+    [
+        ({"kind": "concurrence", "sites": [0, 5]}, "out of range"),
+        ({"kind": "purity", "sites": [-1]}, "out of range"),
+        ({"kind": "concurrence", "sites": [1, 1]}, "distinct"),
+        ({"kind": "population", "sites": [0], "level": 7}, "level 7"),
+        ({"kind": "trace_distance_to_gibbs", "T": 0.05}, "two-qubit"),
+        ({"kind": "population", "sites": [0], "level": 1.5}, "level must be an integer"),
+        ({"kind": "concurrence", "sites": [0.5, 1]}, "sites[0] must be an integer"),
+    ],
+)
+def test_solve_observable_outside_model_exits_2(tmp_path, capsys, no_solve, observable, message):
+    cfg = write_config(tmp_path, {"model": RING_MODEL, "observables": [observable]})
+    out = tmp_path / "solve.csv"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+def test_sweep_population_level_outside_qubit_exits_2(tmp_path, capsys, no_solve):
+    cfg_obj = sweep_config()
+    cfg_obj["observables"] = [{"kind": "population", "sites": [0], "level": 2}]
+    cfg = write_config(tmp_path, cfg_obj)
+    out = tmp_path / "data.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "level 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+def test_optimize_sites_outside_model_exit_2(tmp_path, capsys, no_solve):
+    cfg = write_config(
+        tmp_path, {"model": pair_model_json(), "free": ["x[1].re"], "bounds": [[-1.0, 1.0]], "budget": 5, "sites": [0, 5]}
+    )
+    out = tmp_path / "opt.csv"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()

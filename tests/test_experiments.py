@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from polariton_ring import experiments
 from polariton_ring.experiments import (
     Axis,
+    CompiledModel,
     ObservableSpec,
     SweepError,
     SweepPlan,
@@ -19,14 +23,21 @@ from polariton_ring.experiments import (
     thermal_map,
     validate_effective,
 )
+from polariton_ring.linalg import partial_trace
 from polariton_ring.models import (
+    EffectiveParams,
     MicroParams,
+    ModelSpec,
     apply_path,
+    build_model,
+    bundled_models,
     fig3_ring_spec,
     fig5_pair_spec,
+    thermal_pair_spec,
     validation_micro_spec,
 )
 from polariton_ring.observables import concurrence
+from polariton_ring.superop import AssemblyError, assemble
 
 
 def small_pair_plan(count=3):
@@ -68,6 +79,11 @@ def test_sweep_deterministic_across_workers():
     assert a.to_csv() == b.to_csv()
     c = run_sweep(plan, workers=1)
     assert a.to_csv() == c.to_csv()
+
+
+def test_ring_sweep_deterministic_across_workers():
+    plan = phase_sweep_plan(fig3_ring_spec(), count=4)
+    assert run_sweep(plan, workers=1).to_csv() == run_sweep(plan, workers=3).to_csv()
 
 
 def test_sweep_csv_format():
@@ -294,3 +310,152 @@ def test_signed_x_grid_symmetric():
     assert len(grid) == 101
     assert grid[0] == -10.0 and grid[-1] == 10.0
     assert min(abs(v) for v in grid) == 0.0
+
+
+# --- compiled effective models ---------------------------------------------------
+
+
+def effective_specs():
+    """The bundled effective models plus points that switch on every piece:
+    a complex middle drive, middle hoppings, and thermal up-pumping."""
+    specs = [s for s in bundled_models().values() if s.model != "micro"]
+    ring = apply_path(apply_path(fig3_ring_spec(), "x[1].re", 0.3), "x[1].im", -0.7)
+    specs.append(apply_path(ring, "y[1]", 2.5))
+    pair = apply_path(apply_path(fig5_pair_spec(), "x[1].re", -1.1), "x[1].im", 0.4)
+    specs.append(apply_path(pair, "y[1]", 3.0))
+    specs.append(thermal_pair_spec(x=1.5, n_p=0.3))
+    return specs
+
+
+def compile_error(compiled, spec):
+    expected = assemble(*build_model(spec)[1:])
+    return np.abs(compiled.liouvillian(spec).mat - expected.mat).max() / max(expected.norm_inf(), 1.0)
+
+
+def test_compiled_matches_assembled_on_bundled_models():
+    for spec in effective_specs():
+        assert compile_error(CompiledModel(spec), spec) <= 1e-14, spec.model
+
+
+_finite = st.floats(-20.0, 20.0, allow_nan=False)
+_rate = st.floats(1e-3, 80.0)
+_dressing = st.floats(1.0, 12.0)
+
+
+@st.composite
+def drawn_specs(draw):
+    model = draw(st.sampled_from(["ring3_eff", "pair_eff", "pair_thermal"]))
+    if model == "pair_thermal":
+        params = EffectiveParams(
+            n_sites=2, Gamma=(draw(_rate),), x=(draw(st.floats(0.0, 20.0)),), y=(draw(_finite),),
+            z=(draw(_dressing),), n_p=draw(st.floats(0.0, 2.0)),
+        )
+    else:
+        params = EffectiveParams(
+            n_sites=3 if model == "ring3_eff" else 2,
+            Gamma=tuple(draw(_rate) for _ in range(3)),
+            x=tuple(complex(draw(_finite), draw(_finite)) for _ in range(3)),
+            y=tuple(draw(_finite) for _ in range(3)),
+            z=tuple(draw(_dressing) for _ in range(3)),
+        )
+    return ModelSpec(model, params)
+
+
+_COMPILED = {spec.model: CompiledModel(spec) for spec in effective_specs()}
+
+
+@given(drawn_specs())
+def test_compiled_matches_assembled_on_drawn_parameters(spec):
+    # compiled once at a bundled point, evaluated anywhere in parameter space
+    assert compile_error(_COMPILED[spec.model], spec) <= 1e-14
+
+
+def test_compile_rejects_corrupted_coefficient_map(monkeypatch):
+    # every coefficient is wired to its own piece: corrupting any one of them
+    # makes the base-point check fail
+    honest = experiments.coefficients
+    for spec in effective_specs()[:3]:
+        for k in range(len(honest(spec))):
+
+            def corrupted(s, k=k):
+                c = honest(s)
+                c[k] += 0.5
+                return c
+
+            monkeypatch.setattr(experiments, "coefficients", corrupted)
+            with pytest.raises(AssemblyError, match="compiled"):
+                CompiledModel(spec)
+            monkeypatch.setattr(experiments, "coefficients", honest)
+
+
+def test_run_sweep_matches_per_point_solve():
+    grid = tuple(np.linspace(0.0, 2 * np.pi, 4))
+    for spec, observables in (
+        (fig3_ring_spec(), (ObservableSpec("concurrence", sites=(1, 2)), ObservableSpec("population", sites=(0,)))),
+        (fig5_pair_spec(), (ObservableSpec("concurrence", sites=(0, 1)), ObservableSpec("purity"))),
+    ):
+        plan = SweepPlan(model=spec, axes=(Axis("x[0].phase", grid), Axis("x[1].re", (-0.5, 0.5))),
+                         observables=observables)
+        result = run_sweep(plan)
+        for row in result.rows:
+            point = apply_path(apply_path(spec, "x[0].phase", row[0]), "x[1].re", row[1])
+            _, rho = solve_spec(point)
+            want = [obs.evaluate(rho) for obs in observables]
+            assert np.abs(np.array(row[2:]) - want).max() <= 1e-12
+
+
+def test_thermal_map_matches_per_point_solve():
+    from polariton_ring.observables import ThermalSpec, gibbs_two_qubit, thermal_occupation, trace_distance
+
+    result = thermal_map((-2.0, 0.0, 1.5), (0.02, 0.05))
+    for x, t, d in zip(result.column("x"), result.column("T_R"), result.column("d")):
+        spec = thermal_pair_spec(x=abs(x), n_p=thermal_occupation(ThermalSpec(T=t)))
+        _, rho = solve_spec(spec)
+        assert abs(d - trace_distance(rho, gibbs_two_qubit(ThermalSpec(T=t)))) <= 1e-12
+
+
+def test_micro_sweep_solves_each_point_directly():
+    micro = validation_micro_spec(j_over_kappa=0.1, gamma_p=0.05, n_boson=2)
+    plan = SweepPlan(model=micro, axes=(Axis("alpha[0]", (0.0, 0.05)),),
+                     observables=(ObservableSpec("concurrence", sites=(0, 1)),))
+    result = run_sweep(plan)
+    for row in result.rows:
+        _, rho = solve_spec(apply_path(micro, "alpha[0]", row[0]))
+        assert row[1] == concurrence(partial_trace(rho, (0, 1)))
+
+
+def test_sweep_compiles_once(monkeypatch):
+    calls = []
+    original = experiments.build_model
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(experiments, "build_model", counted)
+    run_sweep(small_pair_plan())
+    thermal_map((0.0, 1.0, 2.0), (0.05,))
+    cross_section_concurrence(fig5_pair_spec(), count=5)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "observable, message",
+    [
+        (ObservableSpec("concurrence", sites=(0, 5)), "out of range"),
+        (ObservableSpec("purity", sites=(1, 1)), "distinct"),
+        (ObservableSpec("population", sites=(0,), level=2), "level 2"),
+        (ObservableSpec("trace_distance_to_gibbs", T=0.05), "two-qubit"),
+    ],
+)
+def test_sweep_plan_checks_observables_against_model(observable, message):
+    with pytest.raises(ValueError, match=message):
+        SweepPlan(model=fig3_ring_spec(), axes=(Axis("x[0].phase", (0.0,)),), observables=(observable,))
+
+
+def test_concurrence_needs_qubit_sites():
+    micro = validation_micro_spec(n_boson=3)  # factors (2, 2, 3)
+    with pytest.raises(ValueError, match="two qubit factors"):
+        ObservableSpec("concurrence", sites=(0, 2)).check_space(experiments.model_space(micro))
+    with pytest.raises(ValueError, match="out of range"):
+        optimize_concurrence(fig5_pair_spec(), ["x[1].re"], [(0.0, 1.0)], budget=5, sites=(0, 2))

@@ -440,3 +440,90 @@ def test_qubit_operators_embedded_once_per_geometry(monkeypatch):
     monkeypatch.setattr(models, "embed", fail)
     for spec in (fig3_ring_spec(phi1=0.1), fig5_pair_spec(phi1=0.2), thermal_pair_spec(x=1.0)):
         build_model(spec)
+
+
+# --- affine form: pieces and coefficients -------------------------------------------
+
+
+def _sigma_minus(n):
+    return [models.embed(models.SIGMA_MINUS, i, HilbertSpace((2,) * n)) for i in range(n)]
+
+
+def reference_generator(spec):
+    """The effective models written out term by term, independently of the
+    pieces: (h, [(left, right, weight), ...])."""
+    p = spec.params
+    if spec.model == "ring3_eff":
+        P = _sigma_minus(3)
+        h = np.zeros((8, 8), dtype=complex)
+        terms = [(P[i], P[i], p.Gamma[i - 1] * p.z[i - 1] + p.Gamma[i] * p.z[i]) for i in range(3)]
+        for i in range(3):
+            j = (i + 1) % 3
+            h += p.Gamma[i] * (p.y[i] * P[i].conj().T @ P[j] + p.x[i] * (P[i].conj().T + P[j].conj().T))
+            terms += [(P[i], P[j], p.Gamma[i]), (P[j], P[i], p.Gamma[i])]
+    elif spec.model == "pair_eff":
+        P1, P2 = _sigma_minus(2)
+        g1, g2, g3 = p.Gamma
+        h = g2 * p.y[1] * P1.conj().T @ P2 + (g1 * p.x[0] + g2 * p.x[1]) * P1.conj().T
+        h = h + (g2 * p.x[1] + g3 * p.x[2]) * P2.conj().T
+        terms = [(P1, P1, g2 * p.z[1] + g1), (P2, P2, g2 * p.z[1] + g3), (P1, P2, g2), (P2, P1, g2)]
+    else:
+        P1, P2 = _sigma_minus(2)
+        g = p.Gamma[0]
+        gamma = 2 * g * (p.z[0] - 1)
+        h = g * p.y[0] * P1.conj().T @ P2 + g * p.x[0] * (P1.conj().T + P2.conj().T)
+        terms = []
+        for P in (P1, P2):
+            terms.append((P, P, g + gamma * (p.n_p + 1) / 2))
+            if p.n_p * gamma > 0:
+                terms.append((P.conj().T, P.conj().T, gamma * p.n_p / 2))
+        terms += [(P1, P2, g), (P2, P1, g)]
+    return h + h.conj().T, terms
+
+
+def test_builders_match_written_out_models(rng):
+    specs = [s for s in bundled_models().values() if s.model != "micro"]
+    for _ in range(5):
+        x = tuple(complex(*rng.normal(size=2)) for _ in range(3))
+        y, z, gam = rng.normal(size=3) * 5, 1 + rng.uniform(0, 3, 3), rng.uniform(0.1, 3, 3)
+        specs.append(ModelSpec("ring3_eff", EffectiveParams(3, tuple(gam), x, tuple(y), tuple(z))))
+        specs.append(ModelSpec("pair_eff", EffectiveParams(2, tuple(gam), x, tuple(y), tuple(z))))
+        specs.append(thermal_pair_spec(x=abs(x[0]), n_p=rng.uniform(0, 1), y=y[0], z=z[0]))
+    for spec in specs:
+        _, h, terms = build_model(spec)
+        want_h, want_terms = reference_generator(spec)
+        assert np.abs(h - want_h).max() <= 1e-14 * max(np.abs(want_h).max(), 1.0)
+        assert len(terms) == len(want_terms)
+        for term, (left, right, weight) in zip(terms, want_terms):
+            assert np.array_equal(term.left, left) and np.array_equal(term.right, right)
+            assert term.weight == pytest.approx(weight, rel=1e-15)
+
+
+@pytest.mark.parametrize("name, n_hams, n_groups", [("ring3_eff", 9, 6), ("pair_eff", 7, 3), ("pair_thermal", 2, 5)])
+def test_model_pieces_shape_and_read_only(name, n_hams, n_groups):
+    pieces = models.model_pieces(name)
+    assert pieces is models.model_pieces(name)
+    assert (len(pieces.hams), len(pieces.groups)) == (n_hams, n_groups)
+    spec = {s.model: s for s in bundled_models().values()}[name]
+    assert models.coefficients(spec).shape == (n_hams + n_groups,)
+    for h in pieces.hams:
+        assert herm_defect(h) == 0.0 and not h.flags.writeable
+    for group in pieces.groups:
+        for term in group:
+            assert term.weight == 1.0
+            assert not term.left.flags.writeable and not term.right.flags.writeable
+
+
+def test_thermal_up_pumping_only_when_occupied():
+    # n_p = 0 leaves the upward groups out of the build, as before the affine form
+    _, _, cold = build_model(thermal_pair_spec(x=1.0, n_p=0.0))
+    _, _, warm = build_model(thermal_pair_spec(x=1.0, n_p=0.2))
+    assert (len(cold), len(warm)) == (4, 6)
+
+
+def test_model_space():
+    assert models.model_space(fig3_ring_spec()).factor_dims == (2, 2, 2)
+    assert models.model_space(thermal_pair_spec(x=1.0)).factor_dims == (2, 2)
+    assert models.model_space(validation_micro_spec(n_boson=3)).factor_dims == (2, 2, 3)
+    with pytest.raises(KeyError):
+        models.coefficients(validation_micro_spec())
