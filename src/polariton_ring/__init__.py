@@ -48,7 +48,6 @@ from .steady import (
     evolve,
     evolve_to_steady,
     spectral_gap,
-    steady_state,
     steady_state_on,
 )
 from .observables import (

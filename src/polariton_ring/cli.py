@@ -5,8 +5,10 @@ Usage:  polariton-ring <command> --config cfg.json --out data.csv [--workers N]
 Each run writes the data CSV plus a ``<out>.summary.json`` with the echoed
 configuration, solver diagnostics and wall time. Writes are atomic (temp file
 plus rename), and a malformed config aborts before any file is created.
-Exit codes: 0 success, 1 solver/validation failure, 2 config error.
-The environment variable POLARITON_RING_THREADS overrides --workers.
+Exit codes: 0 success, 1 solver/validation failure, 2 config error. Config
+errors include every value a command can check before its first solve, such
+as a sweep grid point outside the model's domain. ``--workers`` sets the
+thread count of a sweep grid; no other command parallelizes.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ from .experiments import (
 )
 from .models import ModelSpec, model_space, model_spec_from_json, model_spec_to_json
 from .steady import SteadyStateError
-
-ENV_WORKERS = "POLARITON_RING_THREADS"
-
 
 class ConfigError(ValueError):
     """The run configuration is malformed."""
@@ -297,13 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     workers = args.workers
-    env = os.environ.get(ENV_WORKERS)
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            print(f"error: {ENV_WORKERS}={env!r} is not an integer", file=sys.stderr)
-            return 2
     if workers < 1:
         print("error: workers must be >= 1", file=sys.stderr)
         return 2

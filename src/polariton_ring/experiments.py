@@ -5,10 +5,10 @@ driving-strength derivative, and effective-vs-full model validation."""
 from __future__ import annotations
 
 import cmath
+import itertools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class ObservableSpec:
 
     kinds: ``concurrence`` (two sites), ``purity`` (optional site subset),
     ``population`` (one site, one level), ``trace_distance_to_gibbs``
-    (two-qubit states only, needs T).
+    (two-qubit states only, the whole state, needs T and takes no sites).
     """
 
     kind: str
@@ -92,6 +92,8 @@ class ObservableSpec:
         elif self.kind == "trace_distance_to_gibbs":
             if self.T is None:
                 raise ValueError("trace_distance_to_gibbs needs a temperature T")
+            if self.sites is not None:
+                raise ValueError("trace_distance_to_gibbs takes no sites: it compares the whole two-qubit state")
         elif self.kind != "purity":
             raise ValueError(f"unknown observable kind {self.kind!r}")
 
@@ -137,9 +139,15 @@ class ObservableSpec:
 
 @dataclass(frozen=True)
 class SweepPlan:
+    """A model, the axes of its grid and the columns to observe. ``points``
+    holds every grid point, row-major, with its model: all are built here,
+    so a grid value outside the model's domain raises ValueError naming the
+    point before anything is solved."""
+
     model: ModelSpec
     axes: tuple[Axis, ...]
     observables: tuple[ObservableSpec, ...]
+    points: tuple[tuple[tuple[float, ...], ModelSpec], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -153,6 +161,16 @@ class SweepPlan:
         space = model_space(self.model)
         for obs in self.observables:
             obs.check_space(space)
+        points = []
+        for coords in itertools.product(*(a.grid for a in self.axes)):
+            spec = self.model
+            try:
+                for axis, value in zip(self.axes, coords):
+                    spec = apply_path(spec, axis.path, value)
+            except ValueError as exc:
+                raise ValueError(f"grid point {dict(zip(self.header, coords))}: {exc}") from exc
+            points.append((coords, spec))
+        object.__setattr__(self, "points", tuple(points))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -240,36 +258,19 @@ def _point_solver(base: ModelSpec):
     return solve_spec
 
 
-def _grid_points(axes: tuple[Axis, ...]):
-    """Row-major Cartesian product of the axis grids."""
-    shape = [len(a.grid) for a in axes]
-    total = prod(shape)
-    for flat in range(total):
-        idx = []
-        rem = flat
-        for n in reversed(shape):
-            idx.append(rem % n)
-            rem //= n
-        idx.reverse()
-        yield flat, tuple(axes[k].grid[i] for k, i in enumerate(idx))
-
-
 def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
     """Evaluate the plan on the full grid.
 
     The model is compiled once for the whole grid. Grid points are
     independent; with ``workers > 1`` they are evaluated by a thread pool,
-    written into a preallocated table by index, so the result is identical for
-    any worker count.
+    whose ``map`` keeps the row order, so the result is identical for any
+    worker count.
     """
     solve = _point_solver(plan.model)
 
-    def eval_point(item) -> tuple[int, list[float]]:
-        flat, coords = item
+    def eval_point(point) -> list[float]:
+        coords, spec = point
         try:
-            spec = plan.model
-            for axis, value in zip(plan.axes, coords):
-                spec = apply_path(spec, axis.path, value)
             _, rho = solve(spec)
             values = [obs.evaluate(rho) for obs in plan.observables]
         except Exception as exc:
@@ -277,19 +278,14 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
         row = list(coords) + values
         if not all(np.isfinite(v) for v in row):
             raise SweepError(f"non-finite output at grid point {dict(zip(plan.header, coords))}")
-        return flat, row
+        return row
 
-    points = list(_grid_points(plan.axes))
-    rows: list[list[float] | None] = [None] * len(points)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for flat, row in pool.map(eval_point, points):
-                rows[flat] = row
+            rows = list(pool.map(eval_point, plan.points))
     else:
-        for item in points:
-            flat, row = eval_point(item)
-            rows[flat] = row
-    return SweepResult(header=plan.header, rows=rows)  # type: ignore[arg-type]
+        rows = [eval_point(p) for p in plan.points]
+    return SweepResult(header=plan.header, rows=rows)
 
 
 def phase_grid(count: int = 41, stop: float = 2 * np.pi) -> tuple[float, ...]:
@@ -498,23 +494,3 @@ def fwhm(coords: np.ndarray, values: np.ndarray) -> float:
         frac = (values[hi] - half) / (values[hi] - values[hi + 1])
         right = coords[hi] + frac * (coords[hi + 1] - coords[hi])
     return float(right - left)
-
-
-def cross_section_concurrence(model: ModelSpec, count: int = 161,
-                              sites: tuple[int, int] | None = None,
-                              sweep_path: str = "x[0].phase",
-                              fixed_path: str = "x[2].phase",
-                              fixed_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Concurrence along one phase at the other held fixed (default φ₃ = 0)."""
-    if sites is None:
-        sites = (1, 2) if model.model == "ring3_eff" else (0, 1)
-    obs = ObservableSpec("concurrence", sites=sites)
-    obs.check_space(model_space(model))
-    phis = np.linspace(0.0, 2 * np.pi, count)
-    base = apply_path(model, fixed_path, fixed_value)
-    solve = _point_solver(base)
-    values = np.empty_like(phis)
-    for i, phi in enumerate(phis):
-        _, rho = solve(apply_path(base, sweep_path, phi))
-        values[i] = obs.evaluate(rho)
-    return phis, values

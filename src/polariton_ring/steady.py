@@ -27,6 +27,8 @@ UNIQUENESS_TOL = 1e-10
 # Unused by the package; only bench/tracing.py reads it, as the step-size
 # rule dt·‖L‖ = 0.1 behind its steady.rk4_steps count.
 STABILITY_LIMIT = 0.1
+_GAP_MAX_ITER = 100  # inverse-iteration steps of spectral_gap
+_GAP_SEED = 7  # seed of spectral_gap's start vector
 
 _getrf, _getri = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getri"), dtype=np.float64)
 
@@ -43,27 +45,6 @@ class SteadyStateReport:
     residual: float
     min_eigenvalue: float
     unique: bool
-
-
-@cache
-def _householder_vector(d: int) -> np.ndarray:
-    """Unit vector w whose reflection I − 2ww† maps e₀ to vec(I)/√d, so that
-    columns 1..d²−1 of the reflection are an orthonormal basis B of the
-    trace-zero subspace of vec space. Zero for d = 1, where that subspace is
-    empty. Built once per dimension and read-only."""
-    w = vec(np.eye(d, dtype=complex)) / np.sqrt(d)
-    w[0] -= 1.0
-    nw = np.linalg.norm(w)
-    if nw > 1e-14:
-        w /= nw
-    w.setflags(write=False)
-    return w
-
-
-def _traceless_columns(l: Superoperator) -> np.ndarray:
-    """L·B without forming B: the rank-one update (L − 2(Lw)w†)[:, 1:]."""
-    w = _householder_vector(l.dim)
-    return l.mat[:, 1:] - 2.0 * np.outer(l.mat @ w, w[1:].conj())
 
 
 @cache
@@ -119,6 +100,24 @@ def _from_real(c: np.ndarray, d: int) -> np.ndarray:
     return rho
 
 
+def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real L_r of :func:`_real_form` and its restriction to the
+    trace-zero subspace: lb = L_r·B_r and the square M = B_rᵀ·lb, with B_r
+    the orthonormal basis of :func:`_hermitian_basis` (never formed). Since L
+    maps into that subspace, M is L restricted to it in an orthonormal basis.
+    Raises SteadyStateError when L_r has an imaginary part above
+    HERM_TOL·max(scale, 1), ``scale`` being ‖L‖_∞: L then does not preserve
+    hermiticity."""
+    d = l.dim
+    lc = _real_form(l)
+    if float(np.abs(lc.imag).max()) > HERM_TOL * max(scale, 1.0):
+        raise SteadyStateError("generator does not preserve hermiticity")
+    lr = lc.real
+    _, _, house = _hermitian_basis(d)
+    lb = np.concatenate([lr[:, :d] @ house[:, 1:], lr[:, d:]], axis=1)
+    return lr, lb, np.concatenate([house[1:] @ lb[:d], lb[d:]])
+
+
 def _certified_unique(lb: np.ndarray, m: np.ndarray) -> bool:
     """Rigorous sufficient test that lb = L_r·B_r passes the uniqueness test
     σ_min > UNIQUENESS_TOL·σ_max, from the square restriction M = B_rᵀ·lb.
@@ -152,10 +151,7 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     d = l.dim
     n = d * d
     scale = l.norm_inf()
-    lc = _real_form(l)
-    if float(np.abs(lc.imag).max()) > HERM_TOL * max(scale, 1.0):
-        raise SteadyStateError("generator does not preserve hermiticity")
-    lr = lc.real
+    lr, lb, m = _real_restriction(l, scale)
     stacked = np.zeros((n + 1, n))
     stacked[:n] = lr
     stacked[n, :d] = 1.0
@@ -184,12 +180,9 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     if residual > RESIDUAL_TOL * max(scale, 1.0):
         raise SteadyStateError(f"steady-state residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
 
-    if unique and n > 1:
-        _, _, house = _hermitian_basis(d)
-        lb = np.concatenate([lr[:, :d] @ house[:, 1:], lr[:, d:]], axis=1)
-        if not _certified_unique(lb, np.concatenate([house[1:] @ lb[:d], lb[d:]])):
-            svals = np.linalg.svd(lb, compute_uv=False)
-            unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
+    if unique and n > 1 and not _certified_unique(lb, m):
+        svals = np.linalg.svd(lb, compute_uv=False)
+        unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
 
     return SteadyStateReport(
         rho=DensityMatrix(space, rho),
@@ -197,11 +190,6 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
         min_eigenvalue=min_eig,
         unique=unique,
     )
-
-
-def steady_state(l: Superoperator) -> SteadyStateReport:
-    """:func:`steady_state_on` with the state on a single factor of dimension ``l.dim``."""
-    return steady_state_on(l, HilbertSpace((l.dim,)))
 
 
 def evolve(l: Superoperator, rho0: DensityMatrix, t_final: float) -> DensityMatrix:
@@ -219,27 +207,25 @@ def evolve(l: Superoperator, rho0: DensityMatrix, t_final: float) -> DensityMatr
     return DensityMatrix(rho0.space, hermitize(unvec(v)))
 
 
-def spectral_gap(l: Superoperator, max_iter: int = 100, seed: int = 7) -> float:
+def spectral_gap(l: Superoperator) -> float:
     """Estimate of min |Re λ| over the nonzero Liouvillian spectrum.
 
-    Inverse iteration on L restricted to the trace-zero subspace (which L maps
-    into itself); about 10% accuracy, which is all the time-horizon choice
-    needs. Returns 0.0 if the restricted operator is numerically singular
-    (degenerate steady state).
+    Inverse iteration on the restriction M of :func:`_real_restriction`, from
+    a fixed complex start; about 10% accuracy, which is all the time-horizon
+    choice needs. Returns 0.0 if M is numerically singular (degenerate steady
+    state); raises SteadyStateError if L does not preserve hermiticity.
     """
-    # B†(L·B): rows 1.. of the reflection I − 2ww† applied to L·B
-    lb = _traceless_columns(l)
-    w = _householder_vector(l.dim)
-    m = lb[1:] - 2.0 * np.outer(w[1:], w.conj() @ lb)
+    # complex M, so that lu_solve does not recast the factor at every step
+    m = _real_restriction(l, l.norm_inf())[2].astype(complex)
     try:
         lu = scipy.linalg.lu_factor(m)
     except scipy.linalg.LinAlgError:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_GAP_SEED)
     v = rng.normal(size=m.shape[0]) + 1j * rng.normal(size=m.shape[0])
     v /= np.linalg.norm(v)
     rq_prev = None
-    for _ in range(max_iter):
+    for _ in range(_GAP_MAX_ITER):
         try:
             v = scipy.linalg.lu_solve(lu, v)
         except (scipy.linalg.LinAlgError, ValueError):
@@ -261,9 +247,9 @@ def evolve_to_steady(l: Superoperator, space: HilbertSpace,
                      decades: float = 30.0) -> DensityMatrix:
     """Propagate long enough for transients to decay to ~e^{-decades}.
 
-    Raises SteadyStateError when the spectral gap is zero (below
-    UNIQUENESS_TOL·‖L‖): the steady state is then degenerate, and the
-    propagated state would depend on ρ₀.
+    Raises SteadyStateError when L does not preserve hermiticity, or when the
+    spectral gap is zero (below UNIQUENESS_TOL·‖L‖): the steady state is then
+    degenerate, and the propagated state would depend on ρ₀.
     """
     if rho0 is None:
         d = space.dim

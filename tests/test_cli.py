@@ -183,21 +183,15 @@ def test_sweep_roundtrip_bit_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_workers_env_override(tmp_path, monkeypatch):
+def test_sweep_workers_flag(tmp_path):
     cfg = write_config(tmp_path, sweep_config())
     out1 = tmp_path / "w1.csv"
-    out4 = tmp_path / "w4.csv"
+    out2 = tmp_path / "w2.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out1), "--workers", "1"]) == 0
-    monkeypatch.setenv("POLARITON_RING_THREADS", "4")
-    assert main(["sweep", "--config", str(cfg), "--out", str(out4), "--workers", "1"]) == 0
-    assert json.loads(summary_path(out4).read_text())["workers"] == 4
-    assert out1.read_bytes() == out4.read_bytes()
-
-
-def test_workers_env_invalid(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, sweep_config())
-    monkeypatch.setenv("POLARITON_RING_THREADS", "lots")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
+    assert json.loads(summary_path(out2).read_text())["workers"] == 2
+    assert out1.read_bytes() == out2.read_bytes()
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--workers", "0"]) == 2
 
 
 def test_sweep_grid_as_list(tmp_path):
@@ -403,6 +397,7 @@ def no_solve(monkeypatch):
         ({"kind": "trace_distance_to_gibbs", "T": 0.05}, "two-qubit"),
         ({"kind": "population", "sites": [0], "level": 1.5}, "level must be an integer"),
         ({"kind": "concurrence", "sites": [0.5, 1]}, "sites[0] must be an integer"),
+        ({"kind": "trace_distance_to_gibbs", "T": 0.05, "sites": [0]}, "takes no sites"),
     ],
 )
 def test_solve_observable_outside_model_exits_2(tmp_path, capsys, no_solve, observable, message):
@@ -433,5 +428,25 @@ def test_optimize_sites_outside_model_exit_2(tmp_path, capsys, no_solve):
     out = tmp_path / "opt.csv"
     assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
     assert "out of range" in capsys.readouterr().err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "model, path, grid, message",
+    [
+        (pair_model_json(), "Gamma[0]", [-1.0, 0.5, 1.0], "{'Gamma[0]': -1.0}: all Gamma must be positive"),
+        # the bad value comes after a valid one, which is not solved either
+        ({"model": "pair_thermal", "Gamma": [1.0], "x": [[2.0, 0.0]], "y": [15.0], "z": [1.01]},
+         "x[0].im", [0.0, 0.5], "{'x[0].im': 0.5}"),
+    ],
+)
+def test_sweep_grid_outside_model_domain_exits_2(tmp_path, capsys, no_solve, model, path, grid, message):
+    cfg = write_config(tmp_path, {"model": model, "axes": [{"path": path, "grid": grid}],
+                                  "observables": [{"kind": "purity"}]})
+    out = tmp_path / "data.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
     assert not out.exists()
     assert not summary_path(out).exists()

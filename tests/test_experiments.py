@@ -12,7 +12,6 @@ from polariton_ring.experiments import (
     SweepPlan,
     central_difference,
     count_interior_maxima,
-    cross_section_concurrence,
     fwhm,
     optimize_concurrence,
     phase_sweep_plan,
@@ -285,15 +284,22 @@ def test_optimize_concurrence_validates_paths():
 
 
 def test_sweep_error_carries_coordinates():
-    # drive the thermal model with a negative x through a sweep: builder rejects it
     from polariton_ring.models import thermal_pair_spec
 
+    # a negative x for the thermal model: the plan rejects that grid point before any solve
+    with pytest.raises(ValueError, match="x\\[0\\].re': -2.0"):
+        SweepPlan(
+            model=thermal_pair_spec(x=1.0),
+            axes=(Axis("x[0].re", (-2.0, -1.0)),),
+            observables=(ObservableSpec("purity"),),
+        )
+    # the undriven, uncoupled thermal pair has a dark state: its solve fails at run time
     plan = SweepPlan(
-        model=thermal_pair_spec(x=1.0),
-        axes=(Axis("x[0].re", (-2.0, -1.0)),),
+        model=thermal_pair_spec(x=0.0, y=1.0, z=1.0),
+        axes=(Axis("y[0]", (0.0, 1.0)),),
         observables=(ObservableSpec("purity"),),
     )
-    with pytest.raises(SweepError, match="x\\[0\\].re"):
+    with pytest.raises(SweepError, match="y\\[0\\]': 0.0.*not unique"):
         run_sweep(plan)
 
 
@@ -435,7 +441,8 @@ def test_sweep_compiles_once(monkeypatch):
     monkeypatch.setattr(experiments, "build_model", counted)
     run_sweep(small_pair_plan())
     thermal_map((0.0, 1.0, 2.0), (0.05,))
-    cross_section_concurrence(fig5_pair_spec(), count=5)
+    run_sweep(SweepPlan(model=fig3_ring_spec(), axes=(Axis("x[0].phase", (0.0, 1.0)),),
+                        observables=(ObservableSpec("purity"),)))
     assert len(calls) == 3
 
 

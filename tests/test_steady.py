@@ -11,11 +11,10 @@ from polariton_ring.steady import (
     SteadyStateError,
     _from_real,
     _real_form,
-    _traceless_columns,
+    _real_restriction,
     evolve,
     evolve_to_steady,
     spectral_gap,
-    steady_state,
     steady_state_on,
 )
 from polariton_ring.superop import DissipatorTerm, Superoperator, assemble, unvec, vec
@@ -48,7 +47,7 @@ def driven_qubit(omega=0.8, kappa=1.0):
 
 
 def test_steady_state_pure_decay():
-    report = steady_state(decay_liouvillian())
+    report = steady_state_on(decay_liouvillian(), QUBIT)
     assert report.residual <= 1e-12
     assert report.unique
     assert abs(report.rho.mat[0, 0] - 1.0) <= 1e-12
@@ -57,7 +56,7 @@ def test_steady_state_pure_decay():
 
 def test_steady_state_driven_qubit_matches_propagation():
     liouv = driven_qubit()
-    report = steady_state(liouv)
+    report = steady_state_on(liouv, QUBIT)
     rho0 = basis_state(QUBIT, 0)
     final = evolve(liouv, rho0, t_final=60.0)
     assert abs(final.mat[1, 1].real - report.rho.mat[1, 1].real) <= 1e-8
@@ -66,8 +65,8 @@ def test_steady_state_driven_qubit_matches_propagation():
 def test_steady_state_scale_invariance():
     liouv = driven_qubit()
     scaled = Superoperator(liouv.dim, 7.5 * liouv.mat)
-    a = steady_state(liouv).rho.mat
-    b = steady_state(scaled).rho.mat
+    a = steady_state_on(liouv, QUBIT).rho.mat
+    b = steady_state_on(scaled, QUBIT).rho.mat
     assert np.abs(a - b).max() <= 1e-10
 
 
@@ -86,8 +85,8 @@ def collective_decay_liouvillian():
 
 
 def test_steady_state_detects_degenerate_kernel():
-    _, liouv = collective_decay_liouvillian()
-    report = steady_state(liouv)
+    space, liouv = collective_decay_liouvillian()
+    report = steady_state_on(liouv, space)
     assert not report.unique
 
 
@@ -133,7 +132,7 @@ def test_evolve_agrees_with_linear_solve():
     liouv = driven_qubit(omega=0.4, kappa=1.3)
     gap = spectral_gap(liouv)
     final = evolve_to_steady(liouv, QUBIT)
-    report = steady_state(liouv)
+    report = steady_state_on(liouv, QUBIT)
     assert gap > 0
     assert trace_distance(final, report.rho) <= 1e-6
 
@@ -176,25 +175,46 @@ def test_evolve_dimension_mismatch():
 
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_traceless_columns_match_dense_basis(rng, d):
+    # lb = L_r·B_r and L·B are L on two orthonormal bases of the trace-zero
+    # subspace, so their singular values agree
     n = d * d
-    lmat = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
-    lb = _traceless_columns(Superoperator(d, lmat))
-    assert lb.shape == (n, n - 1)
-    assert np.abs(lb - lmat @ traceless_basis(d)).max() <= 1e-13
+    liouv = random_lindblad(rng, d)
+    _, lb, m = _real_restriction(liouv, liouv.norm_inf())
+    assert lb.shape == (n, n - 1) and m.shape == (n - 1, n - 1)
+    want = np.linalg.svd(liouv.mat @ traceless_basis(d), compute_uv=False)
+    assert np.abs(np.linalg.svd(lb, compute_uv=False) - want).max() <= 1e-13 * want[0]
+
+
+def matched_distance(a, b) -> float:
+    """Largest distance between the two spectra under their best pairing."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_real_restriction_spectrum_matches_dense_basis(rng, d):
+    basis = traceless_basis(d)
+    for _ in range(3):
+        liouv = random_lindblad(rng, d)
+        _, _, m = _real_restriction(liouv, liouv.norm_inf())
+        want = np.linalg.eigvals(basis.conj().T @ liouv.mat @ basis)
+        assert matched_distance(np.linalg.eigvals(m), want) <= 1e-12 * np.abs(want).max()
 
 
 def test_spectral_gap_matches_dense_restriction():
-    from polariton_ring.models import build_model, fig3_ring_spec
-
-    space, h, terms = build_model(fig3_ring_spec())
-    liouv = assemble(h, terms)
-    basis = traceless_basis(liouv.dim)
-    eigs = np.linalg.eigvals(basis.conj().T @ liouv.mat @ basis)
-    assert spectral_gap(liouv) == pytest.approx(np.abs(eigs.real).min(), rel=0.1)
+    for name, spec in sorted(bundled_models().items()):
+        space, h, terms = build_model(spec)
+        liouv = assemble(h, terms)
+        basis = traceless_basis(liouv.dim)
+        eigs = np.linalg.eigvals(basis.conj().T @ liouv.mat @ basis)
+        assert spectral_gap(liouv) == pytest.approx(np.abs(eigs.real).min(), rel=0.1), name
 
 
 def test_steady_state_one_level():
-    report = steady_state(Superoperator(1, np.zeros((1, 1))))
+    report = steady_state_on(Superoperator(1, np.zeros((1, 1))), HilbertSpace((1,)))
     assert report.unique
     assert report.rho.mat.tolist() == [[1.0]]
     assert report.residual == 0.0
@@ -241,7 +261,7 @@ def stacked_lstsq_oracle(liouv):
 
 
 def bare_svd_unique(liouv) -> bool:
-    svals = np.linalg.svd(_traceless_columns(liouv), compute_uv=False)
+    svals = np.linalg.svd(liouv.mat @ traceless_basis(liouv.dim), compute_uv=False)
     return bool(svals[-1] > UNIQUENESS_TOL * svals[0])
 
 
@@ -308,16 +328,29 @@ def test_uniqueness_decision_equals_bare_svd(rng, monkeypatch):
     generators += [near_dark_liouvillian(eps) for eps in (1e-1, 1e-4, 1e-7, 1e-9, 1e-13, 0.0)]
     decisions = []
     for liouv in generators:
-        report = steady_state(liouv)
+        report = steady_state_on(liouv, HilbertSpace((liouv.dim,)))
         assert report.unique == bare_svd_unique(liouv)
         decisions.append(report.unique)
     assert True in outcomes and False in outcomes  # the exact SVD was consulted
     assert True in decisions and False in decisions
-    assert steady_state(near_dark_liouvillian(1e-7)).unique
+    assert steady_state_on(near_dark_liouvillian(1e-7), HilbertSpace((2, 2))).unique
+
+
+def non_hermiticity_preserving(rng):
+    """Decay plus an unpaired cross term: maps some Hermitian ρ to non-Hermitian ones."""
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    terms = [DissipatorTerm(SIGMA_MINUS, SIGMA_MINUS, 0.5), DissipatorTerm(a, SIGMA_MINUS, 0.3)]
+    return assemble(np.zeros((2, 2)), terms)
 
 
 def test_steady_state_rejects_non_hermiticity_preserving_generator(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    liouv = assemble(np.zeros((2, 2)), [DissipatorTerm(SIGMA_MINUS, SIGMA_MINUS, 0.5), DissipatorTerm(a, SIGMA_MINUS, 0.3)])
     with pytest.raises(SteadyStateError, match="hermiticity"):
-        steady_state(liouv)
+        steady_state_on(non_hermiticity_preserving(rng), QUBIT)
+
+
+def test_gap_and_propagation_reject_non_hermiticity_preserving_generator(rng):
+    liouv = non_hermiticity_preserving(rng)
+    with pytest.raises(SteadyStateError, match="hermiticity"):
+        spectral_gap(liouv)
+    with pytest.raises(SteadyStateError, match="hermiticity"):
+        evolve_to_steady(liouv, QUBIT)
