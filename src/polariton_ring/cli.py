@@ -156,6 +156,8 @@ def _cmd_solve(cfg: dict, workers: int) -> tuple[str, dict]:
         "residual": report.residual,
         "min_eigenvalue": report.min_eigenvalue,
         "unique": report.unique,
+        # null when no bound was formed
+        "uniqueness_bound": report.uniqueness_bound if np.isfinite(report.uniqueness_bound) else None,
         "observables": {o.column: o.evaluate(rho) for o in observables},
     }
     return "\n".join(lines) + "\n", payload

@@ -38,8 +38,15 @@ from .observables import (
     trace_distance,
 )
 from .optimize import OptimizeReport, multistart_maximize
-from .steady import SteadyStateError, SteadyStateReport, evolve_to_steady, steady_state_on
-from .superop import AssemblyError, Superoperator, assemble, check_trace_preserving
+from .steady import (
+    SteadyStateError,
+    SteadyStateReport,
+    evolve_to_steady,
+    steady_state_on,
+    steady_state_restricted,
+    trace_zero_system,
+)
+from .superop import Superoperator, assemble, check_trace_preserving
 
 T_VALIDITY_MAX = 0.1  # reservoir temperatures beyond this leave the model's regime
 CSV_FORMAT = "%.12g"
@@ -214,17 +221,34 @@ def solve_spec(spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
 # Largest entry of compiled L minus assembled L, relative to max(‖L‖_∞, 1),
 # that the compile's self-check accepts.
 COMPILE_TOL = 1e-12
+# Largest entry of compiled ρ minus the reference ρ at the base point that
+# the self-check accepts.
+COMPILE_RHO_TOL = 1e-12
+
+
+class CompileError(RuntimeError):
+    """A compiled model disagrees with the assembled one at its base point:
+    a fault of the program, not of the run's configuration."""
 
 
 class CompiledModel:
     """One effective model as L(θ) = Σ_k c_k(θ)·L_k, for the points of one call.
 
     Each piece of :func:`models.model_pieces` is assembled once into a
-    read-only (K, d⁴) real stack; a point is then one contraction of its
-    coefficients with that stack, the trace-preservation check and the
-    unchanged :func:`steady_state_on`. The compile checks itself at ``base``:
-    the contracted L must match ``assemble(*build_model(base)[1:])`` to
-    COMPILE_TOL, or it raises AssemblyError.
+    read-only (K, d⁴) real stack, and its trace-zero system (M_k, r_k) of
+    :func:`steady.trace_zero_system` into two more (which checks once that
+    every piece preserves hermiticity). A point is then three contractions of
+    its coefficients with those stacks, the trace-preservation check of L and
+    :func:`steady_state_restricted`: one LU of M solves and certifies. A
+    singular M, or a bound that does not certify, hands L to the unchanged
+    :func:`steady_state_on`.
+
+    The compile checks itself at ``base``: the contracted L must match
+    ``assemble(*build_model(base)[1:])`` to COMPILE_TOL, and, when
+    ``steady_state_on`` finds a unique steady state for that assembled L, the
+    compiled solve must reproduce its ρ to COMPILE_RHO_TOL; otherwise it
+    raises CompileError. That reference report is then the answer for
+    ``base`` itself, so a call whose base is one of its points solves it once.
     """
 
     def __init__(self, base: ModelSpec):
@@ -232,22 +256,68 @@ class CompiledModel:
         self.space = pieces.space
         d = self.space.dim
         zero_h = np.zeros((d, d), dtype=complex)
-        mats = [assemble(h, []) for h in pieces.hams] + [assemble(zero_h, list(g)) for g in pieces.groups]
-        self._stack = np.stack([m.mat for m in mats]).view(float).reshape(len(mats), -1)
-        self._stack.setflags(write=False)
+        sources = [(h, []) for h in pieces.hams] + [(zero_h, list(g)) for g in pieces.groups]
+        n = d * d
+        self._stack = np.empty((len(sources), 2 * n * n))
+        self._m_stack = np.empty((len(sources), (n - 1) ** 2))
+        self._r_stack = np.empty((len(sources), n - 1))
+        # one piece at a time, so that the K dense pieces are never all held at once
+        for k, (h, terms) in enumerate(sources):
+            piece = assemble(h, terms)
+            self._stack[k] = piece.mat.view(float).ravel()
+            m, self._r_stack[k] = trace_zero_system(piece)
+            self._m_stack[k] = m.ravel()
+        for a in (self._stack, self._m_stack, self._r_stack):
+            a.setflags(write=False)
+        self._base = base
+        self._base_report = self._check(base)
+
+    def _check(self, base: ModelSpec) -> SteadyStateReport | None:
+        """The self-check at ``base``; returns the reference report when it was compared."""
         expected = assemble(*build_model(base)[1:])
         error = float(np.abs(self.liouvillian(base).mat - expected.mat).max())
         if error > COMPILE_TOL * max(expected.norm_inf(), 1.0):
-            raise AssemblyError(f"compiled {base.model} Liouvillian differs from the assembled one by {error:.2e}")
+            raise CompileError(f"compiled {base.model} Liouvillian differs from the assembled one by {error:.2e}")
+        try:
+            reference = steady_state_on(expected, self.space)
+        except SteadyStateError:
+            return None  # no steady state to compare; the point's own solve reports why
+        if not reference.unique:
+            return None
+        try:
+            rho = self._compiled_report(base).rho.mat
+        except SteadyStateError as exc:
+            raise CompileError(f"compiled {base.model} solve fails where the assembled one succeeds: {exc}") from exc
+        error = float(np.abs(rho - reference.rho.mat).max())
+        if error > COMPILE_RHO_TOL:
+            raise CompileError(f"compiled {base.model} steady state differs from the assembled one by {error:.2e}")
+        return reference
 
     def liouvillian(self, spec: ModelSpec) -> Superoperator:
         n = self.space.dim**2
         mat = (coefficients(spec) @ self._stack).view(complex).reshape(n, n)
         return check_trace_preserving(Superoperator(self.space.dim, mat))
 
+    def system(self, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The trace-zero system (M, r) of :func:`steady.trace_zero_system` at ``spec``."""
+        c = coefficients(spec)
+        k = self._r_stack.shape[1]
+        return (c @ self._m_stack).reshape(k, k), c @ self._r_stack
+
+    def _compiled_report(self, spec: ModelSpec) -> SteadyStateReport:
+        l = self.liouvillian(spec)
+        report = steady_state_restricted(l, self.space, *self.system(spec))
+        return report if report is not None else steady_state_on(l, self.space)
+
+    def report(self, spec: ModelSpec) -> SteadyStateReport:
+        """The steady-state report at ``spec``, before the uniqueness check of :meth:`solve`."""
+        if self._base_report is not None and spec == self._base:
+            return self._base_report
+        return self._compiled_report(spec)
+
     def solve(self, spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
-        """:func:`solve_spec` through the compiled L."""
-        return _unique(steady_state_on(self.liouvillian(spec), self.space), spec.model)
+        """:func:`solve_spec` through the compiled model."""
+        return _unique(self.report(spec), spec.model)
 
 
 def _point_solver(base: ModelSpec):
@@ -261,12 +331,12 @@ def _point_solver(base: ModelSpec):
 def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
     """Evaluate the plan on the full grid.
 
-    The model is compiled once for the whole grid. Grid points are
-    independent; with ``workers > 1`` they are evaluated by a thread pool,
-    whose ``map`` keeps the row order, so the result is identical for any
-    worker count.
+    The model is compiled once for the whole grid, at its first point. Grid
+    points are independent; with ``workers > 1`` they are evaluated by a
+    thread pool, whose ``map`` keeps the row order, so the result is
+    identical for any worker count.
     """
-    solve = _point_solver(plan.model)
+    solve = _point_solver(plan.points[0][1])
 
     def eval_point(point) -> list[float]:
         coords, spec = point

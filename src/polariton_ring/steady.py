@@ -45,6 +45,10 @@ class SteadyStateReport:
     residual: float
     min_eigenvalue: float
     unique: bool
+    # ‖M‖_F·‖M⁻¹‖_F for the trace-zero restriction M, the uniqueness
+    # certificate's bound (it certifies below 1e-2/UNIQUENESS_TOL); inf when
+    # no bound was formed (M singular, or the solve already rank deficient)
+    uniqueness_bound: float
 
 
 @cache
@@ -118,21 +122,66 @@ def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.nd
     return lr, lb, np.concatenate([house[1:] @ lb[:d], lb[d:]])
 
 
-def _certified_unique(lb: np.ndarray, m: np.ndarray) -> bool:
-    """Rigorous sufficient test that lb = L_r·B_r passes the uniqueness test
-    σ_min > UNIQUENESS_TOL·σ_max, from the square restriction M = B_rᵀ·lb.
-    σ_min(lb) ≥ σ_min(M) ≥ 1/‖M⁻¹‖_F and σ_max(lb) ≤ ‖lb‖_F, so one LU and
-    inverse of M giving ‖lb‖_F·‖M⁻¹‖_F below 1e-2/UNIQUENESS_TOL proves the
-    test passes, with a 100× margin for rounding in the computed inverse.
-    False means "not proven", never "not unique". Overwrites m."""
-    # Mᵀ has the same inverse norm and is Fortran-ordered, so LAPACK factors it in place
+def trace_zero_system(l: Superoperator) -> tuple[np.ndarray, np.ndarray]:
+    """The steady-state equation of L on the trace-zero subspace: M of
+    :func:`_real_restriction` and r = −B_rᵀ·L_r·c_I, with c_I the coordinates
+    of I/d, so that the steady state is c = c_I + B_r·y with M·y = r. Linear
+    in L: the system of Σ c_k·L_k is Σ c_k·(M_k, r_k). Raises
+    SteadyStateError when L does not preserve hermiticity."""
+    d = l.dim
+    lr, _, m = _real_restriction(l, l.norm_inf())
+    _, _, house = _hermitian_basis(d)
+    lc = lr[:, :d].sum(axis=1) / d
+    return m, -np.concatenate([house[1:] @ lc[:d], lc[d:]])
+
+
+def _inverse(m: np.ndarray) -> np.ndarray | None:
+    """M⁻¹ from one LU (getrf, getri), or None when LAPACK finds M exactly
+    singular. Overwrites m."""
+    # Mᵀ is Fortran-ordered, so LAPACK factors it in place; its inverse is (M⁻¹)ᵀ
     lu, piv, info = _getrf(m.T, overwrite_a=True)
     if info != 0:
-        return False
+        return None
     inv, info = _getri(lu, piv, overwrite_lu=True)
-    if info != 0:
-        return False
-    return bool(np.linalg.norm(lb) * np.linalg.norm(inv) < 1e-2 / UNIQUENESS_TOL)
+    return inv.T if info == 0 else None
+
+
+def _certified_unique(bound: float) -> bool:
+    """Whether bound = ‖lb‖_F·‖M⁻¹‖_F proves that lb = L_r·B_r passes the
+    uniqueness test σ_min > UNIQUENESS_TOL·σ_max: σ_min(lb) ≥ σ_min(M) ≥
+    1/‖M⁻¹‖_F and σ_max(lb) ≤ ‖lb‖_F, and the threshold keeps a 100× margin
+    for rounding in the computed inverse. False means "not proven", never
+    "not unique"."""
+    return bool(bound < 1e-2 / UNIQUENESS_TOL)
+
+
+def _report(l: Superoperator, space: HilbertSpace, scale: float, c: np.ndarray,
+            unique: bool, bound: float) -> SteadyStateReport:
+    """The checked state with Hermitian-basis coordinates c: eigenvalues
+    within CLAMP_TOL below zero are clamped and ρ renormalized, and the
+    residual ‖L vec ρ‖ on the complex L must stay below
+    RESIDUAL_TOL·max(scale, 1)."""
+    w, v = np.linalg.eigh(_from_real(c, l.dim))
+    min_eig = float(w.min())
+    if min_eig < -CLAMP_TOL:
+        raise SteadyStateError(
+            f"steady state has eigenvalue {min_eig:.2e} below clamp tolerance; "
+            "the generator is not completely positive"
+        )
+    w = np.clip(w, 0.0, None)
+    rho = hermitize((v * w) @ v.conj().T)
+    rho /= np.trace(rho).real
+
+    residual = float(np.linalg.norm(l.mat @ vec(rho)))
+    if residual > RESIDUAL_TOL * max(scale, 1.0):
+        raise SteadyStateError(f"steady-state residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
+    return SteadyStateReport(
+        rho=DensityMatrix(space, rho),
+        residual=residual,
+        min_eigenvalue=min_eig,
+        unique=unique,
+        uniqueness_bound=bound,
+    )
 
 
 def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
@@ -165,31 +214,40 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
         unique = False
         c, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
 
-    w, v = np.linalg.eigh(_from_real(c, d))
-    min_eig = float(w.min())
-    if min_eig < -CLAMP_TOL:
-        raise SteadyStateError(
-            f"steady state has eigenvalue {min_eig:.2e} below clamp tolerance; "
-            "the generator is not completely positive"
-        )
-    w = np.clip(w, 0.0, None)
-    rho = hermitize((v * w) @ v.conj().T)
-    rho /= np.trace(rho).real
+    bound = np.inf
+    if unique and n > 1:
+        inv = _inverse(m)
+        if inv is not None:
+            bound = float(np.linalg.norm(lb) * np.linalg.norm(inv))
+        if not _certified_unique(bound):
+            svals = np.linalg.svd(lb, compute_uv=False)
+            unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
+    return _report(l, space, scale, c, unique, bound)
 
-    residual = float(np.linalg.norm(l.mat @ vec(rho)))
-    if residual > RESIDUAL_TOL * max(scale, 1.0):
-        raise SteadyStateError(f"steady-state residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
 
-    if unique and n > 1 and not _certified_unique(lb, m):
-        svals = np.linalg.svd(lb, compute_uv=False)
-        unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
-
-    return SteadyStateReport(
-        rho=DensityMatrix(space, rho),
-        residual=residual,
-        min_eigenvalue=min_eig,
-        unique=unique,
-    )
+def steady_state_restricted(l: Superoperator, space: HilbertSpace, m: np.ndarray,
+                            r: np.ndarray) -> SteadyStateReport | None:
+    """:func:`steady_state_on` from the system (M, r) of
+    :func:`trace_zero_system`, already formed for L (for example contracted
+    from compiled pieces, whose hermiticity was checked there). One LU and
+    inverse of M give both the state c = c_I + B_r·M⁻¹r and the certificate
+    ‖M‖_F·‖M⁻¹‖_F (‖M‖_F = ‖L_r·B_r‖_F, since L maps into the trace-zero
+    subspace); the clamp and the residual on the complex L are checked as in
+    :func:`steady_state_on`. Returns None when M is singular or the bound
+    does not certify uniqueness: :func:`steady_state_on` on the same L then
+    decides. Overwrites m."""
+    d = l.dim
+    norm = float(np.linalg.norm(m))
+    inv = _inverse(m)
+    if inv is None:
+        return None
+    bound = norm * float(np.linalg.norm(inv))
+    if not _certified_unique(bound):
+        return None
+    _, _, house = _hermitian_basis(d)
+    y = inv @ r
+    c = np.concatenate([house[:, 1:] @ y[:d - 1] + 1.0 / d, y[d - 1:]])
+    return _report(l, space, l.norm_inf(), c, True, bound)
 
 
 def evolve(l: Superoperator, rho0: DensityMatrix, t_final: float) -> DensityMatrix:

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polariton_ring import experiments
 from polariton_ring.cli import main, summary_path
+from polariton_ring.steady import UNIQUENESS_TOL
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -40,6 +42,7 @@ def test_solve_undriven_ring(tmp_path):
     assert max(pops[1:]) <= 1e-10
     assert summary["observables"]["concurrence_1_2"] == pytest.approx(0.0, abs=1e-8)
     assert summary["unique"] is True
+    assert 1.0 <= summary["uniqueness_bound"] < 1e-2 / UNIQUENESS_TOL
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "index,population"
     assert len(lines) == 9
@@ -133,6 +136,22 @@ def test_non_unique_optimize_point_exits_1(tmp_path, capsys):
     assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "{'y[0]': 0.0}" in err and "not unique" in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "command, config", [("sweep", "fig5_sweep.json"), ("thermal", "thermal_map.json"), ("optimize", "fig3_optimize.json")]
+)
+def test_compile_self_check_failure_exits_1(tmp_path, capsys, monkeypatch, command, config):
+    # a compiled model that disagrees with the assembled one is a program
+    # fault, not a config error
+    honest = experiments.coefficients
+    monkeypatch.setattr(experiments, "coefficients", lambda spec: 1.01 * honest(spec))
+    out = tmp_path / "data.csv"
+    assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "run failed: compiled" in err and "differs from the assembled one" in err
     assert not out.exists()
     assert not summary_path(out).exists()
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from polariton_ring import experiments
+from polariton_ring import experiments, steady
 from polariton_ring.experiments import (
     Axis,
     CompiledModel,
+    CompileError,
     ObservableSpec,
     SweepError,
     SweepPlan,
@@ -36,7 +37,8 @@ from polariton_ring.models import (
     validation_micro_spec,
 )
 from polariton_ring.observables import concurrence
-from polariton_ring.superop import AssemblyError, assemble
+from polariton_ring.steady import UNIQUENESS_TOL, SteadyStateError
+from polariton_ring.superop import assemble
 
 
 def small_pair_plan(count=3):
@@ -389,9 +391,126 @@ def test_compile_rejects_corrupted_coefficient_map(monkeypatch):
                 return c
 
             monkeypatch.setattr(experiments, "coefficients", corrupted)
-            with pytest.raises(AssemblyError, match="compiled"):
+            with pytest.raises(CompileError, match="compiled"):
                 CompiledModel(spec)
             monkeypatch.setattr(experiments, "coefficients", honest)
+
+
+def restriction_oracle(spec):
+    """M of steady._real_restriction on the assembled L, and r = −B_rᵀ·L_r·c_I
+    with the basis B_r and the coordinates c_I of I/d written out densely."""
+    liouv = assemble(*build_model(spec)[1:])
+    lr, _, m = steady._real_restriction(liouv, liouv.norm_inf())
+    d = liouv.dim
+    n = d * d
+    _, _, house = steady._hermitian_basis(d)
+    b = np.zeros((n, n - 1))
+    b[:d, :d - 1] = house[:, 1:]
+    b[d:, d - 1:] = np.eye(n - d)
+    c_i = np.zeros(n)
+    c_i[:d] = 1.0 / d
+    return m, -b.T @ lr @ c_i
+
+
+def system_error(compiled, spec):
+    want_m, want_r = restriction_oracle(spec)
+    m, r = compiled.system(spec)
+    scale = max(np.abs(want_m).max(), np.abs(want_r).max(), 1.0)
+    return max(np.abs(m - want_m).max(), np.abs(r - want_r).max()) / scale
+
+
+def test_compiled_system_matches_restriction_on_bundled_models():
+    for spec in effective_specs():
+        assert system_error(CompiledModel(spec), spec) <= 1e-13, spec.model
+
+
+@given(drawn_specs())
+def test_compiled_system_matches_restriction_on_drawn_parameters(spec):
+    assert system_error(_COMPILED[spec.model], spec) <= 1e-13
+
+
+@given(drawn_specs())
+def test_compiled_solve_matches_solve_spec_on_drawn_points(spec):
+    try:
+        _, want = solve_spec(spec)
+    except SteadyStateError:
+        assume(False)  # not unique: there is no state to compare
+    report, got = _COMPILED[spec.model].solve(spec)
+    # 1e-12 wherever the bound is below 4.5e3 (every bundled model's is);
+    # beyond that, the forward error any backward-stable solve allows
+    tol = max(1e-12, 1e3 * np.finfo(float).eps * report.uniqueness_bound)
+    assert np.abs(got.mat - want.mat).max() <= tol
+
+
+def full_support_specs():
+    """Points of the three effective models at which no coefficient vanishes."""
+    specs = []
+    for spec in effective_specs()[3:]:
+        if spec.model != "pair_thermal":
+            spec = apply_path(apply_path(spec, "x[0].phase", 1.0), "x[2].phase", 0.4)
+        assert np.abs(experiments.coefficients(spec)).min() >= 1e-4, spec.model
+        specs.append(spec)
+    return specs
+
+
+def test_compile_rejects_corrupted_trace_zero_piece(monkeypatch):
+    # the base-point ρ check sees a wrong M_k or r_k for any one piece k, even
+    # one that moves c_k·M_k or c_k·r_k by only 1e-8·(random unit entries):
+    # that stays below the residual check's 1e-8·‖L‖ but moves ρ by ≫ 1e-12
+    honest = experiments.trace_zero_system
+    rng = np.random.default_rng(5)
+    for spec in full_support_specs():
+        coeffs = experiments.coefficients(spec)
+        for k, c_k in enumerate(coeffs):
+            for part in (0, 1):
+                calls = []
+
+                def corrupted(liouv, k=k, part=part, calls=calls, delta=1e-8 / c_k):
+                    system = list(honest(liouv))
+                    if len(calls) == k:
+                        system[part] = system[part] + delta * rng.normal(size=system[part].shape)
+                    calls.append(liouv)
+                    return tuple(system)
+
+                monkeypatch.setattr(experiments, "trace_zero_system", corrupted)
+                with pytest.raises(CompileError, match="steady state differs"):
+                    CompiledModel(spec)
+                monkeypatch.setattr(experiments, "trace_zero_system", honest)
+
+
+def test_compiled_solve_hands_uncertified_points_to_steady_state_on(monkeypatch):
+    seen = []
+    original = experiments.steady_state_on
+
+    def spy(liouv, space):
+        seen.append(liouv)
+        return original(liouv, space)
+
+    compiled = CompiledModel(thermal_pair_spec(x=1.0))
+    monkeypatch.setattr(experiments, "steady_state_on", spy)
+    certified = thermal_pair_spec(x=0.5)
+    compiled.solve(certified)
+    assert seen == []
+    # singular M: the undriven, uncoupled pair at y = 0 has a dark state
+    dark = thermal_pair_spec(x=0.0, y=0.0, z=1.0)
+    with pytest.raises(SteadyStateError, match="not unique"):
+        compiled.solve(dark)
+    assert len(seen) == 1 and np.array_equal(seen[0].mat, compiled.liouvillian(dark).mat)
+    # invertible M whose bound does not certify: no bound clears a threshold of 1
+    monkeypatch.setattr(steady, "UNIQUENESS_TOL", 1e-2)
+    report = compiled.report(certified)
+    assert len(seen) == 2 and np.array_equal(seen[1].mat, compiled.liouvillian(certified).mat)
+    assert report.uniqueness_bound >= 1.0
+
+
+def test_uniqueness_bound_certifies_bundled_models():
+    for spec in bundled_models().values():
+        report, _ = solve_spec(spec)
+        assert 1.0 <= report.uniqueness_bound < 1e-2 / UNIQUENESS_TOL, spec.model
+        if spec.model in _COMPILED:
+            # compiled at another point, so this is the one-LU route
+            compiled = _COMPILED[spec.model].report(spec)
+            assert compiled.uniqueness_bound == pytest.approx(report.uniqueness_bound, rel=1e-9)
 
 
 def test_run_sweep_matches_per_point_solve():

@@ -16,6 +16,8 @@ from polariton_ring.steady import (
     evolve_to_steady,
     spectral_gap,
     steady_state_on,
+    steady_state_restricted,
+    trace_zero_system,
 )
 from polariton_ring.superop import DissipatorTerm, Superoperator, assemble, unvec, vec
 
@@ -313,8 +315,8 @@ def test_uniqueness_decision_equals_bare_svd(rng, monkeypatch):
     outcomes = []
     certify = steady._certified_unique
 
-    def spy(lb, m):
-        outcomes.append(certify(lb, m))
+    def spy(bound):
+        outcomes.append(certify(bound))
         return outcomes[-1]
 
     monkeypatch.setattr(steady, "_certified_unique", spy)
@@ -354,3 +356,51 @@ def test_gap_and_propagation_reject_non_hermiticity_preserving_generator(rng):
         spectral_gap(liouv)
     with pytest.raises(SteadyStateError, match="hermiticity"):
         evolve_to_steady(liouv, QUBIT)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_trace_zero_system_matches_dense_basis(rng, d):
+    # the state from (M, r) against the dense complex solve Bᵀ·L·B·y = −Bᵀ·L·vec(I/d),
+    # with B the oracle basis of the trace-zero subspace (M's spectrum is
+    # pinned by test_real_restriction_spectrum_matches_dense_basis)
+    liouv = random_lindblad(rng, d)
+    b = traceless_basis(d)
+    c_i = vec(np.eye(d, dtype=complex) / d)
+    y = np.linalg.solve(b.conj().T @ liouv.mat @ b, -b.conj().T @ liouv.mat @ c_i)
+    report = steady_state_restricted(liouv, HilbertSpace((d,)), *trace_zero_system(liouv))
+    assert np.abs(report.rho.mat - unvec(c_i + b @ y)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_restricted_solve_matches_steady_state_on(rng, d):
+    space = HilbertSpace((d,))
+    liouv = random_lindblad(rng, d)
+    report = steady_state_restricted(liouv, space, *trace_zero_system(liouv))
+    reference = steady_state_on(liouv, space)
+    assert report.unique and reference.unique
+    assert np.abs(report.rho.mat - reference.rho.mat).max() <= 1e-12
+    assert report.residual <= 1e-12 * max(1.0, liouv.norm_inf())
+    # the two routes form the same certificate bound
+    assert report.uniqueness_bound == pytest.approx(reference.uniqueness_bound, rel=1e-10)
+    assert 1.0 <= report.uniqueness_bound < 1e-2 / UNIQUENESS_TOL
+
+
+def test_restricted_solve_declines_what_it_cannot_certify(monkeypatch):
+    # a dark singlet: M is singular, and no bound is formed on either route
+    space, liouv = collective_decay_liouvillian()
+    assert steady_state_restricted(liouv, space, *trace_zero_system(liouv)) is None
+    reference = steady_state_on(liouv, space)
+    assert not reference.unique and reference.uniqueness_bound == np.inf
+    # a nearly dark one: M is invertible, but its bound does not certify
+    liouv = near_dark_liouvillian(1e-9)
+    assert steady_state_restricted(liouv, space, *trace_zero_system(liouv)) is None
+    # a well-conditioned one that a tighter threshold no longer certifies
+    liouv = near_dark_liouvillian(1e-1)
+    assert steady_state_restricted(liouv, space, *trace_zero_system(liouv)) is not None
+    monkeypatch.setattr(steady, "UNIQUENESS_TOL", 1e-2)
+    assert steady_state_restricted(liouv, space, *trace_zero_system(liouv)) is None
+
+
+def test_trace_zero_system_rejects_non_hermiticity_preserving_generator(rng):
+    with pytest.raises(SteadyStateError, match="hermiticity"):
+        trace_zero_system(non_hermiticity_preserving(rng))
