@@ -244,11 +244,12 @@ class CompiledModel:
     :func:`steady_state_on`.
 
     The compile checks itself at ``base``: the contracted L must match
-    ``assemble(*build_model(base)[1:])`` to COMPILE_TOL, and, when
-    ``steady_state_on`` finds a unique steady state for that assembled L, the
-    compiled solve must reproduce its ρ to COMPILE_RHO_TOL; otherwise it
-    raises CompileError. That reference report is then the answer for
-    ``base`` itself, so a call whose base is one of its points solves it once.
+    ``assemble(*build_model(base)[1:])`` to COMPILE_TOL, and the compiled
+    solve must reproduce the ρ of ``steady_state_on`` on that assembled L to
+    COMPILE_RHO_TOL; otherwise it raises CompileError. The ρ comparison needs
+    a unique steady state at ``base``: where ``steady_state_on`` raises or
+    finds none, only the L comparison runs, and a wrong M_k or r_k that stays
+    below the residual check goes unseen for the whole call.
     """
 
     def __init__(self, base: ModelSpec):
@@ -266,14 +267,12 @@ class CompiledModel:
             piece = assemble(h, terms)
             self._stack[k] = piece.mat.view(float).ravel()
             m, self._r_stack[k] = trace_zero_system(piece)
-            self._m_stack[k] = m.ravel()
+            self._m_stack[k] = m.T.ravel()  # so that a contraction is M in Fortran order
         for a in (self._stack, self._m_stack, self._r_stack):
             a.setflags(write=False)
-        self._base = base
-        self._base_report = self._check(base)
+        self._check(base)
 
-    def _check(self, base: ModelSpec) -> SteadyStateReport | None:
-        """The self-check at ``base``; returns the reference report when it was compared."""
+    def _check(self, base: ModelSpec) -> None:
         expected = assemble(*build_model(base)[1:])
         error = float(np.abs(self.liouvillian(base).mat - expected.mat).max())
         if error > COMPILE_TOL * max(expected.norm_inf(), 1.0):
@@ -281,9 +280,9 @@ class CompiledModel:
         try:
             reference = steady_state_on(expected, self.space)
         except SteadyStateError:
-            return None  # no steady state to compare; the point's own solve reports why
+            return  # no steady state to compare; the point's own solve reports why
         if not reference.unique:
-            return None
+            return
         try:
             rho = self._compiled_report(base).rho.mat
         except SteadyStateError as exc:
@@ -291,7 +290,6 @@ class CompiledModel:
         error = float(np.abs(rho - reference.rho.mat).max())
         if error > COMPILE_RHO_TOL:
             raise CompileError(f"compiled {base.model} steady state differs from the assembled one by {error:.2e}")
-        return reference
 
     def liouvillian(self, spec: ModelSpec) -> Superoperator:
         n = self.space.dim**2
@@ -302,22 +300,16 @@ class CompiledModel:
         """The trace-zero system (M, r) of :func:`steady.trace_zero_system` at ``spec``."""
         c = coefficients(spec)
         k = self._r_stack.shape[1]
-        return (c @ self._m_stack).reshape(k, k), c @ self._r_stack
+        return (c @ self._m_stack).reshape(k, k).T, c @ self._r_stack
 
     def _compiled_report(self, spec: ModelSpec) -> SteadyStateReport:
         l = self.liouvillian(spec)
         report = steady_state_restricted(l, self.space, *self.system(spec))
         return report if report is not None else steady_state_on(l, self.space)
 
-    def report(self, spec: ModelSpec) -> SteadyStateReport:
-        """The steady-state report at ``spec``, before the uniqueness check of :meth:`solve`."""
-        if self._base_report is not None and spec == self._base:
-            return self._base_report
-        return self._compiled_report(spec)
-
     def solve(self, spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
         """:func:`solve_spec` through the compiled model."""
-        return _unique(self.report(spec), spec.model)
+        return _unique(self._compiled_report(spec), spec.model)
 
 
 def _point_solver(base: ModelSpec):
@@ -331,12 +323,12 @@ def _point_solver(base: ModelSpec):
 def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
     """Evaluate the plan on the full grid.
 
-    The model is compiled once for the whole grid, at its first point. Grid
-    points are independent; with ``workers > 1`` they are evaluated by a
-    thread pool, whose ``map`` keeps the row order, so the result is
-    identical for any worker count.
+    The model is compiled once for the whole grid. Grid points are
+    independent; with ``workers > 1`` they are evaluated by a thread pool,
+    whose ``map`` keeps the row order, so the result is identical for any
+    worker count.
     """
-    solve = _point_solver(plan.points[0][1])
+    solve = _point_solver(plan.model)
 
     def eval_point(point) -> list[float]:
         coords, spec = point

@@ -30,7 +30,7 @@ STABILITY_LIMIT = 0.1
 _GAP_MAX_ITER = 100  # inverse-iteration steps of spectral_gap
 _GAP_SEED = 7  # seed of spectral_gap's start vector
 
-_getrf, _getri = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getri"), dtype=np.float64)
+_getrf, _getrs, _getri = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs", "getri"), dtype=np.float64)
 
 
 class SteadyStateError(RuntimeError):
@@ -135,15 +135,18 @@ def trace_zero_system(l: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     return m, -np.concatenate([house[1:] @ lc[:d], lc[d:]])
 
 
-def _inverse(m: np.ndarray) -> np.ndarray | None:
-    """M⁻¹ from one LU (getrf, getri), or None when LAPACK finds M exactly
-    singular. Overwrites m."""
-    # Mᵀ is Fortran-ordered, so LAPACK factors it in place; its inverse is (M⁻¹)ᵀ
-    lu, piv, info = _getrf(m.T, overwrite_a=True)
-    if info != 0:
-        return None
+def _lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The LU factors (getrf) of M, or None when LAPACK finds M exactly
+    singular. Factors in place when m is Fortran-ordered."""
+    lu, piv, info = _getrf(m, overwrite_a=True)
+    return (lu, piv) if info == 0 else None
+
+
+def _inverse_norm(lu: np.ndarray, piv: np.ndarray) -> float:
+    """‖M⁻¹‖_F from the LU factors of M (getri, which overwrites them); inf
+    when getri finds M singular."""
     inv, info = _getri(lu, piv, overwrite_lu=True)
-    return inv.T if info == 0 else None
+    return float(np.linalg.norm(inv)) if info == 0 else np.inf
 
 
 def _certified_unique(bound: float) -> bool:
@@ -216,9 +219,10 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
 
     bound = np.inf
     if unique and n > 1:
-        inv = _inverse(m)
-        if inv is not None:
-            bound = float(np.linalg.norm(lb) * np.linalg.norm(inv))
+        # Mᵀ is Fortran-ordered, so LAPACK factors it in place; ‖(Mᵀ)⁻¹‖_F = ‖M⁻¹‖_F
+        factors = _lu(m.T)
+        if factors is not None:
+            bound = float(np.linalg.norm(lb)) * _inverse_norm(*factors)
         if not _certified_unique(bound):
             svals = np.linalg.svd(lb, compute_uv=False)
             unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
@@ -229,23 +233,27 @@ def steady_state_restricted(l: Superoperator, space: HilbertSpace, m: np.ndarray
                             r: np.ndarray) -> SteadyStateReport | None:
     """:func:`steady_state_on` from the system (M, r) of
     :func:`trace_zero_system`, already formed for L (for example contracted
-    from compiled pieces, whose hermiticity was checked there). One LU and
-    inverse of M give both the state c = c_I + B_r·M⁻¹r and the certificate
-    ‖M‖_F·‖M⁻¹‖_F (‖M‖_F = ‖L_r·B_r‖_F, since L maps into the trace-zero
-    subspace); the clamp and the residual on the complex L are checked as in
-    :func:`steady_state_on`. Returns None when M is singular or the bound
-    does not certify uniqueness: :func:`steady_state_on` on the same L then
-    decides. Overwrites m."""
+    from compiled pieces, whose hermiticity was checked there). One LU of M
+    gives both the state c = c_I + B_r·M⁻¹r, by triangular solves, and the
+    certificate ‖M‖_F·‖M⁻¹‖_F, from the inverse (‖M‖_F = ‖L_r·B_r‖_F, since
+    L maps into the trace-zero subspace); the clamp and the residual on the
+    complex L are checked as in :func:`steady_state_on`. Returns None when M
+    is singular or the bound does not certify uniqueness:
+    :func:`steady_state_on` on the same L then decides. Overwrites m when it
+    is Fortran-ordered."""
     d = l.dim
     norm = float(np.linalg.norm(m))
-    inv = _inverse(m)
-    if inv is None:
+    factors = _lu(m)
+    if factors is None:
         return None
-    bound = norm * float(np.linalg.norm(inv))
+    # y by triangular solves, before getri overwrites the factors: the inverse
+    # times r moved ρ by up to 1e-8 at bounds near 5e6, where these solves keep
+    # it within 5e-12 of the exact state
+    y, _ = _getrs(*factors, r)
+    bound = norm * _inverse_norm(*factors)
     if not _certified_unique(bound):
         return None
     _, _, house = _hermitian_basis(d)
-    y = inv @ r
     c = np.concatenate([house[:, 1:] @ y[:d - 1] + 1.0 / d, y[d - 1:]])
     return _report(l, space, l.norm_inf(), c, True, bound)
 
