@@ -28,11 +28,7 @@ from .models import (
     EffectiveParams,
     MicroParams,
     ModelSpec,
-    build_full_micro,
     build_model,
-    build_pair_effective,
-    build_pair_thermal,
-    build_ring3_effective,
     bundled_models,
     derive_effective,
     fig3_ring_spec,

@@ -37,11 +37,17 @@ from .experiments import (
     thermal_map,
     validate_effective,
 )
-from .models import ModelSpec, model_space, model_spec_from_json, model_spec_to_json
+from .models import (
+    ConfigError,
+    ModelSpec,
+    decode_float,
+    decode_int,
+    decode_list,
+    model_space,
+    model_spec_from_json,
+    model_spec_to_json,
+)
 from .steady import SteadyStateError
-
-class ConfigError(ValueError):
-    """The run configuration is malformed."""
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -55,31 +61,22 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _decode_int(value, where: str) -> int:
-    """A JSON number with an integral value; strings and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _decode_float(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+def _decode_path(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a parameter path string, got {value!r}")
+    return value
 
 
 def _decode_grid(obj, where: str) -> tuple[float, ...]:
+    """A list of numbers or a start/stop/count object; Axis checks the values."""
     if isinstance(obj, list):
-        if not obj:
-            raise ConfigError(f"{where}: grid list is empty")
-        return tuple(_decode_float(v, f"{where}[{k}]") for k, v in enumerate(obj))
+        return decode_list(obj, where, decode_float)
     if isinstance(obj, dict):
         _require_keys(obj, {"start", "stop", "count"}, {"start", "stop", "count"}, where)
-        count = _decode_int(obj["count"], f"{where}.count")
+        count = decode_int(obj["count"], f"{where}.count")
         if count < 1:
             raise ConfigError(f"{where}: count must be >= 1")
-        start, stop = (_decode_float(obj[k], f"{where}.{k}") for k in ("start", "stop"))
+        start, stop = (decode_float(obj[k], f"{where}.{k}") for k in ("start", "stop"))
         return tuple(np.linspace(start, stop, count))
     raise ConfigError(f"{where}: grid must be a list or a start/stop/count object")
 
@@ -87,49 +84,53 @@ def _decode_grid(obj, where: str) -> tuple[float, ...]:
 def _decode_model(obj, where: str = "model") -> ModelSpec:
     try:
         return model_spec_from_json(obj)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _decode_sites(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list of site indices, got {value!r}")
-    return tuple(_decode_int(s, f"{where}[{k}]") for k, s in enumerate(value))
 
 
 def _decode_observable(obj, where: str) -> ObservableSpec:
     _require_keys(obj, {"kind", "sites", "level", "T", "omega"}, {"kind"}, where)
-    sites = _decode_sites(obj["sites"], f"{where}.sites") if "sites" in obj else None
-    level = _decode_int(obj.get("level", 0), f"{where}.level")
+    sites = decode_list(obj["sites"], f"{where}.sites", decode_int) if "sites" in obj else None
+    level = decode_int(obj.get("level", 0), f"{where}.level")
+    T = decode_float(obj["T"], f"{where}.T") if "T" in obj else None
+    omega = decode_float(obj.get("omega", 1.0), f"{where}.omega")
     try:
-        return ObservableSpec(
-            kind=obj["kind"],
-            sites=sites,
-            level=level,
-            T=float(obj["T"]) if "T" in obj else None,
-            omega=float(obj.get("omega", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        return ObservableSpec(kind=obj["kind"], sites=sites, level=level, T=T, omega=omega)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _decode_axis(obj, where: str) -> Axis:
+    _require_keys(obj, {"path", "grid"}, {"path", "grid"}, where)
+    path = _decode_path(obj["path"], f"{where}.path")
+    grid = _decode_grid(obj["grid"], f"{where}.grid")
+    try:
+        return Axis(path=path, grid=grid)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _decode_free(value, where: str) -> str | tuple[str, ...]:
+    """A parameter path, or a list of paths that share one value."""
+    if isinstance(value, list):
+        return decode_list(value, where, _decode_path)
+    return _decode_path(value, where)
+
+
+def _decode_bound(value, where: str) -> tuple[float, float]:
+    pair = decode_list(value, where, decode_float)
+    if len(pair) != 2:
+        raise ConfigError(f"{where} must be a [lo, hi] pair, got {value!r}")
+    return pair
 
 
 def _decode_sweep_plan(cfg: dict) -> SweepPlan:
     _require_keys(cfg, {"model", "axes", "observables"}, {"model", "axes", "observables"}, "sweep config")
     model = _decode_model(cfg["model"])
-    if not isinstance(cfg["axes"], list) or not cfg["axes"]:
-        raise ConfigError("sweep config: axes must be a nonempty list")
-    axes = []
-    for k, ax in enumerate(cfg["axes"]):
-        _require_keys(ax, {"path", "grid"}, {"path", "grid"}, f"axes[{k}]")
-        try:
-            axes.append(Axis(path=str(ax["path"]), grid=_decode_grid(ax["grid"], f"axes[{k}].grid")))
-        except ValueError as exc:
-            raise ConfigError(f"axes[{k}]: {exc}") from exc
-    if not isinstance(cfg["observables"], list) or not cfg["observables"]:
-        raise ConfigError("sweep config: observables must be a nonempty list")
-    observables = [_decode_observable(o, f"observables[{k}]") for k, o in enumerate(cfg["observables"])]
+    axes = decode_list(cfg["axes"], "axes", _decode_axis)
+    observables = decode_list(cfg["observables"], "observables", _decode_observable)
     try:
-        return SweepPlan(model=model, axes=tuple(axes), observables=tuple(observables))
+        return SweepPlan(model=model, axes=axes, observables=observables)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -140,9 +141,7 @@ def _decode_sweep_plan(cfg: dict) -> SweepPlan:
 def _cmd_solve(cfg: dict, workers: int) -> tuple[str, dict]:
     _require_keys(cfg, {"model", "observables"}, {"model"}, "solve config")
     model = _decode_model(cfg["model"])
-    observables = [
-        _decode_observable(o, f"observables[{k}]") for k, o in enumerate(cfg.get("observables", []))
-    ]
+    observables = decode_list(cfg.get("observables", []), "observables", _decode_observable)
     for k, obs in enumerate(observables):
         try:
             obs.check_space(model_space(model))
@@ -178,15 +177,10 @@ def _cmd_optimize(cfg: dict, workers: int) -> tuple[str, dict]:
         cfg, {"model", "free", "bounds", "budget", "sites"}, {"model", "free", "bounds"}, "optimize config"
     )
     model = _decode_model(cfg["model"])
-    free: list[str | tuple[str, ...]] = [
-        tuple(entry) if isinstance(entry, list) else str(entry) for entry in cfg["free"]
-    ]
-    try:
-        bounds = [(float(lo), float(hi)) for lo, hi in cfg["bounds"]]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bounds must be a list of [lo, hi] pairs: {exc}") from exc
-    budget = _decode_int(cfg.get("budget", 2000), "budget")
-    sites = _decode_sites(cfg["sites"], "sites") if "sites" in cfg else None
+    free = decode_list(cfg["free"], "free", _decode_free)
+    bounds = decode_list(cfg["bounds"], "bounds", _decode_bound)
+    budget = decode_int(cfg.get("budget", 2000), "budget")
+    sites = decode_list(cfg["sites"], "sites", decode_int) if "sites" in cfg else None
     try:
         report = optimize_concurrence(model, free, bounds, budget=budget, sites=sites)
     except ValueError as exc:
@@ -207,8 +201,10 @@ def _cmd_thermal(cfg: dict, workers: int) -> tuple[str, dict]:
     _require_keys(cfg, {"x_grid", "t_grid", "y", "z"}, {"t_grid"}, "thermal config")
     x_grid = _decode_grid(cfg["x_grid"], "x_grid") if "x_grid" in cfg else signed_x_grid()
     t_grid = _decode_grid(cfg["t_grid"], "t_grid")
+    y = decode_float(cfg.get("y", 15.0), "y")
+    z = decode_float(cfg.get("z", 1.01), "z")
     try:
-        result = thermal_map(x_grid, t_grid, y=float(cfg.get("y", 15.0)), z=float(cfg.get("z", 1.01)))
+        result = thermal_map(x_grid, t_grid, y=y, z=z)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     d_col = result.column("d")
@@ -222,10 +218,7 @@ def _cmd_validate(cfg: dict, workers: int) -> tuple[str, dict]:
     if model.model != "micro":
         raise ConfigError("validate needs a micro model")
     base = model.params
-    raw = cfg.get("j_over_kappa", [])
-    if not isinstance(raw, list):
-        raise ConfigError(f"j_over_kappa must be a list of numbers, got {raw!r}")
-    ratios = [_decode_float(v, f"j_over_kappa[{k}]") for k, v in enumerate(raw)] or [max(base.J) / base.kappa]
+    ratios = decode_list(cfg.get("j_over_kappa", []), "j_over_kappa", decode_float) or (max(base.J) / base.kappa,)
     bad = [r for r in ratios if not (np.isfinite(r) and r > 0)]
     if bad:
         raise ConfigError(f"j_over_kappa values must be finite and > 0, got {bad}")

@@ -462,12 +462,8 @@ def thermal_map(
     model's validity; they are computed anyway and flagged. The pair_thermal
     model is compiled once for the whole map, at its first point.
     """
-    xs = tuple(float(v) for v in x_grid)
-    ts = tuple(float(v) for v in t_grid)
-    if not xs or not ts:
-        raise ValueError("x_grid and t_grid must be nonempty")
-    if any(b <= a for a, b in zip(xs, xs[1:])) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("grids must be strictly increasing")
+    xs = Axis("x_grid", x_grid).grid
+    ts = Axis("t_grid", t_grid).grid
     out_of_range = [t for t in ts if t > T_VALIDITY_MAX]
     if out_of_range:
         warnings.warn(

@@ -21,8 +21,9 @@ Hamiltonians contain hopping and drive terms only.
 from __future__ import annotations
 
 import cmath
+import typing
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cache
 
 import numpy as np
@@ -217,7 +218,7 @@ def _qubit_ops(factor_dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 #
 # Each effective generator is linear in a few real coefficients,
 # L(θ) = Σ_k c_k(θ)·L_k. A model is stated once, as fixed operator pieces per
-# geometry (ModelPieces) plus a coefficient map; the builders and the compiled
+# geometry (ModelPieces) plus a coefficient map; build_model and the compiled
 # sweeps (experiments.CompiledModel) both start from these two.
 
 
@@ -280,26 +281,19 @@ def _ring3_pieces() -> ModelPieces:
 
 
 def _ring3_coefficients(p: EffectiveParams) -> list[float]:
-    """Per guide i: Γ_i y_i, Re Γ_i x_i, Im Γ_i x_i; then the site decay
-    weights Γ_{i−1}z_{i−1} + Γ_i z_i; then the cross weights Γ_i."""
-    if p.n_sites != 3 or len(p.Gamma) != 3:
-        raise ValueError("ring model needs n_sites=3 and three guide parameter entries")
+    """Three-qubit ring with guides eliminated:
+    H = Σ_i Γ_i [ y_i P_i†P_{i+1} + x_i (P_i† + P_{i+1}†) ] + h.c. (cyclic);
+    site i decays with weight Γ_{i−1}z_{i−1} + Γ_i z_i, and guide i mixes its
+    two neighbours through the cross terms F_{i,i+1}, F_{i+1,i} at weight Γ_i.
+
+    Coefficients: per guide i, Γ_i y_i, Re Γ_i x_i, Im Γ_i x_i; then the three
+    site decay weights; then the three cross weights Γ_i."""
     c = []
     for i in range(3):
         gx = p.Gamma[i] * p.x[i]
         c += [p.Gamma[i] * p.y[i], gx.real, gx.imag]
     c += [p.Gamma[i - 1] * p.z[i - 1] + p.Gamma[i] * p.z[i] for i in range(3)]
     return c + list(p.Gamma)
-
-
-def build_ring3_effective(p: EffectiveParams) -> BuildResult:
-    """Three-qubit ring model with guides eliminated.
-
-    H = Σ_i Γ_i [ y_i P_i†P_{i+1} + x_i (P_i† + P_{i+1}†) ] + h.c. (cyclic);
-    site i decays with weight Γ_{i−1}z_{i−1} + Γ_i z_i, and guide i mixes its
-    two neighbours through the cross terms F_{i,i+1}, F_{i+1,i} at weight Γ_i.
-    """
-    return _ring3_pieces().build(_ring3_coefficients(p))
 
 
 @cache
@@ -317,23 +311,17 @@ def _pair_pieces() -> ModelPieces:
 
 
 def _pair_coefficients(p: EffectiveParams) -> list[float]:
-    """Γ₂y₂; Re and Im of Γ₁x₁, Γ₂x₂, Γ₃x₃; decay weights Γ₂z₂+Γ₁, Γ₂z₂+Γ₃; cross weight Γ₂."""
-    if p.n_sites != 2 or len(p.Gamma) != 3:
-        raise ValueError("pair model needs n_sites=2 and three guide parameter entries")
+    """Two qubits, three guides (ends drive one qubit each, middle couples both):
+    H = Γ₂y₂ P₁†P₂ + (Γ₁x₁+Γ₂x₂) P₁† + (Γ₂x₂+Γ₃x₃) P₂† + h.c.;
+    diagonal decay weights Γ₂z₂+Γ₁ and Γ₂z₂+Γ₃, cross weight Γ₂.
+
+    Coefficients: Γ₂y₂; Re and Im of Γ₁x₁, Γ₂x₂, Γ₃x₃; the two decay weights;
+    the cross weight."""
     g1, g2, g3 = p.Gamma
     c = [g2 * p.y[1]]
     for gx in (g1 * p.x[0], g2 * p.x[1], g3 * p.x[2]):
         c += [gx.real, gx.imag]
     return c + [g2 * p.z[1] + g1, g2 * p.z[1] + g3, g2]
-
-
-def build_pair_effective(p: EffectiveParams) -> BuildResult:
-    """Two qubits, three guides (ends drive one qubit each, middle couples both).
-
-    H = Γ₂y₂ P₁†P₂ + (Γ₁x₁+Γ₂x₂) P₁† + (Γ₂x₂+Γ₃x₃) P₂† + h.c.;
-    diagonal decay weights Γ₂z₂+Γ₁ and Γ₂z₂+Γ₃, cross weight Γ₂.
-    """
-    return _pair_pieces().build(_pair_coefficients(p))
 
 
 @cache
@@ -348,9 +336,14 @@ def _thermal_pieces() -> ModelPieces:
 
 
 def _thermal_coefficients(p: EffectiveParams) -> list[float]:
-    """Γy, Γx; per site the downward and upward weights; cross weight Γ."""
-    if p.n_sites != 2 or len(p.Gamma) != 1:
-        raise ValueError("thermal pair model needs n_sites=2 and scalar guide parameters")
+    """Two qubits sharing one guide, with local thermal pumping.
+
+    At zero temperature this is the single-guide limit of the pair model:
+    H = Γy P₁†P₂ + Γx (P₁† + P₂†) + h.c., diagonal weights Γz, cross weight Γ.
+    The bare qubit decay hidden in z (γ = 2Γ(z−1)) is promoted to its thermal
+    form: downward weight Γ + γ(n_p+1)/2, upward weight γ·n_p/2 per site.
+
+    Coefficients: Γy, Γx; per site the downward and upward weights; Γ."""
     x = _thermal_drive(p.x[0])
     gam_big = p.Gamma[0]
     gamma = 2.0 * gam_big * (p.z[0] - 1.0)
@@ -359,18 +352,7 @@ def _thermal_coefficients(p: EffectiveParams) -> list[float]:
     return [gam_big * p.y[0], gam_big * x, w_down, w_up, w_down, w_up, gam_big]
 
 
-def build_pair_thermal(p: EffectiveParams) -> BuildResult:
-    """Two qubits sharing one guide, with local thermal pumping.
-
-    At zero temperature this is the single-guide limit of the pair model:
-    diagonal weights Γz, cross weights Γ, drive Γx on both qubits. The bare
-    qubit decay hidden in z (γ = 2Γ(z−1)) is promoted to its thermal form:
-    downward weight γ(n_p+1)/2, upward weight γ·n_p/2 per site.
-    """
-    return _thermal_pieces().build(_thermal_coefficients(p))
-
-
-def build_full_micro(p: MicroParams) -> BuildResult:
+def _build_micro(p: MicroParams) -> BuildResult:
     """Full model: qubits plus truncated guide modes, still in the rotating frame.
 
     Factor order is qubits first, then guides, so the polariton marginal is
@@ -414,13 +396,6 @@ def _micro_space(p: MicroParams) -> HilbertSpace:
 
 # --- declarative model specification -----------------------------------------
 
-_BUILDERS = {
-    "ring3_eff": build_ring3_effective,
-    "pair_eff": build_pair_effective,
-    "pair_thermal": build_pair_thermal,
-    "micro": build_full_micro,
-}
-
 _EFF_N_GUIDES = {"ring3_eff": 3, "pair_eff": 3, "pair_thermal": 1}
 _EFF_N_SITES = {"ring3_eff": 3, "pair_eff": 2, "pair_thermal": 2}
 
@@ -456,7 +431,11 @@ class ModelSpec:
 
 
 def build_model(spec: ModelSpec) -> BuildResult:
-    return _BUILDERS[spec.model](spec.params)
+    """(space, h, terms) of a model: the one build route. An effective model is
+    its pieces at its coefficients; ``micro`` is built term by term."""
+    if spec.model == "micro":
+        return _build_micro(spec.params)
+    return model_pieces(spec.model).build(coefficients(spec))
 
 
 _AFFINE = {
@@ -483,101 +462,109 @@ def model_space(spec: ModelSpec) -> HilbertSpace:
     return model_pieces(spec.model).space
 
 
-def _complex_pair(v) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ValueError(f"complex values are [re, im] pairs, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+# --- JSON codec and parameter paths ---------------------------------------------
+#
+# The params dataclasses are the schema: each field's annotation gives its value
+# type (int, float or complex) and whether it is a tuple of them; its default
+# makes the JSON key optional. Every config value passes a decoder below.
 
 
-_EFF_KEYS = {"model", "Gamma", "x", "y", "z", "n_p"}
-_MICRO_KEYS = {
-    "model", "n_sites", "J", "kappa", "gamma_p", "alpha", "phi",
-    "omega_c", "omega_p", "omega_d", "n_boson", "n_c", "n_p",
-}
+class ConfigError(ValueError):
+    """The run configuration is malformed."""
+
+
+def decode_int(value, where: str) -> int:
+    """A JSON number with an integral value; strings and booleans are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def decode_float(value, where: str) -> float:
+    """A JSON number; strings and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{where} is out of range, got {value!r}") from exc
+
+
+def decode_list(value, where: str, item) -> tuple:
+    """A JSON list, each entry decoded by ``item(entry, f"{where}[k]")``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return tuple(item(v, f"{where}[{k}]") for k, v in enumerate(value))
+
+
+def _decode_complex(value, where: str) -> complex:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{where}: complex values are [re, im] pairs, got {value!r}")
+    return complex(decode_float(value[0], f"{where}.re"), decode_float(value[1], f"{where}.im"))
+
+
+_DECODERS = {int: decode_int, float: decode_float, complex: _decode_complex}
+
+
+@cache
+def _schema(cls) -> dict[str, tuple[type, bool, bool]]:
+    """Each field of a params dataclass: (value type, is a tuple, is required)."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        is_list = typing.get_origin(hint) is tuple
+        schema[f.name] = (typing.get_args(hint)[0] if is_list else hint, is_list, f.default is MISSING)
+    return schema
+
+
+@cache
+def _json_fields(model: str) -> dict[str, tuple[type, bool, bool]]:
+    """The schema of a model's JSON keys; an effective model's name implies its n_sites."""
+    if model == "micro":
+        return _schema(MicroParams)
+    return {k: v for k, v in _schema(EffectiveParams).items() if k != "n_sites"}
 
 
 def model_spec_from_json(obj: dict) -> ModelSpec:
     """Strict decoder for the documented ModelSpec JSON schema."""
     if not isinstance(obj, dict):
-        raise ValueError("model spec must be a JSON object")
+        raise ConfigError("model spec must be a JSON object")
     model = obj.get("model")
     if model not in MODEL_NAMES:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-    allowed = _MICRO_KEYS if model == "micro" else _EFF_KEYS
-    unknown = set(obj) - allowed
+        raise ConfigError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+    schema = _json_fields(model)
+    unknown = set(obj) - set(schema) - {"model"}
     if unknown:
-        raise ValueError(f"unknown model keys: {sorted(unknown)}")
-    try:
-        if model == "micro":
-            params: EffectiveParams | MicroParams = MicroParams(
-                n_sites=int(obj["n_sites"]),
-                J=tuple(obj["J"]),
-                kappa=float(obj["kappa"]),
-                gamma_p=float(obj["gamma_p"]),
-                alpha=tuple(obj["alpha"]),
-                phi=tuple(obj["phi"]),
-                omega_c=tuple(obj["omega_c"]),
-                omega_p=tuple(obj["omega_p"]),
-                omega_d=float(obj["omega_d"]),
-                n_boson=int(obj.get("n_boson", 3)),
-                n_c=float(obj.get("n_c", 0.0)),
-                n_p=float(obj.get("n_p", 0.0)),
-            )
-        else:
-            params = EffectiveParams(
-                n_sites=_EFF_N_SITES[model],
-                Gamma=tuple(obj["Gamma"]),
-                x=tuple(_complex_pair(v) for v in obj["x"]),
-                y=tuple(obj["y"]),
-                z=tuple(obj["z"]),
-                n_p=float(obj.get("n_p", 0.0)),
-            )
-    except KeyError as exc:
-        raise ValueError(f"missing model key: {exc.args[0]}") from exc
-    return ModelSpec(model, params)
+        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
+    missing = sorted(k for k, (_, _, required) in schema.items() if required and k not in obj)
+    if missing:
+        raise ConfigError(f"missing model keys: {missing}")
+    values = {} if model == "micro" else {"n_sites": _EFF_N_SITES[model]}
+    for name, (kind, is_list, _) in schema.items():
+        if name in obj:
+            decode = _DECODERS[kind]
+            values[name] = decode_list(obj[name], name, decode) if is_list else decode(obj[name], name)
+    return ModelSpec(model, (MicroParams if model == "micro" else EffectiveParams)(**values))
 
 
 def model_spec_to_json(spec: ModelSpec) -> dict:
-    p = spec.params
-    if spec.model == "micro":
-        assert isinstance(p, MicroParams)
-        return {
-            "model": spec.model,
-            "n_sites": p.n_sites,
-            "J": list(p.J),
-            "kappa": p.kappa,
-            "gamma_p": p.gamma_p,
-            "alpha": list(p.alpha),
-            "phi": list(p.phi),
-            "omega_c": list(p.omega_c),
-            "omega_p": list(p.omega_p),
-            "omega_d": p.omega_d,
-            "n_boson": p.n_boson,
-            "n_c": p.n_c,
-            "n_p": p.n_p,
-        }
-    assert isinstance(p, EffectiveParams)
-    return {
-        "model": spec.model,
-        "Gamma": list(p.Gamma),
-        "x": [[v.real, v.imag] for v in p.x],
-        "y": list(p.y),
-        "z": list(p.z),
-        "n_p": p.n_p,
-    }
-
-
-# --- parameter paths ----------------------------------------------------------
-
-_COMPLEX_FIELDS = {"x"}
-_LIST_FIELDS_EFF = {"Gamma", "x", "y", "z"}
-_SCALAR_FIELDS_EFF = {"n_p"}
-_LIST_FIELDS_MICRO = {"J", "alpha", "phi", "omega_c", "omega_p"}
-_SCALAR_FIELDS_MICRO = {"kappa", "gamma_p", "omega_d", "n_c", "n_p"}
+    """The inverse of :func:`model_spec_from_json`; complex values as [re, im]."""
+    obj = {"model": spec.model}
+    for name, (kind, is_list, _) in _json_fields(spec.model).items():
+        value = getattr(spec.params, name)
+        encode = (lambda v: [v.real, v.imag]) if kind is complex else (lambda v: v)
+        obj[name] = [encode(v) for v in value] if is_list else encode(value)
+    return obj
 
 
 def _parse_path(spec: ModelSpec, path: str) -> tuple[str, int | None, str | None]:
-    """Split ``field[idx].component`` and validate it against the spec."""
+    """Split ``field[idx].component`` and validate it against the spec.
+
+    Float and complex fields are addressable, integer ones are not; list fields
+    need an index and complex ones a component."""
     body = path
     comp = None
     if "." in body:
@@ -589,22 +576,19 @@ def _parse_path(spec: ModelSpec, path: str) -> tuple[str, int | None, str | None
         field_name, _, rest = body.partition("[")
         idx = int(rest[:-1])
         body = field_name
-    is_micro = spec.model == "micro"
-    list_fields = _LIST_FIELDS_MICRO if is_micro else _LIST_FIELDS_EFF
-    scalar_fields = _SCALAR_FIELDS_MICRO if is_micro else _SCALAR_FIELDS_EFF
-    if body in list_fields:
+    kind, is_list, _ = _json_fields(spec.model).get(body, (int, False, False))
+    if kind is int:
+        raise ValueError(f"unknown parameter field {body!r} for model {spec.model}")
+    if is_list:
         if idx is None:
             raise ValueError(f"field {body!r} needs an index in path {path!r}")
         if not 0 <= idx < len(getattr(spec.params, body)):
             raise ValueError(f"index out of range in path {path!r}")
-    elif body in scalar_fields:
-        if idx is not None:
-            raise ValueError(f"field {body!r} is scalar; no index allowed in {path!r}")
-    else:
-        raise ValueError(f"unknown parameter field {body!r} for model {spec.model}")
-    if comp is not None and body not in _COMPLEX_FIELDS:
+    elif idx is not None:
+        raise ValueError(f"field {body!r} is scalar; no index allowed in {path!r}")
+    if comp is not None and kind is not complex:
         raise ValueError(f"component {comp!r} only applies to complex fields, path {path!r}")
-    if body in _COMPLEX_FIELDS and comp is None:
+    if kind is complex and comp is None:
         raise ValueError(f"complex field {body!r} needs .re/.im/.abs/.phase in path {path!r}")
     return body, idx, comp
 

@@ -314,7 +314,7 @@ def test_optimize_bad_bounds_exit_2(tmp_path, capsys, bounds):
 @pytest.mark.parametrize(
     "x_grid",
     [["a"], [0.0, None], {"start": -1.0, "stop": 1.0, "count": "many"}, {"start": -1.0, "stop": 1.0, "count": 2.5},
-     {"start": "a", "stop": 1.0, "count": 3}],
+     {"start": "a", "stop": 1.0, "count": 3}, [], [0.0, float("nan")], [1.0, 0.0]],
 )
 def test_thermal_bad_grid_exits_2(tmp_path, capsys, x_grid):
     cfg = write_config(tmp_path, {"x_grid": x_grid, "t_grid": [0.05]})
@@ -417,10 +417,13 @@ def no_solve(monkeypatch):
         ({"kind": "population", "sites": [0], "level": 1.5}, "level must be an integer"),
         ({"kind": "concurrence", "sites": [0.5, 1]}, "sites[0] must be an integer"),
         ({"kind": "trace_distance_to_gibbs", "T": 0.05, "sites": [0]}, "takes no sites"),
+        # not an object: stands for the whole observables value
+        (5, "observables must be a list"),
     ],
 )
 def test_solve_observable_outside_model_exits_2(tmp_path, capsys, no_solve, observable, message):
-    cfg = write_config(tmp_path, {"model": RING_MODEL, "observables": [observable]})
+    observables = [observable] if isinstance(observable, dict) else observable
+    cfg = write_config(tmp_path, {"model": RING_MODEL, "observables": observables})
     out = tmp_path / "solve.csv"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -465,6 +468,44 @@ def test_sweep_grid_outside_model_domain_exits_2(tmp_path, capsys, no_solve, mod
                                   "observables": [{"kind": "purity"}]})
     out = tmp_path / "data.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+VALIDATE_CFG = json.loads((CONFIGS / "validate.json").read_text())
+THERMAL_CFG = json.loads((CONFIGS / "thermal_map.json").read_text())
+OPTIMIZE_CFG = json.loads((CONFIGS / "fig3_optimize.json").read_text())
+
+
+def with_value(cfg, keys, value):
+    """A deep copy of cfg with the value at the key path replaced."""
+    cfg = json.loads(json.dumps(cfg))
+    target = cfg
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("sweep", with_value(sweep_config(), ["model", "Gamma"], "111"), "Gamma must be a list"),
+        ("validate", with_value(VALIDATE_CFG, ["micro", "n_boson"], 2.5), "n_boson must be an integer"),
+        ("validate", with_value(VALIDATE_CFG, ["micro", "n_sites"], 2.9), "n_sites must be an integer"),
+        ("optimize", with_value(OPTIMIZE_CFG, ["free"], 5), "free must be a list"),
+        ("optimize", with_value(OPTIMIZE_CFG, ["free", 0], [1, 2]), "free[0][0] must be a parameter path"),
+        ("thermal", with_value(THERMAL_CFG, ["y"], [1.0]), "y must be a number"),
+        ("thermal", with_value(THERMAL_CFG, ["y"], 10**400), "y is out of range"),
+    ],
+    ids=["sweep-Gamma-string", "validate-n_boson-fraction", "validate-n_sites-fraction", "optimize-free-scalar",
+         "optimize-free-numbers", "thermal-y-list", "thermal-y-overflow"],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
+    out = tmp_path / "data.csv"
+    assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not out.exists()

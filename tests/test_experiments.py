@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -33,6 +35,8 @@ from polariton_ring.models import (
     bundled_models,
     fig3_ring_spec,
     fig5_pair_spec,
+    model_spec_from_json,
+    model_spec_to_json,
     thermal_pair_spec,
     validation_micro_spec,
 )
@@ -264,7 +268,7 @@ def test_optimize_ring_finds_operating_point():
 def test_three_guide_pair_matches_micro():
     # eliminated three-guide pair vs the full model, both via the linear
     # solve (solver equivalence is covered elsewhere); antisymmetric end drives
-    from polariton_ring.models import ModelSpec, build_model, build_pair_effective, derive_effective
+    from polariton_ring.models import ModelSpec, build_model, derive_effective
     from polariton_ring.observables import trace_distance
     from polariton_ring.steady import steady_state_on
     from polariton_ring.superop import assemble
@@ -277,7 +281,7 @@ def test_three_guide_pair_matches_micro():
     )
     space, h, terms = build_model(ModelSpec("micro", p))
     marg = partial_trace(steady_state_on(assemble(h, terms), space).rho, [0, 1])
-    eff_space, eff_h, eff_terms = build_pair_effective(derive_effective(p))
+    eff_space, eff_h, eff_terms = build_model(ModelSpec("pair_eff", derive_effective(p)))
     eff = steady_state_on(assemble(eff_h, eff_terms), eff_space)
     assert trace_distance(marg, eff.rho) <= 0.05
 
@@ -445,6 +449,11 @@ def test_compiled_solve_matches_solve_spec_on_drawn_points(spec):
     # measures the compiled route there against an exact reference instead
     assume(report.uniqueness_bound < 1e5)
     assert np.abs(got.mat - want.mat).max() <= 1e-12
+
+
+@given(drawn_specs())
+def test_model_json_roundtrip_on_drawn_specs(spec):
+    assert model_spec_from_json(json.loads(json.dumps(model_spec_to_json(spec)))) == spec
 
 
 def exact_steady_state(liouv):

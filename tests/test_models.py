@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,7 @@ from polariton_ring.models import (
     MicroParams,
     ModelSpec,
     apply_path,
-    build_full_micro,
     build_model,
-    build_pair_effective,
-    build_pair_thermal,
-    build_ring3_effective,
     bundled_models,
     derive_effective,
     fig3_ring_spec,
@@ -94,7 +91,7 @@ def test_ring_undriven_steady_is_ground():
     params = EffectiveParams(
         n_sites=3, Gamma=spec.params.Gamma, x=(0.0, 0.0, 0.0), y=(0.0, 0.0, 0.0), z=spec.params.z
     )
-    space, h, terms = build_ring3_effective(params)
+    space, h, terms = build_model(ModelSpec("ring3_eff", params))
     report = steady_state_on(assemble(h, terms), space)
     assert report.rho.mat[0, 0].real == pytest.approx(1.0, abs=1e-10)
 
@@ -112,7 +109,7 @@ def test_ring_site_decay_weight_identity():
     Gamma = (1.0, 0.5, 2.0)
     z = tuple(1.0 + gamma / (4 * g) for g in Gamma)
     params = EffectiveParams(n_sites=3, Gamma=Gamma, x=(0.1, 0.1, 0.1), y=(0.0, 0.0, 0.0), z=z)
-    space, h, terms = build_ring3_effective(params)
+    space, h, terms = build_model(ModelSpec("ring3_eff", params))
     diag_weights = [t.weight for t in terms[:3]]
     for i in range(3):
         assert diag_weights[i] == pytest.approx(Gamma[(i - 1) % 3] + Gamma[i] + gamma / 2)
@@ -122,7 +119,7 @@ def test_ring_cyclic_permutation_invariance():
     params = EffectiveParams(
         n_sites=3, Gamma=(1.0, 1.0, 1.0), x=(0.3 + 0.1j,) * 3, y=(2.0,) * 3, z=(1.05,) * 3
     )
-    space, h, terms = build_ring3_effective(params)
+    space, h, terms = build_model(ModelSpec("ring3_eff", params))
     liouv = assemble(h, terms)
     # permutation sending site i to i+1
     perm = np.zeros((8, 8))
@@ -152,7 +149,7 @@ def test_pair_undriven_ground():
     params = EffectiveParams(
         n_sites=2, Gamma=(1.0, 76.0, 1.0), x=(0.0, 0.0, 0.0), y=(0.0, 0.0, 0.0), z=(1.01,) * 3
     )
-    space, h, terms = build_pair_effective(params)
+    space, h, terms = build_model(ModelSpec("pair_eff", params))
     report = steady_state_on(assemble(h, terms), space)
     assert report.rho.mat[0, 0].real == pytest.approx(1.0, abs=1e-10)
 
@@ -163,7 +160,7 @@ def test_pair_hamiltonian_hermitian(rng):
         params = EffectiveParams(
             n_sites=2, Gamma=(1.0, 5.0, 2.0), x=x, y=(0.0, rng.normal(), 0.0), z=(1.0, 1.2, 1.0)
         )
-        _, h, _ = build_pair_effective(params)
+        _, h, _ = build_model(ModelSpec("pair_eff", params))
         assert herm_defect(h) == 0.0
 
 
@@ -171,7 +168,7 @@ def test_pair_dissipator_weights_quoted_form():
     params = EffectiveParams(
         n_sites=2, Gamma=(1.0, 76.0, 2.0), x=(0.0, 0.0, 0.0), y=(0.0,) * 3, z=(1.0, 1.01, 1.0)
     )
-    _, _, terms = build_pair_effective(params)
+    _, _, terms = build_model(ModelSpec("pair_eff", params))
     weights = [t.weight for t in terms]
     assert weights[0] == pytest.approx(76.0 * 1.01 + 1.0)
     assert weights[1] == pytest.approx(76.0 * 1.01 + 2.0)
@@ -197,7 +194,7 @@ def test_thermal_detailed_balance_limit():
     params = EffectiveParams(
         n_sites=2, Gamma=(big_gamma,), x=(0.0,), y=(0.0,), z=(z,), n_p=n_p
     )
-    space, h, terms = build_pair_thermal(params)
+    space, h, terms = build_model(ModelSpec("pair_thermal", params))
     report = steady_state_on(assemble(h, terms), space)
     p_e = n_p / (2 * n_p + 1)
     single = np.diag([1 - p_e, p_e])
@@ -212,7 +209,7 @@ def test_thermal_rejects_bad_drive():
     for x in (1j, -1.0, complex(1.0, 1e-3)):
         params = EffectiveParams(n_sites=2, Gamma=(1.0,), x=(x,), y=(0.0,), z=(1.0,))
         with pytest.raises(ValueError, match="drive"):
-            build_pair_thermal(params)
+            build_model(ModelSpec("pair_thermal", params))
         with pytest.raises(ValueError, match="drive"):
             ModelSpec("pair_thermal", params)
     with pytest.raises(ValueError, match="drive"):
@@ -231,7 +228,7 @@ def test_micro_undriven_steady_is_vacuum_ground():
         n_sites=2, J=(0.05,), kappa=1.0, gamma_p=0.01, alpha=(0.0,), phi=(0.0,),
         omega_c=(1.0,), omega_p=(1.0, 1.0), omega_d=1.0, n_boson=3,
     )
-    space, h, terms = build_full_micro(p)
+    space, h, terms = build_model(ModelSpec("micro", p))
     report = steady_state_on(assemble(h, terms), space)
     assert report.rho.mat[0, 0].real == pytest.approx(1.0, abs=1e-8)
 
@@ -240,7 +237,7 @@ def test_micro_truncation_convergence():
     margs = []
     for nb in (2, 3, 4):
         spec = validation_micro_spec(n_boson=nb)
-        space, h, terms = build_full_micro(spec.params)
+        space, h, terms = build_model(spec)
         report = steady_state_on(assemble(h, terms), space)
         margs.append(partial_trace(report.rho, [0, 1]))
     assert trace_distance(margs[0], margs[1]) <= 1e-4
@@ -296,7 +293,7 @@ def test_micro_thermal_occupations_detailed_balance():
         n_sites=2, J=(0.02,), kappa=1.0, gamma_p=0.05, alpha=(0.0,), phi=(0.0,),
         omega_c=(1.0,), omega_p=(1.0, 1.0), omega_d=1.0, n_boson=3, n_c=0.1, n_p=0.2,
     )
-    space, h, terms = build_full_micro(p)
+    space, h, terms = build_model(ModelSpec("micro", p))
     report = steady_state_on(assemble(h, terms), space)
     qubit = partial_trace(report.rho, [0])
     assert qubit.mat[1, 1].real == pytest.approx(0.2 / 1.4, abs=0.02)
@@ -342,6 +339,60 @@ def test_model_spec_json_roundtrip():
         blob = json.dumps(model_spec_to_json(spec))
         back = model_spec_from_json(json.loads(blob))
         assert back == spec
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_model_spec_json_roundtrip_on_configs(name):
+    cfg = json.loads((CONFIGS / name).read_text())
+    models_in = [cfg[key] for key in ("model", "micro") if key in cfg]
+    assert len(models_in) == (name != "thermal_map.json")
+    for obj in models_in:
+        spec = model_spec_from_json(obj)
+        assert model_spec_from_json(model_spec_to_json(spec)) == spec
+
+
+# The path table written out apart from the params dataclasses, so that the one
+# derived from their annotations cannot drift: indexed real lists, complex lists
+# with a component, float scalars. Integer fields (n_sites, n_boson) are not
+# addressable.
+_PATH_FIELDS = {
+    "effective": ({"Gamma", "y", "z"}, {"x"}, {"n_p"}),
+    "micro": ({"J", "alpha", "phi", "omega_c", "omega_p"}, set(), {"kappa", "gamma_p", "omega_d", "n_c", "n_p"}),
+}
+
+
+def _candidate_paths():
+    names = sorted({f for fields in _PATH_FIELDS.values() for group in fields for f in group}
+                   | {"n_sites", "n_boson", "model", "nonsense"})
+    for name in names:
+        for idx in ("", "[0]", "[1]", "[2]", "[3]"):
+            for comp in ("", ".re", ".im", ".abs", ".phase", ".foo"):
+                yield name + idx + comp
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [fig3_ring_spec(), fig5_pair_spec(), thermal_pair_spec(x=1.0), validation_micro_spec(),
+     model_spec_from_json(ring_micro_json(2))],
+    ids=["ring3_eff", "pair_eff", "pair_thermal", "micro_pair1", "micro_ring3"],
+)
+def test_parse_path_table(spec):
+    real, cplx, scalars = _PATH_FIELDS["micro" if spec.model == "micro" else "effective"]
+    want = set(scalars)
+    for name in real | cplx:
+        for i in range(len(getattr(spec.params, name))):
+            want |= {f"{name}[{i}].{c}" for c in ("re", "im", "abs", "phase")} if name in cplx else {f"{name}[{i}]"}
+    accepted = set()
+    for path in _candidate_paths():
+        try:
+            models._parse_path(spec, path)
+        except ValueError:
+            continue
+        accepted.add(path)
+    assert accepted == want
 
 
 def test_model_spec_rejects_unknown_keys():

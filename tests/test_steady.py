@@ -4,7 +4,7 @@ import pytest
 from conftest import random_hermitian
 from polariton_ring import steady
 from polariton_ring.linalg import HilbertSpace, basis_state, embed, hermitize
-from polariton_ring.models import SIGMA_MINUS, EffectiveParams, build_model, build_pair_thermal, bundled_models
+from polariton_ring.models import SIGMA_MINUS, EffectiveParams, ModelSpec, build_model, bundled_models
 from polariton_ring.observables import trace_distance
 from polariton_ring.steady import (
     UNIQUENESS_TOL,
@@ -101,7 +101,7 @@ def test_evolve_to_steady_rejects_degenerate_kernel():
 
 def test_steady_state_unique_for_thermal_pair():
     params = EffectiveParams(n_sites=2, Gamma=(1.0,), x=(2.0,), y=(15.0,), z=(1.01,))
-    space, h, terms = build_pair_thermal(params)
+    space, h, terms = build_model(ModelSpec("pair_thermal", params))
     report = steady_state_on(assemble(h, terms), space)
     assert report.unique
     assert report.rho.space.factor_dims == (2, 2)
