@@ -47,7 +47,6 @@ from .steady import (
     steady_state_on,
 )
 from .observables import (
-    ThermalSpec,
     concurrence,
     gibbs_two_qubit,
     population,

@@ -40,6 +40,7 @@ from .experiments import (
 from .models import (
     ConfigError,
     ModelSpec,
+    check_grid_points,
     decode_float,
     decode_int,
     decode_list,
@@ -76,6 +77,7 @@ def _decode_grid(obj, where: str) -> tuple[float, ...]:
         count = decode_int(obj["count"], f"{where}.count")
         if count < 1:
             raise ConfigError(f"{where}: count must be >= 1")
+        check_grid_points(count, where)
         start, stop = (decode_float(obj[k], f"{where}.{k}") for k in ("start", "stop"))
         return tuple(np.linspace(start, stop, count))
     raise ConfigError(f"{where}: grid must be a list or a start/stop/count object")
@@ -89,13 +91,12 @@ def _decode_model(obj, where: str = "model") -> ModelSpec:
 
 
 def _decode_observable(obj, where: str) -> ObservableSpec:
-    _require_keys(obj, {"kind", "sites", "level", "T", "omega"}, {"kind"}, where)
+    _require_keys(obj, {"kind", "sites", "level", "T"}, {"kind"}, where)
     sites = decode_list(obj["sites"], f"{where}.sites", decode_int) if "sites" in obj else None
     level = decode_int(obj.get("level", 0), f"{where}.level")
     T = decode_float(obj["T"], f"{where}.T") if "T" in obj else None
-    omega = decode_float(obj.get("omega", 1.0), f"{where}.omega")
     try:
-        return ObservableSpec(kind=obj["kind"], sites=sites, level=level, T=T, omega=omega)
+        return ObservableSpec(kind=obj["kind"], sites=sites, level=level, T=T)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

@@ -4,8 +4,8 @@ driving-strength derivative, and effective-vs-full model validation."""
 
 from __future__ import annotations
 
-import cmath
 import itertools
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -15,12 +15,12 @@ import numpy as np
 from .linalg import DensityMatrix, HilbertSpace, partial_trace
 from .models import (
     EFFECTIVE_MODELS,
-    EffectiveParams,
     MicroParams,
     ModelSpec,
     WEAK_COUPLING_RATIO,
     apply_path,
     build_model,
+    check_grid_points,
     coefficients,
     derive_effective,
     model_pieces,
@@ -29,7 +29,6 @@ from .models import (
     validate_path,
 )
 from .observables import (
-    ThermalSpec,
     concurrence,
     gibbs_two_qubit,
     population,
@@ -78,14 +77,16 @@ class ObservableSpec:
 
     kinds: ``concurrence`` (two sites), ``purity`` (optional site subset),
     ``population`` (one site, one level), ``trace_distance_to_gibbs``
-    (two-qubit states only, the whole state, needs T and takes no sites).
+    (two-qubit states only, the whole state, needs a temperature T in units
+    of the polariton quantum and takes no sites; its Gibbs state is built
+    here, once).
     """
 
     kind: str
     sites: tuple[int, ...] | None = None
     level: int = 0
     T: float | None = None
-    omega: float = 1.0
+    gibbs: DensityMatrix | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sites is not None:
@@ -101,6 +102,7 @@ class ObservableSpec:
                 raise ValueError("trace_distance_to_gibbs needs a temperature T")
             if self.sites is not None:
                 raise ValueError("trace_distance_to_gibbs takes no sites: it compares the whole two-qubit state")
+            object.__setattr__(self, "gibbs", gibbs_two_qubit(self.T))
         elif self.kind != "purity":
             raise ValueError(f"unknown observable kind {self.kind!r}")
 
@@ -138,7 +140,7 @@ class ObservableSpec:
         if self.kind == "population":
             return population(partial_trace(rho, self.sites), self.level)
         if self.kind == "trace_distance_to_gibbs":
-            return trace_distance(rho, gibbs_two_qubit(ThermalSpec(T=self.T, omega=self.omega)))
+            return trace_distance(rho, self.gibbs)
         if self.sites is not None:
             return purity(partial_trace(rho, self.sites))
         return purity(rho)
@@ -149,7 +151,8 @@ class SweepPlan:
     """A model, the axes of its grid and the columns to observe. ``points``
     holds every grid point, row-major, with its model: all are built here,
     so a grid value outside the model's domain raises ValueError naming the
-    point before anything is solved."""
+    point before anything is solved, and a grid over GRID_POINT_BUDGET before
+    any point is built."""
 
     model: ModelSpec
     axes: tuple[Axis, ...]
@@ -163,6 +166,7 @@ class SweepPlan:
             raise ValueError("a sweep needs at least one axis")
         if not self.observables:
             raise ValueError("a sweep needs at least one observable")
+        check_grid_points(math.prod(self.shape), "sweep grid")
         for axis in self.axes:
             validate_path(self.model, axis.path)
         space = model_space(self.model)
@@ -383,6 +387,8 @@ def optimize_concurrence(
     if len(free) != len(bounds):
         raise ValueError("need one bounds pair per free parameter")
     groups: list[tuple[str, ...]] = [(g,) if isinstance(g, str) else tuple(g) for g in free]
+    if not groups or not all(groups):
+        raise ValueError("free must name at least one parameter, and each group at least one path")
     for group in groups:
         for path in group:
             validate_path(model, path)
@@ -448,22 +454,20 @@ def signed_x_grid(x_max: float = 10.0, count: int = 101) -> tuple[float, ...]:
     return tuple(np.linspace(-x_max, x_max, count))
 
 
-def thermal_map(
-    x_grid,
-    t_grid,
-    y: float = 15.0,
-    z: float = 1.01,
-) -> SweepResult:
+def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult:
     """Distance-to-thermal map d(x, T) with its |∂d/∂x| companion column.
 
     Columns: x, T_R, d, abs_dd_dx, t_in_range. Rows are row-major in (x, T).
-    The drive magnitude is |x|, so the map is even in x by construction.
-    Temperatures above 0.1 (units of the polariton quantum) are outside the
-    model's validity; they are computed anyway and flagged. The pair_thermal
-    model is compiled once for the whole map, at its first point.
+    Each temperature is one :func:`run_sweep` of the pair_thermal model at
+    n_p = n(T) over ``x[0].re``, observing the distance to the Gibbs state at
+    T; every plan is built before the first solve. The sign of x is a gauge
+    (e^{iπN}), so the map is even in x. Temperatures above 0.1 (units of the
+    polariton quantum) are outside the model's validity; they are computed
+    anyway and flagged.
     """
     xs = Axis("x_grid", x_grid).grid
     ts = Axis("t_grid", t_grid).grid
+    check_grid_points(len(xs) * len(ts), "thermal map")
     out_of_range = [t for t in ts if t > T_VALIDITY_MAX]
     if out_of_range:
         warnings.warn(
@@ -471,37 +475,27 @@ def thermal_map(
             "rows are flagged in column t_in_range",
             stacklevel=2,
         )
-    d = np.empty((len(xs), len(ts)))
-    base = thermal_pair_spec(x=abs(xs[0]), n_p=thermal_occupation(ThermalSpec(T=ts[0])), y=y, z=z)
-    solve = CompiledModel(base).solve
-    for j, t in enumerate(ts):
-        n_p = thermal_occupation(ThermalSpec(T=t))
-        gibbs = gibbs_two_qubit(ThermalSpec(T=t))
-        for i, x in enumerate(xs):
-            spec = thermal_pair_spec(x=abs(x), n_p=n_p, y=y, z=z)
-            try:
-                _, rho = solve(spec)
-            except SteadyStateError as exc:
-                raise SweepError(f"point {{'x': {x}, 'T_R': {t}}} failed: {exc}") from exc
-            d[i, j] = trace_distance(rho, gibbs)
-    dd = np.empty_like(d)
-    coords = np.array(xs)
-    for j in range(len(ts)):
-        dd[:, j] = np.abs(central_difference(d[:, j], coords))
-    result = SweepResult(header=["x", "T_R", "d", "abs_dd_dx", "t_in_range"])
-    for i, x in enumerate(xs):
-        for j, t in enumerate(ts):
-            result.rows.append([x, t, d[i, j], dd[i, j], 1.0 if t <= T_VALIDITY_MAX else 0.0])
-    return result
+    plans = [(t, SweepPlan(model=thermal_pair_spec(x=0.0, n_p=thermal_occupation(t), y=y, z=z),
+                           axes=(Axis("x[0].re", xs),),
+                           observables=(ObservableSpec("trace_distance_to_gibbs", T=t),))) for t in ts]
+    columns = []
+    for t, plan in plans:
+        try:
+            columns.append(run_sweep(plan).column("d_gibbs"))
+        except SweepError as exc:
+            raise SweepError(f"T_R = {t}: {exc}") from exc
+    d = np.column_stack(columns)
+    dd = np.abs(np.column_stack([central_difference(col, xs) for col in columns]))
+    rows = [[x, t, d[i, j], dd[i, j], float(t <= T_VALIDITY_MAX)]
+            for i, x in enumerate(xs) for j, t in enumerate(ts)]
+    return SweepResult(header=["x", "T_R", "d", "abs_dd_dx", "t_in_range"], rows=rows)
 
 
 def validate_effective(micro: MicroParams) -> float:
     """Trace distance between the polariton marginal of the full model's steady
     state (reached by time evolution) and the eliminated model's steady state.
 
-    Enforces the weak-coupling regime J ≤ 0.1 κ before doing anything. For the
-    single-guide pair the thermal model fixes the drive gauge at real x, so the
-    marginal is rotated by e^{iθN} (θ = arg x) into that gauge before comparing.
+    Enforces the weak-coupling regime J ≤ 0.1 κ before doing anything.
     """
     if max(micro.J) > WEAK_COUPLING_RATIO * micro.kappa:
         raise ValueError(
@@ -513,18 +507,8 @@ def validate_effective(micro: MicroParams) -> float:
     rho_full = evolve_to_steady(liouv, space)
     marginal = partial_trace(rho_full, range(micro.n_sites))
 
-    eff = derive_effective(micro)
-    if micro.geometry == "pair1":
-        theta = cmath.phase(eff.x[0])
-        gauged = EffectiveParams(
-            n_sites=eff.n_sites, Gamma=eff.Gamma, x=(abs(eff.x[0]),), y=eff.y, z=eff.z, n_p=eff.n_p
-        )
-        eff_spec = ModelSpec("pair_thermal", gauged)
-        u = np.diag(np.exp(1j * theta * np.array([0.0, 1.0, 1.0, 2.0])))
-        marginal = DensityMatrix(marginal.space, u.conj().T @ marginal.mat @ u)
-    else:
-        eff_spec = ModelSpec({"ring3": "ring3_eff", "pair3": "pair_eff"}[micro.geometry], eff)
-    _, eff_rho = solve_spec(eff_spec)
+    model = {"ring3": "ring3_eff", "pair3": "pair_eff", "pair1": "pair_thermal"}[micro.geometry]
+    _, eff_rho = solve_spec(ModelSpec(model, derive_effective(micro)))
     return trace_distance(marginal, eff_rho)
 
 

@@ -42,6 +42,11 @@ WEAK_COUPLING_RATIO = 0.1
 # (d = 216, about 35 GB).
 MICRO_L_BYTES_BUDGET = 512 * 2**20
 
+# Most grid points one sweep or thermal map may hold. Every point's ModelSpec is
+# built before the first solve (about 660 B each, so about 660 MB here) and
+# solved in turn (0.1-1 ms each); a grid beyond this is a config error.
+GRID_POINT_BUDGET = 10**6
+
 EFFECTIVE_MODELS = ("ring3_eff", "pair_eff", "pair_thermal")
 MODEL_NAMES = EFFECTIVE_MODELS + ("micro",)
 
@@ -193,13 +198,6 @@ def derive_effective(p: MicroParams, detunings: tuple[float, ...] | None = None)
 BuildResult = tuple[HilbertSpace, np.ndarray, list[DissipatorTerm]]
 
 
-def _thermal_drive(x: complex) -> float:
-    """The single-guide thermal model takes a real drive x >= 0."""
-    if x.imag != 0 or x.real < 0:
-        raise ValueError(f"thermal-model drive x must be real and >= 0 (its phase is a gauge), got {x}")
-    return x.real
-
-
 @cache
 def _qubit_ops(factor_dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """σ⁻ embedded at each qubit of an all-qubit space, built once per geometry.
@@ -329,7 +327,7 @@ def _thermal_pieces() -> ModelPieces:
     space = HilbertSpace((2, 2))
     P1, P2 = _qubit_ops(space.factor_dims)
     U1, U2 = _frozen(P1.conj().T), _frozen(P2.conj().T)
-    hams = (_herm(U1 @ P2), _herm(U1 + U2))
+    hams = (_herm(U1 @ P2), *_herm_pair(U1 + U2))
     groups = (_group((P1, P1)), _group((U1, U1)), _group((P2, P2)), _group((U2, U2)),
               _group((P1, P2), (P2, P1)))
     return ModelPieces(space, hams, groups)
@@ -343,13 +341,13 @@ def _thermal_coefficients(p: EffectiveParams) -> list[float]:
     The bare qubit decay hidden in z (γ = 2Γ(z−1)) is promoted to its thermal
     form: downward weight Γ + γ(n_p+1)/2, upward weight γ·n_p/2 per site.
 
-    Coefficients: Γy, Γx; per site the downward and upward weights; Γ."""
-    x = _thermal_drive(p.x[0])
+    Coefficients: Γy, Re Γx, Im Γx; per site the downward and upward weights; Γ."""
     gam_big = p.Gamma[0]
+    gx = gam_big * p.x[0]
     gamma = 2.0 * gam_big * (p.z[0] - 1.0)
     w_down = gam_big + gamma * (p.n_p + 1.0) / 2.0
     w_up = gamma * p.n_p / 2.0
-    return [gam_big * p.y[0], gam_big * x, w_down, w_up, w_down, w_up, gam_big]
+    return [gam_big * p.y[0], gx.real, gx.imag, w_down, w_up, w_down, w_up, gam_big]
 
 
 def _build_micro(p: MicroParams) -> BuildResult:
@@ -426,8 +424,6 @@ class ModelSpec:
                 raise ValueError(f"{self.model} needs n_sites={_EFF_N_SITES[self.model]}")
             if len(self.params.Gamma) != _EFF_N_GUIDES[self.model]:
                 raise ValueError(f"{self.model} needs {_EFF_N_GUIDES[self.model]} guide entries")
-            if self.model == "pair_thermal":
-                _thermal_drive(self.params.x[0])
 
 
 def build_model(spec: ModelSpec) -> BuildResult:
@@ -471,6 +467,12 @@ def model_space(spec: ModelSpec) -> HilbertSpace:
 
 class ConfigError(ValueError):
     """The run configuration is malformed."""
+
+
+def check_grid_points(count: int, where: str) -> None:
+    """Raise ConfigError if a grid of ``count`` points exceeds GRID_POINT_BUDGET."""
+    if count > GRID_POINT_BUDGET:
+        raise ConfigError(f"{where} has {count} points, over the budget of {GRID_POINT_BUDGET}")
 
 
 def decode_int(value, where: str) -> int:
@@ -665,11 +667,9 @@ def fig5_pair_spec(phi1: float = np.pi, phi3: float = 0.0, drive: float = 5.0) -
     return ModelSpec("pair_eff", params)
 
 
-def thermal_pair_spec(x: float, n_p: float = 0.0, y: float = 15.0, z: float = 1.01) -> ModelSpec:
+def thermal_pair_spec(x: complex, n_p: float = 0.0, y: float = 15.0, z: float = 1.01) -> ModelSpec:
     """Single-guide thermal pair at the thermalization-map operating point."""
-    params = EffectiveParams(
-        n_sites=2, Gamma=(1.0,), x=(complex(x, 0.0),), y=(y,), z=(z,), n_p=n_p
-    )
+    params = EffectiveParams(n_sites=2, Gamma=(1.0,), x=(x,), y=(y,), z=(z,), n_p=n_p)
     return ModelSpec("pair_thermal", params)
 
 

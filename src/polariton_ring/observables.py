@@ -1,10 +1,10 @@
 """Figures of merit: two-qubit concurrence, trace distance, Gibbs reference
 states and Bose-Einstein occupations. Temperatures are measured in units of
-the mode quantum (ħ = k_B = 1)."""
+the polariton quantum (ħ = k_B = 1)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -14,18 +14,9 @@ _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-@dataclass(frozen=True)
-class ThermalSpec:
-    """Reservoir temperature T paired with the mode frequency omega."""
-
-    T: float
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if self.T < 0:
-            raise ValueError("temperature must be nonnegative")
-        if self.omega <= 0:
-            raise ValueError("mode frequency must be positive")
+def _check_temperature(T: float) -> None:
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"temperature must be finite and >= 0, got {T}")
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
@@ -58,26 +49,28 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(0.5 * np.abs(w).sum())
 
 
-def gibbs_two_qubit(spec: ThermalSpec) -> DensityMatrix:
+def gibbs_two_qubit(T: float) -> DensityMatrix:
     """Two-qubit Gibbs state of the excitation-number Hamiltonian.
 
-    Diagonal with weights ∝ e^{−n ω/T} for total excitation n ∈ {0,1,1,2};
+    Diagonal with weights ∝ e^{−n/T} for total excitation n ∈ {0,1,1,2};
     T = 0 gives the ground-state projector.
     """
+    _check_temperature(T)
     n = np.array([0.0, 1.0, 1.0, 2.0])
-    if spec.T == 0:
+    if T == 0:
         w = np.array([1.0, 0.0, 0.0, 0.0])
     else:
-        w = np.exp(-n * spec.omega / spec.T)
+        w = np.exp(-n / T)
     w = w / w.sum()
     return DensityMatrix(HilbertSpace((2, 2)), np.diag(w).astype(complex))
 
 
-def thermal_occupation(spec: ThermalSpec) -> float:
-    """Bose-Einstein occupation 1/(e^{ω/T} − 1); zero at T = 0."""
-    if spec.T == 0:
+def thermal_occupation(T: float) -> float:
+    """Bose-Einstein occupation 1/(e^{1/T} − 1); zero at T = 0."""
+    _check_temperature(T)
+    if T == 0:
         return 0.0
-    return float(1.0 / np.expm1(spec.omega / spec.T))
+    return float(1.0 / np.expm1(1.0 / T))
 
 
 def purity(rho: DensityMatrix) -> float:

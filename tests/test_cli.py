@@ -124,7 +124,7 @@ def test_non_unique_thermal_point_exits_1(tmp_path, capsys):
     out = tmp_path / "thermal.csv"
     assert main(["thermal", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "{'x': 0.0, 'T_R': 0.05}" in err and "not unique" in err
+    assert "T_R = 0.05: grid point {'x[0].re': 0.0}" in err and "not unique" in err
     assert not out.exists()
     assert not summary_path(out).exists()
 
@@ -165,7 +165,7 @@ def test_thermal_bad_z_exits_2(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("Gamma", [float("nan")]), ("z", [float("inf")]), ("x", [[-1.0, 0.0]]), ("x", [[0.0, 1.0]])],
+    [("Gamma", [float("nan")]), ("z", [float("inf")])],
 )
 def test_bad_model_values_exit_2_without_outputs(tmp_path, capsys, field, value):
     model = {"model": "pair_thermal", "Gamma": [1.0], "x": [[1.0, 0.0]], "y": [15.0], "z": [1.01]}
@@ -458,9 +458,8 @@ def test_optimize_sites_outside_model_exit_2(tmp_path, capsys, no_solve):
     "model, path, grid, message",
     [
         (pair_model_json(), "Gamma[0]", [-1.0, 0.5, 1.0], "{'Gamma[0]': -1.0}: all Gamma must be positive"),
-        # the bad value comes after a valid one, which is not solved either
         ({"model": "pair_thermal", "Gamma": [1.0], "x": [[2.0, 0.0]], "y": [15.0], "z": [1.01]},
-         "x[0].im", [0.0, 0.5], "{'x[0].im': 0.5}"),
+         "z[0]", [0.5, 1.5], "{'z[0]': 0.5}"),
     ],
 )
 def test_sweep_grid_outside_model_domain_exits_2(tmp_path, capsys, no_solve, model, path, grid, message):
@@ -477,6 +476,11 @@ def test_sweep_grid_outside_model_domain_exits_2(tmp_path, capsys, no_solve, mod
 VALIDATE_CFG = json.loads((CONFIGS / "validate.json").read_text())
 THERMAL_CFG = json.loads((CONFIGS / "thermal_map.json").read_text())
 OPTIMIZE_CFG = json.loads((CONFIGS / "fig3_optimize.json").read_text())
+THERMAL_SOLVE_CFG = {
+    "model": {"model": "pair_thermal", "Gamma": [1.0], "x": [[2.0, 0.0]], "y": [15.0], "z": [1.01]},
+    "observables": [{"kind": "trace_distance_to_gibbs", "T": 0.05}],
+}
+THERMAL_SWEEP_CFG = {**THERMAL_SOLVE_CFG, "axes": [{"path": "x[0].re", "grid": [0.0, 1.0]}]}
 
 
 def with_value(cfg, keys, value):
@@ -499,9 +503,30 @@ def with_value(cfg, keys, value):
         ("optimize", with_value(OPTIMIZE_CFG, ["free", 0], [1, 2]), "free[0][0] must be a parameter path"),
         ("thermal", with_value(THERMAL_CFG, ["y"], [1.0]), "y must be a number"),
         ("thermal", with_value(THERMAL_CFG, ["y"], 10**400), "y is out of range"),
+        ("optimize", with_value(with_value(OPTIMIZE_CFG, ["free"], []), ["bounds"], []), "free must name"),
+        ("optimize", with_value(OPTIMIZE_CFG, ["free", 0], []), "each group at least one path"),
+        # grids over the point budget, rejected before anything is allocated for their points
+        ("sweep", with_value(sweep_config(), ["axes", 0, "grid", "count"], 1e12),
+         "axes[0].grid has 1000000000000 points, over the budget"),
+        ("sweep", with_value(with_value(sweep_config(), ["axes", 0, "grid", "count"], 3_000_000),
+                             ["axes", 1, "grid", "count"], 41), "axes[0].grid has 3000000 points, over the budget"),
+        ("sweep", with_value(with_value(sweep_config(), ["axes", 0, "grid", "count"], 1001),
+                             ["axes", 1, "grid", "count"], 1000), "sweep grid has 1001000 points, over the budget"),
+        ("thermal", with_value(with_value(THERMAL_CFG, ["x_grid", "count"], 500_001), ["t_grid"], [0.01, 0.05]),
+         "thermal map has 1000002 points, over the budget"),
+        # temperatures must be finite and >= 0, and are plain numbers in units of the polariton quantum
+        ("solve", with_value(THERMAL_SOLVE_CFG, ["observables", 0, "T"], -0.1),
+         "observables[0]: temperature must be finite and >= 0, got -0.1"),
+        ("solve", with_value(THERMAL_SOLVE_CFG, ["observables", 0, "T"], float("nan")),
+         "observables[0]: temperature must be finite and >= 0, got nan"),
+        ("solve", with_value(THERMAL_SOLVE_CFG, ["observables", 0, "omega"], -1), "observables[0]: ['omega']"),
+        ("sweep", with_value(THERMAL_SWEEP_CFG, ["observables", 0, "T"], -0.1),
+         "observables[0]: temperature must be finite and >= 0, got -0.1"),
     ],
     ids=["sweep-Gamma-string", "validate-n_boson-fraction", "validate-n_sites-fraction", "optimize-free-scalar",
-         "optimize-free-numbers", "thermal-y-list", "thermal-y-overflow"],
+         "optimize-free-numbers", "thermal-y-list", "thermal-y-overflow", "optimize-free-empty",
+         "optimize-free-empty-group", "sweep-count-1e12", "sweep-3e6x41", "sweep-1001x1000", "thermal-500001x2",
+         "solve-T-negative", "solve-T-nan", "solve-omega", "sweep-T-negative"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
     out = tmp_path / "data.csv"

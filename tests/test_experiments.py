@@ -181,10 +181,10 @@ def test_thermal_map_derivative_vs_richardson():
     # central difference at step h against the Richardson estimate from h and h/2
     y, z, T = 15.0, 1.01, 0.05
     from polariton_ring.models import thermal_pair_spec
-    from polariton_ring.observables import ThermalSpec, gibbs_two_qubit, thermal_occupation, trace_distance
+    from polariton_ring.observables import gibbs_two_qubit, thermal_occupation, trace_distance
 
-    n_p = thermal_occupation(ThermalSpec(T=T))
-    gibbs = gibbs_two_qubit(ThermalSpec(T=T))
+    n_p = thermal_occupation(T)
+    gibbs = gibbs_two_qubit(T)
 
     def d(x):
         _, rho = solve_spec(thermal_pair_spec(x=x, n_p=n_p, y=y, z=z))
@@ -296,11 +296,11 @@ def test_optimize_concurrence_validates_paths():
 def test_sweep_error_carries_coordinates():
     from polariton_ring.models import thermal_pair_spec
 
-    # a negative x for the thermal model: the plan rejects that grid point before any solve
-    with pytest.raises(ValueError, match="x\\[0\\].re': -2.0"):
+    # a z below 1 for the thermal model: the plan rejects that grid point before any solve
+    with pytest.raises(ValueError, match="z\\[0\\]': 0.5"):
         SweepPlan(
             model=thermal_pair_spec(x=1.0),
-            axes=(Axis("x[0].re", (-2.0, -1.0)),),
+            axes=(Axis("z[0]", (0.5, 2.0)),),
             observables=(ObservableSpec("purity"),),
         )
     # the undriven, uncoupled thermal pair has a dark state: its solve fails at run time
@@ -363,7 +363,7 @@ def drawn_specs(draw):
     model = draw(st.sampled_from(["ring3_eff", "pair_eff", "pair_thermal"]))
     if model == "pair_thermal":
         params = EffectiveParams(
-            n_sites=2, Gamma=(draw(_rate),), x=(draw(st.floats(0.0, 20.0)),), y=(draw(_finite),),
+            n_sites=2, Gamma=(draw(_rate),), x=(complex(draw(_finite), draw(_finite)),), y=(draw(_finite),),
             z=(draw(_dressing),), n_p=draw(st.floats(0.0, 2.0)),
         )
     else:
@@ -512,7 +512,9 @@ def full_support_specs():
     """Points of the three effective models at which no coefficient vanishes."""
     specs = []
     for spec in effective_specs()[3:]:
-        if spec.model != "pair_thermal":
+        if spec.model == "pair_thermal":
+            spec = apply_path(spec, "x[0].phase", 0.7)
+        else:
             spec = apply_path(apply_path(spec, "x[0].phase", 1.0), "x[2].phase", 0.4)
         assert np.abs(experiments.coefficients(spec)).min() >= 1e-4, spec.model
         specs.append(spec)
@@ -596,13 +598,13 @@ def test_run_sweep_matches_per_point_solve():
 
 
 def test_thermal_map_matches_per_point_solve():
-    from polariton_ring.observables import ThermalSpec, gibbs_two_qubit, thermal_occupation, trace_distance
+    from polariton_ring.observables import gibbs_two_qubit, thermal_occupation, trace_distance
 
     result = thermal_map((-2.0, 0.0, 1.5), (0.02, 0.05))
     for x, t, d in zip(result.column("x"), result.column("T_R"), result.column("d")):
-        spec = thermal_pair_spec(x=abs(x), n_p=thermal_occupation(ThermalSpec(T=t)))
+        spec = thermal_pair_spec(x=x, n_p=thermal_occupation(t))
         _, rho = solve_spec(spec)
-        assert abs(d - trace_distance(rho, gibbs_two_qubit(ThermalSpec(T=t)))) <= 1e-12
+        assert abs(d - trace_distance(rho, gibbs_two_qubit(t))) <= 1e-12
 
 
 def test_micro_sweep_solves_each_point_directly():

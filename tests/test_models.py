@@ -22,7 +22,7 @@ from polariton_ring.models import (
     thermal_pair_spec,
     validation_micro_spec,
 )
-from polariton_ring.observables import ThermalSpec, concurrence, gibbs_two_qubit, trace_distance
+from polariton_ring.observables import concurrence, gibbs_two_qubit, trace_distance
 from polariton_ring.steady import steady_state_on
 from polariton_ring.superop import assemble
 
@@ -202,18 +202,22 @@ def test_thermal_detailed_balance_limit():
     assert np.abs(report.rho.mat - want).max() <= 1e-4
     # matches the Bose-Einstein Gibbs state at the corresponding temperature
     t = 1.0 / np.log(1.0 / n_p + 1.0)
-    assert trace_distance(report.rho, gibbs_two_qubit(ThermalSpec(T=t))) <= 1e-4
+    assert trace_distance(report.rho, gibbs_two_qubit(t)) <= 1e-4
 
 
-def test_thermal_rejects_bad_drive():
-    for x in (1j, -1.0, complex(1.0, 1e-3)):
-        params = EffectiveParams(n_sites=2, Gamma=(1.0,), x=(x,), y=(0.0,), z=(1.0,))
-        with pytest.raises(ValueError, match="drive"):
-            build_model(ModelSpec("pair_thermal", params))
-        with pytest.raises(ValueError, match="drive"):
-            ModelSpec("pair_thermal", params)
-    with pytest.raises(ValueError, match="drive"):
-        apply_path(thermal_pair_spec(x=1.0), "x[0].re", -1.0)
+def test_thermal_drive_phase_is_a_gauge():
+    # rho(x e^{i theta}) = e^{i theta N} rho(x) e^{-i theta N}, N the total excitation number
+    n = np.array([0.0, 1.0, 1.0, 2.0])
+
+    def rho(spec):
+        space, h, terms = build_model(spec)
+        return steady_state_on(assemble(h, terms), space).rho.mat
+
+    spec = thermal_pair_spec(x=1.7, n_p=0.3)
+    base = rho(spec)
+    for theta in (0.4, np.pi / 2, np.pi, -2.5):
+        u = np.diag(np.exp(1j * theta * n))
+        assert np.abs(rho(apply_path(spec, "x[0].phase", theta)) - u @ base @ u.conj().T).max() <= 1e-12
 
 
 def test_thermal_rejects_negative_occupation():
@@ -539,7 +543,7 @@ def test_builders_match_written_out_models(rng):
         y, z, gam = rng.normal(size=3) * 5, 1 + rng.uniform(0, 3, 3), rng.uniform(0.1, 3, 3)
         specs.append(ModelSpec("ring3_eff", EffectiveParams(3, tuple(gam), x, tuple(y), tuple(z))))
         specs.append(ModelSpec("pair_eff", EffectiveParams(2, tuple(gam), x, tuple(y), tuple(z))))
-        specs.append(thermal_pair_spec(x=abs(x[0]), n_p=rng.uniform(0, 1), y=y[0], z=z[0]))
+        specs.append(thermal_pair_spec(x=x[0], n_p=rng.uniform(0, 1), y=y[0], z=z[0]))
     for spec in specs:
         _, h, terms = build_model(spec)
         want_h, want_terms = reference_generator(spec)
@@ -550,7 +554,7 @@ def test_builders_match_written_out_models(rng):
             assert term.weight == pytest.approx(weight, rel=1e-15)
 
 
-@pytest.mark.parametrize("name, n_hams, n_groups", [("ring3_eff", 9, 6), ("pair_eff", 7, 3), ("pair_thermal", 2, 5)])
+@pytest.mark.parametrize("name, n_hams, n_groups", [("ring3_eff", 9, 6), ("pair_eff", 7, 3), ("pair_thermal", 3, 5)])
 def test_model_pieces_shape_and_read_only(name, n_hams, n_groups):
     pieces = models.model_pieces(name)
     assert pieces is models.model_pieces(name)

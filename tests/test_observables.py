@@ -4,7 +4,6 @@ import pytest
 from conftest import random_density_mat, random_unitary
 from polariton_ring.linalg import DensityMatrix, HilbertSpace, kron, partial_trace
 from polariton_ring.observables import (
-    ThermalSpec,
     concurrence,
     gibbs_two_qubit,
     population,
@@ -119,37 +118,39 @@ def test_trace_distance_space_mismatch(rng):
 
 
 def test_gibbs_zero_temperature():
-    rho = gibbs_two_qubit(ThermalSpec(T=0.0))
+    rho = gibbs_two_qubit(0.0)
     assert rho.mat[0, 0] == 1.0
 
 
 def test_gibbs_infinite_temperature_limit():
-    rho = gibbs_two_qubit(ThermalSpec(T=1e9))
+    rho = gibbs_two_qubit(1e9)
     assert np.abs(rho.mat - np.eye(4) / 4).max() <= 1e-9
 
 
 def test_gibbs_ln2_weights():
-    rho = gibbs_two_qubit(ThermalSpec(T=1.0 / np.log(2.0)))
+    rho = gibbs_two_qubit(1.0 / np.log(2.0))
     want = np.diag([4 / 9, 2 / 9, 2 / 9, 1 / 9])
     assert np.abs(rho.mat - want).max() <= 1e-12
 
 
 def test_gibbs_is_diagonal():
-    rho = gibbs_two_qubit(ThermalSpec(T=0.3))
+    rho = gibbs_two_qubit(0.3)
     assert np.abs(rho.mat - np.diag(np.diag(rho.mat))).max() == 0.0
 
 
 def test_thermal_occupation_values():
-    assert thermal_occupation(ThermalSpec(T=0.0)) == 0.0
-    assert thermal_occupation(ThermalSpec(T=1.0 / np.log(2.0))) == pytest.approx(1.0, rel=1e-12)
-    assert thermal_occupation(ThermalSpec(T=1.0 / np.log(1.1))) == pytest.approx(10.0, rel=1e-12)
+    assert thermal_occupation(0.0) == 0.0
+    assert thermal_occupation(1.0 / np.log(2.0)) == pytest.approx(1.0, rel=1e-12)
+    assert thermal_occupation(1.0 / np.log(1.1)) == pytest.approx(10.0, rel=1e-12)
 
 
 def test_thermal_spec_validation():
-    with pytest.raises(ValueError):
-        ThermalSpec(T=-1.0)
-    with pytest.raises(ValueError):
-        ThermalSpec(T=1.0, omega=0.0)
+    # a temperature must be finite and >= 0
+    for bad in (-1.0, -1e-300, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature"):
+            gibbs_two_qubit(bad)
+        with pytest.raises(ValueError, match="temperature"):
+            thermal_occupation(bad)
 
 
 def test_purity_and_population():
