@@ -7,8 +7,6 @@ from .linalg import (
     DensityMatrix,
     HilbertSpace,
     NonHermitianError,
-    RankDeficientError,
-    basis_state,
     embed,
     herm_eig,
     kron,
@@ -29,7 +27,6 @@ from .models import (
     MicroParams,
     ModelSpec,
     build_model,
-    bundled_models,
     derive_effective,
     fig3_ring_spec,
     fig5_pair_spec,
@@ -61,7 +58,6 @@ from .experiments import (
     SweepPlan,
     SweepResult,
     optimize_concurrence,
-    phase_sweep_plan,
     run_sweep,
     signed_x_grid,
     solve_spec,

@@ -93,7 +93,7 @@ def _decode_model(obj, where: str = "model") -> ModelSpec:
 def _decode_observable(obj, where: str) -> ObservableSpec:
     _require_keys(obj, {"kind", "sites", "level", "T"}, {"kind"}, where)
     sites = decode_list(obj["sites"], f"{where}.sites", decode_int) if "sites" in obj else None
-    level = decode_int(obj.get("level", 0), f"{where}.level")
+    level = decode_int(obj["level"], f"{where}.level") if "level" in obj else None
     T = decode_float(obj["T"], f"{where}.T") if "T" in obj else None
     try:
         return ObservableSpec(kind=obj["kind"], sites=sites, level=level, T=T)

@@ -76,15 +76,16 @@ class ObservableSpec:
     """One column of a sweep: what to compute from the steady state.
 
     kinds: ``concurrence`` (two sites), ``purity`` (optional site subset),
-    ``population`` (one site, one level), ``trace_distance_to_gibbs``
-    (two-qubit states only, the whole state, needs a temperature T in units
-    of the polariton quantum and takes no sites; its Gibbs state is built
-    here, once).
+    ``population`` (one site, one level, 0 when not given),
+    ``trace_distance_to_gibbs`` (two-qubit states only, the whole state,
+    needs a temperature T in units of the polariton quantum and takes no
+    sites; its Gibbs state is built here, once). A level on any kind but
+    population, or a T on any kind but trace_distance_to_gibbs, is rejected.
     """
 
     kind: str
     sites: tuple[int, ...] | None = None
-    level: int = 0
+    level: int | None = None
     T: float | None = None
     gibbs: DensityMatrix | None = field(init=False, default=None, repr=False, compare=False)
 
@@ -97,6 +98,8 @@ class ObservableSpec:
         elif self.kind == "population":
             if self.sites is None or len(self.sites) != 1:
                 raise ValueError("population needs exactly one site")
+            if self.level is None:
+                object.__setattr__(self, "level", 0)
         elif self.kind == "trace_distance_to_gibbs":
             if self.T is None:
                 raise ValueError("trace_distance_to_gibbs needs a temperature T")
@@ -105,6 +108,10 @@ class ObservableSpec:
             object.__setattr__(self, "gibbs", gibbs_two_qubit(self.T))
         elif self.kind != "purity":
             raise ValueError(f"unknown observable kind {self.kind!r}")
+        if self.level is not None and self.kind != "population":
+            raise ValueError(f"{self.kind} takes no level: only population does")
+        if self.T is not None and self.kind != "trace_distance_to_gibbs":
+            raise ValueError(f"{self.kind} takes no temperature T: only trace_distance_to_gibbs does")
 
     def check_space(self, space: HilbertSpace) -> None:
         """Raise ValueError unless this observable applies to states on ``space``."""
@@ -354,23 +361,6 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
     return SweepResult(header=plan.header, rows=rows)
 
 
-def phase_grid(count: int = 41, stop: float = 2 * np.pi) -> tuple[float, ...]:
-    return tuple(np.linspace(0.0, stop, count))
-
-
-def phase_sweep_plan(model: ModelSpec, paths: tuple[str, str] = ("x[0].phase", "x[2].phase"),
-                     count: int = 41, sites: tuple[int, int] | None = None) -> SweepPlan:
-    """The standard two-phase concurrence sweep for either figure model."""
-    if sites is None:
-        sites = (1, 2) if model.model == "ring3_eff" else (0, 1)
-    grid = phase_grid(count)
-    return SweepPlan(
-        model=model,
-        axes=(Axis(paths[0], grid), Axis(paths[1], grid)),
-        observables=(ObservableSpec("concurrence", sites=sites),),
-    )
-
-
 def optimize_concurrence(
     model: ModelSpec,
     free: list[str | tuple[str, ...]],
@@ -417,20 +407,6 @@ def optimize_concurrence(
     if abs(check - report.best_value) > 1e-10:
         raise RuntimeError(f"optimizer bookkeeping error: {check} != {report.best_value}")
     return report
-
-
-def smooth3(values: np.ndarray) -> np.ndarray:
-    """3-point moving average with the endpoints kept."""
-    out = np.asarray(values, dtype=float).copy()
-    if len(out) >= 3:
-        out[1:-1] = (out[:-2] + out[1:-1] + out[2:]) / 3.0
-    return out
-
-
-def count_interior_maxima(values: np.ndarray, smooth: bool = True) -> int:
-    """Strict local maxima away from the edges, optionally after smoothing."""
-    v = smooth3(values) if smooth else np.asarray(values, dtype=float)
-    return int(sum(1 for i in range(1, len(v) - 1) if v[i] > v[i - 1] and v[i] > v[i + 1]))
 
 
 def central_difference(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -510,29 +486,3 @@ def validate_effective(micro: MicroParams) -> float:
     model = {"ring3": "ring3_eff", "pair3": "pair_eff", "pair1": "pair_thermal"}[micro.geometry]
     _, eff_rho = solve_spec(ModelSpec(model, derive_effective(micro)))
     return trace_distance(marginal, eff_rho)
-
-
-def fwhm(coords: np.ndarray, values: np.ndarray) -> float:
-    """Full width at half maximum of the (single) peak of a sampled curve,
-    with linear interpolation at the half-crossings."""
-    coords = np.asarray(coords, dtype=float)
-    values = np.asarray(values, dtype=float)
-    half = values.max() / 2.0
-    peak = int(np.argmax(values))
-    lo = peak
-    while lo > 0 and values[lo - 1] >= half:
-        lo -= 1
-    hi = peak
-    while hi < len(values) - 1 and values[hi + 1] >= half:
-        hi += 1
-    if lo == 0:
-        left = coords[0]
-    else:
-        frac = (half - values[lo - 1]) / (values[lo] - values[lo - 1])
-        left = coords[lo - 1] + frac * (coords[lo] - coords[lo - 1])
-    if hi == len(values) - 1:
-        right = coords[-1]
-    else:
-        frac = (values[hi] - half) / (values[hi] - values[hi + 1])
-        right = coords[hi] + frac * (coords[hi + 1] - coords[hi])
-    return float(right - left)

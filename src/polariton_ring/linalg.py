@@ -27,11 +27,6 @@ class NonHermitianError(ValueError):
     """Input that must be Hermitian is not (within tolerance)."""
 
 
-class RankDeficientError(ValueError):
-    """Least-squares matrix lost full column rank; upstream this signals a
-    non-unique steady state."""
-
-
 def as_complex(a) -> np.ndarray:
     out = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(out)):
@@ -95,13 +90,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-
-def basis_state(space: HilbertSpace, index: int = 0) -> DensityMatrix:
-    """Projector onto one computational basis state of the composite space."""
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    mat[index, index] = 1.0
-    return DensityMatrix(space, mat)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,8 +183,9 @@ def lstsq_solve(m, b) -> tuple[np.ndarray, float]:
 
     A real system is solved in real arithmetic and gives a real x; a complex
     m or b gives a complex x. Returns the solution together with the achieved
-    residual norm. Raises :class:`RankDeficientError` when the numerical rank
-    drops below the column count, and ``ValueError`` for non-finite input.
+    residual norm. Where the numerical rank (at LSTSQ_COND) falls below the
+    column count, x is gelsy's minimum-norm solution at that rank. Raises
+    ``ValueError`` for non-finite input.
     """
     dtype = complex if np.iscomplexobj(m) or np.iscomplexobj(b) else float
     m = np.asarray(m, dtype=dtype)
@@ -209,11 +198,9 @@ def lstsq_solve(m, b) -> tuple[np.ndarray, float]:
     if b.shape[0] != rows:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, matrix has {rows}")
     gelsy, lwork = _gelsy(m.dtype.char, rows, cols, b.shape[1] if b.ndim == 2 else 1)
-    _, x, _, rank, info = gelsy(m, b, np.zeros(cols, dtype=np.int32), LSTSQ_COND, lwork)
+    _, x, _, _, info = gelsy(m, b, np.zeros(cols, dtype=np.int32), LSTSQ_COND, lwork)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gelsy")
-    if rank < cols:
-        raise RankDeficientError(f"rank {rank} < {cols} columns")
     x = x[:cols]
     residual = float(np.linalg.norm(m @ x - b))
     return x, residual

@@ -158,28 +158,22 @@ class EffectiveParams:
             raise ValueError("n_p must be nonnegative")
 
 
-def derive_effective(p: MicroParams, detunings: tuple[float, ...] | None = None) -> EffectiveParams:
+def derive_effective(p: MicroParams) -> EffectiveParams:
     """Map microscopic parameters to the eliminated-guide ones.
 
     Per guide i:  Gamma_i = 2 J_i² κ / (κ² + 4 Δ_i²),
     x_i = −α_i e^{iφ_i} (2Δ_i + iκ)/(J_i κ),  y_i = −2Δ_i/κ.
 
-    The guide detunings Δ_i default to the frequency mismatch between guide i
-    and the mean of its adjacent qubits; pass ``detunings`` to override.
+    The guide detuning Δ_i is the frequency mismatch between guide i and the
+    mean of its adjacent qubits.
     The decay dressing z splits the bare qubit decay γ across the adjacent
     guide terms: z_i = 1 + γ/(4Γ_i) when every site touches two guides (ring),
     z = 1 + γ/(2Γ) for the single-guide pair where each site touches one.
     """
     if any(j == 0 for j in p.J):
         raise ZeroDivisionError("J_i must be nonzero to derive effective parameters")
-    if detunings is None:
-        sites = p.guide_sites()
-        detunings = tuple(
-            p.omega_c[i] - sum(p.omega_p[s] for s in sites[i]) / len(sites[i])
-            for i in range(p.n_guides)
-        )
-    elif len(detunings) != p.n_guides:
-        raise ValueError("need one detuning per guide")
+    sites = p.guide_sites()
+    detunings = [p.omega_c[i] - sum(p.omega_p[s] for s in sites[i]) / len(sites[i]) for i in range(p.n_guides)]
     kappa = p.kappa
     gamma = p.gamma_p
     Gamma, x, y, z = [], [], [], []
@@ -624,18 +618,6 @@ def apply_path(spec: ModelSpec, path: str, value: float) -> ModelSpec:
     return ModelSpec(spec.model, params)
 
 
-def resolve_path(spec: ModelSpec, path: str) -> float:
-    field_name, idx, comp = _parse_path(spec, path)
-    current = getattr(spec.params, field_name)
-    if idx is None:
-        return float(current)
-    v = current[idx]
-    if comp is None:
-        return float(v)
-    v = complex(v)
-    return {"re": v.real, "im": v.imag, "abs": abs(v), "phase": cmath.phase(v)}[comp]
-
-
 # --- bundled operating points -------------------------------------------------
 
 def fig3_ring_spec(phi1: float = np.pi, phi3: float = 0.0, drive: float = 1.67) -> ModelSpec:
@@ -690,13 +672,3 @@ def validation_micro_spec(j_over_kappa: float = 0.05, alpha_over_j: float = 0.5,
         n_boson=n_boson,
     )
     return ModelSpec("micro", params)
-
-
-def bundled_models() -> dict[str, ModelSpec]:
-    """The default model instances exercised by the property and acceptance suites."""
-    return {
-        "fig3_ring": fig3_ring_spec(),
-        "fig5_pair": fig5_pair_spec(),
-        "thermal_pair": thermal_pair_spec(x=2.0, n_p=0.0),
-        "validation_micro": validation_micro_spec(),
-    }

@@ -10,6 +10,10 @@ import numpy as np
 
 Bounds = Sequence[tuple[float, float]]
 
+_STEP_FRAC = 0.1  # initial simplex edge, as a fraction of each box width
+_TOL = 1e-9  # relative spread of simplex values at which nelder_mead stops
+_MAX_CORNERS = 8  # box corners that corner_starts returns at most
+
 
 @dataclass
 class OptimizeReport:
@@ -28,8 +32,6 @@ def nelder_mead(
     x0: np.ndarray,
     bounds: Bounds,
     budget: int,
-    step_frac: float = 0.1,
-    tol: float = 1e-9,
 ):
     """Minimize ``func`` inside a box, spending at most ``budget`` evaluations.
 
@@ -57,7 +59,7 @@ def nelder_mead(
         if width[i] == 0:
             continue
         x = x0.copy()
-        step = step_frac * width[i]
+        step = _STEP_FRAC * width[i]
         x[i] = x[i] + step if x[i] + step <= hi[i] else x[i] - step
         if evals >= budget:
             break
@@ -69,7 +71,7 @@ def nelder_mead(
     while evals < budget:
         simplex.sort(key=lambda p: p[1])
         best, worst = simplex[0], simplex[-1]
-        if abs(worst[1] - best[1]) <= tol * (abs(best[1]) + tol):
+        if abs(worst[1] - best[1]) <= _TOL * (abs(best[1]) + _TOL):
             break
         centroid = np.mean([p[0] for p in simplex[:-1]], axis=0)
 
@@ -108,7 +110,7 @@ def nelder_mead(
     return simplex[0][0], simplex[0][1], evals
 
 
-def corner_starts(bounds: Bounds, max_corners: int = 8) -> list[np.ndarray]:
+def corner_starts(bounds: Bounds) -> list[np.ndarray]:
     """Deterministic multi-start points: box corners (all-low and all-high
     first, then binary-counting patterns, capped) plus the center."""
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -116,12 +118,12 @@ def corner_starts(bounds: Bounds, max_corners: int = 8) -> list[np.ndarray]:
     n = len(bounds)
     patterns: list[int] = [0, (1 << n) - 1]
     code = 1
-    while len(patterns) < min(max_corners, 1 << n):
+    while len(patterns) < min(_MAX_CORNERS, 1 << n):
         if code not in patterns:
             patterns.append(code)
         code += 1
     starts = []
-    for pat in patterns[: min(max_corners, 1 << n)]:
+    for pat in patterns[: min(_MAX_CORNERS, 1 << n)]:
         corner = np.array([hi[i] if (pat >> i) & 1 else lo[i] for i in range(n)])
         starts.append(corner)
     starts.append((lo + hi) / 2)

@@ -11,14 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .linalg import (
-    HERM_TOL,
-    DensityMatrix,
-    HilbertSpace,
-    RankDeficientError,
-    hermitize,
-    lstsq_solve,
-)
+from .linalg import HERM_TOL, DensityMatrix, HilbertSpace, hermitize, lstsq_solve
 from .superop import Superoperator, unvec, vec
 
 RESIDUAL_TOL = 1e-8
@@ -47,7 +40,7 @@ class SteadyStateReport:
     unique: bool
     # ‖M‖_F·‖M⁻¹‖_F for the trace-zero restriction M, the uniqueness
     # certificate's bound (it certifies below 1e-2/UNIQUENESS_TOL); inf when
-    # no bound was formed (M singular, or the solve already rank deficient)
+    # no bound was formed (LAPACK finds M singular, or L acts on one level)
     uniqueness_bound: float
 
 
@@ -104,11 +97,12 @@ def _from_real(c: np.ndarray, d: int) -> np.ndarray:
     return rho
 
 
-def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """The real L_r of :func:`_real_form` and its restriction to the
-    trace-zero subspace: lb = L_r·B_r and the square M = B_rᵀ·lb, with B_r
-    the orthonormal basis of :func:`_hermitian_basis` (never formed). Since L
-    maps into that subspace, M is L restricted to it in an orthonormal basis.
+    trace-zero subspace, the square M = B_rᵀ·L_r·B_r with B_r the orthonormal
+    basis of :func:`_hermitian_basis` (never formed). Since L maps into that
+    subspace, M is L restricted to it in an orthonormal basis, and its
+    singular values are those of L_r·B_r.
     Raises SteadyStateError when L_r has an imaginary part above
     HERM_TOL·max(scale, 1), ``scale`` being ‖L‖_∞: L then does not preserve
     hermiticity."""
@@ -119,7 +113,7 @@ def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.nd
     lr = lc.real
     _, _, house = _hermitian_basis(d)
     lb = np.concatenate([lr[:, :d] @ house[:, 1:], lr[:, d:]], axis=1)
-    return lr, lb, np.concatenate([house[1:] @ lb[:d], lb[d:]])
+    return lr, np.concatenate([house[1:] @ lb[:d], lb[d:]])
 
 
 def trace_zero_system(l: Superoperator) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +123,7 @@ def trace_zero_system(l: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     in L: the system of Σ c_k·L_k is Σ c_k·(M_k, r_k). Raises
     SteadyStateError when L does not preserve hermiticity."""
     d = l.dim
-    lr, _, m = _real_restriction(l, l.norm_inf())
+    lr, m = _real_restriction(l, l.norm_inf())
     _, _, house = _hermitian_basis(d)
     lc = lr[:, :d].sum(axis=1) / d
     return m, -np.concatenate([house[1:] @ lc[:d], lc[d:]])
@@ -150,11 +144,10 @@ def _inverse_norm(lu: np.ndarray, piv: np.ndarray) -> float:
 
 
 def _certified_unique(bound: float) -> bool:
-    """Whether bound = ‖lb‖_F·‖M⁻¹‖_F proves that lb = L_r·B_r passes the
-    uniqueness test σ_min > UNIQUENESS_TOL·σ_max: σ_min(lb) ≥ σ_min(M) ≥
-    1/‖M⁻¹‖_F and σ_max(lb) ≤ ‖lb‖_F, and the threshold keeps a 100× margin
-    for rounding in the computed inverse. False means "not proven", never
-    "not unique"."""
+    """Whether bound = ‖M‖_F·‖M⁻¹‖_F proves that M passes the uniqueness
+    test σ_min > UNIQUENESS_TOL·σ_max: σ_min(M) ≥ 1/‖M⁻¹‖_F and σ_max(M) ≤
+    ‖M‖_F, and the threshold keeps a 100× margin for rounding in the computed
+    inverse. False means "not proven", never "not unique"."""
     return bool(bound < 1e-2 / UNIQUENESS_TOL)
 
 
@@ -195,36 +188,33 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     Lindblad generator is a real matrix L_r: solves the stacked real system
     [L_r; t]·c = [0; 1] (t the trace row) by least squares, rebuilds ρ from c,
     clamps eigenvalues within −1e-8 of zero and renormalizes. The residual is
-    checked on the original complex L. Uniqueness is the smallest singular
-    value of L_r restricted to the trace-zero subspace, relative to the
-    largest; an LU bound certifies it cheaply when the restriction is well
-    conditioned, and the exact singular values decide every other case.
+    checked on the original complex L. Uniqueness is decided by the rule of
+    :func:`steady_state_restricted`: σ_min(M) > UNIQUENESS_TOL·σ_max(M) for
+    the trace-zero restriction M, certified by the LU bound where M is well
+    conditioned and decided by the singular values of M everywhere else. A
+    non-unique report carries gelsy's minimum-norm state at its numerical
+    rank.
     """
     d = l.dim
     n = d * d
     scale = l.norm_inf()
-    lr, lb, m = _real_restriction(l, scale)
+    lr, m = _real_restriction(l, scale)
     stacked = np.zeros((n + 1, n))
     stacked[:n] = lr
     stacked[n, :d] = 1.0
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
+    c, _ = lstsq_solve(stacked, rhs)
 
-    unique = True
-    try:
-        c, _ = lstsq_solve(stacked, rhs)
-    except RankDeficientError:
-        unique = False
-        c, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-
-    bound = np.inf
-    if unique and n > 1:
-        # Mᵀ is Fortran-ordered, so LAPACK factors it in place; ‖(Mᵀ)⁻¹‖_F = ‖M⁻¹‖_F
-        factors = _lu(m.T)
+    unique, bound = True, np.inf
+    if n > 1:
+        # LAPACK factors this Fortran-ordered copy of Mᵀ in place and leaves M
+        # intact for the singular values; ‖(Mᵀ)⁻¹‖_F = ‖M⁻¹‖_F
+        factors = _lu(m.T.copy(order="F"))
         if factors is not None:
-            bound = float(np.linalg.norm(lb)) * _inverse_norm(*factors)
+            bound = float(np.linalg.norm(m)) * _inverse_norm(*factors)
         if not _certified_unique(bound):
-            svals = np.linalg.svd(lb, compute_uv=False)
+            svals = np.linalg.svd(m, compute_uv=False)
             unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
     return _report(l, space, scale, c, unique, bound)
 
@@ -282,7 +272,7 @@ def spectral_gap(l: Superoperator) -> float:
     state); raises SteadyStateError if L does not preserve hermiticity.
     """
     # complex M, so that lu_solve does not recast the factor at every step
-    m = _real_restriction(l, l.norm_inf())[2].astype(complex)
+    m = _real_restriction(l, l.norm_inf())[1].astype(complex)
     try:
         lu = scipy.linalg.lu_factor(m)
     except scipy.linalg.LinAlgError:
@@ -308,18 +298,15 @@ def spectral_gap(l: Superoperator) -> float:
     return abs(rq_prev.real)
 
 
-def evolve_to_steady(l: Superoperator, space: HilbertSpace,
-                     rho0: DensityMatrix | None = None,
-                     decades: float = 30.0) -> DensityMatrix:
-    """Propagate long enough for transients to decay to ~e^{-decades}.
+def evolve_to_steady(l: Superoperator, space: HilbertSpace, decades: float = 30.0) -> DensityMatrix:
+    """Propagate I/d long enough for transients to decay to ~e^{-decades}.
 
     Raises SteadyStateError when L does not preserve hermiticity, or when the
     spectral gap is zero (below UNIQUENESS_TOL·‖L‖): the steady state is then
-    degenerate, and the propagated state would depend on ρ₀.
+    degenerate, and the propagated state would depend on the initial state.
     """
-    if rho0 is None:
-        d = space.dim
-        rho0 = DensityMatrix(space, np.eye(d, dtype=complex) / d)
+    d = space.dim
+    rho0 = DensityMatrix(space, np.eye(d, dtype=complex) / d)
     gap = spectral_gap(l)
     if gap <= UNIQUENESS_TOL * l.norm_inf():
         raise SteadyStateError(f"spectral gap {gap:.2e} is numerically zero: the steady state is degenerate")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NonHermitianError, _kron, as_complex, herm_defect, hermitize
+from .linalg import NonHermitianError, _kron, as_complex, herm_defect
 
 TRACE_PRESERVATION_TOL = 1e-10
 
@@ -67,17 +67,6 @@ class Superoperator:
         d = self.dim
         diag_idx = np.arange(d) * (d + 1)
         return float(np.abs(self.mat[diag_idx, :].sum(axis=0)).max())
-
-    def hermiticity_defect(self, n_probes: int = 20, seed: int = 1234) -> float:
-        """Largest hermiticity violation of L(ρ) over random Hermitian probes."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_probes):
-            g = rng.normal(size=(self.dim, self.dim)) + 1j * rng.normal(size=(self.dim, self.dim))
-            probe = hermitize(g)
-            probe /= max(1.0, float(np.abs(probe).max()))
-            worst = max(worst, herm_defect(self.apply(probe)))
-        return worst
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,10 @@ import hypothesis
 import numpy as np
 import pytest
 
+from polariton_ring.experiments import Axis, ObservableSpec, SweepPlan
+from polariton_ring.linalg import DensityMatrix, herm_defect, hermitize
+from polariton_ring.models import fig3_ring_spec, fig5_pair_spec, thermal_pair_spec, validation_micro_spec
+
 hypothesis.settings.register_profile("default", max_examples=25, deadline=None)
 hypothesis.settings.register_profile("thorough", max_examples=200, deadline=None)
 hypothesis.settings.load_profile("default")
@@ -28,3 +32,95 @@ def random_unitary(rng, d):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+# --- helpers of the tests that the package itself does not use ----------------
+
+def basis_state(space, index=0):
+    """Projector onto one computational basis state of the composite space."""
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    mat[index, index] = 1.0
+    return DensityMatrix(space, mat)
+
+
+def hermiticity_defect(l, n_probes=20, seed=1234):
+    """Largest hermiticity violation of L(ρ) over random Hermitian probes."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_probes):
+        g = rng.normal(size=(l.dim, l.dim)) + 1j * rng.normal(size=(l.dim, l.dim))
+        probe = hermitize(g)
+        probe /= max(1.0, float(np.abs(probe).max()))
+        worst = max(worst, herm_defect(l.apply(probe)))
+    return worst
+
+
+def bundled_models():
+    """The default model instances exercised by the property and acceptance suites."""
+    return {
+        "fig3_ring": fig3_ring_spec(),
+        "fig5_pair": fig5_pair_spec(),
+        "thermal_pair": thermal_pair_spec(x=2.0, n_p=0.0),
+        "validation_micro": validation_micro_spec(),
+    }
+
+
+def phase_grid(count=41, stop=2 * np.pi):
+    return tuple(np.linspace(0.0, stop, count))
+
+
+def phase_sweep_plan(model, paths=("x[0].phase", "x[2].phase"), count=41, sites=None):
+    """The standard two-phase concurrence sweep for either figure model."""
+    if sites is None:
+        sites = (1, 2) if model.model == "ring3_eff" else (0, 1)
+    grid = phase_grid(count)
+    return SweepPlan(
+        model=model,
+        axes=(Axis(paths[0], grid), Axis(paths[1], grid)),
+        observables=(ObservableSpec("concurrence", sites=sites),),
+    )
+
+
+def smooth3(values):
+    """3-point moving average with the endpoints kept."""
+    out = np.asarray(values, dtype=float).copy()
+    if len(out) >= 3:
+        out[1:-1] = (out[:-2] + out[1:-1] + out[2:]) / 3.0
+    return out
+
+
+def interior_maxima(values, smooth=True):
+    """Indices of the strict local maxima away from the edges, optionally after smoothing."""
+    v = smooth3(values) if smooth else np.asarray(values, dtype=float)
+    return [i for i in range(1, len(v) - 1) if v[i] > v[i - 1] and v[i] > v[i + 1]]
+
+
+def count_interior_maxima(values, smooth=True):
+    """Strict local maxima away from the edges, optionally after smoothing."""
+    return len(interior_maxima(values, smooth))
+
+
+def fwhm(coords, values):
+    """Full width at half maximum of the (single) peak of a sampled curve,
+    with linear interpolation at the half-crossings."""
+    coords = np.asarray(coords, dtype=float)
+    values = np.asarray(values, dtype=float)
+    half = values.max() / 2.0
+    peak = int(np.argmax(values))
+    lo = peak
+    while lo > 0 and values[lo - 1] >= half:
+        lo -= 1
+    hi = peak
+    while hi < len(values) - 1 and values[hi + 1] >= half:
+        hi += 1
+    if lo == 0:
+        left = coords[0]
+    else:
+        frac = (half - values[lo - 1]) / (values[lo] - values[lo - 1])
+        left = coords[lo - 1] + frac * (coords[lo] - coords[lo - 1])
+    if hi == len(values) - 1:
+        right = coords[-1]
+    else:
+        frac = (values[hi] - half) / (values[hi] - values[hi + 1])
+        right = coords[hi] + frac * (coords[hi + 1] - coords[hi])
+    return float(right - left)

@@ -481,6 +481,7 @@ THERMAL_SOLVE_CFG = {
     "observables": [{"kind": "trace_distance_to_gibbs", "T": 0.05}],
 }
 THERMAL_SWEEP_CFG = {**THERMAL_SOLVE_CFG, "axes": [{"path": "x[0].re", "grid": [0.0, 1.0]}]}
+RING_SOLVE_CFG = json.loads((CONFIGS / "solve_ring_undriven.json").read_text())
 
 
 def with_value(cfg, keys, value):
@@ -522,11 +523,18 @@ def with_value(cfg, keys, value):
         ("solve", with_value(THERMAL_SOLVE_CFG, ["observables", 0, "omega"], -1), "observables[0]: ['omega']"),
         ("sweep", with_value(THERMAL_SWEEP_CFG, ["observables", 0, "T"], -0.1),
          "observables[0]: temperature must be finite and >= 0, got -0.1"),
+        # a field that the observable's kind ignores
+        ("solve", with_value(THERMAL_SOLVE_CFG, ["observables", 0], {"kind": "purity", "T": -5}),
+         "observables[0]: purity takes no temperature T"),
+        ("solve", with_value(RING_SOLVE_CFG, ["observables", 0],
+                             {"kind": "concurrence", "sites": [1, 2], "level": 1}),
+         "observables[0]: concurrence takes no level"),
     ],
     ids=["sweep-Gamma-string", "validate-n_boson-fraction", "validate-n_sites-fraction", "optimize-free-scalar",
          "optimize-free-numbers", "thermal-y-list", "thermal-y-overflow", "optimize-free-empty",
          "optimize-free-empty-group", "sweep-count-1e12", "sweep-3e6x41", "sweep-1001x1000", "thermal-500001x2",
-         "solve-T-negative", "solve-T-nan", "solve-omega", "sweep-T-negative"],
+         "solve-T-negative", "solve-T-nan", "solve-omega", "sweep-T-negative", "solve-purity-T",
+         "solve-concurrence-level"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
     out = tmp_path / "data.csv"

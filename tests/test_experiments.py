@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import bundled_models, count_interior_maxima, fwhm, phase_sweep_plan, smooth3
 from polariton_ring import experiments, steady
 from polariton_ring.experiments import (
     Axis,
@@ -14,13 +15,9 @@ from polariton_ring.experiments import (
     SweepError,
     SweepPlan,
     central_difference,
-    count_interior_maxima,
-    fwhm,
     optimize_concurrence,
-    phase_sweep_plan,
     run_sweep,
     signed_x_grid,
-    smooth3,
     solve_spec,
     thermal_map,
     validate_effective,
@@ -32,7 +29,6 @@ from polariton_ring.models import (
     ModelSpec,
     apply_path,
     build_model,
-    bundled_models,
     fig3_ring_spec,
     fig5_pair_spec,
     model_spec_from_json,
@@ -140,6 +136,14 @@ def test_observable_spec_validation():
         ObservableSpec("trace_distance_to_gibbs")
     with pytest.raises(ValueError):
         ObservableSpec("wiggle")
+    # a field the kind ignores; a level of 0 counts as given
+    assert ObservableSpec("population", sites=(0,)).level == 0
+    with pytest.raises(ValueError, match="purity takes no level"):
+        ObservableSpec("purity", level=0)
+    with pytest.raises(ValueError, match="trace_distance_to_gibbs takes no level"):
+        ObservableSpec("trace_distance_to_gibbs", T=0.05, level=0)
+    with pytest.raises(ValueError, match="population takes no temperature T"):
+        ObservableSpec("population", sites=(0,), T=0.05)
 
 
 def test_smooth3_and_peak_count():
@@ -408,7 +412,7 @@ def restriction_oracle(spec):
     """M of steady._real_restriction on the assembled L, and r = −B_rᵀ·L_r·c_I
     with the basis B_r and the coordinates c_I of I/d written out densely."""
     liouv = assemble(*build_model(spec)[1:])
-    lr, _, m = steady._real_restriction(liouv, liouv.norm_inf())
+    lr, m = steady._real_restriction(liouv, liouv.norm_inf())
     d = liouv.dim
     n = d * d
     _, _, house = steady._hermitian_basis(d)

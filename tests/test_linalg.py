@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_density_mat, random_hermitian
+from conftest import basis_state, random_density_mat, random_hermitian
 import scipy.linalg
 
 from polariton_ring.linalg import (
@@ -10,9 +10,7 @@ from polariton_ring.linalg import (
     DensityMatrix,
     HilbertSpace,
     NonHermitianError,
-    RankDeficientError,
     _kron,
-    basis_state,
     embed,
     herm_eig,
     kron,
@@ -260,11 +258,13 @@ def test_lstsq_matches_normal_equations(rng):
 
 
 def test_lstsq_rank_deficient():
+    # two equal columns: every x with x0 + x1 = 1 solves it, and (½, ½) has the least norm
     m = np.zeros((4, 2), dtype=complex)
     m[:, 0] = 1.0
     m[:, 1] = 1.0
-    with pytest.raises(RankDeficientError):
-        lstsq_solve(m, np.ones(4, dtype=complex))
+    x, res = lstsq_solve(m, np.ones(4, dtype=complex))
+    assert np.abs(x - 0.5).max() <= 1e-15
+    assert res <= 1e-15
 
 
 def test_lstsq_real_system_stays_real(rng):
@@ -288,10 +288,19 @@ def test_lstsq_complex_matches_scipy_gelsy(rng):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_lstsq_rank_deficient_both_dtypes(dtype):
-    m = np.ones((4, 2), dtype=dtype)
-    with pytest.raises(RankDeficientError):
-        lstsq_solve(m, np.ones(4, dtype=dtype))
+def test_lstsq_rank_deficient_both_dtypes(rng, dtype):
+    # rank 5 of 8 columns, inconsistent right-hand side: the minimum-norm
+    # least-squares solution of numpy's SVD solve
+    m = rng.normal(size=(12, 5)) @ rng.normal(size=(5, 8))
+    b = rng.normal(size=12)
+    if dtype is complex:
+        m = m + 1j * rng.normal(size=(12, 5)) @ rng.normal(size=(5, 8))
+        b = b + 1j * rng.normal(size=12)
+    x, res = lstsq_solve(m, b)
+    x_ref, *_ = np.linalg.lstsq(m, b, rcond=None)
+    assert x.dtype == np.dtype(dtype)
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    assert abs(res - np.linalg.norm(m @ x_ref - b)) <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

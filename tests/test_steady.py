@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import basis_state, bundled_models, random_hermitian
 from polariton_ring import steady
-from polariton_ring.linalg import HilbertSpace, basis_state, embed, hermitize
-from polariton_ring.models import SIGMA_MINUS, EffectiveParams, ModelSpec, build_model, bundled_models
+from polariton_ring.linalg import HilbertSpace, embed, hermitize
+from polariton_ring.models import SIGMA_MINUS, EffectiveParams, ModelSpec, build_model
 from polariton_ring.observables import trace_distance
 from polariton_ring.steady import (
     UNIQUENESS_TOL,
@@ -177,14 +177,14 @@ def test_evolve_dimension_mismatch():
 
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_traceless_columns_match_dense_basis(rng, d):
-    # lb = L_r·B_r and L·B are L on two orthonormal bases of the trace-zero
-    # subspace, so their singular values agree
+    # M = B_rᵀ·L_r·B_r and L·B are L on two orthonormal bases of the
+    # trace-zero subspace, which L maps into, so their singular values agree
     n = d * d
     liouv = random_lindblad(rng, d)
-    _, lb, m = _real_restriction(liouv, liouv.norm_inf())
-    assert lb.shape == (n, n - 1) and m.shape == (n - 1, n - 1)
+    _, m = _real_restriction(liouv, liouv.norm_inf())
+    assert m.shape == (n - 1, n - 1)
     want = np.linalg.svd(liouv.mat @ traceless_basis(d), compute_uv=False)
-    assert np.abs(np.linalg.svd(lb, compute_uv=False) - want).max() <= 1e-13 * want[0]
+    assert np.abs(np.linalg.svd(m, compute_uv=False) - want).max() <= 1e-13 * want[0]
 
 
 def matched_distance(a, b) -> float:
@@ -201,7 +201,7 @@ def test_real_restriction_spectrum_matches_dense_basis(rng, d):
     basis = traceless_basis(d)
     for _ in range(3):
         liouv = random_lindblad(rng, d)
-        _, _, m = _real_restriction(liouv, liouv.norm_inf())
+        _, m = _real_restriction(liouv, liouv.norm_inf())
         want = np.linalg.eigvals(basis.conj().T @ liouv.mat @ basis)
         assert matched_distance(np.linalg.eigvals(m), want) <= 1e-12 * np.abs(want).max()
 
