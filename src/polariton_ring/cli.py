@@ -5,10 +5,10 @@ Usage:  polariton-ring <command> --config cfg.json --out data.csv [--workers N]
 Each run writes the data CSV plus a ``<out>.summary.json`` with the echoed
 configuration, solver diagnostics and wall time. Writes are atomic (temp file
 plus rename), and a malformed config aborts before any file is created.
-Exit codes: 0 success, 1 solver/validation failure, 2 config error. Config
-errors include every value a command can check before its first solve, such
-as a sweep grid point outside the model's domain. ``--workers`` sets the
-thread count of a sweep grid; no other command parallelizes.
+Exit codes: 0 success, 1 solver/validation failure, 2 config error: any value
+checked before the first solve, such as a sweep axis value or an optimizer
+bound endpoint outside the model's domain. ``--workers`` sets the thread
+count of a sweep grid; no other command parallelizes.
 """
 
 from __future__ import annotations

@@ -18,15 +18,14 @@ from .models import (
     MicroParams,
     ModelSpec,
     WEAK_COUPLING_RATIO,
-    apply_path,
     build_model,
     check_grid_points,
     coefficients,
     derive_effective,
     model_pieces,
     model_space,
+    path_setter,
     thermal_pair_spec,
-    validate_path,
 )
 from .observables import (
     concurrence,
@@ -52,7 +51,7 @@ CSV_FORMAT = "%.12g"
 
 
 class SweepError(RuntimeError):
-    """A grid point failed; the message carries its coordinates."""
+    """A grid point or an optimizer point failed; the message names it."""
 
 
 @dataclass(frozen=True)
@@ -153,18 +152,28 @@ class ObservableSpec:
         return purity(rho)
 
 
+def _check_values(model: ModelSpec, paths: tuple[str, ...], values, where: str) -> None:
+    """Raise ValueError naming ``{'path': value}`` unless each value, set on all
+    ``paths`` at ``model``, is in the model's domain. Every domain is per entry
+    and an interval, so this finds each bad point of a grid or of a box."""
+    setter = path_setter(model, paths)
+    name = "|".join(paths)
+    for value in values:
+        try:
+            setter((value,) * len(paths))
+        except ValueError as exc:
+            raise ValueError(f"{where} {{{name!r}: {value}}}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SweepPlan:
-    """A model, the axes of its grid and the columns to observe. ``points``
-    holds every grid point, row-major, with its model: all are built here,
-    so a grid value outside the model's domain raises ValueError naming the
-    point before anything is solved, and a grid over GRID_POINT_BUDGET before
-    any point is built."""
+    """A model, the axes of its grid and the columns to observe. A grid over
+    GRID_POINT_BUDGET, or an axis value outside the model's domain (checked
+    once, at the base model), raises ValueError before anything is compiled."""
 
     model: ModelSpec
     axes: tuple[Axis, ...]
     observables: tuple[ObservableSpec, ...]
-    points: tuple[tuple[tuple[float, ...], ModelSpec], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -175,20 +184,10 @@ class SweepPlan:
             raise ValueError("a sweep needs at least one observable")
         check_grid_points(math.prod(self.shape), "sweep grid")
         for axis in self.axes:
-            validate_path(self.model, axis.path)
+            _check_values(self.model, (axis.path,), axis.grid, "grid value")
         space = model_space(self.model)
         for obs in self.observables:
             obs.check_space(space)
-        points = []
-        for coords in itertools.product(*(a.grid for a in self.axes)):
-            spec = self.model
-            try:
-                for axis, value in zip(self.axes, coords):
-                    spec = apply_path(spec, axis.path, value)
-            except ValueError as exc:
-                raise ValueError(f"grid point {dict(zip(self.header, coords))}: {exc}") from exc
-            points.append((coords, spec))
-        object.__setattr__(self, "points", tuple(points))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -323,12 +322,28 @@ class CompiledModel:
         return _unique(self._compiled_report(spec), spec.model)
 
 
-def _point_solver(base: ModelSpec):
-    """The solve for every point of one call near ``base``: compiled for an
-    effective model, :func:`solve_spec` for ``micro``."""
-    if base.model in EFFECTIVE_MODELS:
-        return CompiledModel(base).solve
-    return solve_spec
+def point_evaluator(base: ModelSpec, groups, observables, label: str):
+    """The row (values, then observables) of each point of one sweep or
+    optimizer call near ``base``: one value per group of paths, taken by every
+    path of the group. Paths are parsed once (:func:`models.path_setter`); an
+    effective model is compiled once, ``micro`` solved by :func:`solve_spec`.
+    One failure rule: any exception at a point, or a non-finite row, raises
+    SweepError naming the point as ``label {group: value, ...}``."""
+    names = ["|".join(g) for g in groups]
+    set_point = path_setter(base, [path for group in groups for path in group])
+    solve = CompiledModel(base).solve if base.model in EFFECTIVE_MODELS else solve_spec
+
+    def evaluate(values) -> list[float]:
+        try:
+            _, rho = solve(set_point([v for group, v in zip(groups, values) for _ in group]))
+            row = list(values) + [obs.evaluate(rho) for obs in observables]
+            if not np.isfinite(row).all():
+                raise FloatingPointError(f"non-finite output {row}")
+        except Exception as exc:
+            raise SweepError(f"{label} {dict(zip(names, map(float, values)))} failed: {exc}") from exc
+        return row
+
+    return evaluate
 
 
 def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
@@ -339,25 +354,13 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
     whose ``map`` keeps the row order, so the result is identical for any
     worker count.
     """
-    solve = _point_solver(plan.model)
-
-    def eval_point(point) -> list[float]:
-        coords, spec = point
-        try:
-            _, rho = solve(spec)
-            values = [obs.evaluate(rho) for obs in plan.observables]
-        except Exception as exc:
-            raise SweepError(f"grid point {dict(zip(plan.header, coords))} failed: {exc}") from exc
-        row = list(coords) + values
-        if not all(np.isfinite(v) for v in row):
-            raise SweepError(f"non-finite output at grid point {dict(zip(plan.header, coords))}")
-        return row
-
+    evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point")
+    points = itertools.product(*(a.grid for a in plan.axes))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(eval_point, plan.points))
+            rows = list(pool.map(evaluate, points))
     else:
-        rows = [eval_point(p) for p in plan.points]
+        rows = [evaluate(p) for p in points]
     return SweepResult(header=plan.header, rows=rows)
 
 
@@ -371,36 +374,27 @@ def optimize_concurrence(
     """Maximize steady-state concurrence over the given parameter paths.
 
     Each entry of ``free`` is a path or a tuple of paths receiving one shared
-    value (to express constraints such as equal drive magnitudes). The model
-    is compiled once for all evaluations.
+    value (to express constraints such as equal drive magnitudes). Both ends
+    of each bound are checked at ``model``, and Nelder-Mead keeps its points
+    inside the box. The model is compiled once for all evaluations.
     """
     if len(free) != len(bounds):
         raise ValueError("need one bounds pair per free parameter")
     groups: list[tuple[str, ...]] = [(g,) if isinstance(g, str) else tuple(g) for g in free]
     if not groups or not all(groups):
         raise ValueError("free must name at least one parameter, and each group at least one path")
-    for group in groups:
-        for path in group:
-            validate_path(model, path)
+    for k, (group, bound) in enumerate(zip(groups, bounds)):
+        _check_values(model, group, bound, f"bounds[{k}] endpoint")
     if sites is None:
         sites = (1, 2) if model.model == "ring3_eff" else (0, 1)
     obs = ObservableSpec("concurrence", sites=sites)
     obs.check_space(model_space(model))
-    names = ["|".join(g) for g in groups]
-    solve = _point_solver(model)
+    evaluate = point_evaluator(model, groups, (obs,), "parameters")
 
     def objective(x: np.ndarray) -> float:
-        spec = model
-        for group, value in zip(groups, x):
-            for path in group:
-                spec = apply_path(spec, path, float(value))
-        try:
-            _, rho = solve(spec)
-        except SteadyStateError as exc:
-            point = {n: float(v) for n, v in zip(names, x)}
-            raise SweepError(f"parameters {point} failed: {exc}") from exc
-        return obs.evaluate(rho)
+        return evaluate(x)[-1]
 
+    names = ["|".join(g) for g in groups]
     report = multistart_maximize(objective, bounds, budget=budget, param_names=names)
     # re-evaluation must reproduce the reported best
     check = objective(np.array([report.best_params[n] for n in names]))

@@ -42,9 +42,9 @@ WEAK_COUPLING_RATIO = 0.1
 # (d = 216, about 35 GB).
 MICRO_L_BYTES_BUDGET = 512 * 2**20
 
-# Most grid points one sweep or thermal map may hold. Every point's ModelSpec is
-# built before the first solve (about 660 B each, so about 660 MB here) and
-# solved in turn (0.1-1 ms each); a grid beyond this is a config error.
+# Most grid points one sweep or thermal map may hold. Points are solved in turn
+# (0.1-1 ms each), so this bounds the run time of one call at minutes; a grid
+# beyond this is a config error.
 GRID_POINT_BUDGET = 10**6
 
 EFFECTIVE_MODELS = ("ring3_eff", "pair_eff", "pair_thermal")
@@ -565,7 +565,7 @@ def _parse_path(spec: ModelSpec, path: str) -> tuple[str, int | None, str | None
     comp = None
     if "." in body:
         body, comp = body.split(".", 1)
-        if comp not in ("re", "im", "abs", "phase"):
+        if comp not in _COMPONENTS:
             raise ValueError(f"unknown path component {comp!r} in {path!r}")
     idx = None
     if body.endswith("]"):
@@ -589,33 +589,38 @@ def _parse_path(spec: ModelSpec, path: str) -> tuple[str, int | None, str | None
     return body, idx, comp
 
 
-def validate_path(spec: ModelSpec, path: str) -> None:
-    _parse_path(spec, path)
+_COMPONENTS = {
+    "re": lambda old, v: complex(v, old.imag),
+    "im": lambda old, v: complex(old.real, v),
+    "abs": lambda old, v: v * cmath.exp(1j * cmath.phase(old)) if old != 0 else complex(v, 0.0),
+    "phase": lambda old, v: abs(old) * cmath.exp(1j * v),
+}
+
+
+def path_setter(spec: ModelSpec, paths) -> typing.Callable[..., ModelSpec]:
+    """The map from one value per path to ``spec`` with those values set. Each
+    path is parsed once, here. A call sets the values in path order, so a later
+    path on the same complex entry sees the earlier ones, and builds one
+    ModelSpec, whose checks raise ValueError for a value outside the domain."""
+    parsed = [_parse_path(spec, p) for p in paths]
+
+    def setter(values) -> ModelSpec:
+        changes = {}
+        for (field_name, idx, comp), value in zip(parsed, values):
+            value = float(value)
+            if idx is not None:
+                items = list(changes.get(field_name, getattr(spec.params, field_name)))
+                items[idx] = value if comp is None else _COMPONENTS[comp](complex(items[idx]), value)
+                value = tuple(items)
+            changes[field_name] = value
+        return ModelSpec(spec.model, replace(spec.params, **changes))
+
+    return setter
 
 
 def apply_path(spec: ModelSpec, path: str, value: float) -> ModelSpec:
     """Functionally update one scalar parameter addressed by a path string."""
-    field_name, idx, comp = _parse_path(spec, path)
-    value = float(value)
-    current = getattr(spec.params, field_name)
-    if idx is None:
-        params = replace(spec.params, **{field_name: value})
-        return ModelSpec(spec.model, params)
-    items = list(current)
-    if comp is None:
-        items[idx] = value
-    else:
-        old = complex(items[idx])
-        if comp == "re":
-            items[idx] = complex(value, old.imag)
-        elif comp == "im":
-            items[idx] = complex(old.real, value)
-        elif comp == "abs":
-            items[idx] = value * cmath.exp(1j * cmath.phase(old)) if old != 0 else complex(value, 0.0)
-        else:  # phase
-            items[idx] = abs(old) * cmath.exp(1j * value)
-    params = replace(spec.params, **{field_name: tuple(items)})
-    return ModelSpec(spec.model, params)
+    return path_setter(spec, (path,))((value,))
 
 
 # --- bundled operating points -------------------------------------------------

@@ -529,17 +529,45 @@ def with_value(cfg, keys, value):
         ("solve", with_value(RING_SOLVE_CFG, ["observables", 0],
                              {"kind": "concurrence", "sites": [1, 2], "level": 1}),
          "observables[0]: concurrence takes no level"),
+        # a bound endpoint outside the model's domain, checked at the base model before the compile
+        ("optimize", with_value(with_value(OPTIMIZE_CFG, ["free"], ["z[1]"]), ["bounds"], [[0.5, 5.0]]),
+         "bounds[0] endpoint {'z[1]': 0.5}: all z must be >= 1"),
+        ("optimize", with_value(with_value(OPTIMIZE_CFG, ["free"], ["x[1].re", ["y[1]", "Gamma[1]"]]),
+                                ["bounds"], [[-1.0, 1.0], [-2.0, 2.0]]),
+         "bounds[1] endpoint {'y[1]|Gamma[1]': -2.0}: all Gamma must be positive"),
     ],
     ids=["sweep-Gamma-string", "validate-n_boson-fraction", "validate-n_sites-fraction", "optimize-free-scalar",
          "optimize-free-numbers", "thermal-y-list", "thermal-y-overflow", "optimize-free-empty",
          "optimize-free-empty-group", "sweep-count-1e12", "sweep-3e6x41", "sweep-1001x1000", "thermal-500001x2",
          "solve-T-negative", "solve-T-nan", "solve-omega", "sweep-T-negative", "solve-purity-T",
-         "solve-concurrence-level"],
+         "solve-concurrence-level", "optimize-bound-z-below-1", "optimize-group-bound-Gamma-negative"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
     out = tmp_path / "data.csv"
     assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("optimize", {**OPTIMIZE_CFG, "free": ["x[1].re"], "bounds": [[-1e200, 1e200]], "budget": 20},
+         "run failed: parameters {'x[1].re': -1e+200} failed: "),
+        ("sweep", {"model": OPTIMIZE_CFG["model"], "axes": [{"path": "x[1].re", "grid": [-1e200, 1e200]}],
+                   "observables": [{"kind": "purity"}]},
+         "run failed: grid point {'x[1].re': -1e+200} failed: "),
+    ],
+    ids=["optimize", "sweep"],
+)
+def test_point_failure_exits_1_naming_the_point(tmp_path, capsys, command, config, message):
+    # a drive of 1e200 is inside the model's domain, but its Liouvillian is not
+    # finite: a failure at a point, reported alike by the optimizer and the sweep
+    out = tmp_path / "data.csv"
+    assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
     assert not summary_path(out).exists()

@@ -317,6 +317,21 @@ def test_sweep_error_carries_coordinates():
         run_sweep(plan)
 
 
+def test_grid_checked_at_base_model_before_compile(monkeypatch):
+    def forbidden(base):
+        raise AssertionError("compiled before the grid was checked")
+
+    monkeypatch.setattr(experiments, "CompiledModel", forbidden)
+    # a check made point by point as the grid is solved would meet z = 0.5 only
+    # after the compile; each axis value is checked once, when the plan is made
+    with pytest.raises(ValueError, match="grid value \\{'z\\[0\\]': 0.5\\}: all z must be >= 1"):
+        run_sweep(SweepPlan(model=thermal_pair_spec(x=1.0),
+                            axes=(Axis("x[0].re", tuple(np.linspace(0.0, 3.0, 31))), Axis("z[0]", (0.5, 1.01))),
+                            observables=(ObservableSpec("purity"),)))
+    with pytest.raises(ValueError, match="bounds\\[0\\] endpoint \\{'Gamma\\[0\\]\\|y\\[0\\]': -1.0\\}"):
+        optimize_concurrence(thermal_pair_spec(x=1.0), [("Gamma[0]", "y[0]")], [(-1.0, 2.0)], budget=5)
+
+
 def test_phase_sweep_plan_defaults():
     plan = phase_sweep_plan(fig3_ring_spec(), count=5)
     assert plan.shape == (5, 5)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import bundled_models
 from polariton_ring import models
@@ -359,6 +361,16 @@ def test_model_spec_json_roundtrip_on_configs(name):
         assert model_spec_from_json(model_spec_to_json(spec)) == spec
 
 
+def test_bundled_operating_points_equal_shipped_configs():
+    # the acceptance suite checks these specs; the benchmark runs the configs
+    def config_model(name, key="model"):
+        return model_spec_from_json(json.loads((CONFIGS / name).read_text())[key])
+
+    assert apply_path(config_model("fig3_sweep.json"), "x[0].phase", np.pi) == fig3_ring_spec()
+    assert apply_path(config_model("fig5_sweep.json"), "x[0].phase", np.pi) == fig5_pair_spec()
+    assert config_model("validate.json", "micro") == validation_micro_spec()
+
+
 # The path table written out apart from the params dataclasses, so that the one
 # derived from their annotations cannot drift: indexed real lists, complex lists
 # with a component, float scalars. Integer fields (n_sites, n_boson) are not
@@ -378,18 +390,21 @@ def _candidate_paths():
                 yield name + idx + comp
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [fig3_ring_spec(), fig5_pair_spec(), thermal_pair_spec(x=1.0), validation_micro_spec(),
-     model_spec_from_json(ring_micro_json(2))],
-    ids=["ring3_eff", "pair_eff", "pair_thermal", "micro_pair1", "micro_ring3"],
-)
-def test_parse_path_table(spec):
+def _addressable_paths(spec):
     real, cplx, scalars = _PATH_FIELDS["micro" if spec.model == "micro" else "effective"]
-    want = set(scalars)
+    paths = set(scalars)
     for name in real | cplx:
         for i in range(len(getattr(spec.params, name))):
-            want |= {f"{name}[{i}].{c}" for c in ("re", "im", "abs", "phase")} if name in cplx else {f"{name}[{i}]"}
+            paths |= {f"{name}[{i}].{c}" for c in ("re", "im", "abs", "phase")} if name in cplx else {f"{name}[{i}]"}
+    return paths
+
+
+_PATH_SPECS = [fig3_ring_spec(), fig5_pair_spec(), thermal_pair_spec(x=1.0), validation_micro_spec(),
+               model_spec_from_json(ring_micro_json(2))]
+
+
+@pytest.mark.parametrize("spec", _PATH_SPECS, ids=["ring3_eff", "pair_eff", "pair_thermal", "micro_pair1", "micro_ring3"])
+def test_parse_path_table(spec):
     accepted = set()
     for path in _candidate_paths():
         try:
@@ -397,7 +412,48 @@ def test_parse_path_table(spec):
         except ValueError:
             continue
         accepted.add(path)
-    assert accepted == want
+    assert accepted == _addressable_paths(spec)
+
+
+# Fields whose domain is a half-line; the setter test maps its values into it.
+_HALF_LINE = {"Gamma", "z", "n_p", "J", "alpha", "kappa", "gamma_p", "n_c"}
+
+
+@st.composite
+def _path_values(draw):
+    """A model and 1-5 (path, value) pairs on it, paths drawn with repetition."""
+    spec = draw(st.sampled_from(_PATH_SPECS))
+    path = st.sampled_from(sorted(_addressable_paths(spec)))
+    pairs = draw(st.lists(st.tuples(path, st.floats(-4.0, 4.0)), min_size=1, max_size=5))
+    return spec, [(p, 1.0 + abs(v) if p.split("[")[0] in _HALF_LINE else v) for p, v in pairs]
+
+
+@pytest.mark.filterwarnings("ignore:parameters leave the weak-driving regime")
+@given(_path_values())
+# two components of one complex entry, and a zero entry (x[1] of both figure models) under .abs and .phase
+@example((fig5_pair_spec(), [("x[0].re", 1.5), ("x[0].im", -2.0), ("x[0].abs", 3.0), ("x[0].phase", -0.3)]))
+@example((fig3_ring_spec(), [("x[1].abs", 2.0), ("x[1].phase", 0.5)]))
+@example((fig5_pair_spec(), [("x[1].phase", 0.5), ("x[1].abs", -2.0), ("y[1]", 3.0)]))
+def test_path_setter_equals_chained_apply_path(case):
+    spec, pairs = case
+    chained = spec
+    for path, value in pairs:
+        chained = apply_path(chained, path, value)
+    paths, values = zip(*pairs)
+    # repr prints every float exactly, signed zeros included: a bitwise comparison
+    assert repr(models.path_setter(spec, paths)(values)) == repr(chained)
+
+
+def test_path_setter_parses_each_path_once(monkeypatch):
+    calls = []
+    honest = models._parse_path
+    monkeypatch.setattr(models, "_parse_path", lambda spec, path: calls.append(path) or honest(spec, path))
+    setter = models.path_setter(fig3_ring_spec(), ("x[0].phase", "x[2].phase"))
+    for phase in np.linspace(0.0, 1.0, 5):
+        setter((phase, -phase))
+    assert calls == ["x[0].phase", "x[2].phase"]
+    with pytest.raises(ValueError, match="index out of range"):
+        models.path_setter(fig3_ring_spec(), ("x[0].phase", "x[3].phase"))
 
 
 def test_model_spec_rejects_unknown_keys():
