@@ -35,7 +35,7 @@ from .observables import (
     thermal_occupation,
     trace_distance,
 )
-from .optimize import OptimizeReport, multistart_maximize
+from .optimize import OptimizeReport, check_box, multistart_maximize
 from .steady import (
     SteadyStateError,
     SteadyStateReport,
@@ -140,7 +140,9 @@ class ObservableSpec:
             return "purity_" + "_".join(str(s) for s in self.sites)
         return "purity"
 
-    def evaluate(self, rho: DensityMatrix) -> float:
+    def evaluate(self, rho: DensityMatrix) -> float | np.ndarray:
+        """The column's value: a float for one state, an array with one value
+        per state for a stack."""
         if self.kind == "concurrence":
             return concurrence(partial_trace(rho, self.sites))
         if self.kind == "population":
@@ -247,11 +249,12 @@ class CompiledModel:
     Each piece of :func:`models.model_pieces` is assembled once into a
     read-only (K, d⁴) real stack, and its trace-zero system (M_k, r_k) of
     :func:`steady.trace_zero_system` into two more (which checks once that
-    every piece preserves hermiticity). A point is then three contractions of
-    its coefficients with those stacks, the trace-preservation check of L and
-    :func:`steady_state_restricted`: one LU of M solves and certifies. A
-    singular M, or a bound that does not certify, hands L to the unchanged
-    :func:`steady_state_on`.
+    every piece preserves hermiticity). A stack of points is then three
+    contractions of their coefficient rows with those stacks, the per-point
+    finiteness and trace-preservation checks of L and
+    :func:`steady_state_restricted`: per point, one LU of M solves and
+    certifies. A singular M, or a bound that does not certify, hands that
+    point's L alone to the unchanged :func:`steady_state_on`.
 
     The compile checks itself at ``base``: the contracted L must match
     ``assemble(*build_model(base)[1:])`` to COMPILE_TOL, and the compiled
@@ -264,6 +267,7 @@ class CompiledModel:
 
     def __init__(self, base: ModelSpec):
         pieces = model_pieces(base.model)
+        self.model = base.model
         self.space = pieces.space
         d = self.space.dim
         zero_h = np.zeros((d, d), dtype=complex)
@@ -284,7 +288,7 @@ class CompiledModel:
 
     def _check(self, base: ModelSpec) -> None:
         expected = assemble(*build_model(base)[1:])
-        error = float(np.abs(self.liouvillian(base).mat - expected.mat).max())
+        error = float(np.abs(self.contract([base])[0].mat[0] - expected.mat).max())
         if error > COMPILE_TOL * max(expected.norm_inf(), 1.0):
             raise CompileError(f"compiled {base.model} Liouvillian differs from the assembled one by {error:.2e}")
         try:
@@ -294,54 +298,89 @@ class CompiledModel:
         if not reference.unique:
             return
         try:
-            rho = self._compiled_report(base).rho.mat
+            rho = self.solve([base]).rho.mat[0]
         except SteadyStateError as exc:
             raise CompileError(f"compiled {base.model} solve fails where the assembled one succeeds: {exc}") from exc
         error = float(np.abs(rho - reference.rho.mat).max())
         if error > COMPILE_RHO_TOL:
             raise CompileError(f"compiled {base.model} steady state differs from the assembled one by {error:.2e}")
 
-    def liouvillian(self, spec: ModelSpec) -> Superoperator:
-        n = self.space.dim**2
-        mat = (coefficients(spec) @ self._stack).view(complex).reshape(n, n)
-        return check_trace_preserving(Superoperator(self.space.dim, mat))
+    def contract(self, specs) -> tuple[Superoperator, np.ndarray, np.ndarray]:
+        """The stack of L at the points ``specs``, checked per point for
+        finite entries and trace preservation, and their trace-zero systems
+        (M, r) of :func:`steady.trace_zero_system`: one matmul each. Each
+        row is the same BLAS call whatever the stack, so a point's L, M and r
+        do not depend on the points beside it."""
+        c = np.array([coefficients(spec) for spec in specs])[:, None, :]
+        b, n = len(specs), self.space.dim**2
+        l = check_trace_preserving(Superoperator(self.space.dim, (c @ self._stack).view(complex).reshape(b, n, n)))
+        m = (c @ self._m_stack).reshape(b, n - 1, n - 1).swapaxes(1, 2)
+        return l, m, (c @ self._r_stack)[:, 0]
 
-    def system(self, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-        """The trace-zero system (M, r) of :func:`steady.trace_zero_system` at ``spec``."""
-        c = coefficients(spec)
-        k = self._r_stack.shape[1]
-        return (c @ self._m_stack).reshape(k, k).T, c @ self._r_stack
+    def solve(self, specs) -> SteadyStateReport:
+        """The unique steady states at the points ``specs``, as one report
+        over the stack. Raises SteadyStateError if a point that falls back to
+        :func:`steady_state_on` has no unique steady state."""
 
-    def _compiled_report(self, spec: ModelSpec) -> SteadyStateReport:
-        l = self.liouvillian(spec)
-        report = steady_state_restricted(l, self.space, *self.system(spec))
-        return report if report is not None else steady_state_on(l, self.space)
+        def fallback(l: Superoperator) -> SteadyStateReport:
+            return _unique(steady_state_on(l, self.space), self.model)[0]
 
-    def solve(self, spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
-        """:func:`solve_spec` through the compiled model."""
-        return _unique(self._compiled_report(spec), spec.model)
+        l, m, r = self.contract(specs)
+        return steady_state_restricted(l, self.space, m, r, fallback)
+
+
+# Points of a sweep evaluated together, in row order. Fixed, so that the rows
+# do not depend on how the chunks are spread over workers; 64 keeps a chunk's
+# stacks small (the ring's L stack is 4 MB).
+CHUNK = 64
 
 
 def point_evaluator(base: ModelSpec, groups, observables, label: str):
-    """The row (values, then observables) of each point of one sweep or
-    optimizer call near ``base``: one value per group of paths, taken by every
-    path of the group. Paths are parsed once (:func:`models.path_setter`); an
-    effective model is compiled once, ``micro`` solved by :func:`solve_spec`.
-    One failure rule: any exception at a point, or a non-finite row, raises
-    SweepError naming the point as ``label {group: value, ...}``."""
+    """The rows (values, then observables) of a chunk of points of one sweep
+    or optimizer call near ``base``: one value per group of paths, taken by
+    every path of the group. Paths are parsed once (:func:`models.path_setter`);
+    an effective model is compiled once and a chunk solved as one stack,
+    ``micro`` solved point by point by :func:`solve_spec`. Observables see the
+    chunk's states as one stack. One failure rule: if anything fails in a
+    chunk, or a row is not finite, the chunk is evaluated again point by
+    point, and the first failing point raises SweepError naming it as
+    ``label {group: value, ...}``."""
     names = ["|".join(g) for g in groups]
     set_point = path_setter(base, [path for group in groups for path in group])
-    solve = CompiledModel(base).solve if base.model in EFFECTIVE_MODELS else solve_spec
+    if base.model in EFFECTIVE_MODELS:
+        compiled = CompiledModel(base)
 
-    def evaluate(values) -> list[float]:
+        def states(specs) -> DensityMatrix:
+            return compiled.solve(specs).rho
+    else:
+        space = model_space(base)
+
+        def states(specs) -> DensityMatrix:
+            return DensityMatrix(space, np.array([solve_spec(spec)[1].mat for spec in specs]))
+
+    def rows(points) -> list[list[float]]:
+        rho = states([set_point([v for group, v in zip(groups, p) for _ in group]) for p in points])
+        out = np.empty((len(points), len(groups) + len(observables)))
+        out[:, :len(groups)] = points
+        for j, obs in enumerate(observables, len(groups)):
+            out[:, j] = obs.evaluate(rho)
+        if not np.isfinite(out).all():
+            raise FloatingPointError(f"non-finite output {out[~np.isfinite(out).all(axis=1)][0].tolist()}")
+        return out.tolist()
+
+    def one(point) -> list[float]:
         try:
-            _, rho = solve(set_point([v for group, v in zip(groups, values) for _ in group]))
-            row = list(values) + [obs.evaluate(rho) for obs in observables]
-            if not np.isfinite(row).all():
-                raise FloatingPointError(f"non-finite output {row}")
+            return rows([point])[0]
         except Exception as exc:
-            raise SweepError(f"{label} {dict(zip(names, map(float, values)))} failed: {exc}") from exc
-        return row
+            raise SweepError(f"{label} {dict(zip(names, map(float, point)))} failed: {exc}") from exc
+
+    def evaluate(points) -> list[list[float]]:
+        if len(points) == 1:
+            return [one(points[0])]
+        try:
+            return rows(points)
+        except Exception:
+            return [one(point) for point in points]
 
     return evaluate
 
@@ -349,18 +388,20 @@ def point_evaluator(base: ModelSpec, groups, observables, label: str):
 def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
     """Evaluate the plan on the full grid.
 
-    The model is compiled once for the whole grid. Grid points are
-    independent; with ``workers > 1`` they are evaluated by a thread pool,
-    whose ``map`` keeps the row order, so the result is identical for any
-    worker count.
+    The model is compiled once for the whole grid, and the grid is walked in
+    row order in chunks of CHUNK points. Chunks are independent; with
+    ``workers > 1`` they are evaluated by a thread pool, whose ``map`` keeps
+    the row order. The chunk boundaries do not depend on the worker count,
+    so neither does the result.
     """
     evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point")
     points = itertools.product(*(a.grid for a in plan.axes))
+    chunks = iter(lambda: list(itertools.islice(points, CHUNK)), [])
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, points))
+            rows = [row for chunk in pool.map(evaluate, chunks) for row in chunk]
     else:
-        rows = [evaluate(p) for p in points]
+        rows = [row for chunk in chunks for row in evaluate(chunk)]
     return SweepResult(header=plan.header, rows=rows)
 
 
@@ -374,15 +415,23 @@ def optimize_concurrence(
     """Maximize steady-state concurrence over the given parameter paths.
 
     Each entry of ``free`` is a path or a tuple of paths receiving one shared
-    value (to express constraints such as equal drive magnitudes). Both ends
-    of each bound are checked at ``model``, and Nelder-Mead keeps its points
-    inside the box. The model is compiled once for all evaluations.
+    value (to express constraints such as equal drive magnitudes); a path may
+    appear only once across all groups. The box and the budget
+    (:func:`optimize.check_box`) and both ends of each bound, at ``model``,
+    are checked before anything is compiled, and Nelder-Mead keeps its points
+    inside the box. The model is compiled once for all evaluations, and each
+    evaluation is a chunk of one point.
     """
     if len(free) != len(bounds):
         raise ValueError("need one bounds pair per free parameter")
     groups: list[tuple[str, ...]] = [(g,) if isinstance(g, str) else tuple(g) for g in free]
     if not groups or not all(groups):
         raise ValueError("free must name at least one parameter, and each group at least one path")
+    paths = [path for group in groups for path in group]
+    repeated = sorted({path for path in paths if paths.count(path) > 1})
+    if repeated:
+        raise ValueError(f"free names {repeated} more than once: each path takes one value")
+    check_box(bounds, budget)
     for k, (group, bound) in enumerate(zip(groups, bounds)):
         _check_values(model, group, bound, f"bounds[{k}] endpoint")
     if sites is None:
@@ -392,7 +441,7 @@ def optimize_concurrence(
     evaluate = point_evaluator(model, groups, (obs,), "parameters")
 
     def objective(x: np.ndarray) -> float:
-        return evaluate(x)[-1]
+        return evaluate([x])[0][-1]
 
     names = ["|".join(g) for g in groups]
     report = multistart_maximize(objective, bounds, budget=budget, param_names=names)

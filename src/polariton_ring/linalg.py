@@ -4,7 +4,9 @@ Everything here works on plain ``numpy`` arrays of ``complex128``, except that
 :func:`lstsq_solve` keeps a real system real. States carry
 their tensor-factor structure through :class:`HilbertSpace` /
 :class:`DensityMatrix`, which validate the physical invariants (hermiticity,
-unit trace, positivity) on construction.
+unit trace, positivity) on construction. A DensityMatrix, and the matrix
+functions that states pass through, also take a stack of matrices along a
+leading axis; every check then holds for each matrix of the stack.
 """
 
 from __future__ import annotations
@@ -29,18 +31,19 @@ class NonHermitianError(ValueError):
 
 def as_complex(a) -> np.ndarray:
     out = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError("matrix contains non-finite entries")
     return out
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a†)/2; exact no-op for Hermitian input."""
-    return (a + a.conj().T) / 2
+    """Hermitian part (a + a†)/2, per matrix of a stack; exact no-op for Hermitian input."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def herm_defect(a: np.ndarray) -> float:
-    return float(np.abs(a - a.conj().T).max())
+    """Largest entry of |a − a†| over a matrix, or over every matrix of a stack."""
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,23 @@ class HilbertSpace:
         return len(self.factor_dims)
 
 
+def _first_failure(values: np.ndarray, failed: np.ndarray) -> tuple[str, object]:
+    """Name and value of the first state that failed a check, from its
+    per-state values: ``state`` for a single state, ``state k`` for the k-th
+    of a stack."""
+    if np.ndim(failed) == 0:
+        return "state", values
+    k = int(np.argmax(failed))
+    return f"state {k}", values[k]
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated quantum state: Hermitian, unit trace, positive semidefinite."""
+    """Validated quantum state: Hermitian, unit trace, positive semidefinite.
+
+    ``mat`` is one d×d state or a (B, d, d) stack of B states on the same
+    space; each state of a stack is checked on its own, and a failure names
+    its index."""
 
     space: HilbertSpace
     mat: np.ndarray = field(repr=False)
@@ -74,16 +91,23 @@ class DensityMatrix:
     def __post_init__(self):
         mat = as_complex(self.mat)
         d = self.space.dim
-        if mat.shape != (d, d):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d):
             raise ValueError(f"state has shape {mat.shape}, space dimension is {d}")
+        # each check first takes the worst state of a stack, and names the
+        # first failing state only when one fails
         if herm_defect(mat) > HERM_TOL:
-            raise NonHermitianError(f"state not Hermitian: defect {herm_defect(mat):.2e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"state trace {tr} differs from 1 beyond {TRACE_TOL}")
-        lo = float(np.linalg.eigvalsh(hermitize(mat)).min())
-        if lo < -PSD_TOL:
-            raise ValueError(f"state has negative eigenvalue {lo:.2e}")
+            defect = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+            name, value = _first_failure(defect, defect > HERM_TOL)
+            raise NonHermitianError(f"{name} not Hermitian: defect {value:.2e}")
+        tr = mat.trace(axis1=-2, axis2=-1)
+        if abs(tr - 1.0).max() > TRACE_TOL:
+            name, value = _first_failure(tr, abs(tr - 1.0) > TRACE_TOL)
+            raise ValueError(f"{name} trace {complex(value)} differs from 1 beyond {TRACE_TOL}")
+        w = np.linalg.eigvalsh(hermitize(mat))
+        if w.min() < -PSD_TOL:
+            lo = w.min(axis=-1)
+            name, value = _first_failure(lo, lo < -PSD_TOL)
+            raise ValueError(f"{name} has negative eigenvalue {value:.2e}")
         object.__setattr__(self, "mat", mat)
         mat.setflags(write=False)
 
@@ -123,22 +147,26 @@ def embed(op, site: int, space: HilbertSpace) -> np.ndarray:
 
 
 def partial_trace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a raw matrix over the factors not in ``keep``."""
+    """Partial trace of a raw matrix, or of each matrix of a stack, over the
+    factors not in ``keep``."""
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    t = mat.reshape(*dims, *dims)
+    lead = mat.shape[:-2]
+    t = mat.reshape(*lead, *dims, *dims)
     for ax in sorted((i for i in range(n) if i not in keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+        factors = (t.ndim - len(lead)) // 2
+        t = np.trace(t, axis1=len(lead) + ax, axis2=len(lead) + ax + factors)
     d_keep = prod(dims[i] for i in keep)
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(*lead, d_keep, d_keep)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state on the kept factors, in their original order."""
+    """Reduced state on the kept factors, in their original order (per state
+    of a stack)."""
     dims = rho.space.factor_dims
     keep = sorted(set(int(k) for k in keep))
     out = partial_trace_mat(rho.mat, dims, keep)
@@ -146,25 +174,28 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack, eigenvalues ascending.
 
     Returns ``(w, v)`` with ``a @ v == v @ diag(w)`` and ``v`` unitary.
     """
     a = as_complex(a)
-    if a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("herm_eig needs a square matrix")
-    if herm_defect(a) > HERM_TOL:
-        raise NonHermitianError(f"matrix not Hermitian: defect {herm_defect(a):.2e}")
+    defect = herm_defect(a)
+    if defect > HERM_TOL:
+        raise NonHermitianError(f"matrix not Hermitian: defect {defect:.2e}")
     w, v = np.linalg.eigh(hermitize(a))
     return w, v
 
 
 def psd_sqrt(a) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (tiny negative eigenvalues clamped)."""
+    """Hermitian square root of a PSD matrix, or of each matrix of a stack
+    (tiny negative eigenvalues clamped)."""
     w, v = herm_eig(a)
     if w.min() < -HERM_TOL:
         raise ValueError(f"matrix not PSD: min eigenvalue {w.min():.2e}")
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return hermitize(s)
 
 

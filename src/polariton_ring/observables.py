@@ -1,6 +1,9 @@
 """Figures of merit: two-qubit concurrence, trace distance, Gibbs reference
 states and Bose-Einstein occupations. Temperatures are measured in units of
-the polariton quantum (ħ = k_B = 1)."""
+the polariton quantum (ħ = k_B = 1).
+
+Each figure of merit of a state is a float; of a stack of states (a
+DensityMatrix with a leading axis), an array with one value per state."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, HilbertSpace, herm_eig, hermitize, psd_sqrt
+from .linalg import DensityMatrix, HilbertSpace, herm_eig, psd_sqrt
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -19,12 +22,17 @@ def _check_temperature(T: float) -> None:
         raise ValueError(f"temperature must be finite and >= 0, got {T}")
 
 
+def _value(x):
+    """A float for a single state, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _require_two_qubits(rho: DensityMatrix) -> None:
     if rho.space.factor_dims != (2, 2):
         raise ValueError(f"need a two-qubit state, got factors {rho.space.factor_dims}")
 
 
-def concurrence(rho: DensityMatrix) -> float:
+def concurrence(rho: DensityMatrix) -> float | np.ndarray:
     """Wootters concurrence of a two-qubit state.
 
     C = max(0, λ₁−λ₂−λ₃−λ₄) with λᵢ the descending eigenvalues of
@@ -35,18 +43,17 @@ def concurrence(rho: DensityMatrix) -> float:
     _require_two_qubits(rho)
     rho_t = _YY @ rho.mat.conj() @ _YY
     s = psd_sqrt(rho.mat)
-    herm_prod = hermitize(s @ rho_t @ s)
-    w, _ = herm_eig(herm_prod)
-    lam = np.sqrt(np.clip(w, 0.0, None))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    w, _ = herm_eig(s @ rho_t @ s)  # checked Hermitian, then hermitized, by herm_eig
+    lam0, lam1, lam2, lam3 = np.sqrt(np.clip(w, 0.0, None)).T  # ascending
+    return _value(np.maximum(0.0, lam3 - lam2 - lam1 - lam0))
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float | np.ndarray:
     """d(a, b) = ½ tr|a − b|, via the eigenvalues of the Hermitian difference."""
     if a.space.factor_dims != b.space.factor_dims:
         raise ValueError(f"states live on different spaces: {a.space.factor_dims} vs {b.space.factor_dims}")
     w, _ = herm_eig(a.mat - b.mat)
-    return float(0.5 * np.abs(w).sum())
+    return _value(0.5 * np.abs(w).sum(axis=-1))
 
 
 def gibbs_two_qubit(T: float) -> DensityMatrix:
@@ -73,11 +80,11 @@ def thermal_occupation(T: float) -> float:
     return float(1.0 / np.expm1(1.0 / T))
 
 
-def purity(rho: DensityMatrix) -> float:
+def purity(rho: DensityMatrix) -> float | np.ndarray:
     """tr(ρ²) ∈ [1/d, 1]."""
-    return float(np.real(np.trace(rho.mat @ rho.mat)))
+    return _value(np.trace(rho.mat @ rho.mat, axis1=-2, axis2=-1).real)
 
 
-def population(rho: DensityMatrix, level: int) -> float:
+def population(rho: DensityMatrix, level: int) -> float | np.ndarray:
     """Occupation of one computational basis level."""
-    return float(rho.mat[level, level].real)
+    return _value(rho.mat[..., level, level].real)

@@ -130,6 +130,18 @@ def corner_starts(bounds: Bounds) -> list[np.ndarray]:
     return starts
 
 
+def check_box(bounds: Bounds, budget: int) -> None:
+    """Raise ValueError unless every bound is a finite [lo, hi] with lo <= hi
+    and the budget allows at least one evaluation."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    for k, (lo, hi) in enumerate(bounds):
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"bounds[{k}] = [{lo}, {hi}] must be finite")
+        if lo > hi:
+            raise ValueError(f"bounds[{k}] = [{lo}, {hi}] has lower bound above upper bound")
+
+
 def multistart_maximize(
     func: Callable[[np.ndarray], float],
     bounds: Bounds,
@@ -141,13 +153,7 @@ def multistart_maximize(
     Deterministic given the function; the improvements trace records every
     new best as (params, value).
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    for k, (lo, hi) in enumerate(bounds):
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError(f"bounds[{k}] = [{lo}, {hi}] must be finite")
-        if lo > hi:
-            raise ValueError(f"bounds[{k}] = [{lo}, {hi}] has lower bound above upper bound")
+    check_box(bounds, budget)
     names = list(param_names) if param_names is not None else [f"p{i}" for i in range(len(bounds))]
     starts = corner_starts(bounds)
     trace: list[tuple[dict[str, float], float]] = []

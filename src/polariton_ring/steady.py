@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -32,16 +33,18 @@ class SteadyStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SteadyStateReport:
-    """Steady state plus the diagnostics a caller needs to trust (or reject) it."""
+    """Steady state plus the diagnostics a caller needs to trust (or reject)
+    it. For a stack of points, ``rho`` is a stack of states and every other
+    field an array with one entry per point."""
 
     rho: DensityMatrix
-    residual: float
-    min_eigenvalue: float
-    unique: bool
+    residual: float | np.ndarray
+    min_eigenvalue: float | np.ndarray
+    unique: bool | np.ndarray
     # ‖M‖_F·‖M⁻¹‖_F for the trace-zero restriction M, the uniqueness
     # certificate's bound (it certifies below 1e-2/UNIQUENESS_TOL); inf when
     # no bound was formed (LAPACK finds M singular, or L acts on one level)
-    uniqueness_bound: float
+    uniqueness_bound: float | np.ndarray
 
 
 @cache
@@ -86,15 +89,25 @@ def _real_form(l: Superoperator) -> np.ndarray:
     return np.concatenate([a[:d], r * (a[p] + a[q]), (-1j * r) * (a[p] - a[q])])
 
 
+@cache
+def _coordinate_entries(d: int) -> np.ndarray:
+    """Flat row-major index of the d×d entry that each coordinate of
+    :func:`_hermitian_basis` fills: E_ii, then E_ij and E_ji for i < j in
+    ``np.triu_indices`` order (read-only)."""
+    _, (i, j), _ = _hermitian_basis(d)
+    index = np.concatenate([np.arange(d) * (d + 1), i * d + j, j * d + i])
+    index.setflags(write=False)
+    return index
+
+
 def _from_real(c: np.ndarray, d: int) -> np.ndarray:
-    """The Hermitian matrix with coordinates c in the basis of :func:`_hermitian_basis`."""
-    _, iu, _ = _hermitian_basis(d)
-    m = len(iu[0])
-    rho = np.diag(c[:d].astype(complex))
-    upper = np.sqrt(0.5) * (c[d:d + m] + 1j * c[d + m:])
-    rho[iu] = upper
-    rho[iu[1], iu[0]] = upper.conj()
-    return rho
+    """The Hermitian matrix with coordinates c in the basis of
+    :func:`_hermitian_basis`, or the stack of them for a stack of rows c."""
+    m = d * (d - 1) // 2
+    upper = np.sqrt(0.5) * (c[..., d:d + m] + 1j * c[..., d + m:])
+    rho = np.empty(c.shape[:-1] + (d * d,), dtype=complex)
+    rho[..., _coordinate_entries(d)] = np.concatenate([c[..., :d], upper, upper.conj()], axis=-1)
+    return rho.reshape(c.shape[:-1] + (d, d))
 
 
 def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,33 +164,36 @@ def _certified_unique(bound: float) -> bool:
     return bool(bound < 1e-2 / UNIQUENESS_TOL)
 
 
-def _report(l: Superoperator, space: HilbertSpace, scale: float, c: np.ndarray,
-            unique: bool, bound: float) -> SteadyStateReport:
-    """The checked state with Hermitian-basis coordinates c: eigenvalues
-    within CLAMP_TOL below zero are clamped and ρ renormalized, and the
-    residual ‖L vec ρ‖ on the complex L must stay below
-    RESIDUAL_TOL·max(scale, 1)."""
-    w, v = np.linalg.eigh(_from_real(c, l.dim))
-    min_eig = float(w.min())
-    if min_eig < -CLAMP_TOL:
+def _states(l: Superoperator, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked states of a stack of B generators ``l`` from their
+    Hermitian-basis coordinates c (B, n): per state, eigenvalues within
+    CLAMP_TOL below zero are clamped and ρ renormalized, and the residual
+    ‖L vec ρ‖ on the complex L must stay below RESIDUAL_TOL·max(‖L‖_∞, 1)
+    (‖L‖_∞ is formed only for a residual above RESIDUAL_TOL, the only ones
+    that can fail). Returns the states (B, d, d), their smallest eigenvalues
+    before the clamp and their residuals. Every matrix product is one BLAS
+    call per point, so a point's numbers do not depend on the stack it is
+    in."""
+    d = l.dim
+    w, v = np.linalg.eigh(_from_real(c, d))
+    min_eig = w.min(axis=1)
+    if min_eig.min() < -CLAMP_TOL:
         raise SteadyStateError(
-            f"steady state has eigenvalue {min_eig:.2e} below clamp tolerance; "
+            f"steady state has eigenvalue {min_eig.min():.2e} below clamp tolerance; "
             "the generator is not completely positive"
         )
     w = np.clip(w, 0.0, None)
-    rho = hermitize((v * w) @ v.conj().T)
-    rho /= np.trace(rho).real
+    rho = hermitize((v * w[:, None, :]) @ v.conj().swapaxes(1, 2))
+    rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
 
-    residual = float(np.linalg.norm(l.mat @ vec(rho)))
-    if residual > RESIDUAL_TOL * max(scale, 1.0):
-        raise SteadyStateError(f"steady-state residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
-    return SteadyStateReport(
-        rho=DensityMatrix(space, rho),
-        residual=residual,
-        min_eigenvalue=min_eig,
-        unique=unique,
-        uniqueness_bound=bound,
-    )
+    lv = l.mat @ rho.swapaxes(1, 2).reshape(len(c), -1, 1)  # L vec ρ, column-stacked
+    re, im = lv.real, lv.imag
+    residual = np.sqrt(re.swapaxes(1, 2) @ re + im.swapaxes(1, 2) @ im)[:, 0, 0]
+    if residual.max() > RESIDUAL_TOL:
+        failed = residual > RESIDUAL_TOL * np.maximum(l.norm_inf(), 1.0)
+        if failed.any():
+            raise SteadyStateError(f"steady-state residual {residual[failed][0]:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
+    return rho, min_eig, residual
 
 
 def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
@@ -216,36 +232,64 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
         if not _certified_unique(bound):
             svals = np.linalg.svd(m, compute_uv=False)
             unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
-    return _report(l, space, scale, c, unique, bound)
+    rho, min_eig, residual = _states(Superoperator(d, l.mat[None]), c[None])
+    return SteadyStateReport(DensityMatrix(space, rho[0]), float(residual[0]), float(min_eig[0]), unique, bound)
 
 
-def steady_state_restricted(l: Superoperator, space: HilbertSpace, m: np.ndarray,
-                            r: np.ndarray) -> SteadyStateReport | None:
-    """:func:`steady_state_on` from the system (M, r) of
-    :func:`trace_zero_system`, already formed for L (for example contracted
-    from compiled pieces, whose hermiticity was checked there). One LU of M
-    gives both the state c = c_I + B_r·M⁻¹r, by triangular solves, and the
-    certificate ‖M‖_F·‖M⁻¹‖_F, from the inverse (‖M‖_F = ‖L_r·B_r‖_F, since
-    L maps into the trace-zero subspace); the clamp and the residual on the
-    complex L are checked as in :func:`steady_state_on`. Returns None when M
-    is singular or the bound does not certify uniqueness:
-    :func:`steady_state_on` on the same L then decides. Overwrites m when it
-    is Fortran-ordered."""
-    d = l.dim
-    norm = float(np.linalg.norm(m))
-    factors = _lu(m)
-    if factors is None:
-        return None
-    # y by triangular solves, before getri overwrites the factors: the inverse
-    # times r moved ρ by up to 1e-8 at bounds near 5e6, where these solves keep
-    # it within 5e-12 of the exact state
-    y, _ = _getrs(*factors, r)
-    bound = norm * _inverse_norm(*factors)
-    if not _certified_unique(bound):
-        return None
+def _restricted_coordinates(ys: list[np.ndarray], d: int) -> np.ndarray:
+    """The Hermitian-basis coordinates c = c_I + B_r·y, one row per solution y."""
+    y = np.array(ys)
     _, _, house = _hermitian_basis(d)
-    c = np.concatenate([house[:, 1:] @ y[:d - 1] + 1.0 / d, y[d - 1:]])
-    return _report(l, space, l.norm_inf(), c, True, bound)
+    return np.concatenate([(house[:, 1:] @ y[:, :d - 1, None])[..., 0] + 1.0 / d, y[:, d - 1:]], axis=1)
+
+
+def steady_state_restricted(l: Superoperator, space: HilbertSpace, m: np.ndarray, r: np.ndarray,
+                            fallback: Callable[[Superoperator], SteadyStateReport]) -> SteadyStateReport:
+    """:func:`steady_state_on` for a stack of B generators ``l`` from their
+    systems (M, r) of :func:`trace_zero_system`, already formed (for example
+    contracted from compiled pieces, whose hermiticity was checked there):
+    ``m`` (B, k, k), each Fortran-ordered so that it is factored in place, and
+    ``r`` (B, k).
+
+    Per point, one LU of M gives both the state c = c_I + B_r·M⁻¹r, by
+    triangular solves, and the certificate ‖M‖_F·‖M⁻¹‖_F, from the inverse
+    (‖M‖_F = ‖L_r·B_r‖_F, since L maps into the trace-zero subspace). A point
+    whose M is singular, or whose bound does not certify uniqueness, goes
+    alone to ``fallback`` with its own L, which returns its report. The
+    certified points then share one tail: the clamp and the residual on the
+    complex L, checked per state as in :func:`steady_state_on`. Returns one
+    report for the stack, whose states are checked together."""
+    d = l.dim
+    b = len(m)
+    bound = np.empty(b)
+    certified, coords, fallen = [], [], {}
+    for k in range(b):
+        norm = float(np.linalg.norm(m[k]))
+        factors = _lu(m[k])
+        if factors is not None:
+            # y by triangular solves, before getri overwrites the factors: the
+            # inverse times r moved ρ by up to 1e-8 at bounds near 5e6, where
+            # these solves keep it within 5e-12 of the exact state
+            y, _ = _getrs(*factors, r[k])
+            bound[k] = bk = norm * _inverse_norm(*factors)
+            if _certified_unique(bk):
+                certified.append(k)
+                coords.append(y)
+                continue
+        fallen[k] = fallback(Superoperator(d, l.mat[k]))
+    unique = np.ones(b, dtype=bool)
+    if not fallen:
+        rho, min_eig, residual = _states(l, _restricted_coordinates(coords, d))
+    else:
+        rho = np.empty((b, d, d), dtype=complex)
+        residual, min_eig = np.empty(b), np.empty(b)
+        if certified:
+            rho[certified], min_eig[certified], residual[certified] = _states(
+                Superoperator(d, l.mat[certified]), _restricted_coordinates(coords, d))
+        for k, report in fallen.items():
+            rho[k], residual[k], min_eig[k] = report.rho.mat, report.residual, report.min_eigenvalue
+            unique[k], bound[k] = report.unique, report.uniqueness_bound
+    return SteadyStateReport(DensityMatrix(space, rho), residual, min_eig, unique, bound)
 
 
 def evolve(l: Superoperator, rho0: DensityMatrix, t_final: float) -> DensityMatrix:

@@ -41,7 +41,8 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Linear map on vectorized density matrices, stored densely (d² × d²)."""
+    """Linear map on vectorized density matrices, stored densely (d² × d²),
+    or a (B, d², d²) stack of B such maps; the norm is then one per map."""
 
     dim: int
     mat: np.ndarray = field(repr=False)
@@ -49,7 +50,7 @@ class Superoperator:
     def __post_init__(self):
         mat = as_complex(self.mat)
         d2 = self.dim * self.dim
-        if mat.shape != (d2, d2):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (d2, d2):
             raise ValueError(f"superoperator shape {mat.shape} != ({d2}, {d2})")
         object.__setattr__(self, "mat", mat)
         mat.setflags(write=False)
@@ -58,15 +59,17 @@ class Superoperator:
         """Action on a density matrix given and returned in matrix form."""
         return unvec(self.mat @ vec(rho_mat))
 
-    def norm_inf(self) -> float:
-        """Max absolute row sum; cheap upper bound on the spectral radius."""
-        return float(np.abs(self.mat).sum(axis=1).max())
+    def norm_inf(self):
+        """Max absolute row sum, per map of a stack; cheap upper bound on the
+        spectral radius."""
+        return np.abs(self.mat).sum(axis=-1).max(axis=-1)
 
     def trace_defect(self) -> float:
-        """Max entry of vec(I)† · mat; zero for trace-preserving generators."""
+        """Max entry of vec(I)† · mat, over every map of a stack; zero for
+        trace-preserving generators."""
         d = self.dim
         diag_idx = np.arange(d) * (d + 1)
-        return float(np.abs(self.mat[diag_idx, :].sum(axis=0)).max())
+        return float(np.abs(self.mat[..., diag_idx, :].sum(axis=-2)).max())
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:
 
 
 def check_trace_preserving(l: Superoperator) -> Superoperator:
-    """``l`` itself; raises AssemblyError if its trace defect exceeds TRACE_PRESERVATION_TOL."""
+    """``l`` itself; raises AssemblyError if its trace defect, or that of any
+    map of a stack, exceeds TRACE_PRESERVATION_TOL."""
     defect = l.trace_defect()
     if defect > TRACE_PRESERVATION_TOL:
         raise AssemblyError(

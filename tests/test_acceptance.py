@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL line per
 criterion check.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -23,7 +24,9 @@ from polariton_ring.experiments import (
     Axis,
     ObservableSpec,
     SweepPlan,
+    SweepResult,
     optimize_concurrence,
+    point_evaluator,
     run_sweep,
     signed_x_grid,
     solve_spec,
@@ -283,6 +286,11 @@ def test_criterion_6_property_suites(rng):
     csv1 = run_sweep(plan, workers=1).to_csv()
     csv4 = run_sweep(plan, workers=4).to_csv()
     ok &= check("6i sweep determinism across workers", csv1 == csv4, "bit-identical CSV")
+    # 81 points: one full chunk and a partial one, against each point alone
+    evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point")
+    points = itertools.product(*(a.grid for a in plan.axes))
+    single = SweepResult(plan.header, [evaluate([p])[0] for p in points]).to_csv()
+    ok &= check("6j stacked sweep equals point-by-point", csv1 == single, "bit-identical CSV")
     assert ok
 
 

@@ -535,12 +535,25 @@ def with_value(cfg, keys, value):
         ("optimize", with_value(with_value(OPTIMIZE_CFG, ["free"], ["x[1].re", ["y[1]", "Gamma[1]"]]),
                                 ["bounds"], [[-1.0, 1.0], [-2.0, 2.0]]),
          "bounds[1] endpoint {'y[1]|Gamma[1]': -2.0}: all Gamma must be positive"),
+        # a path repeated across or within free groups, and a bad box or budget,
+        # rejected before the compile
+        ("optimize", with_value(with_value(OPTIMIZE_CFG, ["free"], ["y[0]", "y[0]"]), ["bounds"], [[0, 1], [2, 3]]),
+         "free names ['y[0]'] more than once"),
+        ("optimize", with_value(with_value(OPTIMIZE_CFG, ["free"], [["y[1]", "y[1]"]]), ["bounds"], [[0, 1]]),
+         "free names ['y[1]'] more than once"),
+        ("optimize", with_value(with_value(OPTIMIZE_CFG, ["free"], ["x[1].re"]), ["bounds"], [[5.0, -5.0]]),
+         "bounds[0] = [5.0, -5.0] has lower bound above upper bound"),
+        ("optimize", with_value(with_value(OPTIMIZE_CFG, ["free"], ["x[1].re"]), ["bounds"], [[0.0, float("inf")]]),
+         "bounds[0] = [0.0, inf] must be finite"),
+        ("optimize", with_value(OPTIMIZE_CFG, ["budget"], 0), "budget must be at least 1"),
     ],
     ids=["sweep-Gamma-string", "validate-n_boson-fraction", "validate-n_sites-fraction", "optimize-free-scalar",
          "optimize-free-numbers", "thermal-y-list", "thermal-y-overflow", "optimize-free-empty",
          "optimize-free-empty-group", "sweep-count-1e12", "sweep-3e6x41", "sweep-1001x1000", "thermal-500001x2",
          "solve-T-negative", "solve-T-nan", "solve-omega", "sweep-T-negative", "solve-purity-T",
-         "solve-concurrence-level", "optimize-bound-z-below-1", "optimize-group-bound-Gamma-negative"],
+         "solve-concurrence-level", "optimize-bound-z-below-1", "optimize-group-bound-Gamma-negative",
+         "optimize-free-repeated-across-groups", "optimize-free-repeated-in-group", "optimize-bounds-reversed",
+         "optimize-bound-infinite", "optimize-budget-0"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
     out = tmp_path / "data.csv"

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import bundled_models, count_interior_maxima, fwhm, phase_sweep_pl
 from polariton_ring import experiments, steady
 from polariton_ring.experiments import (
     Axis,
+    CHUNK,
     CompiledModel,
     CompileError,
     ObservableSpec,
@@ -16,6 +18,7 @@ from polariton_ring.experiments import (
     SweepPlan,
     central_difference,
     optimize_concurrence,
+    point_evaluator,
     run_sweep,
     signed_x_grid,
     solve_spec,
@@ -332,6 +335,26 @@ def test_grid_checked_at_base_model_before_compile(monkeypatch):
         optimize_concurrence(thermal_pair_spec(x=1.0), [("Gamma[0]", "y[0]")], [(-1.0, 2.0)], budget=5)
 
 
+@pytest.mark.parametrize(
+    "free, bounds, budget, message",
+    [
+        (["y[0]", "y[0]"], [(0.0, 1.0), (2.0, 3.0)], 5, "free names \\['y\\[0\\]'\\] more than once"),
+        ([("y[0]", "y[0]")], [(0.0, 1.0)], 5, "free names \\['y\\[0\\]'\\] more than once"),
+        (["x[0].re"], [(5.0, -5.0)], 5, "lower bound above upper bound"),
+        (["x[0].re"], [(0.0, np.inf)], 5, "must be finite"),
+        (["x[0].re"], [(0.0, 1.0)], 0, "budget must be at least 1"),
+    ],
+    ids=["repeated-across-groups", "repeated-in-group", "reversed", "infinite", "budget-0"],
+)
+def test_optimizer_box_checked_before_compile(monkeypatch, free, bounds, budget, message):
+    def forbidden(base):
+        raise AssertionError("compiled before the box was checked")
+
+    monkeypatch.setattr(experiments, "CompiledModel", forbidden)
+    with pytest.raises(ValueError, match=message):
+        optimize_concurrence(thermal_pair_spec(x=1.0), free, bounds, budget=budget)
+
+
 def test_phase_sweep_plan_defaults():
     plan = phase_sweep_plan(fig3_ring_spec(), count=5)
     assert plan.shape == (5, 5)
@@ -364,7 +387,7 @@ def effective_specs():
 
 def compile_error(compiled, spec):
     expected = assemble(*build_model(spec)[1:])
-    return np.abs(compiled.liouvillian(spec).mat - expected.mat).max() / max(expected.norm_inf(), 1.0)
+    return np.abs(compiled.contract([spec])[0].mat[0] - expected.mat).max() / max(expected.norm_inf(), 1.0)
 
 
 def test_compiled_matches_assembled_on_bundled_models():
@@ -441,7 +464,7 @@ def restriction_oracle(spec):
 
 def system_error(compiled, spec):
     want_m, want_r = restriction_oracle(spec)
-    m, r = compiled.system(spec)
+    _, (m,), (r,) = compiled.contract([spec])
     scale = max(np.abs(want_m).max(), np.abs(want_r).max(), 1.0)
     return max(np.abs(m - want_m).max(), np.abs(r - want_r).max()) / scale
 
@@ -462,12 +485,12 @@ def test_compiled_solve_matches_solve_spec_on_drawn_points(spec):
         _, want = solve_spec(spec)
     except SteadyStateError:
         assume(False)  # not unique: there is no state to compare
-    report, got = _COMPILED[spec.model].solve(spec)
+    report = _COMPILED[spec.model].solve([spec])
     # above a bound of about 3e5 both routes' own errors reach 1e-12 (the
     # least-squares one's to 6e-11); test_compiled_solve_is_accurate_where_ill_conditioned
     # measures the compiled route there against an exact reference instead
-    assume(report.uniqueness_bound < 1e5)
-    assert np.abs(got.mat - want.mat).max() <= 1e-12
+    assume(report.uniqueness_bound[0] < 1e5)
+    assert np.abs(report.rho.mat[0] - want.mat).max() <= 1e-12
 
 
 @given(drawn_specs())
@@ -518,10 +541,10 @@ def test_compiled_solve_is_accurate_where_ill_conditioned():
     errors = {"pair_eff": [], "ring3_eff": []}
     for spec in ill_conditioned_specs():
         exact = exact_steady_state(assemble(*build_model(spec)[1:]))
-        report, got = _COMPILED[spec.model].solve(spec)
+        report = _COMPILED[spec.model].solve([spec])
         _, want = solve_spec(spec)
-        assert report.uniqueness_bound > 1e6
-        errors[spec.model].append((np.abs(got.mat - exact).max(), np.abs(want.mat - exact).max()))
+        assert report.uniqueness_bound[0] > 1e6
+        errors[spec.model].append((np.abs(report.rho.mat[0] - exact).max(), np.abs(want.mat - exact).max()))
     for model, pairs in errors.items():
         compiled, least_squares = np.max(pairs, axis=0)
         assert compiled <= min(least_squares, 1e-11), model
@@ -573,21 +596,37 @@ def test_compiled_solve_hands_uncertified_points_to_steady_state_on(monkeypatch)
         seen.append(liouv)
         return original(liouv, space)
 
+    def liouvillian(spec):
+        return compiled.contract([spec])[0].mat[0]
+
     compiled = CompiledModel(thermal_pair_spec(x=1.0))
     monkeypatch.setattr(experiments, "steady_state_on", spy)
-    certified = thermal_pair_spec(x=0.5)
-    compiled.solve(certified)
+    chunk = [thermal_pair_spec(x=x) for x in (0.5, 1.5, 2.5)]
+    certified = compiled.solve(chunk)
     assert seen == []
-    # singular M: the undriven, uncoupled pair at y = 0 has a dark state
+    # singular M in the middle of a chunk: the undriven, uncoupled pair at y = 0
+    # has a dark state; only that point reaches steady_state_on
     dark = thermal_pair_spec(x=0.0, y=0.0, z=1.0)
     with pytest.raises(SteadyStateError, match="not unique"):
-        compiled.solve(dark)
-    assert len(seen) == 1 and np.array_equal(seen[0].mat, compiled.liouvillian(dark).mat)
-    # invertible M whose bound does not certify: no bound clears a threshold of 1
-    monkeypatch.setattr(steady, "UNIQUENESS_TOL", 1e-2)
-    report = compiled._compiled_report(certified)
-    assert len(seen) == 2 and np.array_equal(seen[1].mat, compiled.liouvillian(certified).mat)
-    assert report.uniqueness_bound >= 1.0
+        compiled.solve([chunk[0], dark, chunk[2]])
+    assert len(seen) == 1 and np.array_equal(seen[0].mat, liouvillian(dark))
+    # invertible M whose bound does not certify, in the middle of a chunk: the
+    # second certification of the solve (chunk[1]) declines
+    certify = steady._certified_unique
+    calls = []
+
+    def decline_second(bound):
+        calls.append(bound)
+        return len(calls) != 2 and certify(bound)
+
+    monkeypatch.setattr(steady, "_certified_unique", decline_second)
+    report = compiled.solve(chunk)
+    assert len(seen) == 2 and np.array_equal(seen[1].mat, liouvillian(chunk[1]))
+    # the fallback's report takes that point's place in the stack (its bound is
+    # the one steady_state_on formed, the third certification)
+    assert len(calls) == 4 and report.uniqueness_bound[1] == calls[2] and report.unique.all()
+    assert np.abs(report.rho.mat - certified.rho.mat).max() <= 1e-12
+    assert np.array_equal(report.rho.mat[[0, 2]], certified.rho.mat[[0, 2]])
 
 
 def test_uniqueness_bound_certifies_bundled_models():
@@ -596,8 +635,8 @@ def test_uniqueness_bound_certifies_bundled_models():
         assert 1.0 <= report.uniqueness_bound < 1e-2 / UNIQUENESS_TOL, spec.model
         if spec.model in _COMPILED:
             # compiled at another point, so this is the one-LU route
-            compiled = _COMPILED[spec.model]._compiled_report(spec)
-            assert compiled.uniqueness_bound == pytest.approx(report.uniqueness_bound, rel=1e-9)
+            compiled = _COMPILED[spec.model].solve([spec])
+            assert compiled.uniqueness_bound[0] == pytest.approx(report.uniqueness_bound, rel=1e-9)
 
 
 def test_run_sweep_matches_per_point_solve():
@@ -672,3 +711,52 @@ def test_concurrence_needs_qubit_sites():
         ObservableSpec("concurrence", sites=(0, 2)).check_space(experiments.model_space(micro))
     with pytest.raises(ValueError, match="out of range"):
         optimize_concurrence(fig5_pair_spec(), ["x[1].re"], [(0.0, 1.0)], budget=5, sites=(0, 2))
+
+
+# --- stacked sweep points ----------------------------------------------------------
+
+
+def stacked_plans():
+    """Ring, pair and thermal grids; each is longer than one chunk and not a
+    multiple of it, so that the last chunk is a partial one."""
+    ring = SweepPlan(model=fig3_ring_spec(),
+                     axes=(Axis("x[0].phase", tuple(np.linspace(0.0, 2 * np.pi, 9))),
+                           Axis("x[1].re", tuple(np.linspace(-0.5, 0.5, 8)))),
+                     observables=(ObservableSpec("concurrence", sites=(1, 2)), ObservableSpec("population", sites=(0,)),
+                                  ObservableSpec("purity", sites=(1,))))
+    pair = SweepPlan(model=fig5_pair_spec(),
+                     axes=(Axis("x[0].phase", tuple(np.linspace(0.0, 2 * np.pi, 13))),
+                           Axis("x[2].phase", tuple(np.linspace(0.0, 2 * np.pi, 11)))),
+                     observables=(ObservableSpec("concurrence", sites=(0, 1)), ObservableSpec("purity")))
+    thermal = SweepPlan(model=thermal_pair_spec(x=0.0, n_p=0.05),
+                        axes=(Axis("x[0].re", tuple(np.linspace(-10.0, 10.0, 101))),),
+                        observables=(ObservableSpec("trace_distance_to_gibbs", T=0.05),
+                                     ObservableSpec("concurrence", sites=(0, 1))))
+    return {"ring": ring, "pair": pair, "thermal": thermal}
+
+
+@pytest.mark.parametrize("name", ["ring", "pair", "thermal"])
+def test_chunked_sweep_equals_point_by_point(name):
+    plan = stacked_plans()[name]
+    points = list(itertools.product(*(a.grid for a in plan.axes)))
+    assert len(points) > CHUNK and len(points) % CHUNK != 0
+    evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point")
+    # each point as a chunk of one, against the chunks of run_sweep: bit for bit
+    assert run_sweep(plan).rows == [evaluate([point])[0] for point in points]
+
+
+def test_failing_point_in_a_chunk_is_named():
+    # the dark pair (z = 1: collective decay only) in the middle of a chunk of
+    # driven, damped points: the chunk fails, is evaluated point by point, and
+    # the first failing point is named
+    evaluate = point_evaluator(thermal_pair_spec(x=1.0), [("x[0].re",), ("y[0]",), ("z[0]",)],
+                               (ObservableSpec("purity"),), "grid point")
+    points = [(x, 15.0, 1.01) for x in np.linspace(-2.0, 2.0, 7)]
+    rows = evaluate(points)
+    points.insert(4, (0.0, 0.0, 1.0))
+    points.append((0.0, 0.0, 1.0))
+    with pytest.raises(SweepError, match="grid point \\{'x\\[0\\].re': 0.0, 'y\\[0\\]': 0.0, 'z\\[0\\]': 1.0\\} "
+                                         "failed: steady state is not unique"):
+        evaluate(points)
+    assert evaluate(points[:4]) == rows[:4]
+

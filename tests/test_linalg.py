@@ -343,3 +343,36 @@ def test_hilbert_space_validation():
     with pytest.raises(ValueError):
         HilbertSpace((2, 0))
     assert HilbertSpace((2, 3, 2)).dim == 12
+
+
+# --- stacks of states ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spoil, error, message",
+    [
+        (lambda m: m + np.diag([0.0, 0.0, 1e-3j, 0.0]), NonHermitianError, "state 3 not Hermitian"),
+        (lambda m: 1.01 * m, ValueError, "state 3 trace"),
+        (lambda m: np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex), ValueError, "state 3 has negative eigenvalue"),
+        (lambda m: np.full((4, 4), np.nan), ValueError, "non-finite"),
+    ],
+    ids=["hermitian", "trace", "psd", "finite"],
+)
+def test_density_matrix_stack_rejects_one_bad_state(rng, spoil, error, message):
+    space = HilbertSpace((2, 2))
+    mats = np.array([random_density_mat(rng, 4) for _ in range(5)])
+    assert DensityMatrix(space, mats.copy()).mat.shape == (5, 4, 4)
+    mats[3] = spoil(mats[3])
+    with pytest.raises(error, match=message):
+        DensityMatrix(space, mats)
+
+
+def test_partial_trace_of_a_stack_equals_each_state(rng):
+    space = HilbertSpace((2, 3, 2))
+    mats = np.array([random_density_mat(rng, 12) for _ in range(4)])
+    stack = DensityMatrix(space, mats)
+    for keep in ((0,), (1,), (0, 2), (1, 2), (0, 1, 2)):
+        reduced = partial_trace(stack, keep)
+        for k, mat in enumerate(mats):
+            assert np.array_equal(reduced.mat[k], partial_trace(DensityMatrix(space, mat), keep).mat)
+

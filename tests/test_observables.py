@@ -158,3 +158,16 @@ def test_purity_and_population():
     assert purity(rho) == pytest.approx(0.5)
     assert population(rho, 0) == pytest.approx(0.5)
     assert population(rho, 3) == 0.0
+
+
+def test_observables_of_a_stack_equal_each_state(rng):
+    # one value per state of a stack, each bit for bit the value of that state alone
+    space = HilbertSpace((2, 2))
+    mats = np.array([random_density_mat(rng, 4) for _ in range(6)])
+    gibbs = gibbs_two_qubit(0.05)
+    for observable in (concurrence, purity, lambda r: population(r, 2), lambda r: trace_distance(r, gibbs),
+                       lambda r: trace_distance(gibbs, r)):
+        values = observable(DensityMatrix(space, mats))
+        assert values.shape == (6,)
+        assert values.tolist() == [observable(DensityMatrix(space, mat)) for mat in mats]
+

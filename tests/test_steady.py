@@ -358,6 +358,20 @@ def test_gap_and_propagation_reject_non_hermiticity_preserving_generator(rng):
         evolve_to_steady(liouv, QUBIT)
 
 
+def restricted(liouv, space, fallback=None):
+    """steady_state_restricted on a stack of one point; its report, and
+    whether the point went to the fallback (steady_state_on by default)."""
+    seen = []
+
+    def spy(l):
+        seen.append(l)
+        return (fallback or steady_state_on)(l, space)
+
+    m, r = trace_zero_system(liouv)
+    report = steady_state_restricted(Superoperator(liouv.dim, liouv.mat[None]), space, m[None], r[None], spy)
+    return report, bool(seen)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_trace_zero_system_matches_dense_basis(rng, d):
     # the state from (M, r) against the dense complex solve Bᵀ·L·B·y = −Bᵀ·L·vec(I/d),
@@ -367,38 +381,58 @@ def test_trace_zero_system_matches_dense_basis(rng, d):
     b = traceless_basis(d)
     c_i = vec(np.eye(d, dtype=complex) / d)
     y = np.linalg.solve(b.conj().T @ liouv.mat @ b, -b.conj().T @ liouv.mat @ c_i)
-    report = steady_state_restricted(liouv, HilbertSpace((d,)), *trace_zero_system(liouv))
-    assert np.abs(report.rho.mat - unvec(c_i + b @ y)).max() <= 1e-12
+    report, fell_back = restricted(liouv, HilbertSpace((d,)))
+    assert not fell_back
+    assert np.abs(report.rho.mat[0] - unvec(c_i + b @ y)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_restricted_solve_matches_steady_state_on(rng, d):
     space = HilbertSpace((d,))
     liouv = random_lindblad(rng, d)
-    report = steady_state_restricted(liouv, space, *trace_zero_system(liouv))
+    report, fell_back = restricted(liouv, space)
     reference = steady_state_on(liouv, space)
-    assert report.unique and reference.unique
-    assert np.abs(report.rho.mat - reference.rho.mat).max() <= 1e-12
-    assert report.residual <= 1e-12 * max(1.0, liouv.norm_inf())
+    assert not fell_back and report.unique[0] and reference.unique
+    assert np.abs(report.rho.mat[0] - reference.rho.mat).max() <= 1e-12
+    assert report.residual[0] <= 1e-12 * max(1.0, liouv.norm_inf())
     # the two routes form the same certificate bound
-    assert report.uniqueness_bound == pytest.approx(reference.uniqueness_bound, rel=1e-10)
-    assert 1.0 <= report.uniqueness_bound < 1e-2 / UNIQUENESS_TOL
+    assert report.uniqueness_bound[0] == pytest.approx(reference.uniqueness_bound, rel=1e-10)
+    assert 1.0 <= report.uniqueness_bound[0] < 1e-2 / UNIQUENESS_TOL
 
 
 def test_restricted_solve_declines_what_it_cannot_certify(monkeypatch):
     # a dark singlet: M is singular, and no bound is formed on either route
     space, liouv = collective_decay_liouvillian()
-    assert steady_state_restricted(liouv, space, *trace_zero_system(liouv)) is None
+    report, fell_back = restricted(liouv, space)
+    assert fell_back and not report.unique[0] and report.uniqueness_bound[0] == np.inf
     reference = steady_state_on(liouv, space)
     assert not reference.unique and reference.uniqueness_bound == np.inf
     # a nearly dark one: M is invertible, but its bound does not certify
     liouv = near_dark_liouvillian(1e-9)
-    assert steady_state_restricted(liouv, space, *trace_zero_system(liouv)) is None
+    assert restricted(liouv, space)[1]
     # a well-conditioned one that a tighter threshold no longer certifies
     liouv = near_dark_liouvillian(1e-1)
-    assert steady_state_restricted(liouv, space, *trace_zero_system(liouv)) is not None
+    assert not restricted(liouv, space)[1]
     monkeypatch.setattr(steady, "UNIQUENESS_TOL", 1e-2)
-    assert steady_state_restricted(liouv, space, *trace_zero_system(liouv)) is None
+    assert restricted(liouv, space)[1]
+
+
+def test_restricted_solve_checks_each_point_of_a_stack(rng):
+    # a stack of points gives, per point, the state of its own stack of one,
+    # bit for bit; the fallback's report takes its point's place
+    space = HilbertSpace((4,))
+    points = [random_lindblad(rng, 4) for _ in range(3)]
+    _, dark = collective_decay_liouvillian()
+    points.insert(1, dark)
+    systems = [trace_zero_system(l) for l in points]
+    stack = Superoperator(4, np.array([l.mat for l in points]))
+    report = steady_state_restricted(stack, space, np.array([m for m, _ in systems]),
+                                     np.array([r for _, r in systems]), lambda l: steady_state_on(l, space))
+    assert report.unique.tolist() == [True, False, True, True]
+    for k, liouv in enumerate(points):
+        alone, _ = restricted(liouv, space)
+        assert np.array_equal(report.rho.mat[k], alone.rho.mat[0])
+        assert report.residual[k] == alone.residual[0] and report.uniqueness_bound[k] == alone.uniqueness_bound[0]
 
 
 def test_trace_zero_system_rejects_non_hermiticity_preserving_generator(rng):
