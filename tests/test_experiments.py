@@ -604,8 +604,8 @@ def test_compiled_solve_hands_uncertified_points_to_steady_state_on(monkeypatch)
     chunk = [thermal_pair_spec(x=x) for x in (0.5, 1.5, 2.5)]
     certified = compiled.solve(chunk)
     assert seen == []
-    # singular M in the middle of a chunk: the undriven, uncoupled pair at y = 0
-    # has a dark state; only that point reaches steady_state_on
+    # singular M in the middle of a chunk: with z = 1 the pair decays only
+    # collectively and has a dark state; only that point reaches steady_state_on
     dark = thermal_pair_spec(x=0.0, y=0.0, z=1.0)
     with pytest.raises(SteadyStateError, match="not unique"):
         compiled.solve([chunk[0], dark, chunk[2]])
