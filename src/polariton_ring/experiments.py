@@ -167,11 +167,17 @@ def _check_values(model: ModelSpec, paths: tuple[str, ...], values, where: str) 
             raise ValueError(f"{where} {{{name!r}: {value}}}: {exc}") from exc
 
 
+def _check_distinct(paths: list[str], owner: str) -> None:
+    repeated = sorted({path for path in paths if paths.count(path) > 1})
+    if repeated:
+        raise ValueError(f"{owner} {repeated} more than once: each path takes one value")
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """A model, the axes of its grid and the columns to observe. A grid over
-    GRID_POINT_BUDGET, or an axis value outside the model's domain (checked
-    once, at the base model), raises ValueError before anything is compiled."""
+    GRID_POINT_BUDGET, a path on two axes or an axis value outside the model's
+    domain (checked once, at the base model) raises ValueError before the compile."""
 
     model: ModelSpec
     axes: tuple[Axis, ...]
@@ -185,6 +191,7 @@ class SweepPlan:
         if not self.observables:
             raise ValueError("a sweep needs at least one observable")
         check_grid_points(math.prod(self.shape), "sweep grid")
+        _check_distinct([axis.path for axis in self.axes], "axes name")
         for axis in self.axes:
             _check_values(self.model, (axis.path,), axis.grid, "grid value")
         space = model_space(self.model)
@@ -246,15 +253,14 @@ class CompileError(RuntimeError):
 class CompiledModel:
     """One effective model as L(θ) = Σ_k c_k(θ)·L_k, for the points of one call.
 
-    Each piece of :func:`models.model_pieces` is assembled once into a
-    read-only (K, d⁴) real stack, and its trace-zero system (M_k, r_k) of
-    :func:`steady.trace_zero_system` into two more (which checks once that
-    every piece preserves hermiticity). A stack of points is then three
-    contractions of their coefficient rows with those stacks, the per-point
-    finiteness and trace-preservation checks of L and
-    :func:`steady_state_restricted`: per point, one LU of M solves and
-    certifies. A singular M, or a bound that does not certify, hands that
-    point's L alone to the unchanged :func:`steady_state_on`.
+    Each piece of :func:`models.model_pieces` is assembled once (which checks
+    its trace) into a read-only (K, d⁴) real stack, and its trace-zero system
+    (M_k, r_k) of :func:`steady.trace_zero_system` (which checks its
+    hermiticity) into two more. A stack of points is then two contractions
+    of their coefficient rows, for M and r, and :func:`steady_state_restricted`:
+    per point, one LU of M solves and certifies. Only a singular M, or a
+    bound that does not certify, has its point's L formed (:meth:`liouvillian`)
+    and handed alone to the unchanged :func:`steady_state_on`.
 
     The compile checks itself at ``base``: the contracted L must match
     ``assemble(*build_model(base)[1:])`` to COMPILE_TOL, and the compiled
@@ -281,14 +287,14 @@ class CompiledModel:
             piece = assemble(h, terms)
             self._stack[k] = piece.mat.view(float).ravel()
             m, self._r_stack[k] = trace_zero_system(piece)
-            self._m_stack[k] = m.T.ravel()  # so that a contraction is M in Fortran order
+            self._m_stack[k] = m.T.ravel()  # so that a contraction is M in Fortran order, as LAPACK takes it
         for a in (self._stack, self._m_stack, self._r_stack):
             a.setflags(write=False)
         self._check(base)
 
     def _check(self, base: ModelSpec) -> None:
         expected = assemble(*build_model(base)[1:])
-        error = float(np.abs(self.contract([base])[0].mat[0] - expected.mat).max())
+        error = float(np.abs(self.liouvillian(base).mat - expected.mat).max())
         if error > COMPILE_TOL * max(expected.norm_inf(), 1.0):
             raise CompileError(f"compiled {base.model} Liouvillian differs from the assembled one by {error:.2e}")
         try:
@@ -305,17 +311,20 @@ class CompiledModel:
         if error > COMPILE_RHO_TOL:
             raise CompileError(f"compiled {base.model} steady state differs from the assembled one by {error:.2e}")
 
-    def contract(self, specs) -> tuple[Superoperator, np.ndarray, np.ndarray]:
-        """The stack of L at the points ``specs``, checked per point for
-        finite entries and trace preservation, and their trace-zero systems
-        (M, r) of :func:`steady.trace_zero_system`: one matmul each. Each
-        row is the same BLAS call whatever the stack, so a point's L, M and r
-        do not depend on the points beside it."""
+    def system(self, specs) -> tuple[np.ndarray, np.ndarray]:
+        """The trace-zero systems (M, r) at the points ``specs``: one matmul
+        each, whose rows are the same BLAS call whatever the stack, so that a
+        point's M and r do not depend on the points beside it."""
         c = np.array([coefficients(spec) for spec in specs])[:, None, :]
-        b, n = len(specs), self.space.dim**2
-        l = check_trace_preserving(Superoperator(self.space.dim, (c @ self._stack).view(complex).reshape(b, n, n)))
-        m = (c @ self._m_stack).reshape(b, n - 1, n - 1).swapaxes(1, 2)
-        return l, m, (c @ self._r_stack)[:, 0]
+        n = self.space.dim**2
+        m = (c @ self._m_stack).reshape(len(specs), n - 1, n - 1).swapaxes(1, 2)
+        return m, (c @ self._r_stack)[:, 0]
+
+    def liouvillian(self, spec: ModelSpec) -> Superoperator:
+        """L at one point, checked for finite entries and trace preservation."""
+        n = self.space.dim**2
+        mat = (coefficients(spec) @ self._stack).view(complex).reshape(n, n)
+        return check_trace_preserving(Superoperator(self.space.dim, mat))
 
     def solve(self, specs) -> SteadyStateReport:
         """The unique steady states at the points ``specs``, as one report
@@ -325,13 +334,13 @@ class CompiledModel:
         def fallback(l: Superoperator) -> SteadyStateReport:
             return _unique(steady_state_on(l, self.space), self.model)[0]
 
-        l, m, r = self.contract(specs)
-        return steady_state_restricted(l, self.space, m, r, fallback)
+        m, r = self.system(specs)
+        return steady_state_restricted(self.space, m, r, lambda k: self.liouvillian(specs[k]), fallback)
 
 
 # Points of a sweep evaluated together, in row order. Fixed, so that the rows
 # do not depend on how the chunks are spread over workers; 64 keeps a chunk's
-# stacks small (the ring's L stack is 4 MB).
+# stacks small (the ring's M stack is 2 MB).
 CHUNK = 64
 
 
@@ -427,10 +436,7 @@ def optimize_concurrence(
     groups: list[tuple[str, ...]] = [(g,) if isinstance(g, str) else tuple(g) for g in free]
     if not groups or not all(groups):
         raise ValueError("free must name at least one parameter, and each group at least one path")
-    paths = [path for group in groups for path in group]
-    repeated = sorted({path for path in paths if paths.count(path) > 1})
-    if repeated:
-        raise ValueError(f"free names {repeated} more than once: each path takes one value")
+    _check_distinct([path for group in groups for path in group], "free names")
     check_box(bounds, budget)
     for k, (group, bound) in enumerate(zip(groups, bounds)):
         _check_values(model, group, bound, f"bounds[{k}] endpoint")

@@ -83,13 +83,13 @@ class DensityMatrix:
 
     ``mat`` is one d×d state or a (B, d, d) stack of B states on the same
     space; each state of a stack is checked on its own, and a failure names
-    its index."""
+    its index. It holds a frozen copy; the caller's array stays writeable."""
 
     space: HilbertSpace
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mat = as_complex(self.mat)
+        mat = as_complex(self.mat).copy()
         d = self.space.dim
         if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d):
             raise ValueError(f"state has shape {mat.shape}, space dimension is {d}")

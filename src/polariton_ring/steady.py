@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .linalg import HERM_TOL, DensityMatrix, HilbertSpace, hermitize, lstsq_solve
-from .superop import Superoperator, unvec, vec
+from .superop import Superoperator, check_trace_preserving, unvec, vec
 
 RESIDUAL_TOL = 1e-8
 CLAMP_TOL = 1e-8
@@ -110,12 +110,12 @@ def _from_real(c: np.ndarray, d: int) -> np.ndarray:
     return rho.reshape(c.shape[:-1] + (d, d))
 
 
-def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The real L_r of :func:`_real_form` and its restriction to the
-    trace-zero subspace, the square M = B_rᵀ·L_r·B_r with B_r the orthonormal
-    basis of :func:`_hermitian_basis` (never formed). Since L maps into that
-    subspace, M is L restricted to it in an orthonormal basis, and its
-    singular values are those of L_r·B_r.
+def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real L_r of :func:`_real_form` and L's steady-state equation on the
+    trace-zero subspace, M·y = r: M = B_rᵀ·L_r·B_r and r = −B_rᵀ·L_r·c_I, for
+    the orthonormal basis B_r of :func:`_hermitian_basis` (never formed) and
+    the coordinates c_I of I/d, so that the steady state is c = c_I + B_r·y.
+    As L maps into that subspace, M's singular values are those of L_r·B_r.
     Raises SteadyStateError when L_r has an imaginary part above
     HERM_TOL·max(scale, 1), ``scale`` being ‖L‖_∞: L then does not preserve
     hermiticity."""
@@ -126,26 +126,19 @@ def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.nd
     lr = lc.real
     _, _, house = _hermitian_basis(d)
     lb = np.concatenate([lr[:, :d] @ house[:, 1:], lr[:, d:]], axis=1)
-    return lr, np.concatenate([house[1:] @ lb[:d], lb[d:]])
+    li = lr[:, :d].sum(axis=1) / d
+    return lr, np.concatenate([house[1:] @ lb[:d], lb[d:]]), -np.concatenate([house[1:] @ li[:d], li[d:]])
 
 
 def trace_zero_system(l: Superoperator) -> tuple[np.ndarray, np.ndarray]:
-    """The steady-state equation of L on the trace-zero subspace: M of
-    :func:`_real_restriction` and r = −B_rᵀ·L_r·c_I, with c_I the coordinates
-    of I/d, so that the steady state is c = c_I + B_r·y with M·y = r. Linear
-    in L: the system of Σ c_k·L_k is Σ c_k·(M_k, r_k). Raises
-    SteadyStateError when L does not preserve hermiticity."""
-    d = l.dim
-    lr, m = _real_restriction(l, l.norm_inf())
-    _, _, house = _hermitian_basis(d)
-    lc = lr[:, :d].sum(axis=1) / d
-    return m, -np.concatenate([house[1:] @ lc[:d], lc[d:]])
+    """(M, r) of :func:`_real_restriction`, linear in L: the system of Σ c_k·L_k
+    is Σ c_k·(M_k, r_k). Raises SteadyStateError when L does not preserve hermiticity."""
+    return _real_restriction(l, l.norm_inf())[1:]
 
 
 def _lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The LU factors (getrf) of M, or None when LAPACK finds M exactly
-    singular. Factors in place when m is Fortran-ordered."""
-    lu, piv, info = _getrf(m, overwrite_a=True)
+    """The LU factors of a copy of M (getrf), or None when LAPACK finds M exactly singular."""
+    lu, piv, info = _getrf(m)
     return (lu, piv) if info == 0 else None
 
 
@@ -164,17 +157,19 @@ def _certified_unique(bound: float) -> bool:
     return bool(bound < 1e-2 / UNIQUENESS_TOL)
 
 
-def _states(l: Superoperator, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checked states of a stack of B generators ``l`` from their
-    Hermitian-basis coordinates c (B, n): per state, eigenvalues within
-    CLAMP_TOL below zero are clamped and ρ renormalized, and the residual
-    ‖L vec ρ‖ on the complex L must stay below RESIDUAL_TOL·max(‖L‖_∞, 1)
-    (‖L‖_∞ is formed only for a residual above RESIDUAL_TOL, the only ones
-    that can fail). Returns the states (B, d, d), their smallest eigenvalues
-    before the clamp and their residuals. Every matrix product is one BLAS
-    call per point, so a point's numbers do not depend on the stack it is
-    in."""
-    d = l.dim
+def _states(m: np.ndarray, r: np.ndarray, c: np.ndarray,
+            norm: Callable[[int], float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked states of a stack of B generators from their trace-zero
+    systems (M, r) and Hermitian-basis coordinates c (B, n): per state,
+    eigenvalues within CLAMP_TOL below zero are clamped and ρ renormalized,
+    and the residual ‖M·y′ − r‖ (y′ = B_rᵀ·c′, the trace-zero coordinates of
+    the clamped ρ; this is ‖L vec ρ‖, as L maps into that subspace) must stay
+    below RESIDUAL_TOL·max(norm(k), 1), norm(k) being the k-th ‖L‖_∞, asked
+    only for a residual above RESIDUAL_TOL. Returns the states (B, d, d),
+    their smallest eigenvalues before the clamp and their residuals. Every
+    matrix product is one BLAS call per point, so a point's numbers do not
+    depend on the stack it is in."""
+    d = round(c.shape[1] ** 0.5)
     w, v = np.linalg.eigh(_from_real(c, d))
     min_eig = w.min(axis=1)
     if min_eig.min() < -CLAMP_TOL:
@@ -186,13 +181,15 @@ def _states(l: Superoperator, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     rho = hermitize((v * w[:, None, :]) @ v.conj().swapaxes(1, 2))
     rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
 
-    lv = l.mat @ rho.swapaxes(1, 2).reshape(len(c), -1, 1)  # L vec ρ, column-stacked
-    re, im = lv.real, lv.imag
-    residual = np.sqrt(re.swapaxes(1, 2) @ re + im.swapaxes(1, 2) @ im)[:, 0, 0]
-    if residual.max() > RESIDUAL_TOL:
-        failed = residual > RESIDUAL_TOL * np.maximum(l.norm_inf(), 1.0)
-        if failed.any():
-            raise SteadyStateError(f"steady-state residual {residual[failed][0]:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
+    # y′ from the diagonal and upper entries of ρ, as _from_real places them
+    entries = rho.reshape(len(c), -1)[:, _coordinate_entries(d)[:d * (d + 1) // 2]]
+    _, _, house = _hermitian_basis(d)
+    upper = np.sqrt(2.0) * entries[:, d:]
+    y = np.concatenate([(house[1:] @ entries[:, :d, None].real)[..., 0], upper.real, upper.imag], axis=1)
+    residual = np.linalg.norm((m @ y[..., None])[..., 0] - r, axis=1)
+    for k in np.flatnonzero(residual > RESIDUAL_TOL):
+        if residual[k] > RESIDUAL_TOL * max(norm(k), 1.0):
+            raise SteadyStateError(f"steady-state residual {residual[k]:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
     return rho, min_eig, residual
 
 
@@ -203,18 +200,19 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     Works in the orthonormal Hermitian basis (:func:`_real_form`), where a
     Lindblad generator is a real matrix L_r: solves the stacked real system
     [L_r; t]·c = [0; 1] (t the trace row) by least squares, rebuilds ρ from c,
-    clamps eigenvalues within −1e-8 of zero and renormalizes. The residual is
-    checked on the original complex L. Uniqueness is decided by the rule of
-    :func:`steady_state_restricted`: σ_min(M) > UNIQUENESS_TOL·σ_max(M) for
-    the trace-zero restriction M, certified by the LU bound where M is well
-    conditioned and decided by the singular values of M everywhere else. A
-    non-unique report carries gelsy's minimum-norm state at its numerical
-    rank.
+    clamps eigenvalues within −1e-8 of zero and renormalizes. L is checked to
+    be trace preserving (AssemblyError), since the residual, on (M, r) of
+    :func:`trace_zero_system`, cannot see its trace row. Uniqueness is
+    decided by the rule of :func:`steady_state_restricted`:
+    σ_min(M) > UNIQUENESS_TOL·σ_max(M) for the trace-zero restriction M,
+    certified by the LU bound where M is well conditioned and decided by the
+    singular values of M everywhere else. A non-unique report carries
+    gelsy's minimum-norm state at its numerical rank.
     """
     d = l.dim
     n = d * d
-    scale = l.norm_inf()
-    lr, m = _real_restriction(l, scale)
+    scale = check_trace_preserving(l).norm_inf()
+    lr, m, r = _real_restriction(l, scale)
     stacked = np.zeros((n + 1, n))
     stacked[:n] = lr
     stacked[n, :d] = 1.0
@@ -224,15 +222,14 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
 
     unique, bound = True, np.inf
     if n > 1:
-        # LAPACK factors this Fortran-ordered copy of Mᵀ in place and leaves M
-        # intact for the singular values; ‖(Mᵀ)⁻¹‖_F = ‖M⁻¹‖_F
-        factors = _lu(m.T.copy(order="F"))
+        # Mᵀ is a Fortran-ordered view of M, factored on a copy; ‖(Mᵀ)⁻¹‖_F = ‖M⁻¹‖_F
+        factors = _lu(m.T)
         if factors is not None:
             bound = float(np.linalg.norm(m)) * _inverse_norm(*factors)
         if not _certified_unique(bound):
             svals = np.linalg.svd(m, compute_uv=False)
             unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
-    rho, min_eig, residual = _states(Superoperator(d, l.mat[None]), c[None])
+    rho, min_eig, residual = _states(m[None], r[None], c[None], lambda _: scale)
     return SteadyStateReport(DensityMatrix(space, rho[0]), float(residual[0]), float(min_eig[0]), unique, bound)
 
 
@@ -243,23 +240,23 @@ def _restricted_coordinates(ys: list[np.ndarray], d: int) -> np.ndarray:
     return np.concatenate([(house[:, 1:] @ y[:, :d - 1, None])[..., 0] + 1.0 / d, y[:, d - 1:]], axis=1)
 
 
-def steady_state_restricted(l: Superoperator, space: HilbertSpace, m: np.ndarray, r: np.ndarray,
+def steady_state_restricted(space: HilbertSpace, m: np.ndarray, r: np.ndarray,
+                            liouvillian: Callable[[int], Superoperator],
                             fallback: Callable[[Superoperator], SteadyStateReport]) -> SteadyStateReport:
-    """:func:`steady_state_on` for a stack of B generators ``l`` from their
-    systems (M, r) of :func:`trace_zero_system`, already formed (for example
-    contracted from compiled pieces, whose hermiticity was checked there):
-    ``m`` (B, k, k), each Fortran-ordered so that it is factored in place, and
-    ``r`` (B, k).
+    """:func:`steady_state_on` for a stack of B generators from their systems
+    (M, r) of :func:`trace_zero_system`, already formed and checked (for
+    example contracted from compiled pieces): ``m`` (B, k, k) and ``r``
+    (B, k). ``liouvillian(k)`` forms the k-th point's L, only for a point
+    that falls back or a residual above RESIDUAL_TOL.
 
     Per point, one LU of M gives both the state c = c_I + B_r·M⁻¹r, by
     triangular solves, and the certificate ‖M‖_F·‖M⁻¹‖_F, from the inverse
     (‖M‖_F = ‖L_r·B_r‖_F, since L maps into the trace-zero subspace). A point
     whose M is singular, or whose bound does not certify uniqueness, goes
     alone to ``fallback`` with its own L, which returns its report. The
-    certified points then share one tail: the clamp and the residual on the
-    complex L, checked per state as in :func:`steady_state_on`. Returns one
+    certified points then share one tail (:func:`_states`). Returns one
     report for the stack, whose states are checked together."""
-    d = l.dim
+    d = space.dim
     b = len(m)
     bound = np.empty(b)
     certified, coords, fallen = [], [], {}
@@ -276,19 +273,16 @@ def steady_state_restricted(l: Superoperator, space: HilbertSpace, m: np.ndarray
                 certified.append(k)
                 coords.append(y)
                 continue
-        fallen[k] = fallback(Superoperator(d, l.mat[k]))
-    unique = np.ones(b, dtype=bool)
-    if not fallen:
-        rho, min_eig, residual = _states(l, _restricted_coordinates(coords, d))
-    else:
-        rho = np.empty((b, d, d), dtype=complex)
-        residual, min_eig = np.empty(b), np.empty(b)
-        if certified:
-            rho[certified], min_eig[certified], residual[certified] = _states(
-                Superoperator(d, l.mat[certified]), _restricted_coordinates(coords, d))
-        for k, report in fallen.items():
-            rho[k], residual[k], min_eig[k] = report.rho.mat, report.residual, report.min_eigenvalue
-            unique[k], bound[k] = report.unique, report.uniqueness_bound
+        fallen[k] = fallback(liouvillian(k))
+    rho, unique = np.empty((b, d, d), dtype=complex), np.ones(b, dtype=bool)
+    residual, min_eig = np.empty(b), np.empty(b)
+    if certified:
+        sel = certified if fallen else slice(None)  # views, not copies, when none fell back
+        rho[sel], min_eig[sel], residual[sel] = _states(
+            m[sel], r[sel], _restricted_coordinates(coords, d), lambda i: liouvillian(certified[i]).norm_inf())
+    for k, report in fallen.items():
+        rho[k], residual[k], min_eig[k] = report.rho.mat, report.residual, report.min_eigenvalue
+        unique[k], bound[k] = report.unique, report.uniqueness_bound
     return SteadyStateReport(DensityMatrix(space, rho), residual, min_eig, unique, bound)
 
 

@@ -41,8 +41,9 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Linear map on vectorized density matrices, stored densely (d² × d²),
-    or a (B, d², d²) stack of B such maps; the norm is then one per map."""
+    """Linear map on vectorized density matrices, stored densely (d² × d²).
+    Keeps a complex128 ``mat`` without a copy (a micro L may be hundreds of
+    MiB) and freezes it: the caller's array becomes read-only."""
 
     dim: int
     mat: np.ndarray = field(repr=False)
@@ -50,7 +51,7 @@ class Superoperator:
     def __post_init__(self):
         mat = as_complex(self.mat)
         d2 = self.dim * self.dim
-        if mat.ndim not in (2, 3) or mat.shape[-2:] != (d2, d2):
+        if mat.shape != (d2, d2):
             raise ValueError(f"superoperator shape {mat.shape} != ({d2}, {d2})")
         object.__setattr__(self, "mat", mat)
         mat.setflags(write=False)
@@ -59,17 +60,15 @@ class Superoperator:
         """Action on a density matrix given and returned in matrix form."""
         return unvec(self.mat @ vec(rho_mat))
 
-    def norm_inf(self):
-        """Max absolute row sum, per map of a stack; cheap upper bound on the
-        spectral radius."""
-        return np.abs(self.mat).sum(axis=-1).max(axis=-1)
+    def norm_inf(self) -> float:
+        """Max absolute row sum; cheap upper bound on the spectral radius."""
+        return float(np.abs(self.mat).sum(axis=1).max())
 
     def trace_defect(self) -> float:
-        """Max entry of vec(I)† · mat, over every map of a stack; zero for
-        trace-preserving generators."""
+        """Max entry of vec(I)† · mat; zero for trace-preserving generators."""
         d = self.dim
         diag_idx = np.arange(d) * (d + 1)
-        return float(np.abs(self.mat[..., diag_idx, :].sum(axis=-2)).max())
+        return float(np.abs(self.mat[diag_idx].sum(axis=0)).max())
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,7 @@ def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:
 
 
 def check_trace_preserving(l: Superoperator) -> Superoperator:
-    """``l`` itself; raises AssemblyError if its trace defect, or that of any
-    map of a stack, exceeds TRACE_PRESERVATION_TOL."""
+    """``l`` itself; raises AssemblyError if its trace defect exceeds TRACE_PRESERVATION_TOL."""
     defect = l.trace_defect()
     if defect > TRACE_PRESERVATION_TOL:
         raise AssemblyError(

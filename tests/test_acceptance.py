@@ -25,6 +25,7 @@ from polariton_ring.experiments import (
     ObservableSpec,
     SweepPlan,
     SweepResult,
+    central_difference,
     optimize_concurrence,
     point_evaluator,
     run_sweep,
@@ -39,9 +40,10 @@ from polariton_ring.models import (
     build_model,
     fig3_ring_spec,
     fig5_pair_spec,
+    thermal_pair_spec,
     validation_micro_spec,
 )
-from polariton_ring.observables import concurrence, population, trace_distance
+from polariton_ring.observables import concurrence, population, thermal_occupation, trace_distance
 from polariton_ring.steady import evolve_to_steady, steady_state_on
 from polariton_ring.superop import assemble
 
@@ -305,6 +307,29 @@ def test_criterion_7_lambda_system():
     steps = np.diff(c)
     ok = check("7a ring C_12 strictly decreasing in Gamma[1]", bool(np.all(steps < 0)),
                f"C_12 {c[0]:.4f} at 1e-4 to {c[-1]:.4f} at 1, smallest drop {-steps.max():.1e}")
+    assert ok
+
+
+def test_criterion_7_thermalization_rate_beside_entanglement():
+    # The paper's second claim: the rate at which the pair thermalizes with
+    # the drive is consistent with its entanglement. On pair_thermal (y = 15,
+    # z = 1.01) the ridge of |∂d/∂x| must sit within one step of the shipped
+    # thermal-map x grid (0.2) of the peak of C, at every temperature.
+    xs = np.round(np.linspace(1.0, 3.0, 201), 10)
+    step = float(np.diff(signed_x_grid())[0])
+    places = []
+    for t in (0.0, 0.01, 0.05, 0.1):
+        plan = SweepPlan(model=thermal_pair_spec(x=0.0, n_p=thermal_occupation(t), y=15.0, z=1.01),
+                         axes=(Axis("x[0].re", tuple(xs)),),
+                         observables=(ObservableSpec("concurrence", sites=(0, 1)),
+                                      ObservableSpec("trace_distance_to_gibbs", T=t)))
+        result = run_sweep(plan)
+        peak = xs[np.argmax(result.column("concurrence_0_1"))]
+        ridge = xs[np.argmax(np.abs(central_difference(result.column("d_gibbs"), xs)))]
+        places.append((float(peak), float(ridge)))
+    worst = max(abs(peak - ridge) for peak, ridge in places)
+    ok = check("7b thermalization ridge beside the concurrence peak", worst <= step + 1e-12,
+               f"(C peak, ridge) per T {places}, worst distance {worst:.2f} <= {step:.2f}")
     assert ok
 
 

@@ -546,6 +546,10 @@ def with_value(cfg, keys, value):
         ("optimize", with_value(with_value(OPTIMIZE_CFG, ["free"], ["x[1].re"]), ["bounds"], [[0.0, float("inf")]]),
          "bounds[0] = [0.0, inf] must be finite"),
         ("optimize", with_value(OPTIMIZE_CFG, ["budget"], 0), "budget must be at least 1"),
+        # a path on two axes, rejected before the compile
+        ("sweep", with_value(THERMAL_SWEEP_CFG, ["axes"], [{"path": "x[0].re", "grid": [0.0, 1.0]},
+                                                          {"path": "x[0].re", "grid": [2.0, 3.0]}]),
+         "axes name ['x[0].re'] more than once"),
     ],
     ids=["sweep-Gamma-string", "validate-n_boson-fraction", "validate-n_sites-fraction", "optimize-free-scalar",
          "optimize-free-numbers", "thermal-y-list", "thermal-y-overflow", "optimize-free-empty",
@@ -553,7 +557,7 @@ def with_value(cfg, keys, value):
          "solve-T-negative", "solve-T-nan", "solve-omega", "sweep-T-negative", "solve-purity-T",
          "solve-concurrence-level", "optimize-bound-z-below-1", "optimize-group-bound-Gamma-negative",
          "optimize-free-repeated-across-groups", "optimize-free-repeated-in-group", "optimize-bounds-reversed",
-         "optimize-bound-infinite", "optimize-budget-0"],
+         "optimize-bound-infinite", "optimize-budget-0", "sweep-axis-repeated"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
     out = tmp_path / "data.csv"
@@ -573,8 +577,12 @@ def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, m
         ("sweep", {"model": OPTIMIZE_CFG["model"], "axes": [{"path": "x[1].re", "grid": [-1e200, 1e200]}],
                    "observables": [{"kind": "purity"}]},
          "run failed: grid point {'x[1].re': -1e+200} failed: "),
+        # finite parameters whose coefficient Γ₁x₁ overflows
+        ("sweep", {"model": with_value(pair_model_json(), ["x", 0], [1e10, 0.0]),
+                   "axes": [{"path": "Gamma[0]", "grid": [1.0, 1e300]}], "observables": [{"kind": "purity"}]},
+         "run failed: grid point {'Gamma[0]': 1e+300} failed: matrix contains non-finite entries"),
     ],
-    ids=["optimize", "sweep"],
+    ids=["optimize", "sweep", "sweep-coefficient-overflow"],
 )
 def test_point_failure_exits_1_naming_the_point(tmp_path, capsys, command, config, message):
     # a drive of 1e200 is inside the model's domain, but its Liouvillian is not

@@ -41,7 +41,7 @@ from polariton_ring.models import (
 )
 from polariton_ring.observables import concurrence
 from polariton_ring.steady import UNIQUENESS_TOL, SteadyStateError
-from polariton_ring.superop import assemble
+from polariton_ring.superop import assemble, vec
 
 
 def small_pair_plan(count=3):
@@ -387,7 +387,7 @@ def effective_specs():
 
 def compile_error(compiled, spec):
     expected = assemble(*build_model(spec)[1:])
-    return np.abs(compiled.contract([spec])[0].mat[0] - expected.mat).max() / max(expected.norm_inf(), 1.0)
+    return np.abs(compiled.liouvillian(spec).mat - expected.mat).max() / max(expected.norm_inf(), 1.0)
 
 
 def test_compiled_matches_assembled_on_bundled_models():
@@ -450,7 +450,7 @@ def restriction_oracle(spec):
     """M of steady._real_restriction on the assembled L, and r = −B_rᵀ·L_r·c_I
     with the basis B_r and the coordinates c_I of I/d written out densely."""
     liouv = assemble(*build_model(spec)[1:])
-    lr, m = steady._real_restriction(liouv, liouv.norm_inf())
+    lr, m, _ = steady._real_restriction(liouv, liouv.norm_inf())
     d = liouv.dim
     n = d * d
     _, _, house = steady._hermitian_basis(d)
@@ -464,7 +464,7 @@ def restriction_oracle(spec):
 
 def system_error(compiled, spec):
     want_m, want_r = restriction_oracle(spec)
-    _, (m,), (r,) = compiled.contract([spec])
+    (m,), (r,) = compiled.system([spec])
     scale = max(np.abs(want_m).max(), np.abs(want_r).max(), 1.0)
     return max(np.abs(m - want_m).max(), np.abs(r - want_r).max()) / scale
 
@@ -597,7 +597,7 @@ def test_compiled_solve_hands_uncertified_points_to_steady_state_on(monkeypatch)
         return original(liouv, space)
 
     def liouvillian(spec):
-        return compiled.contract([spec])[0].mat[0]
+        return compiled.liouvillian(spec).mat
 
     compiled = CompiledModel(thermal_pair_spec(x=1.0))
     monkeypatch.setattr(experiments, "steady_state_on", spy)
@@ -627,6 +627,37 @@ def test_compiled_solve_hands_uncertified_points_to_steady_state_on(monkeypatch)
     assert len(calls) == 4 and report.uniqueness_bound[1] == calls[2] and report.unique.all()
     assert np.abs(report.rho.mat - certified.rho.mat).max() <= 1e-12
     assert np.array_equal(report.rho.mat[[0, 2]], certified.rho.mat[[0, 2]])
+
+
+@given(drawn_specs())
+def test_compiled_residual_is_the_residual_on_the_assembled_liouvillian(spec):
+    # the residual on (M, r) is ‖L vec ρ‖: the Hermitian basis is orthonormal
+    # and L maps into the trace-zero subspace
+    try:
+        report = _COMPILED[spec.model].solve([spec])
+    except SteadyStateError:
+        assume(False)  # not unique: the fallback forms its own residual
+    liouv = assemble(*build_model(spec)[1:])
+    want = np.linalg.norm(liouv.mat @ vec(report.rho.mat[0]))
+    assert abs(report.residual[0] - want) <= 1e-14 * max(liouv.norm_inf(), 1.0)
+
+
+def test_compiled_solve_forms_no_liouvillian_for_certified_points(monkeypatch):
+    calls = []
+    honest = CompiledModel.liouvillian
+
+    def spy(self, spec):
+        calls.append(spec)
+        return honest(self, spec)
+
+    monkeypatch.setattr(CompiledModel, "liouvillian", spy)
+    base = fig3_ring_spec()
+    compiled = CompiledModel(base)
+    assert calls == [base]  # the base-point check
+    chunk = [apply_path(base, "x[0].phase", phi) for phi in np.linspace(0.0, 2 * np.pi, CHUNK)]
+    report = compiled.solve(chunk)
+    assert (report.uniqueness_bound < 1e-2 / UNIQUENESS_TOL).all()
+    assert calls == [base]
 
 
 def test_uniqueness_bound_certifies_bundled_models():

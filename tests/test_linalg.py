@@ -331,6 +331,15 @@ def test_density_matrix_validation():
         DensityMatrix(space, np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_density_matrix_owns_a_frozen_copy(rng):
+    mat = random_density_mat(rng, 4)
+    rho = DensityMatrix(HilbertSpace((2, 2)), mat)
+    assert mat.flags.writeable and not rho.mat.flags.writeable
+    before = rho.mat.copy()
+    mat[0, 0] = 7.0
+    assert np.array_equal(rho.mat, before)
+
+
 def test_basis_state():
     rho = basis_state(HilbertSpace((2, 2)), 0)
     assert rho.mat[0, 0] == 1.0
@@ -361,7 +370,7 @@ def test_hilbert_space_validation():
 def test_density_matrix_stack_rejects_one_bad_state(rng, spoil, error, message):
     space = HilbertSpace((2, 2))
     mats = np.array([random_density_mat(rng, 4) for _ in range(5)])
-    assert DensityMatrix(space, mats.copy()).mat.shape == (5, 4, 4)
+    assert DensityMatrix(space, mats).mat.shape == (5, 4, 4)
     mats[3] = spoil(mats[3])
     with pytest.raises(error, match=message):
         DensityMatrix(space, mats)

@@ -19,7 +19,7 @@ from polariton_ring.steady import (
     steady_state_restricted,
     trace_zero_system,
 )
-from polariton_ring.superop import DissipatorTerm, Superoperator, assemble, unvec, vec
+from polariton_ring.superop import AssemblyError, DissipatorTerm, Superoperator, assemble, unvec, vec
 
 QUBIT = HilbertSpace((2,))
 
@@ -181,7 +181,7 @@ def test_traceless_columns_match_dense_basis(rng, d):
     # trace-zero subspace, which L maps into, so their singular values agree
     n = d * d
     liouv = random_lindblad(rng, d)
-    _, m = _real_restriction(liouv, liouv.norm_inf())
+    _, m, _ = _real_restriction(liouv, liouv.norm_inf())
     assert m.shape == (n - 1, n - 1)
     want = np.linalg.svd(liouv.mat @ traceless_basis(d), compute_uv=False)
     assert np.abs(np.linalg.svd(m, compute_uv=False) - want).max() <= 1e-13 * want[0]
@@ -201,7 +201,7 @@ def test_real_restriction_spectrum_matches_dense_basis(rng, d):
     basis = traceless_basis(d)
     for _ in range(3):
         liouv = random_lindblad(rng, d)
-        _, m = _real_restriction(liouv, liouv.norm_inf())
+        _, m, _ = _real_restriction(liouv, liouv.norm_inf())
         want = np.linalg.eigvals(basis.conj().T @ liouv.mat @ basis)
         assert matched_distance(np.linalg.eigvals(m), want) <= 1e-12 * np.abs(want).max()
 
@@ -350,6 +350,13 @@ def test_steady_state_rejects_non_hermiticity_preserving_generator(rng):
         steady_state_on(non_hermiticity_preserving(rng), QUBIT)
 
 
+def test_steady_state_rejects_generator_that_is_not_trace_preserving():
+    # the residual on (M, r) cannot see L's trace row, so the trace is checked first
+    leaky = Superoperator(2, decay_liouvillian().mat - 0.1 * np.eye(4))
+    with pytest.raises(AssemblyError, match="not trace preserving"):
+        steady_state_on(leaky, QUBIT)
+
+
 def test_gap_and_propagation_reject_non_hermiticity_preserving_generator(rng):
     liouv = non_hermiticity_preserving(rng)
     with pytest.raises(SteadyStateError, match="hermiticity"):
@@ -368,7 +375,7 @@ def restricted(liouv, space, fallback=None):
         return (fallback or steady_state_on)(l, space)
 
     m, r = trace_zero_system(liouv)
-    report = steady_state_restricted(Superoperator(liouv.dim, liouv.mat[None]), space, m[None], r[None], spy)
+    report = steady_state_restricted(space, m[None], r[None], lambda _: liouv, spy)
     return report, bool(seen)
 
 
@@ -425,9 +432,8 @@ def test_restricted_solve_checks_each_point_of_a_stack(rng):
     _, dark = collective_decay_liouvillian()
     points.insert(1, dark)
     systems = [trace_zero_system(l) for l in points]
-    stack = Superoperator(4, np.array([l.mat for l in points]))
-    report = steady_state_restricted(stack, space, np.array([m for m, _ in systems]),
-                                     np.array([r for _, r in systems]), lambda l: steady_state_on(l, space))
+    report = steady_state_restricted(space, np.array([m for m, _ in systems]), np.array([r for _, r in systems]),
+                                     points.__getitem__, lambda l: steady_state_on(l, space))
     assert report.unique.tolist() == [True, False, True, True]
     for k, liouv in enumerate(points):
         alone, _ = restricted(liouv, space)

@@ -208,6 +208,15 @@ def test_assemble_bitwise_equals_kron_reference(rng, d):
 def test_superoperator_shape_validation():
     with pytest.raises(ValueError):
         Superoperator(2, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        Superoperator(2, np.zeros((3, 4, 4)))  # one map, not a stack
+
+
+def test_superoperator_keeps_and_freezes_the_callers_array():
+    # a micro L may be hundreds of MiB, so a complex128 array is kept, not copied
+    mat = np.zeros((4, 4), dtype=complex)
+    s = Superoperator(2, mat)
+    assert s.mat is mat and not mat.flags.writeable
 
 
 def test_zero_super_apply(rng):
