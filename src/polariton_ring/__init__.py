@@ -51,7 +51,7 @@ from .observables import (
     thermal_occupation,
     trace_distance,
 )
-from .optimize import OptimizeReport, multistart_maximize, nelder_mead
+from .optimize import OptimizeReport, drive, multistart_maximize, nelder_mead
 from .experiments import (
     Axis,
     ObservableSpec,

@@ -35,7 +35,7 @@ from .observables import (
     thermal_occupation,
     trace_distance,
 )
-from .optimize import OptimizeReport, check_box, multistart_maximize
+from .optimize import OptimizeReport, check_box, drive, multistart_maximize
 from .steady import (
     SteadyStateError,
     SteadyStateReport,
@@ -314,16 +314,20 @@ class CompiledModel:
     def system(self, specs) -> tuple[np.ndarray, np.ndarray]:
         """The trace-zero systems (M, r) at the points ``specs``: one matmul
         each, whose rows are the same BLAS call whatever the stack, so that a
-        point's M and r do not depend on the points beside it."""
+        point's M and r do not depend on the points beside it. A point whose
+        coefficients overflow gets a non-finite M, without a numpy warning:
+        its solve falls back and names it."""
         c = np.array([coefficients(spec) for spec in specs])[:, None, :]
         n = self.space.dim**2
-        m = (c @ self._m_stack).reshape(len(specs), n - 1, n - 1).swapaxes(1, 2)
-        return m, (c @ self._r_stack)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, r = c @ self._m_stack, c @ self._r_stack
+        return m.reshape(len(specs), n - 1, n - 1).swapaxes(1, 2), r[:, 0]
 
     def liouvillian(self, spec: ModelSpec) -> Superoperator:
         """L at one point, checked for finite entries and trace preservation."""
         n = self.space.dim**2
-        mat = (coefficients(spec) @ self._stack).view(complex).reshape(n, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = (coefficients(spec) @ self._stack).view(complex).reshape(n, n)
         return check_trace_preserving(Superoperator(self.space.dim, mat))
 
     def solve(self, specs) -> SteadyStateReport:
@@ -428,8 +432,10 @@ def optimize_concurrence(
     appear only once across all groups. The box and the budget
     (:func:`optimize.check_box`) and both ends of each bound, at ``model``,
     are checked before anything is compiled, and Nelder-Mead keeps its points
-    inside the box. The model is compiled once for all evaluations, and each
-    evaluation is a chunk of one point.
+    inside the box. The model is compiled once for all evaluations. The
+    Nelder-Mead starts run in lockstep (:func:`optimize.multistart_maximize`):
+    each round is one chunk of up to 9 points, one per live start, so the
+    report is the one the starts would give run one after another.
     """
     if len(free) != len(bounds):
         raise ValueError("need one bounds pair per free parameter")
@@ -446,13 +452,13 @@ def optimize_concurrence(
     obs.check_space(model_space(model))
     evaluate = point_evaluator(model, groups, (obs,), "parameters")
 
-    def objective(x: np.ndarray) -> float:
-        return evaluate([x])[0][-1]
+    def objective(points) -> list[float]:
+        return [row[-1] for row in evaluate(points)]
 
     names = ["|".join(g) for g in groups]
-    report = multistart_maximize(objective, bounds, budget=budget, param_names=names)
+    report = drive(multistart_maximize(bounds, budget=budget, param_names=names), objective)
     # re-evaluation must reproduce the reported best
-    check = objective(np.array([report.best_params[n] for n in names]))
+    check = objective([[report.best_params[n] for n in names]])[0]
     if abs(check - report.best_value) > 1e-10:
         raise RuntimeError(f"optimizer bookkeeping error: {check} != {report.best_value}")
     return report

@@ -1,10 +1,12 @@
 """Derivative-free maximization: Nelder-Mead polished from a deterministic
-multi-start (bound-box corners plus center)."""
+multi-start (bound-box corners plus center). The searches are ask/tell
+generators: they yield the points to evaluate and receive their values, so
+that the caller evaluates the starts' points together."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -27,16 +29,14 @@ def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def nelder_mead(
-    func: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    bounds: Bounds,
-    budget: int,
-):
-    """Minimize ``func`` inside a box, spending at most ``budget`` evaluations.
+def nelder_mead(x0: np.ndarray, bounds: Bounds, budget: int) -> Generator[np.ndarray, float, tuple]:
+    """Minimize inside a box, spending at most ``budget`` evaluations.
 
-    Standard reflection/expansion/contraction/shrink moves; points are clipped
-    to the box before evaluation. Returns (x_best, f_best, evals_used).
+    A generator: it yields each point to evaluate, clipped to the box, and
+    receives that point's value through ``send``. Standard
+    reflection/expansion/contraction/shrink moves. Returns
+    (x_best, f_best, evals_used) when it stops; :func:`drive` runs it on a
+    function.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
@@ -47,9 +47,9 @@ def nelder_mead(
     def f(x):
         nonlocal evals
         evals += 1
-        return func(_clip(x, lo, hi))
+        return (yield _clip(x, lo, hi))
 
-    fx0 = f(x0)
+    fx0 = yield from f(x0)
     width = hi - lo
     if budget <= 1 or not np.any(width > 0):
         return x0, fx0, evals
@@ -63,7 +63,7 @@ def nelder_mead(
         x[i] = x[i] + step if x[i] + step <= hi[i] else x[i] - step
         if evals >= budget:
             break
-        simplex.append((x, f(x)))
+        simplex.append((x, (yield from f(x))))
     if len(simplex) < 2:
         return x0, fx0, evals
 
@@ -76,7 +76,7 @@ def nelder_mead(
         centroid = np.mean([p[0] for p in simplex[:-1]], axis=0)
 
         xr = _clip(centroid + alpha * (centroid - worst[0]), lo, hi)
-        fr = f(xr)
+        fr = yield from f(xr)
         if best[1] <= fr < simplex[-2][1]:
             simplex[-1] = (xr, fr)
             continue
@@ -85,13 +85,13 @@ def nelder_mead(
                 simplex[-1] = (xr, fr)
                 break
             xe = _clip(centroid + gamma * (xr - centroid), lo, hi)
-            fe = f(xe)
+            fe = yield from f(xe)
             simplex[-1] = (xe, fe) if fe < fr else (xr, fr)
             continue
         if evals >= budget:
             break
         xc = _clip(centroid + beta * (worst[0] - centroid), lo, hi)
-        fc = f(xc)
+        fc = yield from f(xc)
         if fc < worst[1]:
             simplex[-1] = (xc, fc)
             continue
@@ -101,7 +101,7 @@ def nelder_mead(
             if evals >= budget:
                 break
             xs = x_best + delta * (x - x_best)
-            new_simplex.append((xs, f(xs)))
+            new_simplex.append((xs, (yield from f(xs))))
         simplex = new_simplex
         if len(simplex) < 2:
             break
@@ -143,32 +143,47 @@ def check_box(bounds: Bounds, budget: int) -> None:
 
 
 def multistart_maximize(
-    func: Callable[[np.ndarray], float],
     bounds: Bounds,
     budget: int = 2000,
     param_names: Sequence[str] | None = None,
-) -> OptimizeReport:
-    """Maximize ``func`` over a box: Nelder-Mead from each corner start.
+) -> Generator[list[np.ndarray], list[float], OptimizeReport]:
+    """Maximize over a box: Nelder-Mead from each corner start, the starts in
+    lockstep.
 
-    Deterministic given the function; the improvements trace records every
-    new best as (params, value).
+    The box and the budget are checked here, at the call (:func:`check_box`).
+    Each start gets ``max(1, budget // len(starts))`` evaluations, so a start
+    never depends on another, and when the budget is below the number of
+    starts only the first ``budget`` starts run, one evaluation each. The
+    returned generator yields the pending points, one per live start in start
+    order, and receives their values as a list through ``send``; it returns
+    the :class:`OptimizeReport` (:func:`drive` runs it on a batch function).
+    The report is built in start order: the first start with the strictly
+    largest value is the best, and the improvements trace records every new
+    best as (params, value). Deterministic given the function.
     """
     check_box(bounds, budget)
     names = list(param_names) if param_names is not None else [f"p{i}" for i in range(len(bounds))]
     starts = corner_starts(bounds)
+    per_start = max(1, budget // len(starts))
+    return _lockstep([nelder_mead(start, bounds, per_start) for start in starts[:budget]], names)
+
+
+def _lockstep(searches: list, names: list[str]):
+    """The generator that :func:`multistart_maximize` returns."""
+    pending = dict(enumerate(next(search) for search in searches))  # live start -> its point, in start order
+    results: list = [None] * len(searches)
+    while pending:
+        values = yield list(pending.values())
+        for i, value in zip(list(pending), values, strict=True):
+            try:
+                pending[i] = searches[i].send(-value)  # Nelder-Mead minimizes
+            except StopIteration as stop:
+                del pending[i]
+                results[i] = stop.value
+
     trace: list[tuple[dict[str, float], float]] = []
     best_x, best_val = None, -np.inf
-    used = 0
-
-    def neg(x):
-        return -func(x)
-
-    per_start = max(1, budget // len(starts))
-    for start in starts:
-        if used >= budget:
-            break
-        x, fneg, ev = nelder_mead(neg, start, bounds, min(per_start, budget - used))
-        used += ev
+    for x, fneg, _ in results:
         if -fneg > best_val:
             best_x, best_val = x, -fneg
             trace.append(({n: float(v) for n, v in zip(names, x)}, best_val))
@@ -176,6 +191,20 @@ def multistart_maximize(
     return OptimizeReport(
         best_params={n: float(v) for n, v in zip(names, best_x)},
         best_value=float(best_val),
-        evaluations=used,
+        evaluations=sum(evals for _, _, evals in results),
         trace=trace,
     )
+
+
+def drive(search: Generator, evaluate: Callable):
+    """Run an ask/tell generator to its end, answering each yielded request
+    with ``evaluate(request)``; returns what the generator returns. Drives
+    :func:`multistart_maximize` on a batch function, or :func:`nelder_mead`
+    on a scalar one."""
+    answer = None
+    while True:
+        try:
+            request = search.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        answer = evaluate(request)

@@ -5,6 +5,7 @@ import pytest
 from polariton_ring.experiments import Axis, ObservableSpec, SweepPlan
 from polariton_ring.linalg import DensityMatrix, herm_defect, hermitize
 from polariton_ring.models import fig3_ring_spec, fig5_pair_spec, thermal_pair_spec, validation_micro_spec
+from polariton_ring.optimize import OptimizeReport, check_box, corner_starts, drive, multistart_maximize, nelder_mead
 
 hypothesis.settings.register_profile("default", max_examples=25, deadline=None)
 hypothesis.settings.register_profile("thorough", max_examples=200, deadline=None)
@@ -124,3 +125,32 @@ def fwhm(coords, values):
         frac = (values[hi] - half) / (values[hi] - values[hi + 1])
         right = coords[hi] + frac * (coords[hi + 1] - coords[hi])
     return float(right - left)
+
+
+def lockstep_maximize(func, bounds, budget, param_names=None):
+    """:func:`multistart_maximize` driven on a scalar function, one batch of
+    points (one per live start) at a time."""
+    return drive(multistart_maximize(bounds, budget=budget, param_names=param_names),
+                 lambda points: [func(x) for x in points])
+
+
+def sequential_maximize(func, bounds, budget, param_names=None):
+    """The reference for :func:`multistart_maximize`: each start's Nelder-Mead
+    run alone, in start order, on a scalar function, each with its share of
+    the budget capped by what the earlier starts left."""
+    check_box(bounds, budget)
+    names = list(param_names) if param_names is not None else [f"p{i}" for i in range(len(bounds))]
+    starts = corner_starts(bounds)
+    per_start = max(1, budget // len(starts))
+    trace = []
+    best_x, best_val, used = None, -np.inf, 0
+    for start in starts:
+        if used >= budget:
+            break
+        x, fneg, evals = drive(nelder_mead(start, bounds, min(per_start, budget - used)), lambda x: -func(x))
+        used += evals
+        if -fneg > best_val:
+            best_x, best_val = x, -fneg
+            trace.append(({n: float(v) for n, v in zip(names, x)}, best_val))
+    return OptimizeReport(best_params={n: float(v) for n, v in zip(names, best_x)}, best_value=float(best_val),
+                          evaluations=used, trace=trace)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -568,6 +569,14 @@ def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, m
     assert not summary_path(out).exists()
 
 
+# finite parameters whose coefficient Γ₁x₁ overflows: the sweep config and its message
+COEFFICIENT_OVERFLOW = (
+    {"model": with_value(pair_model_json(), ["x", 0], [1e10, 0.0]),
+     "axes": [{"path": "Gamma[0]", "grid": [1.0, 1e300]}], "observables": [{"kind": "purity"}]},
+    "run failed: grid point {'Gamma[0]': 1e+300} failed: matrix contains non-finite entries",
+)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "command, config, message",
@@ -577,10 +586,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, m
         ("sweep", {"model": OPTIMIZE_CFG["model"], "axes": [{"path": "x[1].re", "grid": [-1e200, 1e200]}],
                    "observables": [{"kind": "purity"}]},
          "run failed: grid point {'x[1].re': -1e+200} failed: "),
-        # finite parameters whose coefficient Γ₁x₁ overflows
-        ("sweep", {"model": with_value(pair_model_json(), ["x", 0], [1e10, 0.0]),
-                   "axes": [{"path": "Gamma[0]", "grid": [1.0, 1e300]}], "observables": [{"kind": "purity"}]},
-         "run failed: grid point {'Gamma[0]': 1e+300} failed: matrix contains non-finite entries"),
+        ("sweep", *COEFFICIENT_OVERFLOW),
     ],
     ids=["optimize", "sweep", "sweep-coefficient-overflow"],
 )
@@ -592,3 +598,13 @@ def test_point_failure_exits_1_naming_the_point(tmp_path, capsys, command, confi
     assert message in capsys.readouterr().err
     assert not out.exists()
     assert not summary_path(out).exists()
+
+
+def test_coefficient_overflow_fails_without_numpy_warnings(tmp_path, capsys):
+    config, message = COEFFICIENT_OVERFLOW
+    out = tmp_path / "data.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
