@@ -44,7 +44,7 @@ from .steady import (
     steady_state_restricted,
     trace_zero_system,
 )
-from .superop import Superoperator, assemble, check_trace_preserving
+from .superop import Superoperator, assemble
 
 T_VALIDITY_MAX = 0.1  # reservoir temperatures beyond this leave the model's regime
 CSV_FORMAT = "%.12g"
@@ -237,8 +237,8 @@ def solve_spec(spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
     return _unique(steady_state_on(assemble(h, terms), space), spec.model)
 
 
-# Largest entry of compiled L minus assembled L, relative to max(‖L‖_∞, 1),
-# that the compile's self-check accepts.
+# Largest entry of the compiled (M, r) minus the trace-zero system of the
+# assembled L, relative to max(‖L‖_∞, 1), that the compile's self-check accepts.
 COMPILE_TOL = 1e-12
 # Largest entry of compiled ρ minus the reference ρ at the base point that
 # the self-check accepts.
@@ -254,21 +254,21 @@ class CompiledModel:
     """One effective model as L(θ) = Σ_k c_k(θ)·L_k, for the points of one call.
 
     Each piece of :func:`models.model_pieces` is assembled once (which checks
-    its trace) into a read-only (K, d⁴) real stack, and its trace-zero system
-    (M_k, r_k) of :func:`steady.trace_zero_system` (which checks its
-    hermiticity) into two more. A stack of points is then two contractions
-    of their coefficient rows, for M and r, and :func:`steady_state_restricted`:
-    per point, one LU of M solves and certifies. Only a singular M, or a
-    bound that does not certify, has its point's L formed (:meth:`liouvillian`)
-    and handed alone to the unchanged :func:`steady_state_on`.
+    its trace) and kept only as its trace-zero system (M_k, r_k) of
+    :func:`steady.trace_zero_system` (which checks its hermiticity), in two
+    read-only stacks. A stack of points is then two contractions of their
+    coefficient rows, for M and r, and :func:`steady_state_restricted`: per
+    point, one LU of M solves and certifies. Only a singular M, or a bound
+    that does not certify, has its point's L formed, by the one builder
+    ``assemble(*build_model(spec)[1:])``, and handed alone to the unchanged
+    :func:`steady_state_on`, so that such a point is solved as
+    :func:`solve_spec` solves it.
 
-    The compile checks itself at ``base``: the contracted L must match
-    ``assemble(*build_model(base)[1:])`` to COMPILE_TOL, and the compiled
-    solve must reproduce the ρ of ``steady_state_on`` on that assembled L to
-    COMPILE_RHO_TOL; otherwise it raises CompileError. The ρ comparison needs
-    a unique steady state at ``base``: where ``steady_state_on`` raises or
-    finds none, only the L comparison runs, and a wrong M_k or r_k that stays
-    below the residual check goes unseen for the whole call.
+    The compile checks itself at ``base``: the contracted (M, r) must match
+    :func:`trace_zero_system` of ``assemble(*build_model(base)[1:])`` to
+    COMPILE_TOL, and, where ``steady_state_on`` finds a unique steady state on
+    that assembled L, the compiled solve must reproduce its ρ to
+    COMPILE_RHO_TOL; otherwise it raises CompileError.
     """
 
     def __init__(self, base: ModelSpec):
@@ -279,24 +279,24 @@ class CompiledModel:
         zero_h = np.zeros((d, d), dtype=complex)
         sources = [(h, []) for h in pieces.hams] + [(zero_h, list(g)) for g in pieces.groups]
         n = d * d
-        self._stack = np.empty((len(sources), 2 * n * n))
         self._m_stack = np.empty((len(sources), (n - 1) ** 2))
         self._r_stack = np.empty((len(sources), n - 1))
         # one piece at a time, so that the K dense pieces are never all held at once
         for k, (h, terms) in enumerate(sources):
-            piece = assemble(h, terms)
-            self._stack[k] = piece.mat.view(float).ravel()
-            m, self._r_stack[k] = trace_zero_system(piece)
+            m, self._r_stack[k] = trace_zero_system(assemble(h, terms))
             self._m_stack[k] = m.T.ravel()  # so that a contraction is M in Fortran order, as LAPACK takes it
-        for a in (self._stack, self._m_stack, self._r_stack):
+        for a in (self._m_stack, self._r_stack):
             a.setflags(write=False)
         self._check(base)
 
     def _check(self, base: ModelSpec) -> None:
         expected = assemble(*build_model(base)[1:])
-        error = float(np.abs(self.liouvillian(base).mat - expected.mat).max())
+        want_m, want_r = trace_zero_system(expected)
+        (m,), (r,) = self.system([base])
+        error = max(float(np.abs(m - want_m).max()), float(np.abs(r - want_r).max()))
         if error > COMPILE_TOL * max(expected.norm_inf(), 1.0):
-            raise CompileError(f"compiled {base.model} Liouvillian differs from the assembled one by {error:.2e}")
+            raise CompileError(f"compiled {base.model} trace-zero system (M, r) differs from the assembled "
+                               f"one's by {error:.2e}")
         try:
             reference = steady_state_on(expected, self.space)
         except SteadyStateError:
@@ -323,23 +323,19 @@ class CompiledModel:
             m, r = c @ self._m_stack, c @ self._r_stack
         return m.reshape(len(specs), n - 1, n - 1).swapaxes(1, 2), r[:, 0]
 
-    def liouvillian(self, spec: ModelSpec) -> Superoperator:
-        """L at one point, checked for finite entries and trace preservation."""
-        n = self.space.dim**2
-        with np.errstate(over="ignore", invalid="ignore"):
-            mat = (coefficients(spec) @ self._stack).view(complex).reshape(n, n)
-        return check_trace_preserving(Superoperator(self.space.dim, mat))
-
     def solve(self, specs) -> SteadyStateReport:
         """The unique steady states at the points ``specs``, as one report
         over the stack. Raises SteadyStateError if a point that falls back to
         :func:`steady_state_on` has no unique steady state."""
 
+        def liouvillian(k: int) -> Superoperator:
+            return assemble(*build_model(specs[k])[1:])
+
         def fallback(l: Superoperator) -> SteadyStateReport:
             return _unique(steady_state_on(l, self.space), self.model)[0]
 
         m, r = self.system(specs)
-        return steady_state_restricted(self.space, m, r, lambda k: self.liouvillian(specs[k]), fallback)
+        return steady_state_restricted(self.space, m, r, liouvillian, fallback)
 
 
 # Points of a sweep evaluated together, in row order. Fixed, so that the rows

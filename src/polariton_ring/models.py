@@ -166,9 +166,12 @@ def derive_effective(p: MicroParams) -> EffectiveParams:
 
     The guide detuning Δ_i is the frequency mismatch between guide i and the
     mean of its adjacent qubits.
-    The decay dressing z splits the bare qubit decay γ across the adjacent
-    guide terms: z_i = 1 + γ/(4Γ_i) when every site touches two guides (ring),
-    z = 1 + γ/(2Γ) for the single-guide pair where each site touches one.
+    The decay dressing z splits the bare qubit decay γ across the guide
+    terms that carry it: z_i = 1 + γ/(4Γ_i) on the ring, where each site's
+    decay weight Γ_{i−1}z_{i−1} + Γ_i z_i sums two dressed guides;
+    z_i = 1 + γ/(2Γ_i) on both pairs, where each site's weight has one
+    dressed term (Γz for the single guide, Γ₂z₂ of the middle guide for the
+    three-guide pair).
     """
     if any(j == 0 for j in p.J):
         raise ZeroDivisionError("J_i must be nonzero to derive effective parameters")
@@ -177,7 +180,7 @@ def derive_effective(p: MicroParams) -> EffectiveParams:
     kappa = p.kappa
     gamma = p.gamma_p
     Gamma, x, y, z = [], [], [], []
-    bare_split = 2.0 if p.geometry == "pair1" else 4.0
+    bare_split = 4.0 if p.geometry == "ring3" else 2.0
     for i, delta in enumerate(detunings):
         g = 2.0 * p.J[i] ** 2 * kappa / (kappa**2 + 4.0 * delta**2)
         Gamma.append(g)

@@ -179,7 +179,8 @@ def _states(m: np.ndarray, r: np.ndarray, c: np.ndarray,
         )
     w = np.clip(w, 0.0, None)
     rho = hermitize((v * w[:, None, :]) @ v.conj().swapaxes(1, 2))
-    rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or non-finite trace leaves ρ non-finite
+        rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
 
     # y′ from the diagonal and upper entries of ρ, as _from_real places them
     entries = rho.reshape(len(c), -1)[:, _coordinate_entries(d)[:d * (d + 1) // 2]]
@@ -225,7 +226,8 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
         # Mᵀ is a Fortran-ordered view of M, factored on a copy; ‖(Mᵀ)⁻¹‖_F = ‖M⁻¹‖_F
         factors = _lu(m.T)
         if factors is not None:
-            bound = float(np.linalg.norm(m)) * _inverse_norm(*factors)
+            with np.errstate(over="ignore", invalid="ignore"):  # a bound that overflows does not certify
+                bound = float(np.linalg.norm(m)) * _inverse_norm(*factors)
         if not _certified_unique(bound):
             svals = np.linalg.svd(m, compute_uv=False)
             unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
@@ -255,25 +257,30 @@ def steady_state_restricted(space: HilbertSpace, m: np.ndarray, r: np.ndarray,
     whose M is singular, or whose bound does not certify uniqueness, goes
     alone to ``fallback`` with its own L, which returns its report. The
     certified points then share one tail (:func:`_states`). Returns one
-    report for the stack, whose states are checked together."""
+    report for the stack, whose states are checked together. Each
+    certificate, and the ``liouvillian`` and ``fallback`` of a point that
+    falls back, run with numpy's overflow and invalid-value warnings off: a
+    non-finite M falls back and fails there without a warning."""
     d = space.dim
     b = len(m)
     bound = np.empty(b)
     certified, coords, fallen = [], [], {}
-    for k in range(b):
-        norm = float(np.linalg.norm(m[k]))
-        factors = _lu(m[k])
-        if factors is not None:
-            # y by triangular solves, before getri overwrites the factors: the
-            # inverse times r moved ρ by up to 1e-8 at bounds near 5e6, where
-            # these solves keep it within 5e-12 of the exact state
-            y, _ = _getrs(*factors, r[k])
-            bound[k] = bk = norm * _inverse_norm(*factors)
-            if _certified_unique(bk):
-                certified.append(k)
-                coords.append(y)
-                continue
-        fallen[k] = fallback(liouvillian(k))
+    # once per stack, fallbacks included: a bound that overflows does not certify
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(b):
+            norm = float(np.linalg.norm(m[k]))
+            factors = _lu(m[k])
+            if factors is not None:
+                # y by triangular solves, before getri overwrites the factors: the
+                # inverse times r moved ρ by up to 1e-8 at bounds near 5e6, where
+                # these solves keep it within 5e-12 of the exact state
+                y, _ = _getrs(*factors, r[k])
+                bound[k] = bk = norm * _inverse_norm(*factors)
+                if _certified_unique(bk):
+                    certified.append(k)
+                    coords.append(y)
+                    continue
+            fallen[k] = fallback(liouvillian(k))
     rho, unique = np.empty((b, d, d), dtype=complex), np.ones(b, dtype=bool)
     residual, min_eig = np.empty(b), np.empty(b)
     if certified:

@@ -36,6 +36,7 @@ from polariton_ring.experiments import (
 )
 from polariton_ring.linalg import DensityMatrix, HilbertSpace, kron, partial_trace
 from polariton_ring.models import (
+    MicroParams,
     apply_path,
     build_model,
     fig3_ring_spec,
@@ -229,6 +230,23 @@ def test_criterion_5_effective_validation():
     ok = check("5a micro-vs-effective distance", d1 <= 0.05, f"d={d1:.2e} at J/kappa=0.05")
     ok &= check("5b halving improves by >= 2x", d2 <= d1 / 2, f"d={d2:.2e}, ratio {d1 / d2:.1f}")
     ok &= check("5c validation runtime", elapsed < 300.0, f"{elapsed:.1f}s < 300s")
+    assert ok
+
+
+def three_guide_pair_micro(j):
+    """Resonant three-guide pair, end guides driven in antiphase, with bare qubit decay."""
+    return MicroParams(
+        n_sites=2, J=(j, j, j), kappa=1.0, gamma_p=0.005, alpha=(j / 2, 0.0, j / 2), phi=(np.pi, 0.0, 0.0),
+        omega_c=(1.0, 1.0, 1.0), omega_p=(1.0, 1.0), omega_d=1.0, n_boson=2,
+    )
+
+
+def test_criterion_5_three_guide_pair_validation():
+    # the bare decay reaches each site through the middle guide's z alone
+    d1 = validate_effective(three_guide_pair_micro(0.05))
+    d2 = validate_effective(three_guide_pair_micro(0.025))
+    ok = check("5d three-guide pair micro-vs-effective distance", d1 <= 2e-3, f"d={d1:.2e} at J/kappa=0.05")
+    ok &= check("5e three-guide pair halving improves by >= 2x", d2 <= d1 / 2, f"d={d2:.2e}, ratio {d1 / d2:.1f}")
     assert ok
 
 
