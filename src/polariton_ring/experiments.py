@@ -9,6 +9,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .models import (
     EFFECTIVE_MODELS,
     MicroParams,
     ModelSpec,
+    PathSetter,
     WEAK_COUPLING_RATIO,
     build_model,
     check_grid_points,
@@ -24,7 +26,6 @@ from .models import (
     derive_effective,
     model_pieces,
     model_space,
-    path_setter,
     thermal_pair_spec,
 )
 from .observables import (
@@ -158,11 +159,11 @@ def _check_values(model: ModelSpec, paths: tuple[str, ...], values, where: str) 
     """Raise ValueError naming ``{'path': value}`` unless each value, set on all
     ``paths`` at ``model``, is in the model's domain. Every domain is per entry
     and an interval, so this finds each bad point of a grid or of a box."""
-    setter = path_setter(model, paths)
+    specs = PathSetter(model, paths).specs([(value,) * len(paths) for value in values])
     name = "|".join(paths)
     for value in values:
         try:
-            setter((value,) * len(paths))
+            next(specs)
         except ValueError as exc:
             raise ValueError(f"{where} {{{name!r}: {value}}}: {exc}") from exc
 
@@ -292,7 +293,8 @@ class CompiledModel:
     def _check(self, base: ModelSpec) -> None:
         expected = assemble(*build_model(base)[1:])
         want_m, want_r = trace_zero_system(expected)
-        (m,), (r,) = self.system([base])
+        c = coefficients(base)[None]
+        (m,), (r,) = self.system(c)
         error = max(float(np.abs(m - want_m).max()), float(np.abs(r - want_r).max()))
         if error > COMPILE_TOL * max(expected.norm_inf(), 1.0):
             raise CompileError(f"compiled {base.model} trace-zero system (M, r) differs from the assembled "
@@ -304,37 +306,40 @@ class CompiledModel:
         if not reference.unique:
             return
         try:
-            rho = self.solve([base]).rho.mat[0]
+            rho = self.solve(c, lambda k: base).rho.mat[0]
         except SteadyStateError as exc:
             raise CompileError(f"compiled {base.model} solve fails where the assembled one succeeds: {exc}") from exc
         error = float(np.abs(rho - reference.rho.mat).max())
         if error > COMPILE_RHO_TOL:
             raise CompileError(f"compiled {base.model} steady state differs from the assembled one by {error:.2e}")
 
-    def system(self, specs) -> tuple[np.ndarray, np.ndarray]:
-        """The trace-zero systems (M, r) at the points ``specs``: one matmul
-        each, whose rows are the same BLAS call whatever the stack, so that a
-        point's M and r do not depend on the points beside it. A point whose
-        coefficients overflow gets a non-finite M, without a numpy warning:
-        its solve falls back and names it."""
-        c = np.array([coefficients(spec) for spec in specs])[:, None, :]
+    def system(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The trace-zero systems (M, r) at the (B, K) coefficient rows ``c``:
+        one matmul each, whose rows are the same BLAS call whatever the stack,
+        so that a point's M and r do not depend on the points beside it. A
+        point whose coefficients are not finite gets a non-finite M, without a
+        numpy warning: its solve falls back and names it."""
+        c = c[:, None, :]
         n = self.space.dim**2
         with np.errstate(over="ignore", invalid="ignore"):
             m, r = c @ self._m_stack, c @ self._r_stack
-        return m.reshape(len(specs), n - 1, n - 1).swapaxes(1, 2), r[:, 0]
+        return m.reshape(len(c), n - 1, n - 1).swapaxes(1, 2), r[:, 0]
 
-    def solve(self, specs) -> SteadyStateReport:
-        """The unique steady states at the points ``specs``, as one report
-        over the stack. Raises SteadyStateError if a point that falls back to
-        :func:`steady_state_on` has no unique steady state."""
+    def solve(self, c: np.ndarray, point: Callable[[int], ModelSpec]) -> SteadyStateReport:
+        """The unique steady states at the (B, K) coefficient rows ``c``, as
+        one report over the stack. ``point(k)`` is the ModelSpec of row k,
+        asked only where row k's L must be formed: for a point that falls back
+        to :func:`steady_state_on`, or a residual above RESIDUAL_TOL. Raises
+        SteadyStateError if a point that falls back has no unique steady
+        state."""
 
         def liouvillian(k: int) -> Superoperator:
-            return assemble(*build_model(specs[k])[1:])
+            return assemble(*build_model(point(k))[1:])
 
         def fallback(l: Superoperator) -> SteadyStateReport:
             return _unique(steady_state_on(l, self.space), self.model)[0]
 
-        m, r = self.system(specs)
+        m, r = self.system(c)
         return steady_state_restricted(self.space, m, r, liouvillian, fallback)
 
 
@@ -347,28 +352,32 @@ CHUNK = 64
 def point_evaluator(base: ModelSpec, groups, observables, label: str):
     """The rows (values, then observables) of a chunk of points of one sweep
     or optimizer call near ``base``: one value per group of paths, taken by
-    every path of the group. Paths are parsed once (:func:`models.path_setter`);
-    an effective model is compiled once and a chunk solved as one stack,
-    ``micro`` solved point by point by :func:`solve_spec`. Observables see the
-    chunk's states as one stack. One failure rule: if anything fails in a
-    chunk, or a row is not finite, the chunk is evaluated again point by
-    point, and the first failing point raises SweepError naming it as
-    ``label {group: value, ...}``."""
+    every path of the group. Paths are parsed once (:class:`models.PathSetter`).
+    An effective model is compiled once, and a chunk goes from its values to
+    its coefficient rows (:meth:`models.PathSetter.rows`) and is solved as one
+    stack; only a point whose L must be formed (a fallback) builds its
+    ModelSpec. ``micro`` builds one per point and is solved point by point by
+    :func:`solve_spec`. Observables see the chunk's states as one stack. One
+    failure rule: if anything fails in a chunk, or a row is not finite, the
+    chunk is evaluated again point by point, and the first failing point
+    raises SweepError naming it as ``label {group: value, ...}``."""
     names = ["|".join(g) for g in groups]
-    set_point = path_setter(base, [path for group in groups for path in group])
+    setter = PathSetter(base, [path for group in groups for path in group])
+    column = [g for g, group in enumerate(groups) for _ in group]  # each path's value column
     if base.model in EFFECTIVE_MODELS:
         compiled = CompiledModel(base)
 
-        def states(specs) -> DensityMatrix:
-            return compiled.solve(specs).rho
+        def states(values: np.ndarray) -> DensityMatrix:
+            return compiled.solve(setter.rows(values), lambda k: setter(values[k])).rho
     else:
         space = model_space(base)
 
-        def states(specs) -> DensityMatrix:
-            return DensityMatrix(space, np.array([solve_spec(spec)[1].mat for spec in specs]))
+        def states(values: np.ndarray) -> DensityMatrix:
+            return DensityMatrix(space, np.array([solve_spec(spec)[1].mat for spec in setter.specs(values)]))
 
     def rows(points) -> list[list[float]]:
-        rho = states([set_point([v for group, v in zip(groups, p) for _ in group]) for p in points])
+        points = np.asarray(points, dtype=float)
+        rho = states(points[:, column])
         out = np.empty((len(points), len(groups) + len(observables)))
         out[:, :len(groups)] = points
         for j, obs in enumerate(observables, len(groups)):

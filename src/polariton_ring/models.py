@@ -25,6 +25,7 @@ import typing
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -443,9 +444,31 @@ def model_pieces(model: str) -> ModelPieces:
     return _AFFINE[model][0]()
 
 
+def _field_columns(params, b: int) -> dict:
+    """The fields of ``params`` as contiguous (b,) columns; a tuple field is a tuple of them."""
+    columns = {}
+    for name, value in vars(params).items():
+        entries = np.repeat(np.array(value, ndmin=1)[:, None], b, axis=1)
+        columns[name] = tuple(entries) if isinstance(value, tuple) else entries[0]
+    return columns
+
+
+def _coefficient_rows(model: str, columns: dict) -> np.ndarray:
+    """The (B, K) coefficient rows of an effective model whose fields are the
+    (B,) ``columns``: its coefficient map, run unchanged on the columns. A row
+    whose coefficients overflow is not finite, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _AFFINE[model][1](SimpleNamespace(**columns))
+    return np.array(c).T.copy()  # C order: each row one contiguous BLAS operand
+
+
 def coefficients(spec: ModelSpec) -> np.ndarray:
-    """The real coefficients c(θ), one per piece of ``model_pieces(spec.model)``."""
-    return np.array(_AFFINE[spec.model][1](spec.params))
+    """The real coefficients c(θ), one per piece of ``model_pieces(spec.model)``.
+    Formed on one-entry columns, as :meth:`PathSetter.rows` forms its rows,
+    so that each of those equals this at its point bit for bit; Python's
+    complex multiply can leave an underflowed zero with another sign than
+    numpy's."""
+    return _coefficient_rows(spec.model, _field_columns(spec.params, 1))[0]
 
 
 def model_space(spec: ModelSpec) -> HilbertSpace:
@@ -592,38 +615,80 @@ def _parse_path(spec: ModelSpec, path: str) -> tuple[str, int | None, str | None
     return body, idx, comp
 
 
+def _complex(re, im) -> np.ndarray:
+    """The complex column with parts ``re`` and ``im``, set part by part:
+    ``re + 1j * im`` would turn an infinite ``im`` into a nan real part, and a
+    signed zero ``re`` into +0."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+# How a component path sets a complex entry: the new (B,) column from the old
+# one and the column of values. The modulus is np.hypot, which rounds as
+# abs(complex) does; numpy's complex absolute, a SIMD loop, can differ from it
+# in the last bit.
 _COMPONENTS = {
-    "re": lambda old, v: complex(v, old.imag),
-    "im": lambda old, v: complex(old.real, v),
-    "abs": lambda old, v: v * cmath.exp(1j * cmath.phase(old)) if old != 0 else complex(v, 0.0),
-    "phase": lambda old, v: abs(old) * cmath.exp(1j * v),
+    "re": lambda old, v: _complex(v, old.imag),
+    "im": lambda old, v: _complex(old.real, v),
+    "abs": lambda old, v: np.where(old != 0, v * np.exp(1j * np.angle(old)), _complex(v, 0.0)),
+    "phase": lambda old, v: np.hypot(old.real, old.imag) * np.exp(1j * v),
 }
 
 
-def path_setter(spec: ModelSpec, paths) -> typing.Callable[..., ModelSpec]:
+class PathSetter:
     """The map from one value per path to ``spec`` with those values set. Each
-    path is parsed once, here. A call sets the values in path order, so a later
-    path on the same complex entry sees the earlier ones, and builds one
-    ModelSpec, whose checks raise ValueError for a value outside the domain."""
-    parsed = [_parse_path(spec, p) for p in paths]
+    path is parsed once, here. Values are set in path order, so a later path on
+    the same complex entry sees the earlier ones.
 
-    def setter(values) -> ModelSpec:
-        changes = {}
-        for (field_name, idx, comp), value in zip(parsed, values):
-            value = float(value)
-            if idx is not None:
-                items = list(changes.get(field_name, getattr(spec.params, field_name)))
-                items[idx] = value if comp is None else _COMPONENTS[comp](complex(items[idx]), value)
-                value = tuple(items)
-            changes[field_name] = value
-        return ModelSpec(spec.model, replace(spec.params, **changes))
+    The rules run on columns: every field of ``spec`` becomes a (B,) column
+    and each path sets its column of values. A call, on one value per path,
+    takes the one-entry columns to a ModelSpec, whose checks raise ValueError
+    for a value outside the domain. :meth:`rows`, on a (B, P) array of values,
+    takes the columns to the (B, K) coefficient rows of an effective model,
+    without a ModelSpec or a check; each row equals
+    ``coefficients(self(row of values))`` bit for bit."""
 
-    return setter
+    def __init__(self, spec: ModelSpec, paths):
+        self.spec = spec
+        self._parsed = [_parse_path(spec, p) for p in paths]
+
+    def _columns(self, values) -> dict:
+        # each path's values contiguous, so that a column's arithmetic is the
+        # same numpy loop whatever B is
+        values = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+        columns = _field_columns(self.spec.params, values.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry fails later, named
+            for (field_name, idx, comp), value in zip(self._parsed, values):
+                if idx is not None:
+                    items = list(columns[field_name])
+                    items[idx] = value if comp is None else _COMPONENTS[comp](items[idx], value)
+                    value = tuple(items)
+                columns[field_name] = value
+        return columns
+
+    def specs(self, values) -> typing.Iterator[ModelSpec]:
+        """One ModelSpec per row of ``values`` (B, P), each built as it is
+        reached, so that a ValueError belongs to that row."""
+        columns = self._columns(values)
+        # each set field as one Python value per row (a tuple for a tuple field)
+        rows = {}
+        for name, _, _ in self._parsed:
+            col = columns[name]
+            rows[name] = list(zip(*(c.tolist() for c in col))) if isinstance(col, tuple) else col.tolist()
+        for k in range(len(values)):
+            yield ModelSpec(self.spec.model, replace(self.spec.params, **{name: v[k] for name, v in rows.items()}))
+
+    def __call__(self, values) -> ModelSpec:
+        return next(self.specs([values]))
+
+    def rows(self, values) -> np.ndarray:
+        return _coefficient_rows(self.spec.model, self._columns(values))
 
 
 def apply_path(spec: ModelSpec, path: str, value: float) -> ModelSpec:
     """Functionally update one scalar parameter addressed by a path string."""
-    return path_setter(spec, (path,))((value,))
+    return PathSetter(spec, (path,))((value,))
 
 
 # --- bundled operating points -------------------------------------------------

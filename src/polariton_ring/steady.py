@@ -165,7 +165,8 @@ def _states(m: np.ndarray, r: np.ndarray, c: np.ndarray,
     and the residual ‖M·y′ − r‖ (y′ = B_rᵀ·c′, the trace-zero coordinates of
     the clamped ρ; this is ‖L vec ρ‖, as L maps into that subspace) must stay
     below RESIDUAL_TOL·max(norm(k), 1), norm(k) being the k-th ‖L‖_∞, asked
-    only for a residual above RESIDUAL_TOL. Returns the states (B, d, d),
+    only for a residual above RESIDUAL_TOL. A ρ that is not finite (its trace
+    overflowed, or was 0) raises SteadyStateError. Returns the states (B, d, d),
     their smallest eigenvalues before the clamp and their residuals. Every
     matrix product is one BLAS call per point, so a point's numbers do not
     depend on the stack it is in."""
@@ -181,6 +182,8 @@ def _states(m: np.ndarray, r: np.ndarray, c: np.ndarray,
     rho = hermitize((v * w[:, None, :]) @ v.conj().swapaxes(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero or non-finite trace leaves ρ non-finite
         rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
+    if not np.isfinite(rho).all():
+        raise SteadyStateError("steady state is not finite")
 
     # y′ from the diagonal and upper entries of ρ, as _from_real places them
     entries = rho.reshape(len(c), -1)[:, _coordinate_entries(d)[:d * (d + 1) // 2]]

@@ -611,3 +611,18 @@ def test_coefficient_overflow_fails_without_numpy_warnings(tmp_path, capsys):
         assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_solve_on_a_huge_drive_exits_1(tmp_path, capsys):
+    # a drive of 1e200 is inside the model's domain, but the trace of its
+    # steady state overflows: the single-point solve reports a failed run, as
+    # the sweep and the optimizer do, not a traceback
+    model = with_value(OPTIMIZE_CFG["model"], ["x", 1], [1e200, 0.0])
+    out = tmp_path / "data.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", str(write_config(tmp_path, {"model": model})), "--out", str(out)]) == 1
+    assert "run failed: steady state is not finite" in capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
+    assert not summary_path(out).exists()

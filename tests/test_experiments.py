@@ -1,6 +1,7 @@
 import itertools
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from polariton_ring.models import (
     ModelSpec,
     apply_path,
     build_model,
+    coefficients,
     fig3_ring_spec,
     fig5_pair_spec,
     model_spec_from_json,
@@ -44,6 +46,18 @@ from polariton_ring.models import (
 from polariton_ring.observables import concurrence
 from polariton_ring.steady import UNIQUENESS_TOL, SteadyStateError
 from polariton_ring.superop import assemble, vec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def coefficient_rows(specs):
+    """The (B, K) coefficient rows of the points ``specs``."""
+    return np.array([coefficients(spec) for spec in specs])
+
+
+def solve_points(compiled, specs):
+    """``compiled.solve`` at the points ``specs``, each given as its ModelSpec."""
+    return compiled.solve(coefficient_rows(specs), specs.__getitem__)
 
 
 def small_pair_plan(count=3):
@@ -450,7 +464,7 @@ def restriction_oracle(spec):
 
 def system_error(compiled, spec):
     want_m, want_r = restriction_oracle(spec)
-    (m,), (r,) = compiled.system([spec])
+    (m,), (r,) = compiled.system(coefficient_rows([spec]))
     scale = max(np.abs(want_m).max(), np.abs(want_r).max(), 1.0)
     return max(np.abs(m - want_m).max(), np.abs(r - want_r).max()) / scale
 
@@ -473,7 +487,7 @@ def test_compiled_solve_matches_solve_spec_on_drawn_points(spec):
         _, want = solve_spec(spec)
     except SteadyStateError:
         assume(False)  # not unique: there is no state to compare
-    report = _COMPILED[spec.model].solve([spec])
+    report = solve_points(_COMPILED[spec.model], [spec])
     # above a bound of about 3e5 both routes' own errors reach 1e-12 (the
     # least-squares one's to 6e-11); test_compiled_solve_is_accurate_where_ill_conditioned
     # measures the compiled route there against an exact reference instead
@@ -529,7 +543,7 @@ def test_compiled_solve_is_accurate_where_ill_conditioned():
     errors = {"pair_eff": [], "ring3_eff": []}
     for spec in ill_conditioned_specs():
         exact = exact_steady_state(assemble(*build_model(spec)[1:]))
-        report = _COMPILED[spec.model].solve([spec])
+        report = solve_points(_COMPILED[spec.model], [spec])
         _, want = solve_spec(spec)
         assert report.uniqueness_bound[0] > 1e6
         errors[spec.model].append((np.abs(report.rho.mat[0] - exact).max(), np.abs(want.mat - exact).max()))
@@ -605,13 +619,13 @@ def test_compiled_solve_hands_uncertified_points_to_steady_state_on(monkeypatch)
     compiled = CompiledModel(thermal_pair_spec(x=1.0))
     monkeypatch.setattr(experiments, "steady_state_on", spy)
     chunk = [thermal_pair_spec(x=x) for x in (0.5, 1.5, 2.5)]
-    certified = compiled.solve(chunk)
+    certified = solve_points(compiled, chunk)
     assert seen == []
     # singular M in the middle of a chunk: with z = 1 the pair decays only
     # collectively and has a dark state; only that point reaches steady_state_on
     dark = thermal_pair_spec(x=0.0, y=0.0, z=1.0)
     with pytest.raises(SteadyStateError, match="not unique"):
-        compiled.solve([chunk[0], dark, chunk[2]])
+        solve_points(compiled, [chunk[0], dark, chunk[2]])
     assert len(seen) == 1 and np.array_equal(seen[0].mat, liouvillian(dark))
     # invertible M whose bound does not certify, in the middle of a chunk: the
     # second certification of the solve (chunk[1]) declines
@@ -623,7 +637,7 @@ def test_compiled_solve_hands_uncertified_points_to_steady_state_on(monkeypatch)
         return len(calls) != 2 and certify(bound)
 
     monkeypatch.setattr(steady, "_certified_unique", decline_second)
-    report = compiled.solve(chunk)
+    report = solve_points(compiled, chunk)
     assert len(seen) == 2 and np.array_equal(seen[1].mat, liouvillian(chunk[1]))
     # the fallback's report takes that point's place in the stack (its bound is
     # the one steady_state_on formed, the third certification)
@@ -639,7 +653,7 @@ def test_compiled_fallback_states_equal_solve_spec(monkeypatch):
     for model, compiled in _COMPILED.items():
         chunk = [spec for spec in effective_specs() if spec.model == model]
         chunk += [apply_path(spec, "x[0].phase", 0.9) for spec in chunk]
-        report = compiled.solve(chunk)
+        report = solve_points(compiled, chunk)
         for k, spec in enumerate(chunk):
             want, rho = solve_spec(spec)
             assert np.array_equal(report.rho.mat[k], rho.mat), model
@@ -648,12 +662,12 @@ def test_compiled_fallback_states_equal_solve_spec(monkeypatch):
 
 def test_overflowing_drive_fails_without_numpy_warnings():
     # a drive of 1e200 is finite, but ‖M‖_F and the state's trace are not:
-    # both routes reject the point, and numpy stays quiet
+    # both routes reject the point as a SteadyStateError, and numpy stays quiet
     spec = apply_path(fig3_ring_spec(), "x[1].re", 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for solve in (solve_spec, lambda s: _COMPILED[s.model].solve([s])):
-            with pytest.raises(ValueError, match="non-finite"):
+        for solve in (solve_spec, lambda s: solve_points(_COMPILED[s.model], [s])):
+            with pytest.raises(SteadyStateError, match="steady state is not finite"):
                 solve(spec)
 
 
@@ -662,7 +676,7 @@ def test_compiled_residual_is_the_residual_on_the_assembled_liouvillian(spec):
     # the residual on (M, r) is ‖L vec ρ‖: the Hermitian basis is orthonormal
     # and L maps into the trace-zero subspace
     try:
-        report = _COMPILED[spec.model].solve([spec])
+        report = solve_points(_COMPILED[spec.model], [spec])
     except SteadyStateError:
         assume(False)  # not unique: the fallback forms its own residual
     liouv = assemble(*build_model(spec)[1:])
@@ -683,9 +697,60 @@ def test_compiled_solve_forms_no_liouvillian_for_certified_points(monkeypatch):
     compiled = CompiledModel(base)
     assert calls == [base]  # the base-point check
     chunk = [apply_path(base, "x[0].phase", phi) for phi in np.linspace(0.0, 2 * np.pi, CHUNK)]
-    report = compiled.solve(chunk)
+    report = solve_points(compiled, chunk)
     assert (report.uniqueness_bound < 1e-2 / UNIQUENESS_TOL).all()
     assert calls == [base]
+
+
+def built_params(monkeypatch):
+    """The list every EffectiveParams built from here on is appended to."""
+    built = []
+    honest = EffectiveParams.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(EffectiveParams, "__init__", spy)
+    return built
+
+
+def test_compiled_points_build_no_model_spec(monkeypatch):
+    # a chunk goes from its values to its coefficient rows: a certified point
+    # builds no ModelSpec, a point that falls back builds its own
+    concurrence01 = (ObservableSpec("concurrence", sites=(0, 1)),)
+    sweep = point_evaluator(fig5_pair_spec(), [("x[0].phase",), ("x[2].phase",)], concurrence01, "grid point")
+    config = json.loads((CONFIGS / "fig3_optimize.json").read_text())
+    groups = [(g,) if isinstance(g, str) else tuple(g) for g in config["free"]]
+    batch = point_evaluator(model_spec_from_json(config["model"]), groups,
+                            (ObservableSpec("concurrence", sites=(1, 2)),), "parameters")
+    chunk = list(itertools.product(np.linspace(0.0, 2 * np.pi, 8), repeat=2))
+    starts = np.random.default_rng(2).uniform(-5.0, 5.0, (9, len(groups)))
+    second = apply_path(apply_path(fig5_pair_spec(), "x[0].phase", chunk[1][0]), "x[2].phase", chunk[1][1])
+    built = built_params(monkeypatch)
+    certified = sweep(chunk)
+    batch(starts)
+    assert len(certified) == CHUNK and built == []
+    certify = steady._certified_unique
+    calls = []
+
+    def decline_second(bound):
+        calls.append(bound)
+        return len(calls) != 2 and certify(bound)
+
+    monkeypatch.setattr(steady, "_certified_unique", decline_second)
+    rows = sweep(chunk)
+    assert built == [second.params]
+    assert np.abs(np.array(rows) - certified).max() <= 1e-12
+
+
+def test_optimizer_builds_model_specs_only_for_its_bounds(monkeypatch):
+    # one per bound endpoint (the domain checks), none per evaluation
+    config = json.loads((CONFIGS / "fig3_optimize.json").read_text())
+    model = model_spec_from_json(config["model"])
+    built = built_params(monkeypatch)
+    report = optimize_concurrence(model, config["free"], config["bounds"], budget=60, sites=(1, 2))
+    assert len(built) == 2 * len(config["free"]) and report.evaluations > 9  # rounds of up to 9 points
 
 
 def test_uniqueness_bound_certifies_bundled_models():
@@ -694,7 +759,7 @@ def test_uniqueness_bound_certifies_bundled_models():
         assert 1.0 <= report.uniqueness_bound < 1e-2 / UNIQUENESS_TOL, spec.model
         if spec.model in _COMPILED:
             # compiled at another point, so this is the one-LU route
-            compiled = _COMPILED[spec.model].solve([spec])
+            compiled = solve_points(_COMPILED[spec.model], [spec])
             assert compiled.uniqueness_bound[0] == pytest.approx(report.uniqueness_bound, rel=1e-9)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -441,19 +442,65 @@ def test_path_setter_equals_chained_apply_path(case):
         chained = apply_path(chained, path, value)
     paths, values = zip(*pairs)
     # repr prints every float exactly, signed zeros included: a bitwise comparison
-    assert repr(models.path_setter(spec, paths)(values)) == repr(chained)
+    assert repr(models.PathSetter(spec, paths)(values)) == repr(chained)
+
+
+@st.composite
+def _path_rows(draw):
+    """An effective model, 1-4 paths on it (with repetition) and 1-4 rows of
+    one value per path."""
+    spec = draw(st.sampled_from(_PATH_SPECS[:3]))
+    paths = draw(st.lists(st.sampled_from(sorted(_addressable_paths(spec))), min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(st.floats(-4.0, 4.0), min_size=len(paths), max_size=len(paths)),
+                         min_size=1, max_size=4))
+    return spec, paths, [[1.0 + abs(v) if p.split("[")[0] in _HALF_LINE else v for p, v in zip(paths, row)]
+                         for row in rows]
+
+
+def assert_rows_are_coefficients_of_specs(spec, paths, values):
+    setter = models.PathSetter(spec, paths)
+    rows = setter.rows(np.array(values))
+    want = np.array([models.coefficients(setter(v)) for v in values])
+    # the bytes, so that the sign of a zero counts
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+
+
+@given(_path_rows())
+# two paths on one complex entry; .abs and .phase at an entry of 0 (x[1] of both figure models)
+@example((fig5_pair_spec(), ["x[0].re", "x[0].phase"], [[1.5, -0.3], [-0.0, 2.0], [0.0, 0.0]]))
+@example((fig3_ring_spec(), ["x[1].abs", "x[1].phase", "x[1].abs"], [[2.0, 0.5, -1.0], [0.0, 1.0, 3.0]]))
+@example((fig5_pair_spec(), ["x[1].abs", "x[0].im", "x[0].abs"], [[-2.0, 0.0, 0.5], [0.0, -1.0, 0.0]]))
+@example((thermal_pair_spec(x=1.0), ["x[0].phase", "x[0].re", "Gamma[0]", "n_p"], [[0.3, -0.7, 2.0, 1.0]]))
+# products that underflow to a signed zero: Γ₁x₁, and .abs, where a later
+# .abs turns that zero's sign into a phase of π or −π
+@example((thermal_pair_spec(x=1.0), ["Gamma[0]", "x[0].im"], [[1e-300, -1e-30]]))
+@example((fig3_ring_spec(), ["x[1].abs", "x[1].im", "x[1].abs"], [[1.0, 2.2250738585072014e-308, -2.549271472805174e-229]]))
+@example((thermal_pair_spec(x=1.0), ["x[0].im", "x[0].abs", "x[0].abs"], [[1.1125369292536007e-308, -1.175494351e-38, 1.0]]))
+def test_path_rows_equal_coefficients_of_the_set_specs(case):
+    assert_rows_are_coefficients_of_specs(*case)
+
+
+def test_path_rows_overflow_to_non_finite_rows_quietly():
+    # Γ₁x₁ overflows at Γ₁ = 1e300 although both are finite: that row is not
+    # finite, still equals the spec's coefficients, and numpy stays quiet
+    spec = apply_path(fig5_pair_spec(), "x[0].re", 1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = models.PathSetter(spec, ["Gamma[0]"]).rows(np.array([[1.0], [1e300]]))
+        assert np.isfinite(rows[0]).all() and not np.isfinite(rows[1]).all()
+        assert_rows_are_coefficients_of_specs(spec, ["Gamma[0]"], [[1.0], [1e300]])
 
 
 def test_path_setter_parses_each_path_once(monkeypatch):
     calls = []
     honest = models._parse_path
     monkeypatch.setattr(models, "_parse_path", lambda spec, path: calls.append(path) or honest(spec, path))
-    setter = models.path_setter(fig3_ring_spec(), ("x[0].phase", "x[2].phase"))
+    setter = models.PathSetter(fig3_ring_spec(), ("x[0].phase", "x[2].phase"))
     for phase in np.linspace(0.0, 1.0, 5):
         setter((phase, -phase))
     assert calls == ["x[0].phase", "x[2].phase"]
     with pytest.raises(ValueError, match="index out of range"):
-        models.path_setter(fig3_ring_spec(), ("x[0].phase", "x[3].phase"))
+        models.PathSetter(fig3_ring_spec(), ("x[0].phase", "x[3].phase"))
 
 
 def test_model_spec_rejects_unknown_keys():
