@@ -38,9 +38,6 @@ from .models import (
 from .steady import (
     SteadyStateError,
     SteadyStateReport,
-    evolve,
-    evolve_to_steady,
-    spectral_gap,
     steady_state_on,
 )
 from .observables import (

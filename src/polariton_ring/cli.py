@@ -1,14 +1,14 @@
 """Config-driven command line: solve, sweep, optimize, thermal, validate.
 
-Usage:  polariton-ring <command> --config cfg.json --out data.csv [--workers N]
+Usage:  polariton-ring <command> --config cfg.json --out data.csv [--workers 1]
 
 Each run writes the data CSV plus a ``<out>.summary.json`` with the echoed
 configuration, solver diagnostics and wall time. Writes are atomic (temp file
 plus rename), and a malformed config aborts before any file is created.
 Exit codes: 0 success, 1 solver/validation failure, 2 config error: any value
 checked before the first solve, such as a sweep axis value or an optimizer
-bound endpoint outside the model's domain. ``--workers`` sets the thread
-count of a sweep grid; no other command parallelizes.
+bound endpoint outside the model's domain. Every command runs on one
+thread; ``--workers`` accepts only 1, and any other value exits 2.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _decode_sweep_plan(cfg: dict) -> SweepPlan:
 # Each handler returns (csv_text, summary_payload); writing happens in main().
 
 
-def _cmd_solve(cfg: dict, workers: int) -> tuple[str, dict]:
+def _cmd_solve(cfg: dict) -> tuple[str, dict]:
     _require_keys(cfg, {"model", "observables"}, {"model"}, "solve config")
     model = _decode_model(cfg["model"])
     observables = decode_list(cfg.get("observables", []), "observables", _decode_observable)
@@ -163,9 +163,9 @@ def _cmd_solve(cfg: dict, workers: int) -> tuple[str, dict]:
     return "\n".join(lines) + "\n", payload
 
 
-def _cmd_sweep(cfg: dict, workers: int) -> tuple[str, dict]:
+def _cmd_sweep(cfg: dict) -> tuple[str, dict]:
     plan = _decode_sweep_plan(cfg)
-    result = run_sweep(plan, workers=workers)
+    result = run_sweep(plan)
     stats = {}
     for name in plan.header[len(plan.axes):]:
         col = result.column(name)
@@ -173,7 +173,7 @@ def _cmd_sweep(cfg: dict, workers: int) -> tuple[str, dict]:
     return result.to_csv(), {"rows": len(result.rows), "columns": result.header, "column_stats": stats}
 
 
-def _cmd_optimize(cfg: dict, workers: int) -> tuple[str, dict]:
+def _cmd_optimize(cfg: dict) -> tuple[str, dict]:
     _require_keys(
         cfg, {"model", "free", "bounds", "budget", "sites"}, {"model", "free", "bounds"}, "optimize config"
     )
@@ -198,7 +198,7 @@ def _cmd_optimize(cfg: dict, workers: int) -> tuple[str, dict]:
     return "\n".join(lines) + "\n", payload
 
 
-def _cmd_thermal(cfg: dict, workers: int) -> tuple[str, dict]:
+def _cmd_thermal(cfg: dict) -> tuple[str, dict]:
     _require_keys(cfg, {"x_grid", "t_grid", "y", "z"}, {"t_grid"}, "thermal config")
     x_grid = _decode_grid(cfg["x_grid"], "x_grid") if "x_grid" in cfg else signed_x_grid()
     t_grid = _decode_grid(cfg["t_grid"], "t_grid")
@@ -213,12 +213,15 @@ def _cmd_thermal(cfg: dict, workers: int) -> tuple[str, dict]:
     return result.to_csv(), payload
 
 
-def _cmd_validate(cfg: dict, workers: int) -> tuple[str, dict]:
+def _cmd_validate(cfg: dict) -> tuple[str, dict]:
     _require_keys(cfg, {"micro", "j_over_kappa"}, {"micro"}, "validate config")
     model = _decode_model(cfg["micro"], "micro")
     if model.model != "micro":
         raise ConfigError("validate needs a micro model")
     base = model.params
+    if min(base.J) == 0:
+        raise ConfigError(f"validate needs every J > 0, got J = {list(base.J)}: a guide without coupling "
+                          "cannot be eliminated")
     ratios = decode_list(cfg.get("j_over_kappa", []), "j_over_kappa", decode_float) or (max(base.J) / base.kappa,)
     bad = [r for r in ratios if not (np.isfinite(r) and r > 0)]
     if bad:
@@ -285,15 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help="must be 1: every command runs on one thread")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    workers = args.workers
-    if workers < 1:
-        print("error: workers must be >= 1", file=sys.stderr)
+    if args.workers != 1:
+        print(f"error: --workers must be 1, got {args.workers}", file=sys.stderr)
         return 2
 
     config_path = Path(args.config)
@@ -311,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.perf_counter()
     try:
-        csv_text, payload = _COMMANDS[args.command](cfg, workers)
+        csv_text, payload = _COMMANDS[args.command](cfg)
         echo = _echo_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -323,7 +325,6 @@ def main(argv: list[str] | None = None) -> int:
     summary = {
         "command": args.command,
         "version": __version__,
-        "workers": workers,
         "config": echo,
         "wall_time_s": time.perf_counter() - started,
         **payload,

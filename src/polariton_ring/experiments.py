@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,7 +39,7 @@ from .optimize import OptimizeReport, check_box, drive, multistart_maximize
 from .steady import (
     SteadyStateError,
     SteadyStateReport,
-    evolve_to_steady,
+    evolve_to_steady,  # unused here: bench/tracing.py wraps experiments.evolve_to_steady by name
     steady_state_on,
     steady_state_restricted,
     trace_zero_system,
@@ -343,8 +342,7 @@ class CompiledModel:
         return steady_state_restricted(self.space, m, r, liouvillian, fallback)
 
 
-# Points of a sweep evaluated together, in row order. Fixed, so that the rows
-# do not depend on how the chunks are spread over workers; 64 keeps a chunk's
+# Points of a sweep evaluated together, in row order; 64 keeps a chunk's
 # stacks small (the ring's M stack is 2 MB).
 CHUNK = 64
 
@@ -403,24 +401,16 @@ def point_evaluator(base: ModelSpec, groups, observables, label: str):
     return evaluate
 
 
-def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
+def run_sweep(plan: SweepPlan) -> SweepResult:
     """Evaluate the plan on the full grid.
 
     The model is compiled once for the whole grid, and the grid is walked in
-    row order in chunks of CHUNK points. Chunks are independent; with
-    ``workers > 1`` they are evaluated by a thread pool, whose ``map`` keeps
-    the row order. The chunk boundaries do not depend on the worker count,
-    so neither does the result.
+    row order, one chunk of CHUNK points after another.
     """
     evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point")
     points = itertools.product(*(a.grid for a in plan.axes))
     chunks = iter(lambda: list(itertools.islice(points, CHUNK)), [])
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = [row for chunk in pool.map(evaluate, chunks) for row in chunk]
-    else:
-        rows = [row for chunk in chunks for row in evaluate(chunk)]
-    return SweepResult(header=plan.header, rows=rows)
+    return SweepResult(header=plan.header, rows=[row for chunk in chunks for row in evaluate(chunk)])
 
 
 def optimize_concurrence(
@@ -529,20 +519,22 @@ def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult
 
 def validate_effective(micro: MicroParams) -> float:
     """Trace distance between the polariton marginal of the full model's steady
-    state (reached by time evolution) and the eliminated model's steady state.
+    state and the eliminated model's steady state, both from :func:`solve_spec`.
 
-    Enforces the weak-coupling regime J ≤ 0.1 κ before doing anything.
+    Enforces the weak-coupling regime J ≤ 0.1 κ and cold guides (n_c = 0: the
+    elimination has no thermal-guide form) before doing anything. The
+    eliminated model is derived and solved first, since it is cheap and is
+    where a parameter without an effective form fails (ValueError, or
+    ZeroDivisionError for a zero J).
     """
+    if micro.n_c > 0:
+        raise ValueError(f"n_c = {micro.n_c}: the eliminated models have no thermal guides, so validate needs n_c = 0")
     if max(micro.J) > WEAK_COUPLING_RATIO * micro.kappa:
         raise ValueError(
             f"J/kappa = {max(micro.J) / micro.kappa:.3f} outside the validity regime "
             f"(<= {WEAK_COUPLING_RATIO})"
         )
-    space, h, terms = build_model(ModelSpec("micro", micro))
-    liouv = assemble(h, terms)
-    rho_full = evolve_to_steady(liouv, space)
-    marginal = partial_trace(rho_full, range(micro.n_sites))
-
     model = {"ring3": "ring3_eff", "pair3": "pair_eff", "pair1": "pair_thermal"}[micro.geometry]
     _, eff_rho = solve_spec(ModelSpec(model, derive_effective(micro)))
-    return trace_distance(marginal, eff_rho)
+    _, rho_full = solve_spec(ModelSpec("micro", micro))
+    return trace_distance(partial_trace(rho_full, range(micro.n_sites)), eff_rho)

@@ -130,6 +130,8 @@ class EffectiveParams:
     drive, ``y[i]`` the induced hopping strength and ``z[i]`` the local decay
     dressing (z = 1 corresponds to no bare qubit decay). Lengths are one per
     guide: 3 for the ring and three-guide pair, 1 for the single-guide pair.
+    ``n_p`` is the qubits' thermal occupation; only ``pair_thermal`` has
+    thermal pumping, and ModelSpec keeps it 0 on the other models.
     """
 
     n_sites: int
@@ -422,6 +424,8 @@ class ModelSpec:
                 raise ValueError(f"{self.model} needs n_sites={_EFF_N_SITES[self.model]}")
             if len(self.params.Gamma) != _EFF_N_GUIDES[self.model]:
                 raise ValueError(f"{self.model} needs {_EFF_N_GUIDES[self.model]} guide entries")
+            if self.params.n_p != 0 and self.model != "pair_thermal":
+                raise ValueError(f"n_p must be 0 on {self.model}, which has no thermal pumping; got {self.params.n_p}")
 
 
 def build_model(spec: ModelSpec) -> BuildResult:

@@ -1,6 +1,7 @@
-"""Steady states of Liouvillians: trace-constrained linear solve, exact time
-propagation as an independent cross-check, and a spectral-gap estimate for
-choosing the propagation horizon."""
+"""Steady states of Liouvillians: the trace-constrained linear solve that
+every command uses, and exact time propagation with a spectral-gap estimate
+for its horizon, which no command calls: the tests compare the solve against
+it as an independent reference."""
 
 from __future__ import annotations
 

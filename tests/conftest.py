@@ -4,7 +4,7 @@ import pytest
 
 from polariton_ring.experiments import Axis, ObservableSpec, SweepPlan
 from polariton_ring.linalg import DensityMatrix, herm_defect, hermitize
-from polariton_ring.models import fig3_ring_spec, fig5_pair_spec, thermal_pair_spec, validation_micro_spec
+from polariton_ring.models import MicroParams, fig3_ring_spec, fig5_pair_spec, thermal_pair_spec, validation_micro_spec
 from polariton_ring.optimize import OptimizeReport, check_box, corner_starts, drive, multistart_maximize, nelder_mead
 
 hypothesis.settings.register_profile("default", max_examples=25, deadline=None)
@@ -64,6 +64,14 @@ def bundled_models():
         "thermal_pair": thermal_pair_spec(x=2.0, n_p=0.0),
         "validation_micro": validation_micro_spec(),
     }
+
+
+def three_guide_pair_micro(j):
+    """Resonant three-guide pair, end guides driven in antiphase, with bare qubit decay."""
+    return MicroParams(
+        n_sites=2, J=(j, j, j), kappa=1.0, gamma_p=0.005, alpha=(j / 2, 0.0, j / 2), phi=(np.pi, 0.0, 0.0),
+        omega_c=(1.0, 1.0, 1.0), omega_p=(1.0, 1.0), omega_d=1.0, n_boson=2,
+    )
 
 
 def phase_grid(count=41, stop=2 * np.pi):

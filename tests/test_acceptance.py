@@ -19,6 +19,7 @@ from conftest import (
     phase_sweep_plan,
     random_density_mat,
     random_unitary,
+    three_guide_pair_micro,
 )
 from polariton_ring.experiments import (
     Axis,
@@ -36,7 +37,6 @@ from polariton_ring.experiments import (
 )
 from polariton_ring.linalg import DensityMatrix, HilbertSpace, kron, partial_trace
 from polariton_ring.models import (
-    MicroParams,
     apply_path,
     build_model,
     fig3_ring_spec,
@@ -75,14 +75,14 @@ def maxima_cells(result, tol=1e-9):
 def fig5_sweep():
     started = time.perf_counter()
     plan = phase_sweep_plan(fig5_pair_spec(), count=41)
-    result = run_sweep(plan, workers=1)
+    result = run_sweep(plan)
     return result, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
 def fig3_sweep():
     plan = phase_sweep_plan(fig3_ring_spec(), count=41)
-    return run_sweep(plan, workers=1)
+    return run_sweep(plan)
 
 
 def test_criterion_1_fig5_reproduction(fig5_sweep):
@@ -118,7 +118,7 @@ def test_criterion_2_fig3_reproduction():
     _, rho = solve_spec(refined)
     ground = population(partial_trace(rho, [0]), 0)
 
-    sweep = run_sweep(phase_sweep_plan(refined, count=21), workers=1)
+    sweep = run_sweep(phase_sweep_plan(refined, count=21))
     cells, top = maxima_cells(sweep)
     cell = 2 * np.pi / 20
     elapsed = time.perf_counter() - started
@@ -233,14 +233,6 @@ def test_criterion_5_effective_validation():
     assert ok
 
 
-def three_guide_pair_micro(j):
-    """Resonant three-guide pair, end guides driven in antiphase, with bare qubit decay."""
-    return MicroParams(
-        n_sites=2, J=(j, j, j), kappa=1.0, gamma_p=0.005, alpha=(j / 2, 0.0, j / 2), phi=(np.pi, 0.0, 0.0),
-        omega_c=(1.0, 1.0, 1.0), omega_p=(1.0, 1.0), omega_d=1.0, n_boson=2,
-    )
-
-
 def test_criterion_5_three_guide_pair_validation():
     # the bare decay reaches each site through the middle guide's z alone
     d1 = validate_effective(three_guide_pair_micro(0.05))
@@ -303,9 +295,9 @@ def test_criterion_6_property_suites(rng):
     ok &= check("6h trace-distance metric axioms (200 triples)", metric_ok)
 
     plan = phase_sweep_plan(fig5_pair_spec(), count=9)
-    csv1 = run_sweep(plan, workers=1).to_csv()
-    csv4 = run_sweep(plan, workers=4).to_csv()
-    ok &= check("6i sweep determinism across workers", csv1 == csv4, "bit-identical CSV")
+    csv1 = run_sweep(plan).to_csv()
+    csv2 = run_sweep(plan).to_csv()
+    ok &= check("6i two runs of one plan write the same CSV", csv1 == csv2, "bit-identical CSV")
     # 81 points: one full chunk and a partial one, against each point alone
     evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point")
     points = itertools.product(*(a.grid for a in plan.axes))

@@ -203,15 +203,20 @@ def test_sweep_roundtrip_bit_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_workers_flag(tmp_path):
+def test_sweep_workers_flag(tmp_path, capsys):
+    # every command runs on one thread: --workers parses, and takes only 1
     cfg = write_config(tmp_path, sweep_config())
     out1 = tmp_path / "w1.csv"
-    out2 = tmp_path / "w2.csv"
+    plain = tmp_path / "plain.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out1), "--workers", "1"]) == 0
-    assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
-    assert json.loads(summary_path(out2).read_text())["workers"] == 2
-    assert out1.read_bytes() == out2.read_bytes()
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--workers", "0"]) == 2
+    assert main(["sweep", "--config", str(cfg), "--out", str(plain)]) == 0
+    assert out1.read_bytes() == plain.read_bytes()
+    for workers in ("2", "0"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == 2
+        assert "--workers must be 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not summary_path(out).exists()
 
 
 def test_sweep_grid_as_list(tmp_path):
@@ -626,3 +631,62 @@ def test_solve_on_a_huge_drive_exits_1(tmp_path, capsys):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
     assert not summary_path(out).exists()
+
+
+def micro_json(geometry, **changes):
+    """A decodable micro model of one geometry at J/kappa = 0.05, with ``changes`` applied."""
+    n_sites, n_guides = {"pair1": (2, 1), "pair3": (2, 3), "ring3": (3, 3)}[geometry]
+    micro = dict(VALIDATE_CFG["micro"], n_sites=n_sites, J=[0.05] * n_guides, alpha=[0.025] * n_guides,
+                 phi=[0.0] * n_guides, omega_c=[1.0] * n_guides, omega_p=[1.0] * n_sites,
+                 n_boson=3 if geometry == "pair1" else 2)
+    return dict(micro, **changes)
+
+
+@pytest.mark.parametrize(
+    "micro, message",
+    [
+        (micro_json("pair1", J=[0.0], alpha=[0.0]), "validate needs every J > 0"),
+        (micro_json("pair3", J=[0.05, 0.0, 0.05], alpha=[0.025, 0.0, 0.025]), "validate needs every J > 0"),
+        (micro_json("pair1", n_c=0.2), "n_c = 0.2"),
+        (micro_json("pair3", n_p=0.1), "n_p must be 0 on pair_eff"),
+        (micro_json("ring3", n_p=0.1), "n_p must be 0 on ring3_eff"),
+    ],
+    ids=["zero-J-pair1", "zero-J-pair3", "thermal-guides", "n_p-pair3", "n_p-ring3"],
+)
+def test_validate_without_eliminated_form_exits_2(tmp_path, capsys, no_solve, micro, message):
+    cfg = write_config(tmp_path, dict(VALIDATE_CFG, micro=micro))
+    out = tmp_path / "val.csv"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("solve", {"model": dict(pair_model_json(), n_p=0.5)}, "n_p must be 0 on pair_eff"),
+        ("sweep", {"model": RING_MODEL, "axes": [{"path": "n_p", "grid": [0.0, 1.0, 5.0]}],
+                   "observables": [{"kind": "concurrence", "sites": [1, 2]}]},
+         "{'n_p': 1.0}: n_p must be 0 on ring3_eff"),
+        ("optimize", {"model": RING_MODEL, "free": ["n_p"], "bounds": [[0.0, 1.0]], "budget": 5},
+         "{'n_p': 1.0}: n_p must be 0 on ring3_eff"),
+    ],
+    ids=["solve", "sweep", "optimize"],
+)
+def test_n_p_outside_pair_thermal_exits_2(tmp_path, capsys, no_solve, command, cfg, message):
+    out = tmp_path / "data.csv"
+    assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+def test_zero_n_p_stays_valid_without_thermal_pumping(tmp_path):
+    out = tmp_path / "data.csv"
+    cfg = {"model": RING_MODEL, "axes": [{"path": "n_p", "grid": [0.0]}], "observables": [{"kind": "purity"}]}
+    assert main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    cfg = {"model": dict(pair_model_json(), n_p=0.0)}
+    assert main(["solve", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import bundled_models, count_interior_maxima, fwhm, phase_sweep_plan, smooth3
+from conftest import bundled_models, count_interior_maxima, fwhm, phase_sweep_plan, smooth3, three_guide_pair_micro
 from polariton_ring import experiments, steady
 from polariton_ring.experiments import (
     Axis,
@@ -35,6 +35,7 @@ from polariton_ring.models import (
     apply_path,
     build_model,
     coefficients,
+    derive_effective,
     fig3_ring_spec,
     fig5_pair_spec,
     model_spec_from_json,
@@ -43,8 +44,8 @@ from polariton_ring.models import (
     thermal_pair_spec,
     validation_micro_spec,
 )
-from polariton_ring.observables import concurrence
-from polariton_ring.steady import UNIQUENESS_TOL, SteadyStateError
+from polariton_ring.observables import concurrence, trace_distance
+from polariton_ring.steady import UNIQUENESS_TOL, SteadyStateError, evolve_to_steady
 from polariton_ring.superop import assemble, vec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -96,18 +97,14 @@ def test_sweep_shape_and_header():
     assert len(result.rows) == 9
 
 
-def test_sweep_deterministic_across_workers():
+def test_sweep_deterministic_across_runs():
     plan = small_pair_plan()
-    a = run_sweep(plan, workers=1)
-    b = run_sweep(plan, workers=4)
-    assert a.to_csv() == b.to_csv()
-    c = run_sweep(plan, workers=1)
-    assert a.to_csv() == c.to_csv()
+    assert run_sweep(plan).to_csv() == run_sweep(plan).to_csv()
 
 
-def test_ring_sweep_deterministic_across_workers():
+def test_ring_sweep_deterministic_across_runs():
     plan = phase_sweep_plan(fig3_ring_spec(), count=4)
-    assert run_sweep(plan, workers=1).to_csv() == run_sweep(plan, workers=3).to_csv()
+    assert run_sweep(plan).to_csv() == run_sweep(plan).to_csv()
 
 
 def test_sweep_csv_format():
@@ -229,6 +226,18 @@ def test_validate_effective_zero_drive():
 
     quiet = replace(p, alpha=(0.0,))
     assert validate_effective(quiet) <= 1e-8
+
+
+@pytest.mark.parametrize("micro", [validation_micro_spec(j_over_kappa=0.05).params,
+                                   validation_micro_spec(j_over_kappa=0.025).params,
+                                   three_guide_pair_micro(0.05)], ids=["pair1-0.05", "pair1-0.025", "pair3-0.05"])
+def test_validate_effective_matches_propagation_reference(micro):
+    # the full model's state by propagation of the same L, against the linear solve
+    space, h, terms = build_model(ModelSpec("micro", micro))
+    marginal = partial_trace(evolve_to_steady(assemble(h, terms), space), range(micro.n_sites))
+    model = {"pair3": "pair_eff", "pair1": "pair_thermal"}[micro.geometry]
+    _, eff_rho = solve_spec(ModelSpec(model, derive_effective(micro)))
+    assert validate_effective(micro) == pytest.approx(trace_distance(marginal, eff_rho), abs=1e-9)
 
 
 def test_validate_effective_regime_guard():

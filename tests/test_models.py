@@ -417,7 +417,17 @@ def test_parse_path_table(spec):
 
 
 # Fields whose domain is a half-line; the setter test maps its values into it.
+# n_p is one only where there is thermal pumping (pair_thermal and micro); on
+# ring3_eff and pair_eff its domain is the point 0.
 _HALF_LINE = {"Gamma", "z", "n_p", "J", "alpha", "kappa", "gamma_p", "n_c"}
+
+
+def _in_domain(spec, path, value):
+    """``value`` mapped into the domain of ``path`` on ``spec``."""
+    field_name = path.split("[")[0]
+    if field_name == "n_p" and spec.model in ("ring3_eff", "pair_eff"):
+        return 0.0
+    return 1.0 + abs(value) if field_name in _HALF_LINE else value
 
 
 @st.composite
@@ -426,7 +436,7 @@ def _path_values(draw):
     spec = draw(st.sampled_from(_PATH_SPECS))
     path = st.sampled_from(sorted(_addressable_paths(spec)))
     pairs = draw(st.lists(st.tuples(path, st.floats(-4.0, 4.0)), min_size=1, max_size=5))
-    return spec, [(p, 1.0 + abs(v) if p.split("[")[0] in _HALF_LINE else v) for p, v in pairs]
+    return spec, [(p, _in_domain(spec, p, v)) for p, v in pairs]
 
 
 @pytest.mark.filterwarnings("ignore:parameters leave the weak-driving regime")
@@ -453,8 +463,7 @@ def _path_rows(draw):
     paths = draw(st.lists(st.sampled_from(sorted(_addressable_paths(spec))), min_size=1, max_size=4))
     rows = draw(st.lists(st.lists(st.floats(-4.0, 4.0), min_size=len(paths), max_size=len(paths)),
                          min_size=1, max_size=4))
-    return spec, paths, [[1.0 + abs(v) if p.split("[")[0] in _HALF_LINE else v for p, v in zip(paths, row)]
-                         for row in rows]
+    return spec, paths, [[_in_domain(spec, p, v) for p, v in zip(paths, row)] for row in rows]
 
 
 def assert_rows_are_coefficients_of_specs(spec, paths, values):
@@ -558,6 +567,15 @@ def test_model_spec_type_checks():
         ModelSpec("micro", fig5_pair_spec().params)
     with pytest.raises(ValueError):
         ModelSpec("pair_thermal", fig5_pair_spec().params)
+
+
+@pytest.mark.parametrize("spec", [fig3_ring_spec(), fig5_pair_spec()], ids=["ring3_eff", "pair_eff"])
+def test_n_p_is_zero_without_thermal_pumping(spec):
+    # only pair_thermal reads n_p; elsewhere a nonzero one would be dropped silently
+    assert apply_path(spec, "n_p", 0.0) == spec
+    with pytest.raises(ValueError, match=f"n_p must be 0 on {spec.model}"):
+        apply_path(spec, "n_p", 0.5)
+    assert apply_path(thermal_pair_spec(x=1.0), "n_p", 0.5).params.n_p == 0.5
 
 
 # --- cached qubit operators -------------------------------------------------------
