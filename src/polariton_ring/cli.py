@@ -26,10 +26,12 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    CSV_FORMAT,
     Axis,
     ObservableSpec,
     SweepError,
     SweepPlan,
+    SweepResult,
     optimize_concurrence,
     run_sweep,
     signed_x_grid,
@@ -40,6 +42,7 @@ from .experiments import (
 from .models import (
     ConfigError,
     ModelSpec,
+    check_distinct,
     check_grid_points,
     decode_float,
     decode_int,
@@ -150,7 +153,6 @@ def _cmd_solve(cfg: dict) -> tuple[str, dict]:
             raise ConfigError(f"observables[{k}]: {exc}") from exc
     report, rho = solve_spec(model)
     pops = [float(rho.mat[i, i].real) for i in range(rho.dim)]
-    lines = ["index,population"] + [f"{i},{p:.12g}" for i, p in enumerate(pops)]
     payload = {
         "populations": pops,
         "residual": report.residual,
@@ -160,7 +162,7 @@ def _cmd_solve(cfg: dict) -> tuple[str, dict]:
         "uniqueness_bound": report.uniqueness_bound if np.isfinite(report.uniqueness_bound) else None,
         "observables": {o.column: o.evaluate(rho) for o in observables},
     }
-    return "\n".join(lines) + "\n", payload
+    return SweepResult(["index", "population"], [[i, p] for i, p in enumerate(pops)]).to_csv(), payload
 
 
 def _cmd_sweep(cfg: dict) -> tuple[str, dict]:
@@ -187,15 +189,14 @@ def _cmd_optimize(cfg: dict) -> tuple[str, dict]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     names = list(report.best_params)
-    lines = [",".join(["improvement"] + names + ["concurrence"])]
-    for k, (params, value) in enumerate(report.trace):
-        lines.append(",".join([str(k)] + ["%.12g" % params[n] for n in names] + ["%.12g" % value]))
+    rows = [[k] + [params[n] for n in names] + [value] for k, (params, value) in enumerate(report.trace)]
+    result = SweepResult(["improvement"] + names + ["concurrence"], rows)
     payload = {
         "best_params": report.best_params,
         "best_value": report.best_value,
         "evaluations": report.evaluations,
     }
-    return "\n".join(lines) + "\n", payload
+    return result.to_csv(), payload
 
 
 def _cmd_thermal(cfg: dict) -> tuple[str, dict]:
@@ -226,8 +227,9 @@ def _cmd_validate(cfg: dict) -> tuple[str, dict]:
     bad = [r for r in ratios if not (np.isfinite(r) and r > 0)]
     if bad:
         raise ConfigError(f"j_over_kappa values must be finite and > 0, got {bad}")
-    lines = ["j_over_kappa,distance"]
-    distances = {}
+    keys = [CSV_FORMAT % r for r in ratios]  # a ratio's CSV cell and summary key
+    check_distinct(keys, "j_over_kappa names")
+    result = SweepResult(["j_over_kappa", "distance"])
     for ratio in ratios:
         scale = ratio * base.kappa / max(base.J)
         try:
@@ -239,9 +241,8 @@ def _cmd_validate(cfg: dict) -> tuple[str, dict]:
             dist = validate_effective(micro)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        distances["%.12g" % ratio] = dist
-        lines.append(f"{ratio:.12g},{dist:.12g}")
-    return "\n".join(lines) + "\n", {"distances": distances}
+        result.rows.append([ratio, dist])
+    return result.to_csv(), {"distances": {key: dist for key, (_, dist) in zip(keys, result.rows)}}
 
 
 _COMMANDS = {

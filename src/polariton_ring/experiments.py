@@ -20,6 +20,7 @@ from .models import (
     PathSetter,
     WEAK_COUPLING_RATIO,
     build_model,
+    check_distinct,
     check_grid_points,
     coefficients,
     derive_effective,
@@ -167,12 +168,6 @@ def _check_values(model: ModelSpec, paths: tuple[str, ...], values, where: str) 
             raise ValueError(f"{where} {{{name!r}: {value}}}: {exc}") from exc
 
 
-def _check_distinct(paths: list[str], owner: str) -> None:
-    repeated = sorted({path for path in paths if paths.count(path) > 1})
-    if repeated:
-        raise ValueError(f"{owner} {repeated} more than once: each path takes one value")
-
-
 @dataclass(frozen=True)
 class SweepPlan:
     """A model, the axes of its grid and the columns to observe. A grid over
@@ -191,7 +186,7 @@ class SweepPlan:
         if not self.observables:
             raise ValueError("a sweep needs at least one observable")
         check_grid_points(math.prod(self.shape), "sweep grid")
-        _check_distinct([axis.path for axis in self.axes], "axes name")
+        check_distinct([axis.path for axis in self.axes], "axes name")
         for axis in self.axes:
             _check_values(self.model, (axis.path,), axis.grid, "grid value")
         space = model_space(self.model)
@@ -437,7 +432,7 @@ def optimize_concurrence(
     groups: list[tuple[str, ...]] = [(g,) if isinstance(g, str) else tuple(g) for g in free]
     if not groups or not all(groups):
         raise ValueError("free must name at least one parameter, and each group at least one path")
-    _check_distinct([path for group in groups for path in group], "free names")
+    check_distinct([path for group in groups for path in group], "free names")
     check_box(bounds, budget)
     for k, (group, bound) in enumerate(zip(groups, bounds)):
         _check_values(model, group, bound, f"bounds[{k}] endpoint")
@@ -484,6 +479,7 @@ def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult
     """Distance-to-thermal map d(x, T) with its |∂d/∂x| companion column.
 
     Columns: x, T_R, d, abs_dd_dx, t_in_range. Rows are row-major in (x, T).
+    The x grid needs at least two points, for the derivative.
     Each temperature is one :func:`run_sweep` of the pair_thermal model at
     n_p = n(T) over ``x[0].re``, observing the distance to the Gibbs state at
     T; every plan is built before the first solve. The sign of x is a gauge
@@ -493,6 +489,8 @@ def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult
     """
     xs = Axis("x_grid", x_grid).grid
     ts = Axis("t_grid", t_grid).grid
+    if len(xs) < 2:
+        raise ValueError(f"x_grid has {len(xs)} point; the derivative abs_dd_dx needs at least two")
     check_grid_points(len(xs) * len(ts), "thermal map")
     out_of_range = [t for t in ts if t > T_VALIDITY_MAX]
     if out_of_range:
@@ -534,7 +532,6 @@ def validate_effective(micro: MicroParams) -> float:
             f"J/kappa = {max(micro.J) / micro.kappa:.3f} outside the validity regime "
             f"(<= {WEAK_COUPLING_RATIO})"
         )
-    model = {"ring3": "ring3_eff", "pair3": "pair_eff", "pair1": "pair_thermal"}[micro.geometry]
-    _, eff_rho = solve_spec(ModelSpec(model, derive_effective(micro)))
+    _, eff_rho = solve_spec(ModelSpec(micro.geometry.model, derive_effective(micro)))
     _, rho_full = solve_spec(ModelSpec("micro", micro))
     return trace_distance(partial_trace(rho_full, range(micro.n_sites)), eff_rho)

@@ -48,18 +48,30 @@ MICRO_L_BYTES_BUDGET = 512 * 2**20
 # beyond this is a config error.
 GRID_POINT_BUDGET = 10**6
 
-EFFECTIVE_MODELS = ("ring3_eff", "pair_eff", "pair_thermal")
-MODEL_NAMES = EFFECTIVE_MODELS + ("micro",)
+
+class Geometry(typing.NamedTuple):
+    """One guide-coupling geometry of the full model: a row of GEOMETRIES, keyed by (n_sites, number of guides)."""
+
+    name: str
+    guide_sites: tuple[tuple[int, ...], ...]  # the qubit sites each guide couples to
+    model: str  # the eliminated model
+    bare_split: float  # z_i = 1 + γ/(bare_split·Γ_i), see derive_effective
+
+
+GEOMETRIES = {
+    (3, 3): Geometry("ring3", ((0, 1), (1, 2), (2, 0)), "ring3_eff", 4.0),
+    (2, 3): Geometry("pair3", ((0,), (0, 1), (1,)), "pair_eff", 2.0),
+    (2, 1): Geometry("pair1", ((0, 1),), "pair_thermal", 2.0),
+}
 
 
 @dataclass(frozen=True)
 class MicroParams:
     """Physical parameters of a full (qubits + guides) model.
 
-    The guide-coupling geometry is inferred from ``(n_sites, len(J))``:
-    (3, 3) is the ring, (2, 3) the three-guide pair, (2, 1) the single-guide
-    pair. All frequencies share the drive's units; ``omega_d`` is subtracted
-    in the rotating frame.
+    The guide-coupling geometry is the row of GEOMETRIES at
+    ``(n_sites, len(J))``. All frequencies share the drive's units;
+    ``omega_d`` is subtracted in the rotating frame.
     """
 
     n_sites: int
@@ -81,11 +93,9 @@ class MicroParams:
         scalars = (self.kappa, self.gamma_p, self.omega_d, self.n_c, self.n_p)
         if not all(map(cmath.isfinite, self.J + self.alpha + self.phi + self.omega_c + self.omega_p + scalars)):
             raise ValueError("micro parameters must be finite")
-        if self.n_sites not in (2, 3):
-            raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites}")
         n_guides = len(self.J)
-        if (self.n_sites, n_guides) not in ((3, 3), (2, 3), (2, 1)):
-            raise ValueError(f"unsupported geometry: {self.n_sites} sites, {n_guides} guides")
+        if (self.n_sites, n_guides) not in GEOMETRIES:
+            raise ValueError(f"unsupported geometry {(self.n_sites, n_guides)}: (sites, guides) in {list(GEOMETRIES)}")
         for name in ("alpha", "phi", "omega_c"):
             if len(getattr(self, name)) != n_guides:
                 raise ValueError(f"{name} must have one entry per guide ({n_guides})")
@@ -106,20 +116,8 @@ class MicroParams:
             )
 
     @property
-    def n_guides(self) -> int:
-        return len(self.J)
-
-    @property
-    def geometry(self) -> str:
-        return {(3, 3): "ring3", (2, 3): "pair3", (2, 1): "pair1"}[(self.n_sites, self.n_guides)]
-
-    def guide_sites(self) -> list[tuple[int, ...]]:
-        """Which qubit sites each guide couples to."""
-        if self.geometry == "ring3":
-            return [(i, (i + 1) % 3) for i in range(3)]
-        if self.geometry == "pair3":
-            return [(0,), (0, 1), (1,)]
-        return [(0, 1)]
+    def geometry(self) -> Geometry:
+        return GEOMETRIES[(self.n_sites, len(self.J))]
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,6 @@ class EffectiveParams:
     thermal pumping, and ModelSpec keeps it 0 on the other models.
     """
 
-    n_sites: int
     Gamma: tuple[float, ...]
     x: tuple[complex, ...]
     y: tuple[float, ...]
@@ -148,8 +145,6 @@ class EffectiveParams:
         object.__setattr__(self, "z", tuple(float(v) for v in self.z))
         if not all(map(cmath.isfinite, self.Gamma + self.x + self.y + self.z + (self.n_p,))):
             raise ValueError("effective parameters must be finite")
-        if self.n_sites not in (2, 3):
-            raise ValueError(f"n_sites must be 2 or 3, got {self.n_sites}")
         n = len(self.Gamma)
         if any(len(getattr(self, name)) != n for name in ("x", "y", "z")):
             raise ValueError("Gamma, x, y, z must have equal lengths")
@@ -178,21 +173,16 @@ def derive_effective(p: MicroParams) -> EffectiveParams:
     """
     if any(j == 0 for j in p.J):
         raise ZeroDivisionError("J_i must be nonzero to derive effective parameters")
-    sites = p.guide_sites()
-    detunings = [p.omega_c[i] - sum(p.omega_p[s] for s in sites[i]) / len(sites[i]) for i in range(p.n_guides)]
-    kappa = p.kappa
-    gamma = p.gamma_p
+    kappa, gamma, geometry = p.kappa, p.gamma_p, p.geometry
     Gamma, x, y, z = [], [], [], []
-    bare_split = 4.0 if p.geometry == "ring3" else 2.0
-    for i, delta in enumerate(detunings):
-        g = 2.0 * p.J[i] ** 2 * kappa / (kappa**2 + 4.0 * delta**2)
+    for j, alpha, phi, omega_c, sites in zip(p.J, p.alpha, p.phi, p.omega_c, geometry.guide_sites):
+        delta = omega_c - sum(p.omega_p[s] for s in sites) / len(sites)
+        g = 2.0 * j**2 * kappa / (kappa**2 + 4.0 * delta**2)
         Gamma.append(g)
-        x.append(-p.alpha[i] * cmath.exp(1j * p.phi[i]) * (2.0 * delta + 1j * kappa) / (p.J[i] * kappa))
+        x.append(-alpha * cmath.exp(1j * phi) * (2.0 * delta + 1j * kappa) / (j * kappa))
         y.append(-2.0 * delta / kappa)
-        z.append(1.0 + gamma / (bare_split * g))
-    return EffectiveParams(
-        n_sites=p.n_sites, Gamma=tuple(Gamma), x=tuple(x), y=tuple(y), z=tuple(z), n_p=p.n_p
-    )
+        z.append(1.0 + gamma / (geometry.bare_split * g))
+    return EffectiveParams(Gamma=tuple(Gamma), x=tuple(x), y=tuple(y), z=tuple(z), n_p=p.n_p)
 
 
 BuildResult = tuple[HilbertSpace, np.ndarray, list[DissipatorTerm]]
@@ -360,7 +350,7 @@ def _build_micro(p: MicroParams) -> BuildResult:
     space = _micro_space(p)
     P = [embed(SIGMA_MINUS, i, space) for i in range(p.n_sites)]
     lower = np.diag(np.sqrt(np.arange(1, p.n_boson)), 1).astype(complex)
-    A = [embed(lower, p.n_sites + g, space) for g in range(p.n_guides)]
+    A = [embed(lower, p.n_sites + g, space) for g in range(len(p.J))]
 
     d = space.dim
     h = np.zeros((d, d), dtype=complex)
@@ -369,7 +359,7 @@ def _build_micro(p: MicroParams) -> BuildResult:
     for s, ps in enumerate(P):
         h += (p.omega_p[s] - p.omega_d) * (ps.conj().T @ ps)
     half = np.zeros((d, d), dtype=complex)
-    for g, sites in enumerate(p.guide_sites()):
+    for g, sites in enumerate(p.geometry.guide_sites):
         b = sum(P[s] for s in sites)
         half += p.J[g] * (A[g].conj().T @ b)
         half += p.alpha[g] * cmath.exp(1j * p.phi[g]) * A[g].conj().T
@@ -389,13 +379,34 @@ def _build_micro(p: MicroParams) -> BuildResult:
 
 
 def _micro_space(p: MicroParams) -> HilbertSpace:
-    return HilbertSpace([2] * p.n_sites + [p.n_boson] * p.n_guides)
+    return HilbertSpace([2] * p.n_sites + [p.n_boson] * len(p.J))
 
 
 # --- declarative model specification -----------------------------------------
 
-_EFF_N_GUIDES = {"ring3_eff": 3, "pair_eff": 3, "pair_thermal": 1}
-_EFF_N_SITES = {"ring3_eff": 3, "pair_eff": 2, "pair_thermal": 2}
+
+class EffectiveModel(typing.NamedTuple):
+    """One eliminated-guide model: its fixed operator pieces (cached, read-only),
+    its coefficient map, its number of guides and whether it has thermal pumping."""
+
+    pieces: typing.Callable[[], ModelPieces]
+    coefficients: typing.Callable
+    n_guides: int
+    thermal: bool
+
+
+EFFECTIVE = {
+    "ring3_eff": EffectiveModel(_ring3_pieces, _ring3_coefficients, n_guides=3, thermal=False),
+    "pair_eff": EffectiveModel(_pair_pieces, _pair_coefficients, n_guides=3, thermal=False),
+    "pair_thermal": EffectiveModel(_thermal_pieces, _thermal_coefficients, n_guides=1, thermal=True),
+}
+EFFECTIVE_MODELS = tuple(EFFECTIVE)
+MODEL_NAMES = EFFECTIVE_MODELS + ("micro",)
+
+
+def _params_type(model: str) -> type:
+    """The params dataclass of a model."""
+    return MicroParams if model == "micro" else EffectiveParams
 
 
 @dataclass(frozen=True)
@@ -408,9 +419,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
+        if not isinstance(self.params, _params_type(self.model)):
+            raise ValueError(f"{self.model} needs {_params_type(self.model).__name__}")
         if self.model == "micro":
-            if not isinstance(self.params, MicroParams):
-                raise ValueError("micro model needs MicroParams")
             d = _micro_space(self.params).dim
             if 16 * d**4 > MICRO_L_BYTES_BUDGET:
                 raise ValueError(
@@ -418,34 +429,29 @@ class ModelSpec:
                     f"over the budget of {MICRO_L_BYTES_BUDGET / 2**20:.0f} MiB"
                 )
         else:
-            if not isinstance(self.params, EffectiveParams):
-                raise ValueError(f"{self.model} needs EffectiveParams")
-            if self.params.n_sites != _EFF_N_SITES[self.model]:
-                raise ValueError(f"{self.model} needs n_sites={_EFF_N_SITES[self.model]}")
-            if len(self.params.Gamma) != _EFF_N_GUIDES[self.model]:
-                raise ValueError(f"{self.model} needs {_EFF_N_GUIDES[self.model]} guide entries")
-            if self.params.n_p != 0 and self.model != "pair_thermal":
+            shape = EFFECTIVE[self.model]
+            if len(self.params.Gamma) != shape.n_guides:
+                raise ValueError(f"{self.model} needs {shape.n_guides} guide entries")
+            if self.params.n_p != 0 and not shape.thermal:
                 raise ValueError(f"n_p must be 0 on {self.model}, which has no thermal pumping; got {self.params.n_p}")
 
 
 def build_model(spec: ModelSpec) -> BuildResult:
     """(space, h, terms) of a model: the one build route. An effective model is
-    its pieces at its coefficients; ``micro`` is built term by term."""
+    its pieces at its coefficients; ``micro`` is built term by term. Raises
+    FloatingPointError when an effective model's coefficients are not finite
+    (finite parameters whose products overflow)."""
     if spec.model == "micro":
         return _build_micro(spec.params)
-    return model_pieces(spec.model).build(coefficients(spec))
-
-
-_AFFINE = {
-    "ring3_eff": (_ring3_pieces, _ring3_coefficients),
-    "pair_eff": (_pair_pieces, _pair_coefficients),
-    "pair_thermal": (_thermal_pieces, _thermal_coefficients),
-}
+    c = coefficients(spec)
+    if not np.isfinite(c).all():
+        raise FloatingPointError(f"matrix contains non-finite entries: the {spec.model} coefficients overflow")
+    return model_pieces(spec.model).build(c)
 
 
 def model_pieces(model: str) -> ModelPieces:
     """The fixed operator pieces of an effective model (cached, read-only)."""
-    return _AFFINE[model][0]()
+    return EFFECTIVE[model].pieces()
 
 
 def _field_columns(params, b: int) -> dict:
@@ -462,7 +468,7 @@ def _coefficient_rows(model: str, columns: dict) -> np.ndarray:
     (B,) ``columns``: its coefficient map, run unchanged on the columns. A row
     whose coefficients overflow is not finite, without a numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _AFFINE[model][1](SimpleNamespace(**columns))
+        c = EFFECTIVE[model].coefficients(SimpleNamespace(**columns))
     return np.array(c).T.copy()  # C order: each row one contiguous BLAS operand
 
 
@@ -497,6 +503,13 @@ def check_grid_points(count: int, where: str) -> None:
     """Raise ConfigError if a grid of ``count`` points exceeds GRID_POINT_BUDGET."""
     if count > GRID_POINT_BUDGET:
         raise ConfigError(f"{where} has {count} points, over the budget of {GRID_POINT_BUDGET}")
+
+
+def check_distinct(items: list, owner: str) -> None:
+    """Raise ConfigError naming each entry that ``items`` holds more than once."""
+    repeated = sorted({item for item in items if items.count(item) > 1})
+    if repeated:
+        raise ConfigError(f"{owner} {repeated} more than once")
 
 
 def decode_int(value, where: str) -> int:
@@ -535,8 +548,9 @@ _DECODERS = {int: decode_int, float: decode_float, complex: _decode_complex}
 
 
 @cache
-def _schema(cls) -> dict[str, tuple[type, bool, bool]]:
-    """Each field of a params dataclass: (value type, is a tuple, is required)."""
+def _schema(model: str) -> dict[str, tuple[type, bool, bool]]:
+    """Each JSON key of a model, a field of its params dataclass: (value type, is a tuple, is required)."""
+    cls = _params_type(model)
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in fields(cls):
@@ -546,14 +560,6 @@ def _schema(cls) -> dict[str, tuple[type, bool, bool]]:
     return schema
 
 
-@cache
-def _json_fields(model: str) -> dict[str, tuple[type, bool, bool]]:
-    """The schema of a model's JSON keys; an effective model's name implies its n_sites."""
-    if model == "micro":
-        return _schema(MicroParams)
-    return {k: v for k, v in _schema(EffectiveParams).items() if k != "n_sites"}
-
-
 def model_spec_from_json(obj: dict) -> ModelSpec:
     """Strict decoder for the documented ModelSpec JSON schema."""
     if not isinstance(obj, dict):
@@ -561,25 +567,25 @@ def model_spec_from_json(obj: dict) -> ModelSpec:
     model = obj.get("model")
     if model not in MODEL_NAMES:
         raise ConfigError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-    schema = _json_fields(model)
+    schema = _schema(model)
     unknown = set(obj) - set(schema) - {"model"}
     if unknown:
         raise ConfigError(f"unknown model keys: {sorted(unknown)}")
     missing = sorted(k for k, (_, _, required) in schema.items() if required and k not in obj)
     if missing:
         raise ConfigError(f"missing model keys: {missing}")
-    values = {} if model == "micro" else {"n_sites": _EFF_N_SITES[model]}
+    values = {}
     for name, (kind, is_list, _) in schema.items():
         if name in obj:
             decode = _DECODERS[kind]
             values[name] = decode_list(obj[name], name, decode) if is_list else decode(obj[name], name)
-    return ModelSpec(model, (MicroParams if model == "micro" else EffectiveParams)(**values))
+    return ModelSpec(model, _params_type(model)(**values))
 
 
 def model_spec_to_json(spec: ModelSpec) -> dict:
     """The inverse of :func:`model_spec_from_json`; complex values as [re, im]."""
     obj = {"model": spec.model}
-    for name, (kind, is_list, _) in _json_fields(spec.model).items():
+    for name, (kind, is_list, _) in _schema(spec.model).items():
         value = getattr(spec.params, name)
         encode = (lambda v: [v.real, v.imag]) if kind is complex else (lambda v: v)
         obj[name] = [encode(v) for v in value] if is_list else encode(value)
@@ -602,7 +608,7 @@ def _parse_path(spec: ModelSpec, path: str) -> tuple[str, int | None, str | None
         field_name, _, rest = body.partition("[")
         idx = int(rest[:-1])
         body = field_name
-    kind, is_list, _ = _json_fields(spec.model).get(body, (int, False, False))
+    kind, is_list, _ = _schema(spec.model).get(body, (int, False, False))
     if kind is int:
         raise ValueError(f"unknown parameter field {body!r} for model {spec.model}")
     if is_list:
@@ -705,7 +711,6 @@ def fig3_ring_spec(phi1: float = np.pi, phi3: float = 0.0, drive: float = 1.67) 
     have no measurable influence.
     """
     params = EffectiveParams(
-        n_sites=3,
         Gamma=(1.0, 1e-3, 1.0),
         x=(drive * cmath.exp(1j * phi1), 0.0, drive * cmath.exp(1j * phi3)),
         y=(15.0, 0.0, 15.0),
@@ -717,7 +722,6 @@ def fig3_ring_spec(phi1: float = np.pi, phi3: float = 0.0, drive: float = 1.67) 
 def fig5_pair_spec(phi1: float = np.pi, phi3: float = 0.0, drive: float = 5.0) -> ModelSpec:
     """Two-qubit, three-guide model at the published maximum (C = 0.470)."""
     params = EffectiveParams(
-        n_sites=2,
         Gamma=(1.0, 76.0, 1.0),
         x=(drive * cmath.exp(1j * phi1), 0.0, drive * cmath.exp(1j * phi3)),
         y=(0.0, 0.0, 0.0),
@@ -728,7 +732,7 @@ def fig5_pair_spec(phi1: float = np.pi, phi3: float = 0.0, drive: float = 5.0) -
 
 def thermal_pair_spec(x: complex, n_p: float = 0.0, y: float = 15.0, z: float = 1.01) -> ModelSpec:
     """Single-guide thermal pair at the thermalization-map operating point."""
-    params = EffectiveParams(n_sites=2, Gamma=(1.0,), x=(x,), y=(y,), z=(z,), n_p=n_p)
+    params = EffectiveParams(Gamma=(1.0,), x=(x,), y=(y,), z=(z,), n_p=n_p)
     return ModelSpec("pair_thermal", params)
 
 

@@ -137,17 +137,21 @@ def trace_zero_system(l: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     return _real_restriction(l, l.norm_inf())[1:]
 
 
-def _lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The LU factors of a copy of M (getrf), or None when LAPACK finds M exactly singular."""
+def _lu_certificate(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """One LU of M (getrf, on a copy) gives both the solution y of M·y = r
+    (getrs) and the uniqueness bound ‖M‖_F·‖M⁻¹‖_F (getri). Returns
+    (None, inf) when LAPACK finds M exactly singular; the bound is inf when
+    getri does. Run it with numpy's overflow and invalid-value warnings off:
+    a bound that overflows does not certify."""
     lu, piv, info = _getrf(m)
-    return (lu, piv) if info == 0 else None
-
-
-def _inverse_norm(lu: np.ndarray, piv: np.ndarray) -> float:
-    """‖M⁻¹‖_F from the LU factors of M (getri, which overwrites them); inf
-    when getri finds M singular."""
+    if info != 0:
+        return None, np.inf
+    # y by triangular solves, before getri overwrites the factors: the
+    # inverse times r moved ρ by up to 1e-8 at bounds near 5e6, where
+    # these solves keep it within 5e-12 of the exact state
+    y, _ = _getrs(lu, piv, r)
     inv, info = _getri(lu, piv, overwrite_lu=True)
-    return float(np.linalg.norm(inv)) if info == 0 else np.inf
+    return y, float(np.linalg.norm(m)) * float(np.linalg.norm(inv)) if info == 0 else np.inf
 
 
 def _certified_unique(bound: float) -> bool:
@@ -227,11 +231,8 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
 
     unique, bound = True, np.inf
     if n > 1:
-        # Mᵀ is a Fortran-ordered view of M, factored on a copy; ‖(Mᵀ)⁻¹‖_F = ‖M⁻¹‖_F
-        factors = _lu(m.T)
-        if factors is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # a bound that overflows does not certify
-                bound = float(np.linalg.norm(m)) * _inverse_norm(*factors)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _lu_certificate(m, r)[1]
         if not _certified_unique(bound):
             svals = np.linalg.svd(m, compute_uv=False)
             unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
@@ -272,19 +273,12 @@ def steady_state_restricted(space: HilbertSpace, m: np.ndarray, r: np.ndarray,
     # once per stack, fallbacks included: a bound that overflows does not certify
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(b):
-            norm = float(np.linalg.norm(m[k]))
-            factors = _lu(m[k])
-            if factors is not None:
-                # y by triangular solves, before getri overwrites the factors: the
-                # inverse times r moved ρ by up to 1e-8 at bounds near 5e6, where
-                # these solves keep it within 5e-12 of the exact state
-                y, _ = _getrs(*factors, r[k])
-                bound[k] = bk = norm * _inverse_norm(*factors)
-                if _certified_unique(bk):
-                    certified.append(k)
-                    coords.append(y)
-                    continue
-            fallen[k] = fallback(liouvillian(k))
+            y, bound[k] = _lu_certificate(m[k], r[k])
+            if _certified_unique(bound[k]):
+                certified.append(k)
+                coords.append(y)
+            else:
+                fallen[k] = fallback(liouvillian(k))
     rho, unique = np.empty((b, d, d), dtype=complex), np.ones(b, dtype=bool)
     residual, min_eig = np.empty(b), np.empty(b)
     if certified:

@@ -556,6 +556,12 @@ def with_value(cfg, keys, value):
         ("sweep", with_value(THERMAL_SWEEP_CFG, ["axes"], [{"path": "x[0].re", "grid": [0.0, 1.0]},
                                                           {"path": "x[0].re", "grid": [2.0, 3.0]}]),
          "axes name ['x[0].re'] more than once"),
+        # one x point has no derivative, rejected before the compile
+        ("thermal", {"x_grid": [1.0], "t_grid": [0.05]}, "x_grid has 1 point"),
+        ("thermal", with_value(THERMAL_CFG, ["x_grid", "count"], 1), "x_grid has 1 point"),
+        # a repeated ratio, rejected before the first solve
+        ("validate", with_value(VALIDATE_CFG, ["j_over_kappa"], [0.05, 0.025, 0.05]),
+         "j_over_kappa names ['0.05'] more than once"),
     ],
     ids=["sweep-Gamma-string", "validate-n_boson-fraction", "validate-n_sites-fraction", "optimize-free-scalar",
          "optimize-free-numbers", "thermal-y-list", "thermal-y-overflow", "optimize-free-empty",
@@ -563,7 +569,8 @@ def with_value(cfg, keys, value):
          "solve-T-negative", "solve-T-nan", "solve-omega", "sweep-T-negative", "solve-purity-T",
          "solve-concurrence-level", "optimize-bound-z-below-1", "optimize-group-bound-Gamma-negative",
          "optimize-free-repeated-across-groups", "optimize-free-repeated-in-group", "optimize-bounds-reversed",
-         "optimize-bound-infinite", "optimize-budget-0", "sweep-axis-repeated"],
+         "optimize-bound-infinite", "optimize-budget-0", "sweep-axis-repeated", "thermal-x-one-point",
+         "thermal-x-count-1", "validate-ratio-repeated"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
     out = tmp_path / "data.csv"
@@ -616,6 +623,35 @@ def test_coefficient_overflow_fails_without_numpy_warnings(tmp_path, capsys):
         assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+# finite base parameters whose coefficient Γ₁x₁ overflows
+OVERFLOWING_MODEL = with_value(with_value(pair_model_json(), ["Gamma", 0], 1e200), ["x", 0], [1e200, 0.0])
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sweep", {"model": OVERFLOWING_MODEL, "axes": [{"path": "x[1].re", "grid": [0.0, 1.0]}],
+                   "observables": [{"kind": "purity"}]}),
+        ("solve", {"model": OVERFLOWING_MODEL}),
+        ("optimize", {"model": OVERFLOWING_MODEL, "free": ["x[1].re"], "bounds": [[-1.0, 1.0]], "budget": 5}),
+        # the decay weight Γ + γ(n_p+1)/2 with γ = 2Γ(z−1) overflows
+        ("thermal", {"x_grid": [0.0, 1.0], "t_grid": [0.05], "y": 1e308, "z": 1e308}),
+    ],
+    ids=["sweep", "solve", "optimize", "thermal"],
+)
+def test_base_coefficient_overflow_fails_the_run(tmp_path, capsys, command, config):
+    # the base model itself overflows: every command reports a failed run, as
+    # a grid point does, without a traceback or a numpy warning
+    out = tmp_path / "data.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
+    assert "run failed: matrix contains non-finite entries: the " in capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
+    assert not summary_path(out).exists()
 
 
 def test_solve_on_a_huge_drive_exits_1(tmp_path, capsys):

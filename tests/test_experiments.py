@@ -235,8 +235,7 @@ def test_validate_effective_matches_propagation_reference(micro):
     # the full model's state by propagation of the same L, against the linear solve
     space, h, terms = build_model(ModelSpec("micro", micro))
     marginal = partial_trace(evolve_to_steady(assemble(h, terms), space), range(micro.n_sites))
-    model = {"pair3": "pair_eff", "pair1": "pair_thermal"}[micro.geometry]
-    _, eff_rho = solve_spec(ModelSpec(model, derive_effective(micro)))
+    _, eff_rho = solve_spec(ModelSpec(micro.geometry.model, derive_effective(micro)))
     assert validate_effective(micro) == pytest.approx(trace_distance(marginal, eff_rho), abs=1e-9)
 
 
@@ -420,12 +419,11 @@ def drawn_specs(draw):
     model = draw(st.sampled_from(["ring3_eff", "pair_eff", "pair_thermal"]))
     if model == "pair_thermal":
         params = EffectiveParams(
-            n_sites=2, Gamma=(draw(_rate),), x=(complex(draw(_finite), draw(_finite)),), y=(draw(_finite),),
+            Gamma=(draw(_rate),), x=(complex(draw(_finite), draw(_finite)),), y=(draw(_finite),),
             z=(draw(_dressing),), n_p=draw(st.floats(0.0, 2.0)),
         )
     else:
         params = EffectiveParams(
-            n_sites=3 if model == "ring3_eff" else 2,
             Gamma=tuple(draw(_rate) for _ in range(3)),
             x=tuple(complex(draw(_finite), draw(_finite)) for _ in range(3)),
             y=tuple(draw(_finite) for _ in range(3)),
@@ -489,7 +487,7 @@ def test_compiled_system_matches_restriction_on_drawn_parameters(spec):
 
 
 # near-dark: ‖M⁻¹‖_F overflows, so the bound is inf, without a numpy warning
-@example(ModelSpec("pair_thermal", EffectiveParams(n_sites=2, Gamma=(1.0,), x=(0j,), y=(4.0e-125,), z=(1.0,))))
+@example(ModelSpec("pair_thermal", EffectiveParams(Gamma=(1.0,), x=(0j,), y=(4.0e-125,), z=(1.0,))))
 @given(drawn_specs())
 def test_compiled_solve_matches_solve_spec_on_drawn_points(spec):
     try:
@@ -534,13 +532,13 @@ def ill_conditioned_specs():
     which puts the uniqueness bound above 1e6."""
     for drive, y1, z2 in ((15, 0, 1.01), (10, 0, 11), (12, -10, 11), (20, 5, 12), (15, -8, 2), (19, 15, 12)):
         yield ModelSpec("pair_eff", EffectiveParams(
-            n_sites=2, Gamma=(1e-3, 60.0, 1e-3), x=(complex(-drive, 0.0), complex(drive, -7.0), 1.67),
+            Gamma=(1e-3, 60.0, 1e-3), x=(complex(-drive, 0.0), complex(drive, -7.0), 1.67),
             y=(0.0, float(y1), 0.0), z=(1.0, 1.0, z2),
         ))
     for gamma, drive, y1 in (((1e-3, 60.0, 1e-3), 0, 0), ((1e-3, 60.0, 1e-3), 10, 0), ((1e-3, 60.0, 1e-3), 15, 5),
                              ((60.0, 1e-3, 1e-3), 10, -5), ((1e-3, 1e-3, 60.0), 12, 8)):
         yield ModelSpec("ring3_eff", EffectiveParams(
-            n_sites=3, Gamma=gamma, x=(complex(-drive, 0.0), complex(drive, -7.0), 1.67),
+            Gamma=gamma, x=(complex(-drive, 0.0), complex(drive, -7.0), 1.67),
             y=(0.0, float(y1), 0.0), z=(1.0, 1.0, 1.0),
         ))
 

@@ -12,6 +12,8 @@ from conftest import bundled_models
 from polariton_ring import models
 from polariton_ring.linalg import HilbertSpace, herm_defect, partial_trace
 from polariton_ring.models import (
+    EFFECTIVE,
+    GEOMETRIES,
     EffectiveParams,
     MicroParams,
     ModelSpec,
@@ -93,7 +95,7 @@ def test_fig3_z_identity():
 def test_ring_undriven_steady_is_ground():
     spec = fig3_ring_spec()
     params = EffectiveParams(
-        n_sites=3, Gamma=spec.params.Gamma, x=(0.0, 0.0, 0.0), y=(0.0, 0.0, 0.0), z=spec.params.z
+        Gamma=spec.params.Gamma, x=(0.0, 0.0, 0.0), y=(0.0, 0.0, 0.0), z=spec.params.z
     )
     space, h, terms = build_model(ModelSpec("ring3_eff", params))
     report = steady_state_on(assemble(h, terms), space)
@@ -112,7 +114,7 @@ def test_ring_site_decay_weight_identity():
     gamma = 0.04
     Gamma = (1.0, 0.5, 2.0)
     z = tuple(1.0 + gamma / (4 * g) for g in Gamma)
-    params = EffectiveParams(n_sites=3, Gamma=Gamma, x=(0.1, 0.1, 0.1), y=(0.0, 0.0, 0.0), z=z)
+    params = EffectiveParams(Gamma=Gamma, x=(0.1, 0.1, 0.1), y=(0.0, 0.0, 0.0), z=z)
     space, h, terms = build_model(ModelSpec("ring3_eff", params))
     diag_weights = [t.weight for t in terms[:3]]
     for i in range(3):
@@ -121,7 +123,7 @@ def test_ring_site_decay_weight_identity():
 
 def test_ring_cyclic_permutation_invariance():
     params = EffectiveParams(
-        n_sites=3, Gamma=(1.0, 1.0, 1.0), x=(0.3 + 0.1j,) * 3, y=(2.0,) * 3, z=(1.05,) * 3
+        Gamma=(1.0, 1.0, 1.0), x=(0.3 + 0.1j,) * 3, y=(2.0,) * 3, z=(1.05,) * 3
     )
     space, h, terms = build_model(ModelSpec("ring3_eff", params))
     liouv = assemble(h, terms)
@@ -138,7 +140,7 @@ def test_ring_cyclic_permutation_invariance():
 
 def test_ring_param_length_mismatch():
     with pytest.raises(ValueError):
-        EffectiveParams(n_sites=3, Gamma=(1.0, 1.0), x=(0, 0, 0), y=(0, 0, 0), z=(1, 1, 1))
+        EffectiveParams(Gamma=(1.0, 1.0), x=(0, 0, 0), y=(0, 0, 0), z=(1, 1, 1))
 
 
 # --- pair builder ----------------------------------------------------------------
@@ -151,7 +153,7 @@ def test_pair_fig5_concurrence_value():
 
 def test_pair_undriven_ground():
     params = EffectiveParams(
-        n_sites=2, Gamma=(1.0, 76.0, 1.0), x=(0.0, 0.0, 0.0), y=(0.0, 0.0, 0.0), z=(1.01,) * 3
+        Gamma=(1.0, 76.0, 1.0), x=(0.0, 0.0, 0.0), y=(0.0, 0.0, 0.0), z=(1.01,) * 3
     )
     space, h, terms = build_model(ModelSpec("pair_eff", params))
     report = steady_state_on(assemble(h, terms), space)
@@ -162,7 +164,7 @@ def test_pair_hamiltonian_hermitian(rng):
     for _ in range(10):
         x = tuple(rng.normal() + 1j * rng.normal() for _ in range(3))
         params = EffectiveParams(
-            n_sites=2, Gamma=(1.0, 5.0, 2.0), x=x, y=(0.0, rng.normal(), 0.0), z=(1.0, 1.2, 1.0)
+            Gamma=(1.0, 5.0, 2.0), x=x, y=(0.0, rng.normal(), 0.0), z=(1.0, 1.2, 1.0)
         )
         _, h, _ = build_model(ModelSpec("pair_eff", params))
         assert herm_defect(h) == 0.0
@@ -170,7 +172,7 @@ def test_pair_hamiltonian_hermitian(rng):
 
 def test_pair_dissipator_weights_quoted_form():
     params = EffectiveParams(
-        n_sites=2, Gamma=(1.0, 76.0, 2.0), x=(0.0, 0.0, 0.0), y=(0.0,) * 3, z=(1.0, 1.01, 1.0)
+        Gamma=(1.0, 76.0, 2.0), x=(0.0, 0.0, 0.0), y=(0.0,) * 3, z=(1.0, 1.01, 1.0)
     )
     _, _, terms = build_model(ModelSpec("pair_eff", params))
     weights = [t.weight for t in terms]
@@ -196,7 +198,7 @@ def test_thermal_detailed_balance_limit():
     z = 1.0 + gamma / (2 * big_gamma)
     spec = thermal_pair_spec(x=0.0, n_p=n_p, y=0.0, z=z)
     params = EffectiveParams(
-        n_sites=2, Gamma=(big_gamma,), x=(0.0,), y=(0.0,), z=(z,), n_p=n_p
+        Gamma=(big_gamma,), x=(0.0,), y=(0.0,), z=(z,), n_p=n_p
     )
     space, h, terms = build_model(ModelSpec("pair_thermal", params))
     report = steady_state_on(assemble(h, terms), space)
@@ -226,7 +228,7 @@ def test_thermal_drive_phase_is_a_gauge():
 
 def test_thermal_rejects_negative_occupation():
     with pytest.raises(ValueError):
-        EffectiveParams(n_sites=2, Gamma=(1.0,), x=(0.0,), y=(0.0,), z=(1.0,), n_p=-0.1)
+        EffectiveParams(Gamma=(1.0,), x=(0.0,), y=(0.0,), z=(1.0,), n_p=-0.1)
 
 
 # --- micro builder -----------------------------------------------------------------
@@ -264,7 +266,7 @@ def test_micro_dimension_guard():
     # the dense L of the ring at n_boson=2 is 4096² complex (256 MiB): admitted;
     # at n_boson=3 it is 46656² (about 35 GB): rejected when the ModelSpec is
     # made, before anything is built. MicroParams alone carries no budget.
-    assert model_spec_from_json(ring_micro_json(2)).params.geometry == "ring3"
+    assert model_spec_from_json(ring_micro_json(2)).params.geometry.name == "ring3"
     for n_boson in (3, 5):
         with pytest.raises(ValueError, match="budget"):
             model_spec_from_json(ring_micro_json(n_boson))
@@ -283,11 +285,11 @@ def test_micro_dimension_guard():
 def test_params_reject_non_finite():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            EffectiveParams(n_sites=2, Gamma=(bad,), x=(0.0,), y=(0.0,), z=(1.0,))
+            EffectiveParams(Gamma=(bad,), x=(0.0,), y=(0.0,), z=(1.0,))
         with pytest.raises(ValueError, match="finite"):
-            EffectiveParams(n_sites=2, Gamma=(1.0,), x=(complex(0.0, bad),), y=(0.0,), z=(1.0,))
+            EffectiveParams(Gamma=(1.0,), x=(complex(0.0, bad),), y=(0.0,), z=(1.0,))
         with pytest.raises(ValueError, match="finite"):
-            EffectiveParams(n_sites=2, Gamma=(1.0,), x=(0.0,), y=(0.0,), z=(bad,))
+            EffectiveParams(Gamma=(1.0,), x=(0.0,), y=(0.0,), z=(bad,))
         with pytest.raises(ValueError, match="finite"):
             micro_pair(kappa=bad)
         with pytest.raises(ValueError, match="finite"):
@@ -318,20 +320,31 @@ def test_micro_weak_driving_warning():
         )
 
 
+def test_geometry_table_agrees_with_effective_models():
+    # a geometry's guide count and sites are those of its eliminated model
+    for (n_sites, n_guides), geometry in GEOMETRIES.items():
+        assert len(geometry.guide_sites) == n_guides == EFFECTIVE[geometry.model].n_guides
+        assert EFFECTIVE[geometry.model].pieces().space.n_factors == n_sites
+        assert {s for sites in geometry.guide_sites for s in sites} == set(range(n_sites))
+    with pytest.raises(ValueError, match=r"unsupported geometry \(3, 1\)"):
+        MicroParams(n_sites=3, J=(0.05,), kappa=1.0, gamma_p=0.0, alpha=(0.0,), phi=(0.0,), omega_c=(1.0,),
+                    omega_p=(1.0,) * 3, omega_d=1.0)
+
+
 def test_micro_geometries():
-    assert validation_micro_spec().params.geometry == "pair1"
+    assert validation_micro_spec().params.geometry.name == "pair1"
     ring = MicroParams(
         n_sites=3, J=(0.05,) * 3, kappa=1.0, gamma_p=0.0, alpha=(0.0,) * 3,
         phi=(0.0,) * 3, omega_c=(1.0,) * 3, omega_p=(1.0,) * 3, omega_d=1.0, n_boson=2,
     )
-    assert ring.geometry == "ring3"
-    assert ring.guide_sites() == [(0, 1), (1, 2), (2, 0)]
+    assert ring.geometry.name == "ring3"
+    assert ring.geometry.guide_sites == ((0, 1), (1, 2), (2, 0))
     pair3 = MicroParams(
         n_sites=2, J=(0.05,) * 3, kappa=1.0, gamma_p=0.0, alpha=(0.0,) * 3,
         phi=(0.0,) * 3, omega_c=(1.0,) * 3, omega_p=(1.0, 1.0), omega_d=1.0, n_boson=2,
     )
-    assert pair3.geometry == "pair3"
-    assert pair3.guide_sites() == [(0,), (0, 1), (1,)]
+    assert pair3.geometry.name == "pair3"
+    assert pair3.geometry.guide_sites == ((0,), (0, 1), (1,))
 
 
 def test_all_bundled_hamiltonians_hermitian():
@@ -663,8 +676,8 @@ def test_builders_match_written_out_models(rng):
     for _ in range(5):
         x = tuple(complex(*rng.normal(size=2)) for _ in range(3))
         y, z, gam = rng.normal(size=3) * 5, 1 + rng.uniform(0, 3, 3), rng.uniform(0.1, 3, 3)
-        specs.append(ModelSpec("ring3_eff", EffectiveParams(3, tuple(gam), x, tuple(y), tuple(z))))
-        specs.append(ModelSpec("pair_eff", EffectiveParams(2, tuple(gam), x, tuple(y), tuple(z))))
+        specs.append(ModelSpec("ring3_eff", EffectiveParams(tuple(gam), x, tuple(y), tuple(z))))
+        specs.append(ModelSpec("pair_eff", EffectiveParams(tuple(gam), x, tuple(y), tuple(z))))
         specs.append(thermal_pair_spec(x=x[0], n_p=rng.uniform(0, 1), y=y[0], z=z[0]))
     for spec in specs:
         _, h, terms = build_model(spec)

@@ -100,7 +100,7 @@ def test_evolve_to_steady_rejects_degenerate_kernel():
 
 
 def test_steady_state_unique_for_thermal_pair():
-    params = EffectiveParams(n_sites=2, Gamma=(1.0,), x=(2.0,), y=(15.0,), z=(1.01,))
+    params = EffectiveParams(Gamma=(1.0,), x=(2.0,), y=(15.0,), z=(1.01,))
     space, h, terms = build_model(ModelSpec("pair_thermal", params))
     report = steady_state_on(assemble(h, terms), space)
     assert report.unique
