@@ -284,12 +284,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="polariton-ring",
         description="Steady-state experiments on driven-dissipative cavity arrays",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--workers", type=int, default=1, help="must be 1: every command runs on one thread")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--workers", type=int, default=1, help="must be 1: every command runs on one thread")
     return parser
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import DensityMatrix, HilbertSpace, partial_trace
 from .models import (
-    EFFECTIVE_MODELS,
+    EFFECTIVE,
     MicroParams,
     ModelSpec,
     PathSetter,
@@ -208,10 +208,8 @@ class SweepResult:
     rows: list[list[float]] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(CSV_FORMAT % v for v in row))
-        return "\n".join(lines) + "\n"
+        template = ",".join([CSV_FORMAT] * len(self.header))
+        return "\n".join([",".join(self.header)] + [template % tuple(row) for row in self.rows]) + "\n"
 
     def column(self, name: str) -> np.ndarray:
         idx = self.header.index(name)
@@ -357,7 +355,7 @@ def point_evaluator(base: ModelSpec, groups, observables, label: str):
     names = ["|".join(g) for g in groups]
     setter = PathSetter(base, [path for group in groups for path in group])
     column = [g for g, group in enumerate(groups) for _ in group]  # each path's value column
-    if base.model in EFFECTIVE_MODELS:
+    if base.model in EFFECTIVE:
         compiled = CompiledModel(base)
 
         def states(values: np.ndarray) -> DensityMatrix:
@@ -437,7 +435,7 @@ def optimize_concurrence(
     for k, (group, bound) in enumerate(zip(groups, bounds)):
         _check_values(model, group, bound, f"bounds[{k}] endpoint")
     if sites is None:
-        sites = (1, 2) if model.model == "ring3_eff" else (0, 1)
+        sites = EFFECTIVE[model.model].concurrence_sites if model.model in EFFECTIVE else (0, 1)
     obs = ObservableSpec("concurrence", sites=sites)
     obs.check_space(model_space(model))
     evaluate = point_evaluator(model, groups, (obs,), "parameters")
@@ -522,8 +520,9 @@ def validate_effective(micro: MicroParams) -> float:
     Enforces the weak-coupling regime J ≤ 0.1 κ and cold guides (n_c = 0: the
     elimination has no thermal-guide form) before doing anything. The
     eliminated model is derived and solved first, since it is cheap and is
-    where a parameter without an effective form fails (ValueError, or
-    ZeroDivisionError for a zero J).
+    where a parameter without an effective form fails (ValueError,
+    ZeroDivisionError for a zero J, or FloatingPointError where the form
+    overflows).
     """
     if micro.n_c > 0:
         raise ValueError(f"n_c = {micro.n_c}: the eliminated models have no thermal guides, so validate needs n_c = 0")

@@ -166,11 +166,25 @@ def partial_trace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int])
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Reduced state on the kept factors, in their original order (per state
-    of a stack)."""
+    of a stack). Keeping every factor returns ``rho`` itself."""
     dims = rho.space.factor_dims
     keep = sorted(set(int(k) for k in keep))
+    if keep == list(range(len(dims))):
+        return rho
     out = partial_trace_mat(rho.mat, dims, keep)
     return DensityMatrix(HilbertSpace(dims[i] for i in keep), hermitize(out))
+
+
+def _checked_hermitian(a) -> np.ndarray:
+    """The Hermitian part of a square matrix, or of each matrix of a stack,
+    after checking that it differs from ``a`` by at most HERM_TOL."""
+    a = as_complex(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("a Hermitian eigenproblem needs a square matrix")
+    defect = herm_defect(a)
+    if defect > HERM_TOL:
+        raise NonHermitianError(f"matrix not Hermitian: defect {defect:.2e}")
+    return hermitize(a)
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -179,14 +193,13 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(w, v)`` with ``a @ v == v @ diag(w)`` and ``v`` unitary.
     """
-    a = as_complex(a)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError("herm_eig needs a square matrix")
-    defect = herm_defect(a)
-    if defect > HERM_TOL:
-        raise NonHermitianError(f"matrix not Hermitian: defect {defect:.2e}")
-    w, v = np.linalg.eigh(hermitize(a))
+    w, v = np.linalg.eigh(_checked_hermitian(a))
     return w, v
+
+
+def herm_eigvals(a) -> np.ndarray:
+    """The eigenvalues of :func:`herm_eig`, ascending, without the eigenvectors."""
+    return np.linalg.eigvalsh(_checked_hermitian(a))
 
 
 def psd_sqrt(a) -> np.ndarray:

@@ -170,18 +170,27 @@ def derive_effective(p: MicroParams) -> EffectiveParams:
     z_i = 1 + γ/(2Γ_i) on both pairs, where each site's weight has one
     dressed term (Γz for the single guide, Γ₂z₂ of the middle guide for the
     three-guide pair).
+
+    Raises FloatingPointError when finite parameters overflow this form (a
+    detuning whose square overflows, or a Γ_i that underflows to zero).
     """
     if any(j == 0 for j in p.J):
         raise ZeroDivisionError("J_i must be nonzero to derive effective parameters")
     kappa, gamma, geometry = p.kappa, p.gamma_p, p.geometry
     Gamma, x, y, z = [], [], [], []
-    for j, alpha, phi, omega_c, sites in zip(p.J, p.alpha, p.phi, p.omega_c, geometry.guide_sites):
-        delta = omega_c - sum(p.omega_p[s] for s in sites) / len(sites)
-        g = 2.0 * j**2 * kappa / (kappa**2 + 4.0 * delta**2)
-        Gamma.append(g)
-        x.append(-alpha * cmath.exp(1j * phi) * (2.0 * delta + 1j * kappa) / (j * kappa))
-        y.append(-2.0 * delta / kappa)
-        z.append(1.0 + gamma / (geometry.bare_split * g))
+    try:
+        for j, alpha, phi, omega_c, sites in zip(p.J, p.alpha, p.phi, p.omega_c, geometry.guide_sites):
+            delta = omega_c - sum(p.omega_p[s] for s in sites) / len(sites)
+            g = 2.0 * j**2 * kappa / (kappa**2 + 4.0 * delta**2)
+            Gamma.append(g)
+            x.append(-alpha * cmath.exp(1j * phi) * (2.0 * delta + 1j * kappa) / (j * kappa))
+            y.append(-2.0 * delta / kappa)
+            z.append(1.0 + gamma / (geometry.bare_split * g))  # a Γ that underflows to 0 divides by zero
+        finite = all(map(cmath.isfinite, Gamma + x + y + z))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise FloatingPointError(f"the {geometry.name} parameters overflow their eliminated form")
     return EffectiveParams(Gamma=tuple(Gamma), x=tuple(x), y=tuple(y), z=tuple(z), n_p=p.n_p)
 
 
@@ -364,17 +373,21 @@ def _build_micro(p: MicroParams) -> BuildResult:
         half += p.J[g] * (A[g].conj().T @ b)
         half += p.alpha[g] * cmath.exp(1j * p.phi[g]) * A[g].conj().T
     h = hermitize(h) + half + half.conj().T
+    guide_down, guide_up = p.kappa * (p.n_c + 1.0) / 2.0, p.kappa * p.n_c / 2.0
+    site_down, site_up = p.gamma_p * (p.n_p + 1.0) / 2.0, p.gamma_p * p.n_p / 2.0
+    if not (np.isfinite(h).all() and all(map(cmath.isfinite, (guide_down, guide_up, site_down, site_up)))):
+        raise FloatingPointError("matrix contains non-finite entries: the micro Hamiltonian or rates overflow")
 
     terms = []
     for ag in A:
-        terms.append(DissipatorTerm(ag, ag, p.kappa * (p.n_c + 1.0) / 2.0))
+        terms.append(DissipatorTerm(ag, ag, guide_down))
         if p.n_c > 0:
-            terms.append(DissipatorTerm(ag.conj().T, ag.conj().T, p.kappa * p.n_c / 2.0))
+            terms.append(DissipatorTerm(ag.conj().T, ag.conj().T, guide_up))
     for ps in P:
         if p.gamma_p > 0:
-            terms.append(DissipatorTerm(ps, ps, p.gamma_p * (p.n_p + 1.0) / 2.0))
+            terms.append(DissipatorTerm(ps, ps, site_down))
             if p.n_p > 0:
-                terms.append(DissipatorTerm(ps.conj().T, ps.conj().T, p.gamma_p * p.n_p / 2.0))
+                terms.append(DissipatorTerm(ps.conj().T, ps.conj().T, site_up))
     return space, h, terms
 
 
@@ -387,18 +400,23 @@ def _micro_space(p: MicroParams) -> HilbertSpace:
 
 class EffectiveModel(typing.NamedTuple):
     """One eliminated-guide model: its fixed operator pieces (cached, read-only),
-    its coefficient map, its number of guides and whether it has thermal pumping."""
+    its coefficient map, its number of guides, whether it has thermal pumping
+    and the two sites whose concurrence the optimizer maximizes by default."""
 
     pieces: typing.Callable[[], ModelPieces]
     coefficients: typing.Callable
     n_guides: int
     thermal: bool
+    concurrence_sites: tuple[int, int]
 
 
 EFFECTIVE = {
-    "ring3_eff": EffectiveModel(_ring3_pieces, _ring3_coefficients, n_guides=3, thermal=False),
-    "pair_eff": EffectiveModel(_pair_pieces, _pair_coefficients, n_guides=3, thermal=False),
-    "pair_thermal": EffectiveModel(_thermal_pieces, _thermal_coefficients, n_guides=1, thermal=True),
+    "ring3_eff": EffectiveModel(_ring3_pieces, _ring3_coefficients, n_guides=3, thermal=False,
+                                concurrence_sites=(1, 2)),
+    "pair_eff": EffectiveModel(_pair_pieces, _pair_coefficients, n_guides=3, thermal=False,
+                               concurrence_sites=(0, 1)),
+    "pair_thermal": EffectiveModel(_thermal_pieces, _thermal_coefficients, n_guides=1, thermal=True,
+                                   concurrence_sites=(0, 1)),
 }
 EFFECTIVE_MODELS = tuple(EFFECTIVE)
 MODEL_NAMES = EFFECTIVE_MODELS + ("micro",)
@@ -439,10 +457,12 @@ class ModelSpec:
 def build_model(spec: ModelSpec) -> BuildResult:
     """(space, h, terms) of a model: the one build route. An effective model is
     its pieces at its coefficients; ``micro`` is built term by term. Raises
-    FloatingPointError when an effective model's coefficients are not finite
+    FloatingPointError, without a numpy warning, when an effective model's
+    coefficients, or a micro model's Hamiltonian or rates, are not finite
     (finite parameters whose products overflow)."""
     if spec.model == "micro":
-        return _build_micro(spec.params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _build_micro(spec.params)
     c = coefficients(spec)
     if not np.isfinite(c).all():
         raise FloatingPointError(f"matrix contains non-finite entries: the {spec.model} coefficients overflow")

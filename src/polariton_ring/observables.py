@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, HilbertSpace, herm_eig, psd_sqrt
+from .linalg import DensityMatrix, HilbertSpace, herm_eigvals, psd_sqrt
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -43,7 +43,7 @@ def concurrence(rho: DensityMatrix) -> float | np.ndarray:
     _require_two_qubits(rho)
     rho_t = _YY @ rho.mat.conj() @ _YY
     s = psd_sqrt(rho.mat)
-    w, _ = herm_eig(s @ rho_t @ s)  # checked Hermitian, then hermitized, by herm_eig
+    w = herm_eigvals(s @ rho_t @ s)  # checked Hermitian, then hermitized, by herm_eigvals
     lam0, lam1, lam2, lam3 = np.sqrt(np.clip(w, 0.0, None)).T  # ascending
     return _value(np.maximum(0.0, lam3 - lam2 - lam1 - lam0))
 
@@ -52,7 +52,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float | np.ndarray:
     """d(a, b) = ½ tr|a − b|, via the eigenvalues of the Hermitian difference."""
     if a.space.factor_dims != b.space.factor_dims:
         raise ValueError(f"states live on different spaces: {a.space.factor_dims} vs {b.space.factor_dims}")
-    w, _ = herm_eig(a.mat - b.mat)
+    w = herm_eigvals(a.mat - b.mat)
     return _value(0.5 * np.abs(w).sum(axis=-1))
 
 

@@ -5,6 +5,7 @@ it as an independent reference."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -111,6 +112,25 @@ def _from_real(c: np.ndarray, d: int) -> np.ndarray:
     return rho.reshape(c.shape[:-1] + (d, d))
 
 
+@cache
+def _trace_zero_map(d: int) -> np.ndarray:
+    """The real (2n, n−1) matrix, n = d², that takes a d×d Hermitian ρ, as the
+    2n floats of its row-major real and imaginary parts, to its trace-zero
+    coordinates y′ = B_rᵀ·c (c the coordinates of :func:`_hermitian_basis`):
+    the diagonal through the Householder reflection, the upper entries
+    times √2 (read-only)."""
+    n = d * d
+    m = d * (d - 1) // 2
+    entries = 2 * _coordinate_entries(d)
+    _, _, house = _hermitian_basis(d)
+    out = np.zeros((2 * n, n - 1))
+    out[entries[:d], :d - 1] = house[:, 1:]
+    out[entries[d:d + m], np.arange(d - 1, d - 1 + m)] = np.sqrt(2.0)
+    out[entries[d:d + m] + 1, np.arange(d - 1 + m, n - 1)] = np.sqrt(2.0)
+    out.setflags(write=False)
+    return out
+
+
 def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The real L_r of :func:`_real_form` and L's steady-state equation on the
     trace-zero subspace, M·y = r: M = B_rᵀ·L_r·B_r and r = −B_rᵀ·L_r·c_I, for
@@ -151,7 +171,15 @@ def _lu_certificate(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, fl
     # these solves keep it within 5e-12 of the exact state
     y, _ = _getrs(lu, piv, r)
     inv, info = _getri(lu, piv, overwrite_lu=True)
-    return y, float(np.linalg.norm(m)) * float(np.linalg.norm(inv)) if info == 0 else np.inf
+    return y, _frobenius(m) * _frobenius(inv) if info == 0 else np.inf
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """‖a‖_F of a real array, computed as ``np.linalg.norm(a)`` computes it
+    (one dot product of the flat array with itself, in memory order), to the
+    bit, without its dispatch."""
+    x = a.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _certified_unique(bound: float) -> bool:
@@ -190,12 +218,9 @@ def _states(m: np.ndarray, r: np.ndarray, c: np.ndarray,
     if not np.isfinite(rho).all():
         raise SteadyStateError("steady state is not finite")
 
-    # y′ from the diagonal and upper entries of ρ, as _from_real places them
-    entries = rho.reshape(len(c), -1)[:, _coordinate_entries(d)[:d * (d + 1) // 2]]
-    _, _, house = _hermitian_basis(d)
-    upper = np.sqrt(2.0) * entries[:, d:]
-    y = np.concatenate([(house[1:] @ entries[:, :d, None].real)[..., 0], upper.real, upper.imag], axis=1)
-    residual = np.linalg.norm((m @ y[..., None])[..., 0] - r, axis=1)
+    # one (1, 2n) row per state: a (B, 2n) gemm would make y′ depend on the stack
+    y = rho.reshape(len(c), 1, -1).view(float) @ _trace_zero_map(d)
+    residual = np.linalg.norm((m @ y.swapaxes(1, 2))[..., 0] - r, axis=1)
     for k in np.flatnonzero(residual > RESIDUAL_TOL):
         if residual[k] > RESIDUAL_TOL * max(norm(k), 1.0):
             raise SteadyStateError(f"steady-state residual {residual[k]:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")

@@ -627,28 +627,36 @@ def test_coefficient_overflow_fails_without_numpy_warnings(tmp_path, capsys):
 
 # finite base parameters whose coefficient Γ₁x₁ overflows
 OVERFLOWING_MODEL = with_value(with_value(pair_model_json(), ["Gamma", 0], 1e200), ["x", 0], [1e200, 0.0])
+# the shipped micro model with a guide detuning ω_c − ω_d of 2e308
+OVERFLOWING_MICRO = dict(VALIDATE_CFG["micro"], omega_c=[1e308], omega_d=-1e308)
+NON_FINITE = "matrix contains non-finite entries: the "
 
 
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, message",
     [
         ("sweep", {"model": OVERFLOWING_MODEL, "axes": [{"path": "x[1].re", "grid": [0.0, 1.0]}],
-                   "observables": [{"kind": "purity"}]}),
-        ("solve", {"model": OVERFLOWING_MODEL}),
-        ("optimize", {"model": OVERFLOWING_MODEL, "free": ["x[1].re"], "bounds": [[-1.0, 1.0]], "budget": 5}),
+                   "observables": [{"kind": "purity"}]}, NON_FINITE),
+        ("solve", {"model": OVERFLOWING_MODEL}, NON_FINITE),
+        ("optimize", {"model": OVERFLOWING_MODEL, "free": ["x[1].re"], "bounds": [[-1.0, 1.0]], "budget": 5},
+         NON_FINITE),
         # the decay weight Γ + γ(n_p+1)/2 with γ = 2Γ(z−1) overflows
-        ("thermal", {"x_grid": [0.0, 1.0], "t_grid": [0.05], "y": 1e308, "z": 1e308}),
+        ("thermal", {"x_grid": [0.0, 1.0], "t_grid": [0.05], "y": 1e308, "z": 1e308}, NON_FINITE),
+        # the micro Hamiltonian's (ω_c − ω_d)·a†a overflows
+        ("solve", {"model": OVERFLOWING_MICRO}, NON_FINITE + "micro Hamiltonian or rates overflow"),
+        # the guide detuning's square overflows in the eliminated form
+        ("validate", {"micro": OVERFLOWING_MICRO}, "the pair1 parameters overflow their eliminated form"),
     ],
-    ids=["sweep", "solve", "optimize", "thermal"],
+    ids=["sweep", "solve", "optimize", "thermal", "solve-micro", "validate-micro"],
 )
-def test_base_coefficient_overflow_fails_the_run(tmp_path, capsys, command, config):
+def test_base_coefficient_overflow_fails_the_run(tmp_path, capsys, command, config, message):
     # the base model itself overflows: every command reports a failed run, as
     # a grid point does, without a traceback or a numpy warning
     out = tmp_path / "data.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
-    assert "run failed: matrix contains non-finite entries: the " in capsys.readouterr().err
+    assert "run failed: " + message in capsys.readouterr().err
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
     assert not summary_path(out).exists()

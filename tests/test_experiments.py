@@ -27,8 +27,9 @@ from polariton_ring.experiments import (
     thermal_map,
     validate_effective,
 )
-from polariton_ring.linalg import partial_trace
+from polariton_ring.linalg import DensityMatrix, partial_trace
 from polariton_ring.models import (
+    EFFECTIVE,
     EffectiveParams,
     MicroParams,
     ModelSpec,
@@ -119,6 +120,13 @@ def test_sweep_csv_format():
     assert len(lines) == 3
     # 12 significant digits
     assert "3.14159265359" in lines[2]
+
+
+def test_csv_rows_match_the_per_cell_format():
+    # one row template gives the bytes of formatting and joining cell by cell
+    rows = [[0, np.nan, np.inf, -np.inf], [-0.0, 1e-300, -1e-300, 2.0 / 3.0], [np.float64(np.pi), 1, -7, 1e300]]
+    want = "\n".join(["a,b,c,d"] + [",".join(experiments.CSV_FORMAT % v for v in row) for row in rows]) + "\n"
+    assert experiments.SweepResult(["a", "b", "c", "d"], rows).to_csv() == want
 
 
 def test_phase_periodicity():
@@ -265,6 +273,16 @@ def test_optimize_concurrence_shared_paths():
     )
     assert report.best_value == pytest.approx(0.417, abs=0.01)
     assert report.best_params["y[0]|y[2]"] == pytest.approx(15.0, abs=0.5)
+
+
+def test_default_concurrence_sites_come_from_the_model_row():
+    # the ring's pair of interest is (1, 2), the pairs' (0, 1)
+    assert {m: row.concurrence_sites for m, row in EFFECTIVE.items()} == {
+        "ring3_eff": (1, 2), "pair_eff": (0, 1), "pair_thermal": (0, 1)}
+    for spec in (fig3_ring_spec(), fig5_pair_spec(), thermal_pair_spec(x=1.0)):
+        sites = EFFECTIVE[spec.model].concurrence_sites
+        report = optimize_concurrence(spec, ["x[0].re"], [(0.0, 1.0)], budget=5)
+        assert report == optimize_concurrence(spec, ["x[0].re"], [(0.0, 1.0)], budget=5, sites=sites)
 
 
 def test_optimize_pair_phases_only():
@@ -749,6 +767,24 @@ def test_compiled_points_build_no_model_spec(monkeypatch):
     rows = sweep(chunk)
     assert built == [second.params]
     assert np.abs(np.array(rows) - certified).max() <= 1e-12
+
+
+def test_a_compiled_chunk_checks_its_states_once(monkeypatch):
+    # a fig5 chunk's states are validated once, as the solver's one stack: the
+    # concurrence of sites (0, 1) reduces the pair state to itself
+    sweep = point_evaluator(fig5_pair_spec(), [("x[0].phase",), ("x[2].phase",)],
+                            (ObservableSpec("concurrence", sites=(0, 1)),), "grid point")
+    checked = []
+    honest = DensityMatrix.__post_init__
+
+    def spy(self):
+        checked.append(np.shape(self.mat))
+        honest(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", spy)
+    rows = sweep(list(itertools.product(np.linspace(0.0, 2 * np.pi, 8), repeat=2)))
+    assert len(rows) == CHUNK
+    assert checked == [(CHUNK, 4, 4)]
 
 
 def test_optimizer_builds_model_specs_only_for_its_bounds(monkeypatch):

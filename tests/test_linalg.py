@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,7 @@ from polariton_ring.linalg import (
     _kron,
     embed,
     herm_eig,
+    herm_eigvals,
     kron,
     lstsq_solve,
     partial_trace,
@@ -158,9 +161,13 @@ def test_partial_trace_matches_summation_oracle(rng):
 
 
 def test_partial_trace_all_factors_identity(rng):
-    dims = (2, 3)
-    rho = DensityMatrix(HilbertSpace(dims), random_density_mat(rng, 6))
-    assert np.abs(partial_trace(rho, [0, 1]).mat - rho.mat).max() <= 1e-12
+    # keeping every factor, in any order, is the state itself: no copy, no
+    # second validation, for one state and for a stack
+    one = DensityMatrix(HilbertSpace((2, 3)), random_density_mat(rng, 6))
+    stack = DensityMatrix(HilbertSpace((2, 3, 2)), np.array([random_density_mat(rng, 12) for _ in range(3)]))
+    for rho, orders in ((one, ([0, 1], [1, 0], (1, 0, 1))), (stack, ([0, 1, 2], [2, 0, 1], range(3)))):
+        for keep in orders:
+            assert partial_trace(rho, keep) is rho
 
 
 def test_partial_trace_errors():
@@ -204,6 +211,22 @@ def test_herm_eig_reconstruction(rng):
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_herm_eigvals_are_the_eigenvalues_of_herm_eig(rng, scale):
+    for a in (random_hermitian(rng, 4, scale), np.array([random_hermitian(rng, 6, scale) for _ in range(5)])):
+        assert np.abs(herm_eigvals(a) - herm_eig(a)[0]).max() <= 1e-14 * np.abs(a).max()
+
+
+def test_herm_eigvals_rejects_what_herm_eig_rejects(rng):
+    stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
+    stack[1, 0, 1] += 1e-3
+    for a in (np.array([[0, 1], [0, 0]], dtype=complex), stack):
+        with pytest.raises(NonHermitianError) as want:
+            herm_eig(a)
+        with pytest.raises(NonHermitianError, match=f"^{re.escape(str(want.value))}$"):
+            herm_eigvals(a)
 
 
 # --- psd_sqrt -------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import basis_state, bundled_models, random_hermitian
 from polariton_ring import steady
@@ -444,3 +447,26 @@ def test_restricted_solve_checks_each_point_of_a_stack(rng):
 def test_trace_zero_system_rejects_non_hermiticity_preserving_generator(rng):
     with pytest.raises(SteadyStateError, match="hermiticity"):
         trace_zero_system(non_hermiticity_preserving(rng))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(-150, 200), st.sampled_from("CF"))
+@example(seed=0, k=9, exponent=155, order="F")  # ‖M‖_F² overflows: the bound is inf
+@example(seed=0, k=9, exponent=200, order="C")  # ‖M⁻¹‖_F² underflows as well: the bound is nan
+def test_lu_certificate_bound_is_the_product_of_numpy_norms(seed, k, exponent, order):
+    # the bound keeps the bits of np.linalg.norm(M)·np.linalg.norm(M⁻¹), for M
+    # in either memory order, stays silent where it overflows, and then does
+    # not certify
+    rng = np.random.default_rng(seed)
+    m = np.asarray(rng.normal(size=(k, k)) * 10.0**exponent, order=order)
+    r = rng.normal(size=k)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        y, bound = steady._lu_certificate(m, r)
+        lu, piv, _ = steady._getrf(m)
+        inv, _ = steady._getri(lu, piv)
+        m_norm = float(np.linalg.norm(m))
+        want = m_norm * float(np.linalg.norm(inv))
+    assert y is not None
+    assert bound == want or (np.isnan(bound) and np.isnan(want))
+    if m_norm == np.inf:
+        assert not steady._certified_unique(bound)
