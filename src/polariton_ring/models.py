@@ -50,19 +50,51 @@ GRID_POINT_BUDGET = 10**6
 
 
 class Geometry(typing.NamedTuple):
-    """One guide-coupling geometry of the full model: a row of GEOMETRIES, keyed by (n_sites, number of guides)."""
+    """One guide-coupling geometry, which states both its full model and its
+    eliminated one (see model_pieces). A guide is dressed when it couples two
+    sites: it hops between them, mixes them and carries a share of their bare
+    decay in z."""
 
     name: str
-    guide_sites: tuple[tuple[int, ...], ...]  # the qubit sites each guide couples to
+    guide_sites: tuple[tuple[int, ...], ...]  # the qubit sites each guide couples to, one or two
     model: str  # the eliminated model
-    bare_split: float  # z_i = 1 + γ/(bare_split·Γ_i), see derive_effective
+    thermal: bool  # whether the eliminated model has thermal pumping
+    concurrence_sites: tuple[int, int]  # the pair the optimizer maximizes by default
+
+    @property
+    def n_sites(self) -> int:
+        return 1 + max(s for sites in self.guide_sites for s in sites)
+
+    @property
+    def n_guides(self) -> int:
+        return len(self.guide_sites)
+
+    @property
+    def bare_split(self) -> float:
+        """z_i = 1 + γ/(bare_split·Γ_i): twice the number of dressed guides at a
+        site, which must be the same at every site (see derive_effective)."""
+        (count,) = {len(dressed) for dressed, _ in _site_guides(self.model)}
+        return 2.0 * count
 
 
-GEOMETRIES = {
-    (3, 3): Geometry("ring3", ((0, 1), (1, 2), (2, 0)), "ring3_eff", 4.0),
-    (2, 3): Geometry("pair3", ((0,), (0, 1), (1,)), "pair_eff", 2.0),
-    (2, 1): Geometry("pair1", ((0, 1),), "pair_thermal", 2.0),
-}
+ROWS = (
+    Geometry("ring3", ((0, 1), (1, 2), (2, 0)), "ring3_eff", thermal=False, concurrence_sites=(1, 2)),
+    Geometry("pair3", ((0,), (0, 1), (1,)), "pair_eff", thermal=False, concurrence_sites=(0, 1)),
+    Geometry("pair1", ((0, 1),), "pair_thermal", thermal=True, concurrence_sites=(0, 1)),
+)
+GEOMETRIES = {(row.n_sites, row.n_guides): row for row in ROWS}  # the full models, by (n_sites, number of guides)
+EFFECTIVE = {row.model: row for row in ROWS}  # the eliminated models, by name
+EFFECTIVE_MODELS = tuple(EFFECTIVE)
+MODEL_NAMES = EFFECTIVE_MODELS + ("micro",)
+
+
+@cache
+def _site_guides(model: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per site of an effective model's row, its dressed guides and its undressed ones."""
+    row = EFFECTIVE[model]
+    at = [[i for i, sites in enumerate(row.guide_sites) if s in sites] for s in range(row.n_sites)]
+    return tuple((tuple(i for i in guides if len(row.guide_sites[i]) == 2),
+                  tuple(i for i in guides if len(row.guide_sites[i]) == 1)) for guides in at)
 
 
 @dataclass(frozen=True)
@@ -164,12 +196,10 @@ def derive_effective(p: MicroParams) -> EffectiveParams:
 
     The guide detuning Δ_i is the frequency mismatch between guide i and the
     mean of its adjacent qubits.
-    The decay dressing z splits the bare qubit decay γ across the guide
-    terms that carry it: z_i = 1 + γ/(4Γ_i) on the ring, where each site's
-    decay weight Γ_{i−1}z_{i−1} + Γ_i z_i sums two dressed guides;
-    z_i = 1 + γ/(2Γ_i) on both pairs, where each site's weight has one
-    dressed term (Γz for the single guide, Γ₂z₂ of the middle guide for the
-    three-guide pair).
+    The decay dressing z splits the bare qubit decay γ across the dressed
+    guides at each site, whose decay weight sums their Γ_i z_i:
+    z_i = 1 + γ/(bare_split·Γ_i), with bare_split twice their number (4 on
+    the ring, 2 on both pairs), so that each site's weight carries γ/2.
 
     Raises FloatingPointError when finite parameters overflow this form (a
     detuning whose square overflows, or a Γ_i that underflows to zero).
@@ -177,6 +207,7 @@ def derive_effective(p: MicroParams) -> EffectiveParams:
     if any(j == 0 for j in p.J):
         raise ZeroDivisionError("J_i must be nonzero to derive effective parameters")
     kappa, gamma, geometry = p.kappa, p.gamma_p, p.geometry
+    split = geometry.bare_split
     Gamma, x, y, z = [], [], [], []
     try:
         for j, alpha, phi, omega_c, sites in zip(p.J, p.alpha, p.phi, p.omega_c, geometry.guide_sites):
@@ -185,7 +216,7 @@ def derive_effective(p: MicroParams) -> EffectiveParams:
             Gamma.append(g)
             x.append(-alpha * cmath.exp(1j * phi) * (2.0 * delta + 1j * kappa) / (j * kappa))
             y.append(-2.0 * delta / kappa)
-            z.append(1.0 + gamma / (geometry.bare_split * g))  # a Γ that underflows to 0 divides by zero
+            z.append(1.0 + gamma / (split * g))  # a Γ that underflows to 0 divides by zero
         finite = all(map(cmath.isfinite, Gamma + x + y + z))
     except (OverflowError, ZeroDivisionError):
         finite = False
@@ -214,9 +245,9 @@ def _qubit_ops(factor_dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 # --- affine form of the effective models ---------------------------------------
 #
 # Each effective generator is linear in a few real coefficients,
-# L(θ) = Σ_k c_k(θ)·L_k. A model is stated once, as fixed operator pieces per
-# geometry (ModelPieces) plus a coefficient map; build_model and the compiled
-# sweeps (experiments.CompiledModel) both start from these two.
+# L(θ) = Σ_k c_k(θ)·L_k: fixed operator pieces (ModelPieces) and a coefficient
+# map, both read off the model's row of ROWS by one rule; build_model and the
+# compiled sweeps (experiments.CompiledModel) both start from these two.
 
 
 @dataclass(frozen=True)
@@ -265,88 +296,64 @@ def _group(*pairs: tuple[np.ndarray, np.ndarray]) -> tuple[DissipatorTerm, ...]:
 
 
 @cache
-def _ring3_pieces() -> ModelPieces:
-    space = HilbertSpace((2, 2, 2))
+def model_pieces(model: str) -> ModelPieces:
+    """The fixed operator pieces of an effective model (cached, read-only),
+    from its row: per guide i coupling the sites S_i, the hopping P_a†P_b if
+    it couples two sites a, b, then the drive pair of Σ_{s∈S_i} P_s†; per
+    site, its decay group, then its upward group if the row is thermal; per
+    two-site guide, its cross group."""
+    row = EFFECTIVE[model]
+    space = HilbertSpace((2,) * row.n_sites)
     P = _qubit_ops(space.factor_dims)
-    hams = []
-    for i in range(3):
-        j = (i + 1) % 3
-        hams += [_herm(P[i].conj().T @ P[j]), *_herm_pair(P[i].conj().T + P[j].conj().T)]
-    groups = [_group((P[i], P[i])) for i in range(3)]
-    groups += [_group((P[i], P[(i + 1) % 3]), (P[(i + 1) % 3], P[i])) for i in range(3)]
-    return ModelPieces(space, tuple(hams), tuple(groups))
+    hams, groups, cross = [], [], []
+    for sites in row.guide_sites:
+        if len(sites) == 2:
+            a, b = sites
+            hams.append(_herm(P[a].conj().T @ P[b]))
+            cross.append(_group((P[a], P[b]), (P[b], P[a])))
+        hams += _herm_pair(sum(P[s].conj().T for s in sites))
+    for s in range(row.n_sites):
+        groups.append(_group((P[s], P[s])))
+        if row.thermal:
+            up = _frozen(P[s].conj().T)
+            groups.append(_group((up, up)))
+    return ModelPieces(space, tuple(hams), tuple(groups + cross))
 
 
-def _ring3_coefficients(p: EffectiveParams) -> list[float]:
-    """Three-qubit ring with guides eliminated:
-    H = Σ_i Γ_i [ y_i P_i†P_{i+1} + x_i (P_i† + P_{i+1}†) ] + h.c. (cyclic);
-    site i decays with weight Γ_{i−1}z_{i−1} + Γ_i z_i, and guide i mixes its
-    two neighbours through the cross terms F_{i,i+1}, F_{i+1,i} at weight Γ_i.
+def _total(terms: list):
+    """The sum of ``terms`` from the first one on (0 + −0.0 would be +0.0)."""
+    return sum(terms[1:], terms[0])
 
-    Coefficients: per guide i, Γ_i y_i, Re Γ_i x_i, Im Γ_i x_i; then the three
-    site decay weights; then the three cross weights Γ_i."""
-    c = []
-    for i in range(3):
+
+def _coefficients(model: str, p) -> list:
+    """The coefficients of ``model_pieces(model)`` at the parameters ``p``,
+    scalars or (B,) columns. The model is
+    H = Σ_i Γ_i [ y_i P_a†P_b (guides on two sites a, b) + x_i Σ_{s∈S_i} P_s† ] + h.c.,
+    with a cross pair (P_a, P_b), (P_b, P_a) at weight Γ_i for each two-site
+    guide, and site s decaying with weight Σ Γ_i z_i over its dressed guides
+    plus Σ Γ_i over its undressed ones. On a thermal row the bare decay hidden
+    in z, γ = 2 Σ_dressed Γ_i(z_i − 1), takes its thermal form: the downward
+    weight Σ Γ_i + γ(n_p+1)/2 and the upward weight γ n_p/2.
+
+    Coefficients: per guide, Γ_i y_i if it couples two sites, then Re and Im
+    of Γ_i x_i; per site, its decay weight (thermal: downward, upward); last,
+    Γ_i for each two-site guide."""
+    row = EFFECTIVE[model]
+    c, cross = [], []
+    for i, sites in enumerate(row.guide_sites):
+        if len(sites) == 2:
+            c.append(p.Gamma[i] * p.y[i])
+            cross.append(p.Gamma[i])
         gx = p.Gamma[i] * p.x[i]
-        c += [p.Gamma[i] * p.y[i], gx.real, gx.imag]
-    c += [p.Gamma[i - 1] * p.z[i - 1] + p.Gamma[i] * p.z[i] for i in range(3)]
-    return c + list(p.Gamma)
-
-
-@cache
-def _pair_pieces() -> ModelPieces:
-    space = HilbertSpace((2, 2))
-    P1, P2 = _qubit_ops(space.factor_dims)
-    hams = (
-        _herm(P1.conj().T @ P2),
-        *_herm_pair(P1.conj().T),
-        *_herm_pair(P1.conj().T + P2.conj().T),
-        *_herm_pair(P2.conj().T),
-    )
-    groups = (_group((P1, P1)), _group((P2, P2)), _group((P1, P2), (P2, P1)))
-    return ModelPieces(space, hams, groups)
-
-
-def _pair_coefficients(p: EffectiveParams) -> list[float]:
-    """Two qubits, three guides (ends drive one qubit each, middle couples both):
-    H = Γ₂y₂ P₁†P₂ + (Γ₁x₁+Γ₂x₂) P₁† + (Γ₂x₂+Γ₃x₃) P₂† + h.c.;
-    diagonal decay weights Γ₂z₂+Γ₁ and Γ₂z₂+Γ₃, cross weight Γ₂.
-
-    Coefficients: Γ₂y₂; Re and Im of Γ₁x₁, Γ₂x₂, Γ₃x₃; the two decay weights;
-    the cross weight."""
-    g1, g2, g3 = p.Gamma
-    c = [g2 * p.y[1]]
-    for gx in (g1 * p.x[0], g2 * p.x[1], g3 * p.x[2]):
         c += [gx.real, gx.imag]
-    return c + [g2 * p.z[1] + g1, g2 * p.z[1] + g3, g2]
-
-
-@cache
-def _thermal_pieces() -> ModelPieces:
-    space = HilbertSpace((2, 2))
-    P1, P2 = _qubit_ops(space.factor_dims)
-    U1, U2 = _frozen(P1.conj().T), _frozen(P2.conj().T)
-    hams = (_herm(U1 @ P2), *_herm_pair(U1 + U2))
-    groups = (_group((P1, P1)), _group((U1, U1)), _group((P2, P2)), _group((U2, U2)),
-              _group((P1, P2), (P2, P1)))
-    return ModelPieces(space, hams, groups)
-
-
-def _thermal_coefficients(p: EffectiveParams) -> list[float]:
-    """Two qubits sharing one guide, with local thermal pumping.
-
-    At zero temperature this is the single-guide limit of the pair model:
-    H = Γy P₁†P₂ + Γx (P₁† + P₂†) + h.c., diagonal weights Γz, cross weight Γ.
-    The bare qubit decay hidden in z (γ = 2Γ(z−1)) is promoted to its thermal
-    form: downward weight Γ + γ(n_p+1)/2, upward weight γ·n_p/2 per site.
-
-    Coefficients: Γy, Re Γx, Im Γx; per site the downward and upward weights; Γ."""
-    gam_big = p.Gamma[0]
-    gx = gam_big * p.x[0]
-    gamma = 2.0 * gam_big * (p.z[0] - 1.0)
-    w_down = gam_big + gamma * (p.n_p + 1.0) / 2.0
-    w_up = gamma * p.n_p / 2.0
-    return [gam_big * p.y[0], gx.real, gx.imag, w_down, w_up, w_down, w_up, gam_big]
+    for dressed, undressed in _site_guides(model):
+        if row.thermal:
+            gamma = _total([2.0 * p.Gamma[i] * (p.z[i] - 1.0) for i in dressed])
+            w_down = _total([p.Gamma[i] for i in dressed + undressed]) + gamma * (p.n_p + 1.0) / 2.0
+            c += [w_down, gamma * p.n_p / 2.0]
+        else:
+            c.append(_total([p.Gamma[i] * p.z[i] for i in dressed] + [p.Gamma[i] for i in undressed]))
+    return c + cross
 
 
 def _build_micro(p: MicroParams) -> BuildResult:
@@ -398,30 +405,6 @@ def _micro_space(p: MicroParams) -> HilbertSpace:
 # --- declarative model specification -----------------------------------------
 
 
-class EffectiveModel(typing.NamedTuple):
-    """One eliminated-guide model: its fixed operator pieces (cached, read-only),
-    its coefficient map, its number of guides, whether it has thermal pumping
-    and the two sites whose concurrence the optimizer maximizes by default."""
-
-    pieces: typing.Callable[[], ModelPieces]
-    coefficients: typing.Callable
-    n_guides: int
-    thermal: bool
-    concurrence_sites: tuple[int, int]
-
-
-EFFECTIVE = {
-    "ring3_eff": EffectiveModel(_ring3_pieces, _ring3_coefficients, n_guides=3, thermal=False,
-                                concurrence_sites=(1, 2)),
-    "pair_eff": EffectiveModel(_pair_pieces, _pair_coefficients, n_guides=3, thermal=False,
-                               concurrence_sites=(0, 1)),
-    "pair_thermal": EffectiveModel(_thermal_pieces, _thermal_coefficients, n_guides=1, thermal=True,
-                                   concurrence_sites=(0, 1)),
-}
-EFFECTIVE_MODELS = tuple(EFFECTIVE)
-MODEL_NAMES = EFFECTIVE_MODELS + ("micro",)
-
-
 def _params_type(model: str) -> type:
     """The params dataclass of a model."""
     return MicroParams if model == "micro" else EffectiveParams
@@ -447,10 +430,10 @@ class ModelSpec:
                     f"over the budget of {MICRO_L_BYTES_BUDGET / 2**20:.0f} MiB"
                 )
         else:
-            shape = EFFECTIVE[self.model]
-            if len(self.params.Gamma) != shape.n_guides:
-                raise ValueError(f"{self.model} needs {shape.n_guides} guide entries")
-            if self.params.n_p != 0 and not shape.thermal:
+            row = EFFECTIVE[self.model]
+            if len(self.params.Gamma) != row.n_guides:
+                raise ValueError(f"{self.model} needs {row.n_guides} guide entries")
+            if self.params.n_p != 0 and not row.thermal:
                 raise ValueError(f"n_p must be 0 on {self.model}, which has no thermal pumping; got {self.params.n_p}")
 
 
@@ -469,11 +452,6 @@ def build_model(spec: ModelSpec) -> BuildResult:
     return model_pieces(spec.model).build(c)
 
 
-def model_pieces(model: str) -> ModelPieces:
-    """The fixed operator pieces of an effective model (cached, read-only)."""
-    return EFFECTIVE[model].pieces()
-
-
 def _field_columns(params, b: int) -> dict:
     """The fields of ``params`` as contiguous (b,) columns; a tuple field is a tuple of them."""
     columns = {}
@@ -488,7 +466,7 @@ def _coefficient_rows(model: str, columns: dict) -> np.ndarray:
     (B,) ``columns``: its coefficient map, run unchanged on the columns. A row
     whose coefficients overflow is not finite, without a numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        c = EFFECTIVE[model].coefficients(SimpleNamespace(**columns))
+        c = _coefficients(model, SimpleNamespace(**columns))
     return np.array(c).T.copy()  # C order: each row one contiguous BLAS operand
 
 
@@ -626,7 +604,10 @@ def _parse_path(spec: ModelSpec, path: str) -> tuple[str, int | None, str | None
     idx = None
     if body.endswith("]"):
         field_name, _, rest = body.partition("[")
-        idx = int(rest[:-1])
+        digits = rest[:-1]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"index must be decimal digits in path {path!r}")
+        idx = int(digits)
         body = field_name
     kind, is_list, _ = _schema(spec.model).get(body, (int, False, False))
     if kind is int:
@@ -714,11 +695,6 @@ class PathSetter:
 
     def rows(self, values) -> np.ndarray:
         return _coefficient_rows(self.spec.model, self._columns(values))
-
-
-def apply_path(spec: ModelSpec, path: str, value: float) -> ModelSpec:
-    """Functionally update one scalar parameter addressed by a path string."""
-    return PathSetter(spec, (path,))((value,))
 
 
 # --- bundled operating points -------------------------------------------------

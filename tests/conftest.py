@@ -4,7 +4,15 @@ import pytest
 
 from polariton_ring.experiments import Axis, ObservableSpec, SweepPlan
 from polariton_ring.linalg import DensityMatrix, herm_defect, hermitize
-from polariton_ring.models import MicroParams, fig3_ring_spec, fig5_pair_spec, thermal_pair_spec, validation_micro_spec
+from polariton_ring.models import (
+    MicroParams,
+    ModelSpec,
+    PathSetter,
+    fig3_ring_spec,
+    fig5_pair_spec,
+    thermal_pair_spec,
+    validation_micro_spec,
+)
 from polariton_ring.optimize import OptimizeReport, check_box, corner_starts, drive, multistart_maximize, nelder_mead
 
 hypothesis.settings.register_profile("default", max_examples=25, deadline=None)
@@ -54,6 +62,11 @@ def hermiticity_defect(l, n_probes=20, seed=1234):
         probe /= max(1.0, float(np.abs(probe).max()))
         worst = max(worst, herm_defect(l.apply(probe)))
     return worst
+
+
+def apply_path(spec: ModelSpec, path: str, value: float) -> ModelSpec:
+    """``spec`` with the one parameter that ``path`` addresses set to ``value``."""
+    return PathSetter(spec, (path,))((value,))
 
 
 def bundled_models():

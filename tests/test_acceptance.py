@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    apply_path,
     bundled_models,
     fwhm,
     hermiticity_defect,
@@ -37,7 +38,6 @@ from polariton_ring.experiments import (
 )
 from polariton_ring.linalg import DensityMatrix, HilbertSpace, kron, partial_trace
 from polariton_ring.models import (
-    apply_path,
     build_model,
     fig3_ring_spec,
     fig5_pair_spec,

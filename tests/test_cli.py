@@ -556,6 +556,9 @@ def with_value(cfg, keys, value):
         ("sweep", with_value(THERMAL_SWEEP_CFG, ["axes"], [{"path": "x[0].re", "grid": [0.0, 1.0]},
                                                           {"path": "x[0].re", "grid": [2.0, 3.0]}]),
          "axes name ['x[0].re'] more than once"),
+        # an index that is not decimal digits, named with its path
+        ("sweep", with_value(THERMAL_SWEEP_CFG, ["axes", 0, "path"], "x[].re"),
+         "index must be decimal digits in path 'x[].re'"),
         # one x point has no derivative, rejected before the compile
         ("thermal", {"x_grid": [1.0], "t_grid": [0.05]}, "x_grid has 1 point"),
         ("thermal", with_value(THERMAL_CFG, ["x_grid", "count"], 1), "x_grid has 1 point"),
@@ -569,8 +572,8 @@ def with_value(cfg, keys, value):
          "solve-T-negative", "solve-T-nan", "solve-omega", "sweep-T-negative", "solve-purity-T",
          "solve-concurrence-level", "optimize-bound-z-below-1", "optimize-group-bound-Gamma-negative",
          "optimize-free-repeated-across-groups", "optimize-free-repeated-in-group", "optimize-bounds-reversed",
-         "optimize-bound-infinite", "optimize-budget-0", "sweep-axis-repeated", "thermal-x-one-point",
-         "thermal-x-count-1", "validate-ratio-repeated"],
+         "optimize-bound-infinite", "optimize-budget-0", "sweep-axis-repeated", "sweep-axis-empty-index",
+         "thermal-x-one-point", "thermal-x-count-1", "validate-ratio-repeated"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
     out = tmp_path / "data.csv"

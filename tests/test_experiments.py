@@ -8,7 +8,15 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import bundled_models, count_interior_maxima, fwhm, phase_sweep_plan, smooth3, three_guide_pair_micro
+from conftest import (
+    apply_path,
+    bundled_models,
+    count_interior_maxima,
+    fwhm,
+    phase_sweep_plan,
+    smooth3,
+    three_guide_pair_micro,
+)
 from polariton_ring import experiments, steady
 from polariton_ring.experiments import (
     Axis,
@@ -33,7 +41,6 @@ from polariton_ring.models import (
     EffectiveParams,
     MicroParams,
     ModelSpec,
-    apply_path,
     build_model,
     coefficients,
     derive_effective,

@@ -1,5 +1,6 @@
 import cmath
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import bundled_models
+from conftest import apply_path, bundled_models
 from polariton_ring import models
 from polariton_ring.linalg import HilbertSpace, herm_defect, partial_trace
 from polariton_ring.models import (
@@ -17,7 +18,6 @@ from polariton_ring.models import (
     EffectiveParams,
     MicroParams,
     ModelSpec,
-    apply_path,
     build_model,
     derive_effective,
     fig3_ring_spec,
@@ -109,16 +109,26 @@ def test_ring_fig3_concurrence_value():
     assert c == pytest.approx(0.417, abs=0.005)
 
 
-def test_ring_site_decay_weight_identity():
-    # with a common gamma the diagonal weight is Gamma_{i-1} + Gamma_i + gamma/2
-    gamma = 0.04
-    Gamma = (1.0, 0.5, 2.0)
-    z = tuple(1.0 + gamma / (4 * g) for g in Gamma)
-    params = EffectiveParams(Gamma=Gamma, x=(0.1, 0.1, 0.1), y=(0.0, 0.0, 0.0), z=z)
-    space, h, terms = build_model(ModelSpec("ring3_eff", params))
-    diag_weights = [t.weight for t in terms[:3]]
-    for i in range(3):
-        assert diag_weights[i] == pytest.approx(Gamma[(i - 1) % 3] + Gamma[i] + gamma / 2)
+@pytest.mark.parametrize("row", models.ROWS, ids=lambda row: row.name)
+def test_ring_site_decay_weight_identity(row):
+    # eliminated from a micro point with a common bare decay gamma_p, every
+    # site's decay weight is the sum of the Gamma_i of its guides plus gamma_p/2
+    # (pair_thermal at n_p = 0): the guides' z must split gamma_p as the
+    # effective model sums them
+    gamma_p = 0.04
+    n = row.n_guides
+    p = MicroParams(
+        n_sites=row.n_sites, J=(0.05, 0.03, 0.08)[:n], kappa=1.0, gamma_p=gamma_p, alpha=(0.0,) * n,
+        phi=(0.0,) * n, omega_c=(1.0, 1.3, 0.8)[:n], omega_p=(1.0,) * row.n_sites, omega_d=1.0,
+    )
+    assert p.geometry is row
+    eff = derive_effective(p)
+    _, _, terms = build_model(ModelSpec(row.model, eff))
+    P = _sigma_minus(row.n_sites)
+    for s in range(row.n_sites):
+        (weight,) = [t.weight for t in terms if np.array_equal(t.left, P[s]) and np.array_equal(t.right, P[s])]
+        want = sum(g for g, sites in zip(eff.Gamma, row.guide_sites) if s in sites) + gamma_p / 2
+        assert weight == pytest.approx(want, rel=1e-13)
 
 
 def test_ring_cyclic_permutation_invariance():
@@ -321,11 +331,15 @@ def test_micro_weak_driving_warning():
 
 
 def test_geometry_table_agrees_with_effective_models():
-    # a geometry's guide count and sites are those of its eliminated model
-    for (n_sites, n_guides), geometry in GEOMETRIES.items():
-        assert len(geometry.guide_sites) == n_guides == EFFECTIVE[geometry.model].n_guides
-        assert EFFECTIVE[geometry.model].pieces().space.n_factors == n_sites
-        assert {s for sites in geometry.guide_sites for s in sites} == set(range(n_sites))
+    # one tuple of rows feeds both lookups; what a row states must fit its
+    # eliminated model's pieces and coefficient map
+    assert tuple(GEOMETRIES.values()) == tuple(EFFECTIVE.values()) == models.ROWS
+    specs = {s.model: s for s in bundled_models().values()}
+    for (n_sites, n_guides), row in GEOMETRIES.items():
+        pieces = models.model_pieces(row.model)
+        assert pieces.space.n_factors == n_sites
+        assert len(pieces.hams) + len(pieces.groups) == len(models.coefficients(specs[row.model]))
+        assert {s for sites in row.guide_sites for s in sites} == set(range(n_sites))
     with pytest.raises(ValueError, match=r"unsupported geometry \(3, 1\)"):
         MicroParams(n_sites=3, J=(0.05,), kappa=1.0, gamma_p=0.0, alpha=(0.0,), phi=(0.0,), omega_c=(1.0,),
                     omega_p=(1.0,) * 3, omega_d=1.0)
@@ -573,6 +587,10 @@ def test_apply_path_micro_and_errors():
         apply_path(fig5_pair_spec(), "x[0]", 1.0)  # complex needs a component
     with pytest.raises(ValueError):
         apply_path(fig5_pair_spec(), "y[0].phase", 1.0)  # real field, no component
+    # an index is ASCII digits between one pair of brackets, and the error names the path
+    for path in ("x[].re", "x[1]].re", "x[ 1].re", "x[1_0].re", "x[-1].re", "x[+1].re", "x[\u0661].re", "y]"):
+        with pytest.raises(ValueError, match=re.escape(repr(path))):
+            apply_path(fig5_pair_spec(), path, 1.0)
 
 
 def test_model_spec_type_checks():
