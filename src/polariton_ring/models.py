@@ -594,7 +594,10 @@ def _parse_path(spec: ModelSpec, path: str) -> tuple[str, int | None, str | None
     """Split ``field[idx].component`` and validate it against the spec.
 
     Float and complex fields are addressable, integer ones are not; list fields
-    need an index and complex ones a component."""
+    need an index and complex ones a component. An effective model reads
+    ``y[i]`` and ``z[i]`` only of a guide that couples two sites (see
+    _coefficients); on a one-site guide they are rejected, as a sweep or an
+    optimizer over them would only repeat one point."""
     body = path
     comp = None
     if "." in body:
@@ -619,6 +622,9 @@ def _parse_path(spec: ModelSpec, path: str) -> tuple[str, int | None, str | None
             raise ValueError(f"index out of range in path {path!r}")
     elif idx is not None:
         raise ValueError(f"field {body!r} is scalar; no index allowed in {path!r}")
+    if body in ("y", "z") and len(EFFECTIVE[spec.model].guide_sites[idx]) == 1:
+        raise ValueError(f"path {path!r} does not enter model {spec.model}: guide {idx} couples one site, "
+                         "so it neither hops nor dresses a decay")
     if comp is not None and kind is not complex:
         raise ValueError(f"component {comp!r} only applies to complex fields, path {path!r}")
     if kind is complex and comp is None:

@@ -50,56 +50,44 @@ class SteadyStateReport:
 
 
 @cache
-def _hermitian_basis(d: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Per-dimension maps of the orthonormal Hermitian basis of vec space,
-    ordered {E_ii}, {(E_ij + E_ji)/√2}, {i(E_ij − E_ji)/√2} with i < j in
-    ``np.triu_indices`` order. Returns the flat index that permutes a d²×d²
-    matrix to the vec order diagonal, upper (E_ij), lower (E_ji); the
-    ``triu_indices`` pair; and the d×d Householder reflection whose first
-    column is the normalized trace row on the diagonal coordinates, so that
-    its other columns, padded with the identity on the off-diagonal
-    coordinates, are an orthonormal basis B_r of the trace-zero subspace.
-    Read-only."""
-    n = d * d
-    iu = np.triu_indices(d, 1)
-    perm = np.concatenate([np.arange(d) * (d + 1), iu[0] + d * iu[1], iu[1] + d * iu[0]])
-    take = (perm[:, None] * n + perm[None, :]).ravel()
+def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal Hermitian basis of vec space, ordered {E_ii},
+    {(E_ij + E_ji)/√2}, {i(E_ij − E_ji)/√2} with i < j in ``np.triu_indices``
+    order, as two read-only arrays of O(d²) entries: the flat row-major index
+    of the d×d entry that each coordinate fills (E_ii, then E_ij and E_ji for
+    i < j), and the d×d Householder reflection whose first column is the
+    normalized trace row on the diagonal coordinates, so that its other
+    columns, padded with the identity on the off-diagonal coordinates, are an
+    orthonormal basis B_r of the trace-zero subspace."""
+    i, j = np.triu_indices(d, 1)
+    index = np.concatenate([np.arange(d) * (d + 1), i * d + j, j * d + i])
     w = np.full(d, 1.0 / np.sqrt(d))
     w[0] -= 1.0
     nw = np.linalg.norm(w)
     if nw > 1e-14:
         w /= nw
     house = np.eye(d) - 2.0 * np.outer(w, w)
-    for a in (take, *iu, house):
+    for a in (index, house):
         a.setflags(write=False)
-    return take, iu, house
+    return index, house
 
 
 def _real_form(l: Superoperator) -> np.ndarray:
     """U†LU for the unitary U whose columns are the Hermitian basis of
-    :func:`_hermitian_basis`, without forming U: one permutation, then block
-    sums and differences of the off-diagonal halves. Returned complex; its
+    :func:`_hermitian_basis`, without forming U: one permutation to the vec
+    order diagonal, upper (E_ij), lower (E_ji), then block sums and
+    differences of the off-diagonal halves. Returned complex; its
     imaginary part vanishes (to rounding) when L preserves hermiticity, as
     every Lindblad generator does."""
     d = l.dim
     n = d * d
-    take, _, _ = _hermitian_basis(d)
+    index, _ = _hermitian_basis(d)
+    perm = index // d + d * (index % d)  # each coordinate's entry, column-stacked
     p, q = slice(d, (n + d) // 2), slice((n + d) // 2, n)
     r = np.sqrt(0.5)
-    a = l.mat.take(take).reshape(n, n)
+    a = l.mat[np.ix_(perm, perm)]
     a = np.concatenate([a[:, :d], r * (a[:, p] + a[:, q]), (1j * r) * (a[:, p] - a[:, q])], axis=1)
     return np.concatenate([a[:d], r * (a[p] + a[q]), (-1j * r) * (a[p] - a[q])])
-
-
-@cache
-def _coordinate_entries(d: int) -> np.ndarray:
-    """Flat row-major index of the d×d entry that each coordinate of
-    :func:`_hermitian_basis` fills: E_ii, then E_ij and E_ji for i < j in
-    ``np.triu_indices`` order (read-only)."""
-    _, (i, j), _ = _hermitian_basis(d)
-    index = np.concatenate([np.arange(d) * (d + 1), i * d + j, j * d + i])
-    index.setflags(write=False)
-    return index
 
 
 def _from_real(c: np.ndarray, d: int) -> np.ndarray:
@@ -108,27 +96,21 @@ def _from_real(c: np.ndarray, d: int) -> np.ndarray:
     m = d * (d - 1) // 2
     upper = np.sqrt(0.5) * (c[..., d:d + m] + 1j * c[..., d + m:])
     rho = np.empty(c.shape[:-1] + (d * d,), dtype=complex)
-    rho[..., _coordinate_entries(d)] = np.concatenate([c[..., :d], upper, upper.conj()], axis=-1)
+    rho[..., _hermitian_basis(d)[0]] = np.concatenate([c[..., :d], upper, upper.conj()], axis=-1)
     return rho.reshape(c.shape[:-1] + (d, d))
 
 
-@cache
-def _trace_zero_map(d: int) -> np.ndarray:
-    """The real (2n, n−1) matrix, n = d², that takes a d×d Hermitian ρ, as the
-    2n floats of its row-major real and imaginary parts, to its trace-zero
-    coordinates y′ = B_rᵀ·c (c the coordinates of :func:`_hermitian_basis`):
-    the diagonal through the Householder reflection, the upper entries
-    times √2 (read-only)."""
-    n = d * d
-    m = d * (d - 1) // 2
-    entries = 2 * _coordinate_entries(d)
-    _, _, house = _hermitian_basis(d)
-    out = np.zeros((2 * n, n - 1))
-    out[entries[:d], :d - 1] = house[:, 1:]
-    out[entries[d:d + m], np.arange(d - 1, d - 1 + m)] = np.sqrt(2.0)
-    out[entries[d:d + m] + 1, np.arange(d - 1 + m, n - 1)] = np.sqrt(2.0)
-    out.setflags(write=False)
-    return out
+def _trace_zero_coordinates(rho: np.ndarray) -> np.ndarray:
+    """The trace-zero coordinates y′ = B_rᵀ·c of a stack of d×d Hermitian
+    matrices (B, d, d), c their coordinates in :func:`_hermitian_basis`, by a
+    gather: the diagonal through the Householder block, one (1, d) product per
+    matrix (a (B, d) gemm would make y′ depend on the stack), then the upper
+    entries' real and imaginary parts times √2."""
+    d = rho.shape[-1]
+    index, house = _hermitian_basis(d)
+    entries = rho.reshape(len(rho), -1)[:, index[:d * (d + 1) // 2]]
+    upper = np.sqrt(2.0) * entries[:, d:]
+    return np.concatenate([(entries[:, None, :d].real @ house[:, 1:])[:, 0], upper.real, upper.imag], axis=1)
 
 
 def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,7 +127,7 @@ def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.nd
     if float(np.abs(lc.imag).max()) > HERM_TOL * max(scale, 1.0):
         raise SteadyStateError("generator does not preserve hermiticity")
     lr = lc.real
-    _, _, house = _hermitian_basis(d)
+    _, house = _hermitian_basis(d)
     lb = np.concatenate([lr[:, :d] @ house[:, 1:], lr[:, d:]], axis=1)
     li = lr[:, :d].sum(axis=1) / d
     return lr, np.concatenate([house[1:] @ lb[:d], lb[d:]]), -np.concatenate([house[1:] @ li[:d], li[d:]])
@@ -195,13 +177,13 @@ def _states(m: np.ndarray, r: np.ndarray, c: np.ndarray,
     """The checked states of a stack of B generators from their trace-zero
     systems (M, r) and Hermitian-basis coordinates c (B, n): per state,
     eigenvalues within CLAMP_TOL below zero are clamped and ρ renormalized,
-    and the residual ‖M·y′ − r‖ (y′ = B_rᵀ·c′, the trace-zero coordinates of
+    and the residual ‖M·y′ − r‖ (y′ the :func:`_trace_zero_coordinates` of
     the clamped ρ; this is ‖L vec ρ‖, as L maps into that subspace) must stay
     below RESIDUAL_TOL·max(norm(k), 1), norm(k) being the k-th ‖L‖_∞, asked
     only for a residual above RESIDUAL_TOL. A ρ that is not finite (its trace
     overflowed, or was 0) raises SteadyStateError. Returns the states (B, d, d),
     their smallest eigenvalues before the clamp and their residuals. Every
-    matrix product is one BLAS call per point, so a point's numbers do not
+    matrix product is one call per point, so a point's numbers do not
     depend on the stack it is in."""
     d = round(c.shape[1] ** 0.5)
     w, v = np.linalg.eigh(_from_real(c, d))
@@ -218,9 +200,7 @@ def _states(m: np.ndarray, r: np.ndarray, c: np.ndarray,
     if not np.isfinite(rho).all():
         raise SteadyStateError("steady state is not finite")
 
-    # one (1, 2n) row per state: a (B, 2n) gemm would make y′ depend on the stack
-    y = rho.reshape(len(c), 1, -1).view(float) @ _trace_zero_map(d)
-    residual = np.linalg.norm((m @ y.swapaxes(1, 2))[..., 0] - r, axis=1)
+    residual = np.linalg.norm((m @ _trace_zero_coordinates(rho)[..., None])[..., 0] - r, axis=1)
     for k in np.flatnonzero(residual > RESIDUAL_TOL):
         if residual[k] > RESIDUAL_TOL * max(norm(k), 1.0):
             raise SteadyStateError(f"steady-state residual {residual[k]:.2e} exceeds {RESIDUAL_TOL:.0e}·‖L‖")
@@ -268,7 +248,7 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
 def _restricted_coordinates(ys: list[np.ndarray], d: int) -> np.ndarray:
     """The Hermitian-basis coordinates c = c_I + B_r·y, one row per solution y."""
     y = np.array(ys)
-    _, _, house = _hermitian_basis(d)
+    _, house = _hermitian_basis(d)
     return np.concatenate([(house[:, 1:] @ y[:, :d - 1, None])[..., 0] + 1.0 / d, y[:, d - 1:]], axis=1)
 
 

@@ -584,6 +584,23 @@ def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, m
     assert not summary_path(out).exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+@pytest.mark.parametrize("path", ["y[0]", "y[2]", "z[0]", "z[2]"])
+def test_inert_pair_eff_path_exits_2(tmp_path, capsys, no_solve, command, path):
+    # the end guides of pair_eff couple one site each, so their y and z enter no coefficient
+    if command == "sweep":
+        cfg = {"model": pair_model_json(), "axes": [{"path": path, "grid": [1.0, 2.0]}],
+               "observables": [{"kind": "purity"}]}
+    else:
+        cfg = {"model": pair_model_json(), "free": [path], "bounds": [[1.0, 2.0]], "budget": 10}
+    out = tmp_path / "data.csv"
+    assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"path '{path}' does not enter model pair_eff" in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
 # finite parameters whose coefficient Γ₁x₁ overflows: the sweep config and its message
 COEFFICIENT_OVERFLOW = (
     {"model": with_value(pair_model_json(), ["x", 0], [1e10, 0.0]),

@@ -485,7 +485,7 @@ def restriction_oracle(spec):
     lr, m, _ = steady._real_restriction(liouv, liouv.norm_inf())
     d = liouv.dim
     n = d * d
-    _, _, house = steady._hermitian_basis(d)
+    _, house = steady._hermitian_basis(d)
     b = np.zeros((n, n - 1))
     b[:d, :d - 1] = house[:, 1:]
     b[d:, d - 1:] = np.eye(n - d)

@@ -2,6 +2,7 @@ import cmath
 import json
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -418,13 +419,18 @@ def _candidate_paths():
                 yield name + idx + comp
 
 
+# Paths of fields that the model does not read: the hopping and decay
+# dressing of pair_eff's end guides, which couple one site each.
+_INERT_PATHS = {"pair_eff": {"y[0]", "y[2]", "z[0]", "z[2]"}}
+
+
 def _addressable_paths(spec):
     real, cplx, scalars = _PATH_FIELDS["micro" if spec.model == "micro" else "effective"]
     paths = set(scalars)
     for name in real | cplx:
         for i in range(len(getattr(spec.params, name))):
             paths |= {f"{name}[{i}].{c}" for c in ("re", "im", "abs", "phase")} if name in cplx else {f"{name}[{i}]"}
-    return paths
+    return paths - _INERT_PATHS.get(spec.model, set())
 
 
 _PATH_SPECS = [fig3_ring_spec(), fig5_pair_spec(), thermal_pair_spec(x=1.0), validation_micro_spec(),
@@ -441,6 +447,29 @@ def test_parse_path_table(spec):
             continue
         accepted.add(path)
     assert accepted == _addressable_paths(spec)
+
+
+@pytest.mark.parametrize("row", models.ROWS, ids=[row.model for row in models.ROWS])
+def test_accepted_guide_paths_are_exactly_those_that_enter_the_model(row):
+    # a generic point of the row's model: every y[i] and z[i] that _parse_path
+    # accepts changes the coefficients, and every one it rejects does not
+    g = row.n_guides
+    spec = ModelSpec(row.model, EffectiveParams(Gamma=(1.0,) * g, x=(1.0,) * g, y=(0.5,) * g, z=(1.01,) * g,
+                                                n_p=0.2 if row.thermal else 0.0))
+    for name in ("y", "z"):
+        for i in range(g):
+            path = f"{name}[{i}]"
+            values = list(getattr(spec.params, name))
+            values[i] = 7.0
+            moved = models.coefficients(replace(spec, params=replace(spec.params, **{name: tuple(values)})))
+            changes = moved.tobytes() != models.coefficients(spec).tobytes()
+            try:
+                models._parse_path(spec, path)
+            except ValueError as exc:
+                assert f"path {path!r} does not enter model {row.model}" in str(exc)
+                assert not changes, path
+            else:
+                assert changes, path
 
 
 # Fields whose domain is a half-line; the setter test maps its values into it.

@@ -15,6 +15,9 @@ from polariton_ring.steady import (
     _from_real,
     _real_form,
     _real_restriction,
+    _restricted_coordinates,
+    _states,
+    _trace_zero_coordinates,
     evolve,
     evolve_to_steady,
     spectral_gap,
@@ -295,6 +298,48 @@ def test_from_real_round_trips(rng, d):
     # and back: the coordinates of a Hermitian matrix are real
     coords = hermitian_basis(d).conj().T @ vec(rho)
     assert np.abs(coords - c).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_trace_zero_coordinates_match_dense_basis(rng, d):
+    # B_r written out densely on the Hermitian coordinates: columns 1.. of the
+    # Householder reflection that maps e₀ to the normalized trace row
+    n = d * d
+    w = np.zeros(n)
+    w[:d] = 1.0 / np.sqrt(d)
+    w[0] -= 1.0
+    if np.linalg.norm(w) > 1e-14:
+        w /= np.linalg.norm(w)
+    b_r = (np.eye(n) - 2.0 * np.outer(w, w))[:, 1:]
+    u = hermitian_basis(d)
+    rho = np.array([random_hermitian(rng, d) for _ in range(5)])
+    want = np.array([b_r.T @ (u.conj().T @ vec(a)).real for a in rho])
+    scale = max(1.0, np.abs(rho).max())
+    # assert_allclose also checks the shapes, (5, 0) and (1, 0) at d = 1
+    np.testing.assert_allclose(_trace_zero_coordinates(rho), want, rtol=0.0, atol=1e-14 * scale)
+    np.testing.assert_allclose(_trace_zero_coordinates(rho[2:3]), want[2:3], rtol=0.0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_states_of_a_point_do_not_depend_on_its_stack(rng, d):
+    liouvs = [random_lindblad(rng, d) for _ in range(64)]
+    m, r = (np.array(a) for a in zip(*map(trace_zero_system, liouvs)))
+    c = _restricted_coordinates([np.linalg.solve(mk, rk) for mk, rk in zip(m, r)], d)
+    stacked = _states(m, r, c, lambda k: liouvs[k].norm_inf())
+    y = _trace_zero_coordinates(stacked[0])
+    for k in range(len(liouvs)):
+        alone = _states(m[k:k + 1], r[k:k + 1], c[k:k + 1], lambda _: liouvs[k].norm_inf())
+        # state, smallest eigenvalue and residual, to the bit
+        for got, want in zip(alone, stacked):
+            assert got.tobytes() == want[k:k + 1].tobytes()
+        assert _trace_zero_coordinates(alone[0]).tobytes() == y[k:k + 1].tobytes()
+
+
+def test_hermitian_basis_cache_is_quadratic():
+    # the coordinates' index and the Householder block, O(d²) together: no
+    # permutation index of L and no dense trace-zero map, both O(d⁴)
+    assert sum(a.nbytes for a in steady._hermitian_basis(48)) < 64 * 48**2
+    assert not hasattr(steady, "_trace_zero_map")
 
 
 @pytest.mark.parametrize("name", sorted(bundled_models()))
