@@ -51,6 +51,7 @@ from .models import (
     model_spec_from_json,
     model_spec_to_json,
 )
+from .optimize import at_bound
 from .steady import SteadyStateError
 
 
@@ -195,6 +196,7 @@ def _cmd_optimize(cfg: dict) -> tuple[str, dict]:
         "best_params": report.best_params,
         "best_value": report.best_value,
         "evaluations": report.evaluations,
+        "at_bound": at_bound(report.best_params, bounds),
     }
     return result.to_csv(), payload
 

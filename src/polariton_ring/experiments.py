@@ -156,16 +156,28 @@ class ObservableSpec:
 
 
 def _check_values(model: ModelSpec, paths: tuple[str, ...], values, where: str) -> None:
-    """Raise ValueError naming ``{'path': value}`` unless each value, set on all
-    ``paths`` at ``model``, is in the model's domain. Every domain is per entry
-    and an interval, so this finds each bad point of a grid or of a box."""
-    specs = PathSetter(model, paths).specs([(value,) * len(paths) for value in values])
+    """Raise ValueError naming ``{'path': value}`` unless each of the ascending
+    ``values``, set on all ``paths`` at ``model``, is in the model's domain.
+    Every domain a path reaches is an interval in its value (each entry's
+    domain is one: Gamma > 0, z >= 1, n_p >= 0, or 0 without pumping, and so
+    on), so the values are in it when their two ends are. Only when an end is
+    not are the values scanned in order, so that the error names the first
+    bad one of a grid or of a box."""
+    setter = PathSetter(model, paths)
     name = "|".join(paths)
-    for value in values:
-        try:
-            next(specs)
-        except ValueError as exc:
-            raise ValueError(f"{where} {{{name!r}: {value}}}: {exc}") from exc
+
+    def scan(values) -> None:
+        specs = setter.specs([(value,) * len(paths) for value in values])
+        for value in values:
+            try:
+                next(specs)
+            except ValueError as exc:
+                raise ValueError(f"{where} {{{name!r}: {value}}}: {exc}") from exc
+
+    try:
+        scan(tuple(values)[::max(len(values) - 1, 1)])  # the first and the last
+    except ValueError:
+        scan(values)
 
 
 @dataclass(frozen=True)
@@ -243,13 +255,37 @@ class CompileError(RuntimeError):
     a fault of the program, not of the run's configuration."""
 
 
+def piece_systems(model: str) -> tuple[np.ndarray, np.ndarray]:
+    """The trace-zero systems (M_k, r_k) of :func:`steady.trace_zero_system`
+    of each piece of :func:`models.model_pieces` of an effective model, as
+    two read-only stacks: row k of the first is M_k in Fortran order, as
+    LAPACK takes it, and row k of the second is r_k. Each piece is assembled
+    (which checks its trace) one at a time, so that the K dense pieces are
+    never all held at once. The stacks depend on the model alone; its
+    parameters enter only through the coefficient rows."""
+    pieces = model_pieces(model)
+    d = pieces.space.dim
+    zero_h = np.zeros((d, d), dtype=complex)
+    sources = [(h, []) for h in pieces.hams] + [(zero_h, list(g)) for g in pieces.groups]
+    n = d * d
+    m_stack = np.empty((len(sources), (n - 1) ** 2))
+    r_stack = np.empty((len(sources), n - 1))
+    for k, (h, terms) in enumerate(sources):
+        m, r_stack[k] = trace_zero_system(assemble(h, terms))
+        m_stack[k] = m.T.ravel()
+    for a in (m_stack, r_stack):
+        a.setflags(write=False)
+    return m_stack, r_stack
+
+
 class CompiledModel:
     """One effective model as L(θ) = Σ_k c_k(θ)·L_k, for the points of one call.
 
-    Each piece of :func:`models.model_pieces` is assembled once (which checks
-    its trace) and kept only as its trace-zero system (M_k, r_k) of
-    :func:`steady.trace_zero_system` (which checks its hermiticity), in two
-    read-only stacks. A stack of points is then two contractions of their
+    Its pieces are kept only as their trace-zero systems (M_k, r_k), in the
+    two read-only stacks of :func:`piece_systems`, built here unless
+    ``stacks`` holds them already: they depend on the model alone, so a call
+    that compiles one model at several bases (a thermal map) builds them
+    once. A stack of points is then two contractions of their
     coefficient rows, for M and r, and :func:`steady_state_restricted`: per
     point, one LU of M solves and certifies. Only a singular M, or a bound
     that does not certify, has its point's L formed, by the one builder
@@ -257,29 +293,18 @@ class CompiledModel:
     :func:`steady_state_on`, so that such a point is solved as
     :func:`solve_spec` solves it.
 
-    The compile checks itself at ``base``: the contracted (M, r) must match
+    The compile checks itself at ``base``, on shared stacks too: the
+    contracted (M, r) must match
     :func:`trace_zero_system` of ``assemble(*build_model(base)[1:])`` to
     COMPILE_TOL, and, where ``steady_state_on`` finds a unique steady state on
     that assembled L, the compiled solve must reproduce its ρ to
     COMPILE_RHO_TOL; otherwise it raises CompileError.
     """
 
-    def __init__(self, base: ModelSpec):
-        pieces = model_pieces(base.model)
+    def __init__(self, base: ModelSpec, stacks: tuple[np.ndarray, np.ndarray] | None = None):
         self.model = base.model
-        self.space = pieces.space
-        d = self.space.dim
-        zero_h = np.zeros((d, d), dtype=complex)
-        sources = [(h, []) for h in pieces.hams] + [(zero_h, list(g)) for g in pieces.groups]
-        n = d * d
-        self._m_stack = np.empty((len(sources), (n - 1) ** 2))
-        self._r_stack = np.empty((len(sources), n - 1))
-        # one piece at a time, so that the K dense pieces are never all held at once
-        for k, (h, terms) in enumerate(sources):
-            m, self._r_stack[k] = trace_zero_system(assemble(h, terms))
-            self._m_stack[k] = m.T.ravel()  # so that a contraction is M in Fortran order, as LAPACK takes it
-        for a in (self._m_stack, self._r_stack):
-            a.setflags(write=False)
+        self.space = model_pieces(base.model).space
+        self._m_stack, self._r_stack = piece_systems(base.model) if stacks is None else stacks
         self._check(base)
 
     def _check(self, base: ModelSpec) -> None:
@@ -340,11 +365,12 @@ class CompiledModel:
 CHUNK = 64
 
 
-def point_evaluator(base: ModelSpec, groups, observables, label: str):
+def point_evaluator(base: ModelSpec, groups, observables, label: str, stacks=None):
     """The rows (values, then observables) of a chunk of points of one sweep
     or optimizer call near ``base``: one value per group of paths, taken by
     every path of the group. Paths are parsed once (:class:`models.PathSetter`).
-    An effective model is compiled once, and a chunk goes from its values to
+    An effective model is compiled once, on ``stacks`` if given (its
+    :func:`piece_systems`), and a chunk goes from its values to
     its coefficient rows (:meth:`models.PathSetter.rows`) and is solved as one
     stack; only a point whose L must be formed (a fallback) builds its
     ModelSpec. ``micro`` builds one per point and is solved point by point by
@@ -356,7 +382,7 @@ def point_evaluator(base: ModelSpec, groups, observables, label: str):
     setter = PathSetter(base, [path for group in groups for path in group])
     column = [g for g, group in enumerate(groups) for _ in group]  # each path's value column
     if base.model in EFFECTIVE:
-        compiled = CompiledModel(base)
+        compiled = CompiledModel(base, stacks)
 
         def states(values: np.ndarray) -> DensityMatrix:
             return compiled.solve(setter.rows(values), lambda k: setter(values[k])).rho
@@ -394,13 +420,14 @@ def point_evaluator(base: ModelSpec, groups, observables, label: str):
     return evaluate
 
 
-def run_sweep(plan: SweepPlan) -> SweepResult:
+def run_sweep(plan: SweepPlan, stacks=None) -> SweepResult:
     """Evaluate the plan on the full grid.
 
-    The model is compiled once for the whole grid, and the grid is walked in
-    row order, one chunk of CHUNK points after another.
+    The model is compiled once for the whole grid, on ``stacks`` if given (its
+    :func:`piece_systems`), and the grid is walked in row order, one chunk of
+    CHUNK points after another.
     """
-    evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point")
+    evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point", stacks)
     points = itertools.product(*(a.grid for a in plan.axes))
     chunks = iter(lambda: list(itertools.islice(points, CHUNK)), [])
     return SweepResult(header=plan.header, rows=[row for chunk in chunks for row in evaluate(chunk)])
@@ -480,7 +507,9 @@ def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult
     The x grid needs at least two points, for the derivative.
     Each temperature is one :func:`run_sweep` of the pair_thermal model at
     n_p = n(T) over ``x[0].re``, observing the distance to the Gibbs state at
-    T; every plan is built before the first solve. The sign of x is a gauge
+    T; every plan is built before the first solve. n_p enters only the
+    coefficient rows, so the model's :func:`piece_systems` are built once and
+    every temperature is compiled on them, with its own self-check at its base. The sign of x is a gauge
     (e^{iπN}), so the map is even in x. Temperatures above 0.1 (units of the
     polariton quantum) are outside the model's validity; they are computed
     anyway and flagged.
@@ -500,10 +529,11 @@ def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult
     plans = [(t, SweepPlan(model=thermal_pair_spec(x=0.0, n_p=thermal_occupation(t), y=y, z=z),
                            axes=(Axis("x[0].re", xs),),
                            observables=(ObservableSpec("trace_distance_to_gibbs", T=t),))) for t in ts]
+    stacks = piece_systems("pair_thermal")
     columns = []
     for t, plan in plans:
         try:
-            columns.append(run_sweep(plan).column("d_gibbs"))
+            columns.append(run_sweep(plan, stacks).column("d_gibbs"))
         except SweepError as exc:
             raise SweepError(f"T_R = {t}: {exc}") from exc
     d = np.column_stack(columns)

@@ -142,6 +142,15 @@ def check_box(bounds: Bounds, budget: int) -> None:
             raise ValueError(f"bounds[{k}] = [{lo}, {hi}] has lower bound above upper bound")
 
 
+def at_bound(params: dict[str, float], bounds: Bounds) -> dict[str, str | None]:
+    """Per parameter, in ``bounds`` order, the end of its bound it sits on:
+    "lo", "hi" or None inside the box ("lo" for a collapsed bound). The
+    search clips its points to the box, so a parameter on a bound equals
+    that bound exactly."""
+    return {name: "lo" if value == lo else "hi" if value == hi else None
+            for (name, value), (lo, hi) in zip(params.items(), bounds, strict=True)}
+
+
 def multistart_maximize(
     bounds: Bounds,
     budget: int = 2000,

@@ -246,6 +246,16 @@ def test_optimize_cli(tmp_path):
     assert out.read_text().startswith("improvement,")
 
 
+def test_fig3_optimize_best_sits_on_the_lower_hopping_bounds(tmp_path):
+    # C keeps rising past |y| = 15, so the refined ring point is the box's
+    # lower edge in both hoppings; the middle drive is inside its box
+    out = tmp_path / "fig3_opt.csv"
+    assert main(["optimize", "--config", str(CONFIGS / "fig3_optimize.json"), "--out", str(out)]) == 0
+    summary = json.loads(summary_path(out).read_text())
+    assert summary["at_bound"] == {"x[1].re": None, "x[1].im": None, "y[0]|y[2]": "lo", "y[1]": "lo"}
+    assert summary["best_params"]["y[0]|y[2]"] == summary["best_params"]["y[1]"] == -15.0
+
+
 def test_thermal_cli(tmp_path):
     cfg = write_config(
         tmp_path,

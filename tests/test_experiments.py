@@ -38,9 +38,11 @@ from polariton_ring.experiments import (
 from polariton_ring.linalg import DensityMatrix, partial_trace
 from polariton_ring.models import (
     EFFECTIVE,
+    ROWS,
     EffectiveParams,
     MicroParams,
     ModelSpec,
+    PathSetter,
     build_model,
     coefficients,
     derive_effective,
@@ -52,7 +54,7 @@ from polariton_ring.models import (
     thermal_pair_spec,
     validation_micro_spec,
 )
-from polariton_ring.observables import concurrence, trace_distance
+from polariton_ring.observables import concurrence, thermal_occupation, trace_distance
 from polariton_ring.steady import UNIQUENESS_TOL, SteadyStateError, evolve_to_steady
 from polariton_ring.superop import assemble, vec
 
@@ -382,6 +384,95 @@ def test_grid_checked_at_base_model_before_compile(monkeypatch):
                             observables=(ObservableSpec("purity"),)))
     with pytest.raises(ValueError, match="bounds\\[0\\] endpoint \\{'Gamma\\[0\\]\\|y\\[0\\]': -1.0\\}"):
         optimize_concurrence(thermal_pair_spec(x=1.0), [("Gamma[0]", "y[0]")], [(-1.0, 2.0)], budget=5)
+
+
+def per_value_check(spec, paths, values, where="grid value"):
+    """The domain check value by value, in order: each value set on all
+    ``paths`` builds its ModelSpec. Returns the message naming the first bad
+    value, or None."""
+    setter = PathSetter(spec, paths)
+    for value in values:
+        try:
+            setter((value,) * len(paths))
+        except ValueError as exc:
+            return f"{where} {{{'|'.join(paths)!r}: {value}}}: {exc}"
+    return None
+
+
+def ends_check(spec, paths, values, where="grid value"):
+    """The package's domain check of a grid: its message, or None."""
+    try:
+        experiments._check_values(spec, paths, values, where)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def micro_on(row):
+    """A weakly coupled full model of one geometry row."""
+    n = row.n_guides
+    return ModelSpec("micro", MicroParams(n_sites=row.n_sites, J=(0.05,) * n, kappa=1.0, gamma_p=0.005,
+                                          alpha=(0.025,) * n, phi=(0.0,) * n, omega_c=(1.0,) * n,
+                                          omega_p=(1.0,) * row.n_sites, omega_d=1.0, n_boson=2))
+
+
+def edge_paths(spec):
+    """(path, edge, inclusive) of every addressable float path of ``spec``
+    whose domain has an edge. n_p of a model without pumping has the domain
+    {0}, whose lower edge is 0."""
+    if spec.model == "micro":
+        n = len(spec.params.J)
+        return ([("kappa", 0.0, False), ("gamma_p", 0.0, True), ("n_c", 0.0, True), ("n_p", 0.0, True)]
+                + [(f"{name}[{i}]", 0.0, True) for name in ("J", "alpha") for i in range(n)])
+    row = EFFECTIVE[spec.model]
+    return ([(f"Gamma[{i}]", 0.0, False) for i in range(row.n_guides)]
+            + [(f"z[{i}]", 1.0, True) for i, sites in enumerate(row.guide_sites) if len(sites) == 2]
+            + [("n_p", 0.0, True)])
+
+
+GRID_CHECK_SPECS = ([spec for spec in bundled_models().values() if spec.model in EFFECTIVE]
+                    + [micro_on(row) for row in ROWS])
+
+
+def test_grid_check_specs_cover_every_row():
+    assert {spec.model for spec in GRID_CHECK_SPECS} == set(EFFECTIVE) | {"micro"}
+    assert {spec.params.geometry.name for spec in GRID_CHECK_SPECS if spec.model == "micro"} == {
+        row.name for row in ROWS}
+
+
+@pytest.mark.parametrize("spec", GRID_CHECK_SPECS, ids=[
+    spec.model if spec.model in EFFECTIVE else f"micro-{spec.params.geometry.name}" for spec in GRID_CHECK_SPECS])
+def test_grid_check_at_the_ends_matches_the_per_value_scan(spec):
+    # every domain a path reaches is an interval in its value, so checking a
+    # grid at its two ends gives the per-value scan's verdict and message
+    pumped = spec.model == "micro" or EFFECTIVE[spec.model].thermal
+    paths = edge_paths(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # micro grids leave the weak-driving regime
+        for path, edge, inclusive in paths:
+            inside = (edge if inclusive else edge + 0.25, edge + 0.5, edge + 2.0)
+            crossing = (edge - 1.0, edge - 0.5, edge, edge + 0.5, edge + 2.0)
+            for grid in (inside, crossing, crossing[2:], (edge - 1.0,), (edge + 2.0,)):
+                assert ends_check(spec, (path,), grid) == per_value_check(spec, (path,), grid), (path, grid)
+            assert f"{{{path!r}: {edge - 1.0}}}" in ends_check(spec, (path,), crossing)
+            if path == "n_p" and not pumped:
+                # the domain {0}: the tail crosses it, and the first bad value is named
+                assert f"{{'n_p': {edge + 0.5}}}: n_p must be 0" in ends_check(spec, (path,), inside)
+            else:
+                assert ends_check(spec, (path,), inside) is None, path
+        # one value on every edge path at once: the domains' intersection, an interval too
+        group = tuple(path for path, _, _ in paths if pumped or path != "n_p")
+        for grid in ((-1.0, 0.0, 0.5, 1.0, 2.0), (0.5, 1.0, 2.0), (1.0, 2.0, 3.0)):
+            assert ends_check(spec, group, grid, "bounds[0] endpoint") == per_value_check(
+                spec, group, grid, "bounds[0] endpoint"), grid
+
+
+def test_a_grid_inside_the_domain_builds_two_model_specs(monkeypatch):
+    model = fig5_pair_spec()
+    built = built_params(monkeypatch)
+    plan = SweepPlan(model=model, axes=(Axis("Gamma[1]", tuple(np.linspace(1.0, 100.0, 41))),),
+                     observables=(ObservableSpec("purity"),))
+    assert len(built) == 2 and plan.shape == (41,)
 
 
 @pytest.mark.parametrize(
@@ -837,6 +928,36 @@ def test_thermal_map_matches_per_point_solve():
         spec = thermal_pair_spec(x=x, n_p=thermal_occupation(t))
         _, rho = solve_spec(spec)
         assert abs(d - trace_distance(rho, gibbs_two_qubit(t))) <= 1e-12
+
+
+def test_thermal_map_builds_its_stacks_once_and_checks_every_temperature(monkeypatch):
+    builds, checked = [], []
+    honest_build, honest_check = experiments.piece_systems, CompiledModel._check
+
+    def build(model):
+        builds.append(model)
+        return honest_build(model)
+
+    def check(self, base):
+        checked.append(base.params.n_p)
+        honest_check(self, base)
+
+    monkeypatch.setattr(experiments, "piece_systems", build)
+    monkeypatch.setattr(CompiledModel, "_check", check)
+    ts = (0.02, 0.05, 0.08)
+    thermal_map((-1.0, 0.0, 2.0), ts)
+    assert builds == ["pair_thermal"]
+    assert checked == [thermal_occupation(t) for t in ts]
+
+
+@pytest.mark.parametrize("ts", [(0.05,), (0.0, 0.03, 0.1)], ids=["one-temperature", "three-temperatures"])
+def test_thermal_map_on_shared_stacks_equals_each_temperatures_own_sweep(ts):
+    xs = signed_x_grid(10.0, 101)  # two chunks per temperature
+    d = thermal_map(xs, ts).column("d").reshape(len(xs), len(ts))
+    for j, t in enumerate(ts):
+        plan = SweepPlan(model=thermal_pair_spec(x=0.0, n_p=thermal_occupation(t)), axes=(Axis("x[0].re", xs),),
+                         observables=(ObservableSpec("trace_distance_to_gibbs", T=t),))
+        assert np.array_equal(d[:, j], run_sweep(plan).column("d_gibbs")), t
 
 
 def test_micro_sweep_solves_each_point_directly():

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import basis_state, random_density_mat, random_hermitian
+from conftest import basis_state, random_density_mat, random_hermitian, random_unitary
 import scipy.linalg
 
 from polariton_ring.linalg import (
     LSTSQ_COND,
+    PSD_TOL,
     DensityMatrix,
     HilbertSpace,
     NonHermitianError,
     _kron,
+    _psd_proved,
     embed,
     herm_eig,
     herm_eigvals,
+    hermitize,
     kron,
     lstsq_solve,
     partial_trace,
@@ -408,3 +411,79 @@ def test_partial_trace_of_a_stack_equals_each_state(rng):
         for k, mat in enumerate(mats):
             assert np.array_equal(reduced.mat[k], partial_trace(DensityMatrix(space, mat), keep).mat)
 
+
+
+# --- the positivity test -----------------------------------------------------------
+
+
+def eigenvalue_rule(mat):
+    """The PSD verdict from the eigenvalues alone: the message naming the
+    first state with an eigenvalue below −PSD_TOL, or None."""
+    lo = np.linalg.eigvalsh(hermitize(mat)).min(axis=-1)
+    if lo.min() >= -PSD_TOL:
+        return None
+    if mat.ndim == 2:
+        return f"state has negative eigenvalue {lo:.2e}"
+    k = int(np.argmax(lo < -PSD_TOL))
+    return f"state {k} has negative eigenvalue {lo[k]:.2e}"
+
+
+def verdict(mat):
+    """DensityMatrix's verdict on ``mat``: its message, or None."""
+    d = mat.shape[-1]
+    try:
+        DensityMatrix(HilbertSpace((d,)), mat)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def state_with_min_eigenvalue(rng, d, lam):
+    """A unit-trace Hermitian d×d matrix in a random basis whose smallest eigenvalue is ``lam``."""
+    w = rng.uniform(0.1, 1.0, d)
+    w[0] = 0.0
+    w *= (1.0 - lam) / w.sum()
+    w[0] = lam
+    u = random_unitary(rng, d)
+    return hermitize((u * w) @ u.conj().T)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 12, 16])
+def test_rank_one_states_are_proved_psd_by_cholesky(rng, d):
+    psi = rng.normal(size=(64, d)) + 1j * rng.normal(size=(64, d))
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    mats = psi[:, :, None] * psi[:, None, :].conj()
+    assert _psd_proved(hermitize(mats))
+    assert verdict(mats) is None and eigenvalue_rule(mats) is None
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+@pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6, 2.0, 0.75, 0.6, 0.5, 0.25, 0.0, -1e-3],
+                         ids=lambda s: f"{-s}tol")
+def test_psd_verdict_is_the_eigenvalue_rule_near_the_tolerance(rng, d, scale):
+    mat = state_with_min_eigenvalue(rng, d, -scale * PSD_TOL)
+    assert verdict(mat) == eigenvalue_rule(mat)
+    assert (verdict(mat) is None) == (scale < 1.0)
+    if scale > 0.5:
+        assert not _psd_proved(mat)  # cholesky proves only eigenvalues above −PSD_TOL/2
+    if scale < 0.25:
+        assert _psd_proved(mat)
+
+
+def test_half_the_tolerance_is_left_to_the_eigenvalue_rule():
+    # λ_min = −PSD_TOL/2 exactly: the shifted matrix is singular, so cholesky
+    # cannot prove it, and the eigenvalue rule accepts it
+    mat = np.diag([1.0 + PSD_TOL / 2, -PSD_TOL / 2, 0.0, 0.0]).astype(complex)
+    assert not _psd_proved(mat)
+    assert verdict(mat) is None and eigenvalue_rule(mat) is None
+
+
+@pytest.mark.parametrize("bad", [[37], [5, 37], [63]], ids=["one", "first-of-two", "last"])
+def test_stack_with_a_bad_state_names_it_as_the_eigenvalue_rule_does(rng, bad):
+    mats = np.array([random_density_mat(rng, 4) for _ in range(64)])
+    assert _psd_proved(mats) and verdict(mats) is None
+    for k in bad:
+        mats[k] = state_with_min_eigenvalue(rng, 4, -2 * PSD_TOL)
+    message = verdict(mats)
+    assert message == eigenvalue_rule(mats)
+    assert message.startswith(f"state {bad[0]} has negative eigenvalue -2.00e-08")

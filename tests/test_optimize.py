@@ -8,7 +8,7 @@ import pytest
 from conftest import lockstep_maximize, sequential_maximize
 from polariton_ring.experiments import ObservableSpec, optimize_concurrence, point_evaluator
 from polariton_ring.models import model_spec_from_json
-from polariton_ring.optimize import corner_starts, drive, multistart_maximize, nelder_mead
+from polariton_ring.optimize import at_bound, corner_starts, drive, multistart_maximize, nelder_mead
 
 FIG3_OPTIMIZE = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig3_optimize.json").read_text())
 
@@ -172,3 +172,11 @@ def test_lockstep_matches_sequential_on_fig3_optimize(theta):
     if theta == 0.0:
         assert report.evaluations == 694
         assert report.best_value == 0.4173338219281681
+
+
+def test_at_bound_names_the_end_each_parameter_sits_on():
+    bounds = [(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (2.0, 2.0)]
+    assert at_bound({"a": -1.0, "b": 1.0, "c": 0.5, "d": 2.0}, bounds) == {"a": "lo", "b": "hi", "c": None, "d": "lo"}
+    # the search clips its points to the box, so a best pushed out of it lands on the bound exactly
+    report = lockstep_maximize(lambda x: float(x[1] - x[0] - (x[2] - 0.3) ** 2), [(-2.0, 3.0)] * 3, budget=400)
+    assert at_bound(report.best_params, [(-2.0, 3.0)] * 3) == {"p0": "lo", "p1": "hi", "p2": None}
