@@ -360,9 +360,10 @@ class CompiledModel:
         return steady_state_restricted(self.space, m, r, liouvillian, fallback)
 
 
-# Points of a sweep evaluated together, in row order; 64 keeps a chunk's
-# stacks small (the ring's M stack is 2 MB).
-CHUNK = 64
+# Points of a sweep evaluated together, in row order. 256 pays a chunk's fixed
+# cost (stacked eigh, positivity proof, observables, rows) 4x less often than
+# 64, and larger chunks gained nothing; the ring's M stack is then 8 MB.
+CHUNK = 256
 
 
 def point_evaluator(base: ModelSpec, groups, observables, label: str, stacks=None):

@@ -13,8 +13,9 @@ import numpy as np
 
 from .linalg import DensityMatrix, HilbertSpace, herm_eigvals, psd_sqrt
 
-_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# σ_y⊗σ_y is anti-diagonal with signs s = (−1, 1, 1, −1), so
+# (σ_y⊗σ_y) A (σ_y⊗σ_y) is A reversed in both indices, times s sᵀ
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
 def _check_temperature(T: float) -> None:
@@ -25,6 +26,14 @@ def _check_temperature(T: float) -> None:
 def _value(x):
     """A float for a single state, the array itself for a stack."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def _spin_flip(mat: np.ndarray) -> np.ndarray:
+    """ρ̃ = (σ_y⊗σ_y) ρ* (σ_y⊗σ_y) of a two-qubit matrix or (B, 4, 4) stack,
+    as a sign mask on the reversed conjugate instead of two products. The
+    + 0.0 turns a −0 into +0, as the products' sums do, so ρ̃ keeps their
+    bits."""
+    return _FLIP_SIGNS * mat[..., ::-1, ::-1].conj() + 0.0
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
@@ -41,7 +50,7 @@ def concurrence(rho: DensityMatrix) -> float | np.ndarray:
     are used: √ρ via psd_sqrt, then the eigenvalues of the Hermitian product.
     """
     _require_two_qubits(rho)
-    rho_t = _YY @ rho.mat.conj() @ _YY
+    rho_t = _spin_flip(rho.mat)
     s = psd_sqrt(rho.mat)
     w = herm_eigvals(s @ rho_t @ s)  # checked Hermitian, then hermitized, by herm_eigvals
     lam0, lam1, lam2, lam3 = np.sqrt(np.clip(w, 0.0, None)).T  # ascending

@@ -847,7 +847,7 @@ def test_compiled_points_build_no_model_spec(monkeypatch):
     groups = [(g,) if isinstance(g, str) else tuple(g) for g in config["free"]]
     batch = point_evaluator(model_spec_from_json(config["model"]), groups,
                             (ObservableSpec("concurrence", sites=(1, 2)),), "parameters")
-    chunk = list(itertools.product(np.linspace(0.0, 2 * np.pi, 8), repeat=2))
+    chunk = list(itertools.product(np.linspace(0.0, 2 * np.pi, 16), repeat=2))  # one full chunk
     starts = np.random.default_rng(2).uniform(-5.0, 5.0, (9, len(groups)))
     second = apply_path(apply_path(fig5_pair_spec(), "x[0].phase", chunk[1][0]), "x[2].phase", chunk[1][1])
     built = built_params(monkeypatch)
@@ -880,7 +880,7 @@ def test_a_compiled_chunk_checks_its_states_once(monkeypatch):
         honest(self)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", spy)
-    rows = sweep(list(itertools.product(np.linspace(0.0, 2 * np.pi, 8), repeat=2)))
+    rows = sweep(list(itertools.product(np.linspace(0.0, 2 * np.pi, 16), repeat=2)))
     assert len(rows) == CHUNK
     assert checked == [(CHUNK, 4, 4)]
 
@@ -1015,16 +1015,16 @@ def stacked_plans():
     """Ring, pair and thermal grids; each is longer than one chunk and not a
     multiple of it, so that the last chunk is a partial one."""
     ring = SweepPlan(model=fig3_ring_spec(),
-                     axes=(Axis("x[0].phase", tuple(np.linspace(0.0, 2 * np.pi, 9))),
-                           Axis("x[1].re", tuple(np.linspace(-0.5, 0.5, 8)))),
+                     axes=(Axis("x[0].phase", tuple(np.linspace(0.0, 2 * np.pi, 17))),
+                           Axis("x[1].re", tuple(np.linspace(-0.5, 0.5, 17)))),
                      observables=(ObservableSpec("concurrence", sites=(1, 2)), ObservableSpec("population", sites=(0,)),
                                   ObservableSpec("purity", sites=(1,))))
     pair = SweepPlan(model=fig5_pair_spec(),
-                     axes=(Axis("x[0].phase", tuple(np.linspace(0.0, 2 * np.pi, 13))),
-                           Axis("x[2].phase", tuple(np.linspace(0.0, 2 * np.pi, 11)))),
+                     axes=(Axis("x[0].phase", tuple(np.linspace(0.0, 2 * np.pi, 19))),
+                           Axis("x[2].phase", tuple(np.linspace(0.0, 2 * np.pi, 17)))),
                      observables=(ObservableSpec("concurrence", sites=(0, 1)), ObservableSpec("purity")))
     thermal = SweepPlan(model=thermal_pair_spec(x=0.0, n_p=0.05),
-                        axes=(Axis("x[0].re", tuple(np.linspace(-10.0, 10.0, 101))),),
+                        axes=(Axis("x[0].re", tuple(np.linspace(-10.0, 10.0, 301))),),
                         observables=(ObservableSpec("trace_distance_to_gibbs", T=0.05),
                                      ObservableSpec("concurrence", sites=(0, 1))))
     return {"ring": ring, "pair": pair, "thermal": thermal}
@@ -1038,6 +1038,18 @@ def test_chunked_sweep_equals_point_by_point(name):
     evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point")
     # each point as a chunk of one, against the chunks of run_sweep: bit for bit
     assert run_sweep(plan).rows == [evaluate([point])[0] for point in points]
+
+
+@pytest.mark.parametrize("name", ["ring", "pair", "thermal"])
+def test_sweep_rows_do_not_depend_on_the_chunk_size(name, monkeypatch):
+    # chunks of one, of an odd 7, of the old 64 and of 256: the same rows, bit
+    # for bit
+    plan = stacked_plans()[name]
+    runs = []
+    for size in (1, 7, 64, 256):
+        monkeypatch.setattr(experiments, "CHUNK", size)
+        runs.append(run_sweep(plan).rows)
+    assert all(rows == runs[0] for rows in runs[1:])
 
 
 def test_failing_point_in_a_chunk_is_named():

@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import random_density_mat, random_unitary
+from conftest import phase_grid, random_density_mat, random_unitary
+from polariton_ring.experiments import CompiledModel
 from polariton_ring.linalg import DensityMatrix, HilbertSpace, kron, partial_trace
+from polariton_ring.models import PathSetter, fig5_pair_spec
 from polariton_ring.observables import (
+    _spin_flip,
     concurrence,
     gibbs_two_qubit,
     population,
@@ -25,11 +30,16 @@ def bell():
     return state(np.outer(v, v))
 
 
+def spin_flip_by_products(mat):
+    """(σ_y⊗σ_y) ρ* (σ_y⊗σ_y) as the two matrix products."""
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    yy = np.kron(sy, sy)
+    return yy @ mat.conj() @ yy
+
+
 def concurrence_oracle(rho_mat):
     """Independent implementation via the non-Hermitian product rho @ rho_tilde."""
-    sy = np.array([[0, -1j], [1j, 0]])
-    yy = np.kron(sy, sy)
-    rho_t = yy @ rho_mat.conj() @ yy
+    rho_t = spin_flip_by_products(rho_mat)
     evals = np.linalg.eigvals(rho_mat @ rho_t)
     lam = np.sqrt(np.abs(np.sort(evals.real)))[::-1]
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
@@ -68,6 +78,23 @@ def test_concurrence_matches_independent_oracle(rng):
     for _ in range(200):
         rho = random_density_mat(rng, 4)
         assert concurrence(state(rho)) == pytest.approx(concurrence_oracle(rho), abs=1e-8)
+
+
+def test_spin_flip_keeps_the_bits_of_the_products(rng):
+    # random states one at a time and as a stack, states with exact zeros, and
+    # the fig5 grid's states as its sweep solves them (one of them has an
+    # entry whose imaginary part is +0, which a bare sign mask turns into -0)
+    singles = [random_density_mat(rng, 4) for _ in range(200)]
+    singles += [bell().mat, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), np.eye(4, dtype=complex) / 4]
+    for mat in singles:
+        assert _spin_flip(mat).tobytes() == spin_flip_by_products(mat).tobytes()
+    stack = np.array(singles)
+    assert _spin_flip(stack).tobytes() == spin_flip_by_products(stack).tobytes()
+    base = fig5_pair_spec()
+    setter = PathSetter(base, ["x[0].phase", "x[2].phase"])
+    values = np.array(list(itertools.product(phase_grid(41), repeat=2)))
+    fig5 = CompiledModel(base).solve(setter.rows(values), lambda k: setter(values[k])).rho.mat
+    assert _spin_flip(fig5).tobytes() == spin_flip_by_products(fig5).tobytes()
 
 
 def test_concurrence_needs_two_qubits(rng):
