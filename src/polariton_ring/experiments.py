@@ -361,7 +361,7 @@ class CompiledModel:
 
 
 # Points of a sweep evaluated together, in row order. 256 pays a chunk's fixed
-# cost (stacked eigh, positivity proof, observables, rows) 4x less often than
+# cost (stacked eigvalsh, positivity proof, observables, rows) 4x less often than
 # 64, and larger chunks gained nothing; the ring's M stack is then 8 MB.
 CHUNK = 256
 

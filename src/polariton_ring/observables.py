@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, HilbertSpace, herm_eigvals, psd_sqrt
+from .linalg import DensityMatrix, HilbertSpace, herm_eig, herm_eigvals
 
 # σ_y⊗σ_y is anti-diagonal with signs s = (−1, 1, 1, −1), so
 # (σ_y⊗σ_y) A (σ_y⊗σ_y) is A reversed in both indices, times s sᵀ
@@ -41,18 +41,35 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         raise ValueError(f"need a two-qubit state, got factors {rho.space.factor_dims}")
 
 
+def _factor(mat: np.ndarray) -> np.ndarray:
+    """A factor F with F F† = ρ of a state, or of each state of a stack: the
+    Cholesky factor, one call for the whole stack. Where that call fails, each
+    state is factored alone, so that its F does not depend on its stack: by
+    Cholesky if ρ is positive definite, else as V·√W from its
+    eigendecomposition ρ = V W V†, with W clamped at zero (a DensityMatrix
+    holds eigenvalues down to −PSD_TOL)."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        if mat.ndim == 3:
+            return np.array([_factor(m) for m in mat])
+        w, v = herm_eig(mat)
+        return v * np.sqrt(np.clip(w, 0.0, None))
+
+
 def concurrence(rho: DensityMatrix) -> float | np.ndarray:
     """Wootters concurrence of a two-qubit state.
 
-    C = max(0, λ₁−λ₂−λ₃−λ₄) with λᵢ the descending eigenvalues of
-    √(√ρ ρ̃ √ρ), ρ̃ = (σ_y⊗σ_y) ρ* (σ_y⊗σ_y). The conjugate is taken in the
-    computational (excitation-number) basis. Only Hermitian decompositions
-    are used: √ρ via psd_sqrt, then the eigenvalues of the Hermitian product.
+    C = max(0, λ₁−λ₂−λ₃−λ₄) with λᵢ the descending square roots of the
+    eigenvalues of ρ ρ̃, ρ̃ = (σ_y⊗σ_y) ρ* (σ_y⊗σ_y). The conjugate is taken
+    in the computational (excitation-number) basis. For any F with
+    F F† = ρ (:func:`_factor`), ρ ρ̃ = F (F† ρ̃) has the eigenvalues of the
+    Hermitian F† ρ̃ F, which are the ones computed.
     """
     _require_two_qubits(rho)
     rho_t = _spin_flip(rho.mat)
-    s = psd_sqrt(rho.mat)
-    w = herm_eigvals(s @ rho_t @ s)  # checked Hermitian, then hermitized, by herm_eigvals
+    f = _factor(rho.mat)
+    w = herm_eigvals(f.conj().swapaxes(-1, -2) @ rho_t @ f)  # checked Hermitian, then hermitized
     lam0, lam1, lam2, lam3 = np.sqrt(np.clip(w, 0.0, None)).T  # ascending
     return _value(np.maximum(0.0, lam3 - lam2 - lam1 - lam0))
 

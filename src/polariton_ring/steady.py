@@ -175,10 +175,13 @@ def _certified_unique(bound: float) -> bool:
 def _states(m: np.ndarray, r: np.ndarray, c: np.ndarray,
             norm: Callable[[int], float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The checked states of a stack of B generators from their trace-zero
-    systems (M, r) and Hermitian-basis coordinates c (B, n): per state,
-    eigenvalues within CLAMP_TOL below zero are clamped and ρ renormalized,
-    and the residual ‖M·y′ − r‖ (y′ the :func:`_trace_zero_coordinates` of
-    the clamped ρ; this is ‖L vec ρ‖, as L maps into that subspace) must stay
+    systems (M, r) and Hermitian-basis coordinates c (B, n): per state, the
+    Hermitian matrix of c, divided by its trace. Only its eigenvalues are
+    computed, unless one is negative: such a state (its eigenvalues all above
+    −CLAMP_TOL, or SteadyStateError) is rebuilt from its eigendecomposition
+    with the negative eigenvalues set to zero before the division. The
+    residual ‖M·y′ − r‖ (y′ the :func:`_trace_zero_coordinates` of the
+    clamped ρ; this is ‖L vec ρ‖, as L maps into that subspace) must stay
     below RESIDUAL_TOL·max(norm(k), 1), norm(k) being the k-th ‖L‖_∞, asked
     only for a residual above RESIDUAL_TOL. A ρ that is not finite (its trace
     overflowed, or was 0) raises SteadyStateError. Returns the states (B, d, d),
@@ -186,15 +189,17 @@ def _states(m: np.ndarray, r: np.ndarray, c: np.ndarray,
     matrix product is one call per point, so a point's numbers do not
     depend on the stack it is in."""
     d = round(c.shape[1] ** 0.5)
-    w, v = np.linalg.eigh(_from_real(c, d))
-    min_eig = w.min(axis=1)
+    rho = _from_real(c, d)
+    min_eig = np.linalg.eigvalsh(rho).min(axis=1)
     if min_eig.min() < -CLAMP_TOL:
         raise SteadyStateError(
             f"steady state has eigenvalue {min_eig.min():.2e} below clamp tolerance; "
             "the generator is not completely positive"
         )
-    w = np.clip(w, 0.0, None)
-    rho = hermitize((v * w[:, None, :]) @ v.conj().swapaxes(1, 2))
+    clamped = min_eig < 0
+    if clamped.any():  # only these need their eigenvectors
+        w, v = np.linalg.eigh(rho[clamped])
+        rho[clamped] = hermitize((v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero or non-finite trace leaves ρ non-finite
         rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
     if not np.isfinite(rho).all():
@@ -213,11 +218,12 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
 
     Works in the orthonormal Hermitian basis (:func:`_real_form`), where a
     Lindblad generator is a real matrix L_r: solves the stacked real system
-    [L_r; t]·c = [0; 1] (t the trace row) by least squares, rebuilds ρ from c,
-    clamps eigenvalues within −1e-8 of zero and renormalizes. L is checked to
-    be trace preserving (AssemblyError), since the residual, on (M, r) of
-    :func:`trace_zero_system`, cannot see its trace row. Uniqueness is
-    decided by the rule of :func:`steady_state_restricted`:
+    [L_r; t]·c = [0; 1] (t the trace row) by least squares, rebuilds ρ from c
+    and renormalizes it; only a ρ with an eigenvalue in (−1e-8, 0) is
+    eigendecomposed, to clamp that eigenvalue to zero (:func:`_states`). L
+    is checked to be trace preserving (AssemblyError), since the residual,
+    on (M, r) of :func:`trace_zero_system`, cannot see its trace row.
+    Uniqueness is decided by the rule of :func:`steady_state_restricted`:
     σ_min(M) > UNIQUENESS_TOL·σ_max(M) for the trace-zero restriction M,
     certified by the LU bound where M is well conditioned and decided by the
     singular values of M everywhere else. A non-unique report carries

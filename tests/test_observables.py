@@ -5,7 +5,7 @@ import pytest
 
 from conftest import phase_grid, random_density_mat, random_unitary
 from polariton_ring.experiments import CompiledModel
-from polariton_ring.linalg import DensityMatrix, HilbertSpace, kron, partial_trace
+from polariton_ring.linalg import DensityMatrix, HilbertSpace, hermitize, kron, partial_trace, psd_sqrt
 from polariton_ring.models import PathSetter, fig5_pair_spec
 from polariton_ring.observables import (
     _spin_flip,
@@ -78,6 +78,73 @@ def test_concurrence_matches_independent_oracle(rng):
     for _ in range(200):
         rho = random_density_mat(rng, 4)
         assert concurrence(state(rho)) == pytest.approx(concurrence_oracle(rho), abs=1e-8)
+
+
+def concurrence_by_square_root(rho_mat):
+    """Wootters' formula through √ρ: the eigenvalues of the Hermitian √ρ ρ̃ √ρ."""
+    s = psd_sqrt(rho_mat)
+    w = np.linalg.eigvalsh(hermitize(s @ spin_flip_by_products(rho_mat) @ s))
+    lam = np.sqrt(np.clip(w, 0.0, None))
+    return max(0.0, lam[3] - lam[2] - lam[1] - lam[0])
+
+
+def random_rank_mat(rng, rank):
+    """A random two-qubit density matrix of the given rank."""
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_factor_concurrence_equals_the_square_root_formula(rng):
+    # full-rank states take the Cholesky factor, one by one and as a stack
+    mats = np.array([random_density_mat(rng, 4) for _ in range(300)])
+    np.linalg.cholesky(mats)
+    want = np.array([concurrence_by_square_root(m) for m in mats])
+    singles = np.array([concurrence(state(m)) for m in mats])
+    assert np.abs(singles - want).max() <= 1e-12
+    assert np.abs(concurrence(state(mats)) - want).max() <= 1e-12
+    assert (want > 0).sum() > 10  # not only separable states
+
+
+def test_concurrence_of_singular_states(rng):
+    # Bell and product states have no Cholesky factor and take the
+    # eigendecomposition's; the Werner state at p = 1/3 (full rank) sits on
+    # the separability boundary
+    product = state(np.diag([0.0, 1.0, 0.0, 0.0]))
+    for rho in (bell(), product):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(rho.mat)
+    assert concurrence(bell()) == pytest.approx(1.0, abs=1e-12)
+    assert concurrence(product) == 0.0
+    werner = state(bell().mat / 3 + (2 / 3) * np.eye(4) / 4)
+    assert concurrence(werner) == pytest.approx(0.0, abs=1e-12)
+    for rank in (1, 2, 3):
+        for _ in range(50):
+            rho = random_rank_mat(rng, rank)
+            assert concurrence(state(rho)) == pytest.approx(concurrence_by_square_root(rho), abs=1e-7)
+
+
+def test_concurrence_of_a_state_does_not_depend_on_its_stack(rng):
+    # a stack with singular states is factored state by state, each as it
+    # would be alone; a stack of full-rank states in one call
+    full = [random_density_mat(rng, 4) for _ in range(40)]
+    singular = [bell().mat, np.diag([1.0, 0, 0, 0]).astype(complex)]
+    singular += [random_rank_mat(rng, rank) for rank in (1, 2, 3) for _ in range(4)]
+    mixed = full[:20] + singular
+    rng.shuffle(mixed)
+    for mats in (full, mixed):
+        alone = np.array([concurrence(state(m)) for m in mats])
+        assert concurrence(state(np.array(mats))).tobytes() == alone.tobytes()
+
+
+def test_concurrence_takes_every_state_a_density_matrix_accepts(rng):
+    # an eigenvalue in (−PSD_TOL, −HERM_TOL) passes DensityMatrix's check;
+    # concurrence clamps it as the solver's states are clamped
+    u = random_unitary(rng, 4)
+    rho = state((u * [-5e-9, 0.2, 0.3, 0.5 + 5e-9]) @ u.conj().T)
+    clamped = state((u * [0.0, 0.2, 0.3, 0.5]) @ u.conj().T)
+    purity(rho)
+    assert concurrence(rho) == pytest.approx(concurrence_by_square_root(clamped.mat), abs=1e-7)
 
 
 def test_spin_flip_keeps_the_bits_of_the_products(rng):

@@ -171,7 +171,7 @@ def test_lockstep_matches_sequential_on_fig3_optimize(theta):
     assert report == sequential_maximize(lambda x: evaluate([x])[0][-1], bounds, budget, names)
     if theta == 0.0:
         assert report.evaluations == 694
-        assert report.best_value == 0.4173338219281681
+        assert report.best_value == 0.4173338219281675
 
 
 def test_at_bound_names_the_end_each_parameter_sits_on():

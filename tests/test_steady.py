@@ -6,10 +6,11 @@ from hypothesis import example, given, strategies as st
 
 from conftest import basis_state, bundled_models, random_hermitian
 from polariton_ring import steady
-from polariton_ring.linalg import HilbertSpace, embed, hermitize
+from polariton_ring.linalg import DensityMatrix, HilbertSpace, embed, hermitize
 from polariton_ring.models import SIGMA_MINUS, EffectiveParams, ModelSpec, build_model
 from polariton_ring.observables import trace_distance
 from polariton_ring.steady import (
+    CLAMP_TOL,
     UNIQUENESS_TOL,
     SteadyStateError,
     _from_real,
@@ -333,6 +334,46 @@ def test_states_of_a_point_do_not_depend_on_its_stack(rng, d):
         for got, want in zip(alone, stacked):
             assert got.tobytes() == want[k:k + 1].tobytes()
         assert _trace_zero_coordinates(alone[0]).tobytes() == y[k:k + 1].tobytes()
+
+
+def coordinates_of_spectra(rng, spectra):
+    """Hermitian-basis coordinates of U·diag(λ)·U†, one random U per spectrum λ."""
+    d = len(spectra[0])
+    mats = []
+    for lam in spectra:
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        mats.append((u * lam) @ u.conj().T)
+    return np.array([(hermitian_basis(d).conj().T @ vec(a)).real for a in mats])
+
+
+def test_states_clamp_only_states_with_a_negative_eigenvalue(rng):
+    # the system's M and r are zero, so every residual is 0: only the clamp acts
+    d = 4
+    spectra = [[-0.5 * CLAMP_TOL, 0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4], [-1e-12, 1e-3, 0.4, 0.599],
+               [0.25, 0.25, 0.25, 0.25], [-0.9 * CLAMP_TOL, 0.0, 0.5, 0.5], [1e-9, 0.2, 0.3, 0.5]]
+    c = coordinates_of_spectra(rng, spectra)
+    raw = _from_real(c, d)
+    w = np.linalg.eigvalsh(raw)
+    clamped = w[:, 0] < 0
+    assert clamped.tolist() == [True, False, True, False, True, False]
+    zeros = np.zeros((len(c), d * d - 1))
+    m = np.zeros((len(c), d * d - 1, d * d - 1))
+    rho, min_eig, residual = _states(m, zeros, c, lambda _: 1.0)
+    assert min_eig.tobytes() == w.min(axis=1).tobytes()
+    assert not residual.any()
+    for k in range(len(c)):  # clamped or not, a state does not depend on its stack
+        alone = _states(m[k:k + 1], zeros[k:k + 1], c[k:k + 1], lambda _: 1.0)
+        for got, want in zip(alone, (rho, min_eig, residual)):
+            assert got.tobytes() == want[k:k + 1].tobytes()
+    kept = raw[~clamped] / raw[~clamped].trace(axis1=1, axis2=2).real[:, None, None]
+    assert rho[~clamped].tobytes() == kept.tobytes()
+    DensityMatrix(HilbertSpace((d,)), rho)
+    assert np.linalg.eigvalsh(rho[clamped]).min() >= -1e-15
+    assert np.abs(rho[clamped].trace(axis1=1, axis2=2) - 1.0).max() <= 1e-15
+    assert np.abs(rho[clamped] - raw[clamped]).max() <= 2 * CLAMP_TOL
+    c_bad = coordinates_of_spectra(rng, [[-2 * CLAMP_TOL, 0.2, 0.3, 0.5]])
+    with pytest.raises(SteadyStateError, match="clamp tolerance"):
+        _states(m[:2], zeros[:2], np.concatenate([c[1:2], c_bad]), lambda _: 1.0)
 
 
 def test_hermitian_basis_cache_is_quadratic():
