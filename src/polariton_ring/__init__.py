@@ -12,7 +12,6 @@ from .linalg import (
     kron,
     lstsq_solve,
     partial_trace,
-    psd_sqrt,
 )
 from .superop import (
     AssemblyError,

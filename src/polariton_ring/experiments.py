@@ -40,7 +40,10 @@ from .optimize import OptimizeReport, check_box, drive, multistart_maximize
 from .steady import (
     SteadyStateError,
     SteadyStateReport,
+    _certified_unique,
+    _real_restriction,
     evolve_to_steady,  # unused here: bench/tracing.py wraps experiments.evolve_to_steady by name
+    lstsq_state,
     steady_state_on,
     steady_state_restricted,
     trace_zero_system,
@@ -289,16 +292,19 @@ class CompiledModel:
     coefficient rows, for M and r, and :func:`steady_state_restricted`: per
     point, one LU of M solves and certifies. Only a singular M, or a bound
     that does not certify, has its point's L formed, by the one builder
-    ``assemble(*build_model(spec)[1:])``, and handed alone to the unchanged
+    ``assemble(*build_model(spec)[1:])``, and handed alone to
     :func:`steady_state_on`, so that such a point is solved as
     :func:`solve_spec` solves it.
 
     The compile checks itself at ``base``, on shared stacks too: the
-    contracted (M, r) must match
-    :func:`trace_zero_system` of ``assemble(*build_model(base)[1:])`` to
-    COMPILE_TOL, and, where ``steady_state_on`` finds a unique steady state on
-    that assembled L, the compiled solve must reproduce its ρ to
-    COMPILE_RHO_TOL; otherwise it raises CompileError.
+    contracted (M, r) must match the trace-zero system of
+    ``assemble(*build_model(base)[1:])`` to COMPILE_TOL; the compiled solve
+    must succeed where ``steady_state_on`` finds a unique steady state on that
+    assembled L; and where the compiled bound certifies, its ρ must match, to
+    COMPILE_RHO_TOL, the reference that shares neither the restriction nor
+    the LU: :func:`steady.lstsq_state`, least squares on the unrestricted
+    system, from the L_r that the (M, r) check forms. Otherwise it raises
+    CompileError. This is the only least-squares solve left, one per compile.
     """
 
     def __init__(self, base: ModelSpec, stacks: tuple[np.ndarray, np.ndarray] | None = None):
@@ -309,24 +315,31 @@ class CompiledModel:
 
     def _check(self, base: ModelSpec) -> None:
         expected = assemble(*build_model(base)[1:])
-        want_m, want_r = trace_zero_system(expected)
+        scale = expected.norm_inf()
+        lr, want_m, want_r = _real_restriction(expected, scale)
         c = coefficients(base)[None]
         (m,), (r,) = self.system(c)
         error = max(float(np.abs(m - want_m).max()), float(np.abs(r - want_r).max()))
-        if error > COMPILE_TOL * max(expected.norm_inf(), 1.0):
+        if error > COMPILE_TOL * max(scale, 1.0):
             raise CompileError(f"compiled {base.model} trace-zero system (M, r) differs from the assembled "
                                f"one's by {error:.2e}")
         try:
-            reference = steady_state_on(expected, self.space)
+            assembled = steady_state_on(expected, self.space)
         except SteadyStateError:
             return  # no steady state to compare; the point's own solve reports why
-        if not reference.unique:
+        if not assembled.unique:
             return
         try:
-            rho = self.solve(c, lambda k: base).rho.mat[0]
+            report = self.solve(c, lambda k: base)
         except SteadyStateError as exc:
             raise CompileError(f"compiled {base.model} solve fails where the assembled one succeeds: {exc}") from exc
-        error = float(np.abs(rho - reference.rho.mat).max())
+        if not _certified_unique(report.uniqueness_bound[0]):
+            return  # solved by the fallback on the assembled L: its state checks nothing of the compile
+        try:
+            reference = lstsq_state(lr, want_m, want_r, scale)
+        except SteadyStateError:
+            return  # the reference fails its own checks: nothing to compare
+        error = float(np.abs(report.rho.mat[0] - reference).max())
         if error > COMPILE_RHO_TOL:
             raise CompileError(f"compiled {base.model} steady state differs from the assembled one by {error:.2e}")
 

@@ -219,16 +219,6 @@ def herm_eigvals(a) -> np.ndarray:
     return np.linalg.eigvalsh(_checked_hermitian(a))
 
 
-def psd_sqrt(a) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, or of each matrix of a stack
-    (tiny negative eigenvalues clamped)."""
-    w, v = herm_eig(a)
-    if w.min() < -HERM_TOL:
-        raise ValueError(f"matrix not PSD: min eigenvalue {w.min():.2e}")
-    s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return hermitize(s)
-
-
 @cache
 def _gelsy(dtype: str, rows: int, cols: int, nrhs: int):
     """LAPACK ?gelsy for one dtype and system shape, with its workspace size."""

@@ -1,7 +1,9 @@
-"""Steady states of Liouvillians: the trace-constrained linear solve that
-every command uses, and exact time propagation with a spectral-gap estimate
-for its horizon, which no command calls: the tests compare the solve against
-it as an independent reference."""
+"""Steady states of Liouvillians: the solve that every command uses, one LU
+of the real trace-zero restriction per point; a least-squares solve of the
+unrestricted system (:func:`lstsq_state`), which only the compile's
+self-check runs, as its reference; and exact time propagation with a
+spectral-gap estimate for its horizon, which no command calls: the tests
+compare the solve against it as an independent reference."""
 
 from __future__ import annotations
 
@@ -144,7 +146,10 @@ def _lu_certificate(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, fl
     (getrs) and the uniqueness bound ‖M‖_F·‖M⁻¹‖_F (getri). Returns
     (None, inf) when LAPACK finds M exactly singular; the bound is inf when
     getri does. Run it with numpy's overflow and invalid-value warnings off:
-    a bound that overflows does not certify."""
+    a bound that overflows does not certify. The 0×0 M of a one-level L, which
+    LAPACK rejects, gives (empty y, inf)."""
+    if not len(m):
+        return np.zeros(0), np.inf
     lu, piv, info = _getrf(m)
     if info != 0:
         return None, np.inf
@@ -216,39 +221,40 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     """Unique steady state of a trace-preserving Liouvillian, tagged with the
     factor structure of ``space``.
 
-    Works in the orthonormal Hermitian basis (:func:`_real_form`), where a
-    Lindblad generator is a real matrix L_r: solves the stacked real system
-    [L_r; t]·c = [0; 1] (t the trace row) by least squares, rebuilds ρ from c
-    and renormalizes it; only a ρ with an eigenvalue in (−1e-8, 0) is
-    eigendecomposed, to clamp that eigenvalue to zero (:func:`_states`). L
-    is checked to be trace preserving (AssemblyError), since the residual,
-    on (M, r) of :func:`trace_zero_system`, cannot see its trace row.
-    Uniqueness is decided by the rule of :func:`steady_state_restricted`:
-    σ_min(M) > UNIQUENESS_TOL·σ_max(M) for the trace-zero restriction M,
-    certified by the LU bound where M is well conditioned and decided by the
-    singular values of M everywhere else. A non-unique report carries
-    gelsy's minimum-norm state at its numerical rank.
+    :func:`trace_zero_system` plus :func:`steady_state_restricted` on a stack
+    of one: one LU of the real trace-zero restriction M gives both the state
+    (triangular solves) and the uniqueness certificate. Where the bound does
+    not certify, one SVD of M decides uniqueness, σ_min(M) >
+    UNIQUENESS_TOL·σ_max(M) (:func:`_decided`): a unique point keeps the
+    LU's state, and a non-unique report carries the minimum-norm solution at
+    that rank rule. L is checked to be trace
+    preserving (AssemblyError), since the residual, on (M, r), cannot see its
+    trace row.
     """
-    d = l.dim
-    n = d * d
     scale = check_trace_preserving(l).norm_inf()
-    lr, m, r = _real_restriction(l, scale)
+    _, m, r = _real_restriction(l, scale)
+    rho, residual, min_eig, unique, bound = _solve_stack(space.dim, m[None], r[None], lambda _: l, None)
+    return SteadyStateReport(DensityMatrix(space, rho[0]), float(residual[0]), float(min_eig[0]),
+                             bool(unique[0]), float(bound[0]))
+
+
+def lstsq_state(lr: np.ndarray, m: np.ndarray, r: np.ndarray, scale: float) -> np.ndarray:
+    """The steady state by least squares on the unrestricted real system
+    [L_r; t]·c = [0; 1] (L_r of :func:`_real_restriction`, t the trace row),
+    rebuilt and checked by the solver's own tail (:func:`_states`, on the
+    system (M, r) of the same L and its ‖L‖_∞ ``scale``). No solve route uses
+    it: it shares neither the trace-zero basis nor the LU with them, so the
+    compile's self-check takes it as its independent reference. Raises
+    SteadyStateError as :func:`_states` does."""
+    n = len(lr)
+    d = math.isqrt(n)
     stacked = np.zeros((n + 1, n))
     stacked[:n] = lr
     stacked[n, :d] = 1.0
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     c, _ = lstsq_solve(stacked, rhs)
-
-    unique, bound = True, np.inf
-    if n > 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = _lu_certificate(m, r)[1]
-        if not _certified_unique(bound):
-            svals = np.linalg.svd(m, compute_uv=False)
-            unique = bool(svals[-1] > UNIQUENESS_TOL * max(svals[0], 1e-300))
-    rho, min_eig, residual = _states(m[None], r[None], c[None], lambda _: scale)
-    return SteadyStateReport(DensityMatrix(space, rho[0]), float(residual[0]), float(min_eig[0]), unique, bound)
+    return _states(m[None], r[None], c[None], lambda _: scale)[0][0]
 
 
 def _restricted_coordinates(ys: list[np.ndarray], d: int) -> np.ndarray:
@@ -256,6 +262,66 @@ def _restricted_coordinates(ys: list[np.ndarray], d: int) -> np.ndarray:
     y = np.array(ys)
     _, house = _hermitian_basis(d)
     return np.concatenate([(house[:, 1:] @ y[:, :d - 1, None])[..., 0] + 1.0 / d, y[:, d - 1:]], axis=1)
+
+
+def _decided(m: np.ndarray, r: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, bool]:
+    """Uniqueness of a point whose bound does not certify, by one SVD of M:
+    σ_min > UNIQUENESS_TOL·σ_max. Returns it with the point's y: the LU's
+    ``y`` where M is unique and getrf factored it, else the minimum-norm
+    solution of M·y = r over the singular values that pass that rule (where
+    M is not unique, an LU's y can be far from any state: for two qubits
+    decaying collectively, one also locally at rate 1e-11, its smallest
+    eigenvalue is −7.9e-6, against −8e-13 for the minimum-norm y). Raises
+    SteadyStateError where
+    ‖M‖_F is not finite (M has a non-finite entry, or entries beyond about
+    1e154): neither the certificate nor a residual at M's scale can be
+    formed there."""
+    if not math.isfinite(_frobenius(m)):
+        raise SteadyStateError("steady state is not finite: the norm of its trace-zero system overflows")
+    u, s, vt = np.linalg.svd(m)
+    keep = s > UNIQUENESS_TOL * max(s.max(initial=0.0), 1e-300)
+    unique = bool(keep.all())
+    if y is None or not unique:
+        y = vt[keep].T @ ((u[:, keep].T @ r) / s[keep])
+    return y, unique
+
+
+def _solve_stack(d: int, m: np.ndarray, r: np.ndarray, liouvillian: Callable[[int], Superoperator],
+                 fallback: Callable[[Superoperator], SteadyStateReport] | None):
+    """The arrays (ρ, residual, smallest eigenvalue, unique, bound) of
+    :func:`steady_state_restricted`; a point that does not certify goes to
+    ``fallback``, or, where that is None, to :func:`_decided` and the shared
+    tail."""
+    b = len(m)
+    bound, unique = np.empty(b), np.ones(b, dtype=bool)
+    solved, coords, fallen = [], [], {}
+    # once per stack, fallbacks included: a bound that overflows does not
+    # certify, and a non-finite M fails without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(b):
+            y, bound[k] = _lu_certificate(m[k], r[k])
+            if _certified_unique(bound[k]):
+                solved.append(k)
+                coords.append(y)
+            elif fallback is None:
+                y, unique[k] = _decided(m[k], r[k], y)
+                solved.append(k)
+                coords.append(y)
+            else:
+                fallen[k] = fallback(liouvillian(k))
+    rho, residual, min_eig = np.empty((b, d, d), dtype=complex), np.empty(b), np.empty(b)
+    if solved:
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = _restricted_coordinates(coords, d)
+        if not np.isfinite(c).all():  # a y that overflowed
+            raise SteadyStateError("steady state is not finite")
+        sel = solved if fallen else slice(None)  # views, not copies, when none fell back
+        rho[sel], min_eig[sel], residual[sel] = _states(
+            m[sel], r[sel], c, lambda i: liouvillian(solved[i]).norm_inf())
+    for k, report in fallen.items():
+        rho[k], residual[k], min_eig[k] = report.rho.mat, report.residual, report.min_eigenvalue
+        unique[k], bound[k] = report.unique, report.uniqueness_bound
+    return rho, residual, min_eig, unique, bound
 
 
 def steady_state_restricted(space: HilbertSpace, m: np.ndarray, r: np.ndarray,
@@ -277,28 +343,7 @@ def steady_state_restricted(space: HilbertSpace, m: np.ndarray, r: np.ndarray,
     certificate, and the ``liouvillian`` and ``fallback`` of a point that
     falls back, run with numpy's overflow and invalid-value warnings off: a
     non-finite M falls back and fails there without a warning."""
-    d = space.dim
-    b = len(m)
-    bound = np.empty(b)
-    certified, coords, fallen = [], [], {}
-    # once per stack, fallbacks included: a bound that overflows does not certify
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(b):
-            y, bound[k] = _lu_certificate(m[k], r[k])
-            if _certified_unique(bound[k]):
-                certified.append(k)
-                coords.append(y)
-            else:
-                fallen[k] = fallback(liouvillian(k))
-    rho, unique = np.empty((b, d, d), dtype=complex), np.ones(b, dtype=bool)
-    residual, min_eig = np.empty(b), np.empty(b)
-    if certified:
-        sel = certified if fallen else slice(None)  # views, not copies, when none fell back
-        rho[sel], min_eig[sel], residual[sel] = _states(
-            m[sel], r[sel], _restricted_coordinates(coords, d), lambda i: liouvillian(certified[i]).norm_inf())
-    for k, report in fallen.items():
-        rho[k], residual[k], min_eig[k] = report.rho.mat, report.residual, report.min_eigenvalue
-        unique[k], bound[k] = report.unique, report.uniqueness_bound
+    rho, residual, min_eig, unique, bound = _solve_stack(space.dim, m, r, liouvillian, fallback)
     return SteadyStateReport(DensityMatrix(space, rho), residual, min_eig, unique, bound)
 
 

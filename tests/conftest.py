@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from polariton_ring.experiments import Axis, ObservableSpec, SweepPlan
-from polariton_ring.linalg import DensityMatrix, herm_defect, hermitize
+from polariton_ring.linalg import HERM_TOL, DensityMatrix, herm_defect, herm_eig, hermitize
 from polariton_ring.models import (
     MicroParams,
     ModelSpec,
@@ -50,6 +50,18 @@ def basis_state(space, index=0):
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     mat[index, index] = 1.0
     return DensityMatrix(space, mat)
+
+
+def psd_sqrt(a) -> np.ndarray:
+    """Hermitian square root of a PSD matrix, or of each matrix of a stack
+    (tiny negative eigenvalues clamped): the √ρ reference of the tests, which
+    the package no longer forms. It raises below −HERM_TOL, a stricter rule
+    than DensityMatrix's −PSD_TOL."""
+    w, v = herm_eig(a)
+    if w.min() < -HERM_TOL:
+        raise ValueError(f"matrix not PSD: min eigenvalue {w.min():.2e}")
+    s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return hermitize(s)
 
 
 def hermiticity_defect(l, n_probes=20, seed=1234):

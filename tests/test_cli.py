@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polariton_ring import experiments
+from polariton_ring import experiments, steady
 from polariton_ring.cli import main, summary_path
 from polariton_ring.steady import UNIQUENESS_TOL
 
@@ -291,6 +291,17 @@ def test_validate_cli_fast(tmp_path):
     (dist,) = summary["distances"].values()
     assert dist <= 0.05
     assert out.read_text().startswith("j_over_kappa,distance")
+
+
+@pytest.mark.parametrize("command, config", [("solve", "solve_ring_undriven.json"), ("validate", "validate.json")])
+def test_single_point_commands_make_no_least_squares_solve(tmp_path, monkeypatch, command, config):
+    # solve and validate take each state from the LU of its trace-zero system;
+    # least squares runs only as a compile's reference, and they compile nothing
+    calls = []
+    honest = steady.lstsq_solve
+    monkeypatch.setattr(steady, "lstsq_solve", lambda *args: calls.append(args) or honest(*args))
+    assert main([command, "--config", str(CONFIGS / config), "--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("grid", [[0.0, float("nan")], [float("-inf"), 0.0]])

@@ -92,12 +92,16 @@ def test_single_point_sweep_equals_solve():
     )
     result = run_sweep(plan)
     assert len(result.rows) == 1
-    _, rho = solve_spec(apply_path(fig5_pair_spec(), "x[0].phase", np.pi))
-    # the sweep solves from the compiled LU, solve_spec by least squares. Here ρ
-    # has an eigenvalue 4e-9, and the concurrence moves by up to 4e-14 with the
-    # last bits of ρ (both states are within 1e-15 of the exact one) or with its
-    # own float evaluation, so only bit-identical routes agree to 1e-14
-    assert result.rows[0][1] == pytest.approx(concurrence(rho), abs=1e-12)
+    spec = apply_path(fig5_pair_spec(), "x[0].phase", np.pi)
+    _, rho = solve_spec(spec)
+    # both routes take ρ from an LU of (M, r): the sweep's M is contracted from
+    # the compiled pieces, solve_spec's is formed from the assembled L, and the
+    # two states differ by 6e-16 in their last bits
+    assert np.abs(solve_points(CompiledModel(spec), [spec]).rho.mat[0] - rho.mat).max() <= 5e-15
+    # here ρ has an eigenvalue 4e-9, and the concurrence moves by 3.6e-14 with
+    # those bits (2.7e-14 when solve_spec used gelsy): 1e-13 keeps a margin of
+    # 2.8; only bit-identical routes agree to 1e-14
+    assert result.rows[0][1] == pytest.approx(concurrence(rho), abs=1e-13)
 
 
 def test_sweep_shape_and_header():
@@ -659,20 +663,56 @@ def ill_conditioned_specs():
         ))
 
 
+def least_squares_state(liouv):
+    """The state of :func:`steady.lstsq_state`, gelsy on the unrestricted
+    stacked system [L_r; t]: the compile's self-check reference."""
+    lr, m, r = steady._real_restriction(liouv, liouv.norm_inf())
+    return steady.lstsq_state(lr, m, r, liouv.norm_inf())
+
+
 def test_compiled_solve_is_accurate_where_ill_conditioned():
-    # there the two routes differ by more than 1e-12, so each is measured
-    # against the exact state: on each model, the compiled route's worst error
-    # must not exceed the least-squares route's
+    # there the routes differ by more than 1e-12, so each is measured against
+    # the exact state: on each model, the compiled route's worst error must not
+    # exceed the least-squares reference's, and the single-point route, an LU
+    # of the assembled (M, r), stays within 1e-11 as well
     errors = {"pair_eff": [], "ring3_eff": []}
     for spec in ill_conditioned_specs():
-        exact = exact_steady_state(assemble(*build_model(spec)[1:]))
+        liouv = assemble(*build_model(spec)[1:])
+        exact = exact_steady_state(liouv)
         report = solve_points(_COMPILED[spec.model], [spec])
-        _, want = solve_spec(spec)
+        _, single = solve_spec(spec)
         assert report.uniqueness_bound[0] > 1e6
-        errors[spec.model].append((np.abs(report.rho.mat[0] - exact).max(), np.abs(want.mat - exact).max()))
-    for model, pairs in errors.items():
-        compiled, least_squares = np.max(pairs, axis=0)
+        errors[spec.model].append([np.abs(rho - exact).max()
+                                   for rho in (report.rho.mat[0], least_squares_state(liouv), single.mat)])
+    for model, rows in errors.items():
+        compiled, least_squares, single = np.max(rows, axis=0)
         assert compiled <= min(least_squares, 1e-11), model
+        assert single <= 1e-11, model
+
+
+def test_validate_states_are_as_accurate_as_least_squares():
+    # validate's states come from the LU of (M, r), no longer from gelsy on the
+    # stacked system. Against the 60-digit states of configs/validate.json's
+    # four models, both routes' states are within 3e-14 (asserted at 1e-13);
+    # the LU one is the closer at three of the four and 1.5x farther at the
+    # micro model of J/kappa = 0.025 (2.5e-14 against 1.7e-14). The distance
+    # that validate reports is within 5e-15 of the exact one, against 1.5e-14
+    # for gelsy's.
+    errors = []
+    for j in (0.05, 0.025):
+        micro = validation_micro_spec(j_over_kappa=j).params
+        states = []
+        for spec in (ModelSpec(micro.geometry.model, derive_effective(micro)), ModelSpec("micro", micro)):
+            liouv = assemble(*build_model(spec)[1:])
+            exact = exact_steady_state(liouv)
+            lu, gelsy = solve_spec(spec)[1].mat, least_squares_state(liouv)
+            assert max(np.abs(lu - exact).max(), np.abs(gelsy - exact).max()) <= 1e-13, (j, spec.model)
+            states.append([DensityMatrix(model_space(spec), rho) for rho in (exact, lu, gelsy)])
+        d_exact, d_lu, d_gelsy = (trace_distance(partial_trace(full, range(micro.n_sites)), eff)
+                                  for eff, full in zip(*states))
+        errors.append((abs(d_lu - d_exact), abs(d_gelsy - d_exact)))
+    lu, least_squares = np.max(errors, axis=0)
+    assert lu <= least_squares
 
 
 def full_support_specs():
@@ -781,6 +821,41 @@ def test_compiled_fallback_states_equal_solve_spec(monkeypatch):
             want, rho = solve_spec(spec)
             assert np.array_equal(report.rho.mat[k], rho.mat), model
             assert report.residual[k] == want.residual and report.uniqueness_bound[k] == want.uniqueness_bound
+
+
+def test_single_point_solve_does_not_depend_on_the_rate_unit():
+    # every coefficient of pair_thermal is Γ times one that does not depend on
+    # Γ, so its steady state does not either. Least squares on the stacked
+    # [L_r; t] lost L's rows against the trace row at Γ = 1e-300 and reported
+    # I/4 as the unique state; the LU of (M, r) keeps them
+    want = solve_spec(thermal_pair_spec(x=1.0))[1].mat
+    report, rho = solve_spec(apply_path(thermal_pair_spec(x=1.0), "Gamma[0]", 1e-300))
+    assert report.unique
+    assert np.abs(rho.mat - want).max() <= 1e-13
+
+
+def test_least_squares_runs_once_per_compile_as_its_reference(monkeypatch):
+    calls, checks = [], []
+    honest_lstsq, honest_check = steady.lstsq_solve, CompiledModel._check
+
+    def check(self, base):
+        checks.append(base)
+        honest_check(self, base)
+
+    monkeypatch.setattr(steady, "lstsq_solve", lambda *args: calls.append(args) or honest_lstsq(*args))
+    monkeypatch.setattr(CompiledModel, "_check", check)
+    # a single-point solve takes its state from the LU of (M, r)
+    solve_spec(fig3_ring_spec())
+    assert calls == [] and checks == []
+    run_sweep(small_pair_plan())  # one compile
+    thermal_map((-1.0, 0.0, 1.0), (0.02, 0.05))  # one compile per temperature
+    assert len(checks) == 3 and len(calls) == 3
+    # the dark pair: M is singular, and the SVD reports it not unique, with a
+    # finite state and no least-squares solve
+    dark = thermal_pair_spec(x=0.0, y=0.0, z=1.0)
+    report = steady.steady_state_on(assemble(*build_model(dark)[1:]), model_space(dark))
+    assert not report.unique and np.isfinite(report.rho.mat).all()
+    assert len(calls) == 3
 
 
 def test_overflowing_drive_fails_without_numpy_warnings():

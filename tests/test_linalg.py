@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import basis_state, random_density_mat, random_hermitian, random_unitary
+from conftest import basis_state, psd_sqrt, random_density_mat, random_hermitian, random_unitary
 import scipy.linalg
 
 from polariton_ring.linalg import (
@@ -23,7 +23,6 @@ from polariton_ring.linalg import (
     lstsq_solve,
     partial_trace,
     partial_trace_mat,
-    psd_sqrt,
 )
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -232,7 +231,7 @@ def test_herm_eigvals_rejects_what_herm_eig_rejects(rng):
             herm_eigvals(a)
 
 
-# --- psd_sqrt -------------------------------------------------------------------
+# --- psd_sqrt, the tests' √ρ reference (tests/conftest.py) ----------------------
 
 def test_psd_sqrt_identity():
     assert np.abs(psd_sqrt(np.eye(4)) - np.eye(4)).max() <= 1e-12

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import phase_grid, random_density_mat, random_unitary
+from conftest import phase_grid, psd_sqrt, random_density_mat, random_unitary
 from polariton_ring.experiments import CompiledModel
-from polariton_ring.linalg import DensityMatrix, HilbertSpace, hermitize, kron, partial_trace, psd_sqrt
+from polariton_ring.linalg import DensityMatrix, HilbertSpace, hermitize, kron, partial_trace
 from polariton_ring.models import PathSetter, fig5_pair_spec
 from polariton_ring.observables import (
     _spin_flip,

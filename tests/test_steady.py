@@ -416,7 +416,9 @@ def test_uniqueness_decision_equals_bare_svd(rng, monkeypatch):
     b = np.zeros((4, 4), dtype=complex)
     b[2, 3] = 1.0
     generators.append(assemble(np.diag([0.3, -0.2, 0.0, 0.0]), [DissipatorTerm(a, a, 0.5), DissipatorTerm(b, b, 0.5)]))
-    generators += [near_dark_liouvillian(eps) for eps in (1e-1, 1e-4, 1e-7, 1e-9, 1e-13, 0.0)]
+    # at eps = 1e-11 the LU's state of the non-unique M fails the clamp; the
+    # report carries the minimum-norm state instead
+    generators += [near_dark_liouvillian(eps) for eps in (1e-1, 1e-4, 1e-7, 1e-9, 1e-11, 1e-13, 0.0)]
     decisions = []
     for liouv in generators:
         report = steady_state_on(liouv, HilbertSpace((liouv.dim,)))
