@@ -8,7 +8,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .models import (
     PathSetter,
     WEAK_COUPLING_RATIO,
     build_model,
+    check_coefficients,
     check_distinct,
     check_grid_points,
     coefficients,
@@ -48,7 +48,7 @@ from .steady import (
     steady_state_restricted,
     trace_zero_system,
 )
-from .superop import Superoperator, assemble
+from .superop import assemble
 
 T_VALIDITY_MAX = 0.1  # reservoir temperatures beyond this leave the model's regime
 CSV_FORMAT = "%.12g"
@@ -231,18 +231,15 @@ class SweepResult:
         return np.array([row[idx] for row in self.rows])
 
 
-def _unique(report: SteadyStateReport, model: str) -> tuple[SteadyStateReport, DensityMatrix]:
-    if not report.unique:
-        raise SteadyStateError(f"steady state is not unique for this {model} model")
-    return report, report.rho
-
-
 def solve_spec(spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
     """Build, assemble and solve one model; returns the report and the state
     tagged with its factor structure. Raises SteadyStateError if the steady
     state is not unique."""
     space, h, terms = build_model(spec)
-    return _unique(steady_state_on(assemble(h, terms), space), spec.model)
+    report = steady_state_on(assemble(h, terms), space)
+    if not report.unique:
+        raise SteadyStateError(f"steady state is not unique for this {spec.model} model")
+    return report, report.rho
 
 
 # Largest entry of the compiled (M, r) minus the trace-zero system of the
@@ -290,11 +287,10 @@ class CompiledModel:
     that compiles one model at several bases (a thermal map) builds them
     once. A stack of points is then two contractions of their
     coefficient rows, for M and r, and :func:`steady_state_restricted`: per
-    point, one LU of M solves and certifies. Only a singular M, or a bound
-    that does not certify, has its point's L formed, by the one builder
-    ``assemble(*build_model(spec)[1:])``, and handed alone to
-    :func:`steady_state_on`, so that such a point is solved as
-    :func:`solve_spec` solves it.
+    point, one LU of M solves and certifies, and one SVD of M decides where
+    the bound does not certify, the rule of :func:`steady_state_on`. No point
+    builds a ModelSpec; a point's L is assembled from its row only for the
+    scale of a residual above RESIDUAL_TOL.
 
     The compile checks itself at ``base``, on shared stacks too: the
     contracted (M, r) must match the trace-zero system of
@@ -330,11 +326,11 @@ class CompiledModel:
         if not assembled.unique:
             return
         try:
-            report = self.solve(c, lambda k: base)
+            report = self.solve(c)
         except SteadyStateError as exc:
             raise CompileError(f"compiled {base.model} solve fails where the assembled one succeeds: {exc}") from exc
         if not _certified_unique(report.uniqueness_bound[0]):
-            return  # solved by the fallback on the assembled L: its state checks nothing of the compile
+            return  # M is too ill-conditioned for its state to hold COMPILE_RHO_TOL
         try:
             reference = lstsq_state(lr, want_m, want_r, scale)
         except SteadyStateError:
@@ -347,30 +343,28 @@ class CompiledModel:
         """The trace-zero systems (M, r) at the (B, K) coefficient rows ``c``:
         one matmul each, whose rows are the same BLAS call whatever the stack,
         so that a point's M and r do not depend on the points beside it. A
-        point whose coefficients are not finite gets a non-finite M, without a
-        numpy warning: its solve falls back and names it."""
+        product that overflows leaves a non-finite M, without a numpy warning."""
         c = c[:, None, :]
         n = self.space.dim**2
         with np.errstate(over="ignore", invalid="ignore"):
             m, r = c @ self._m_stack, c @ self._r_stack
         return m.reshape(len(c), n - 1, n - 1).swapaxes(1, 2), r[:, 0]
 
-    def solve(self, c: np.ndarray, point: Callable[[int], ModelSpec]) -> SteadyStateReport:
+    def solve(self, c: np.ndarray) -> SteadyStateReport:
         """The unique steady states at the (B, K) coefficient rows ``c``, as
-        one report over the stack. ``point(k)`` is the ModelSpec of row k,
-        asked only where row k's L must be formed: for a point that falls back
-        to :func:`steady_state_on`, or a residual above RESIDUAL_TOL. Raises
-        SteadyStateError if a point that falls back has no unique steady
-        state."""
-
-        def liouvillian(k: int) -> Superoperator:
-            return assemble(*build_model(point(k))[1:])
-
-        def fallback(l: Superoperator) -> SteadyStateReport:
-            return _unique(steady_state_on(l, self.space), self.model)[0]
-
+        one report over the stack. Raises FloatingPointError, before any
+        solve, if a row is not finite (:func:`models.check_coefficients`), and
+        SteadyStateError if a point has no unique steady state. Row k's L is
+        assembled, from its pieces, only for the scale ‖L‖_∞ of a residual
+        above RESIDUAL_TOL; it is the L of :func:`models.build_model` at that
+        point, since each row equals its ``coefficients`` bit for bit."""
+        check_coefficients(c, self.model)
+        pieces = model_pieces(self.model)
         m, r = self.system(c)
-        return steady_state_restricted(self.space, m, r, liouvillian, fallback)
+        report = steady_state_restricted(self.space, m, r, lambda k: assemble(*pieces.build(c[k])[1:]).norm_inf())
+        if not report.unique.all():
+            raise SteadyStateError(f"steady state is not unique for this {self.model} model")
+        return report
 
 
 # Points of a sweep evaluated together, in row order. 256 pays a chunk's fixed
@@ -384,11 +378,10 @@ def point_evaluator(base: ModelSpec, groups, observables, label: str, stacks=Non
     or optimizer call near ``base``: one value per group of paths, taken by
     every path of the group. Paths are parsed once (:class:`models.PathSetter`).
     An effective model is compiled once, on ``stacks`` if given (its
-    :func:`piece_systems`), and a chunk goes from its values to
-    its coefficient rows (:meth:`models.PathSetter.rows`) and is solved as one
-    stack; only a point whose L must be formed (a fallback) builds its
-    ModelSpec. ``micro`` builds one per point and is solved point by point by
-    :func:`solve_spec`. Observables see the chunk's states as one stack. One
+    :func:`piece_systems`), and a chunk goes from its values to its
+    coefficient rows (:meth:`models.PathSetter.rows`) and is solved as one
+    stack, without a ModelSpec. ``micro`` builds one per point and is solved
+    point by point by :func:`solve_spec`. Observables see the chunk's states as one stack. One
     failure rule: if anything fails in a chunk, or a row is not finite, the
     chunk is evaluated again point by point, and the first failing point
     raises SweepError naming it as ``label {group: value, ...}``."""
@@ -399,7 +392,7 @@ def point_evaluator(base: ModelSpec, groups, observables, label: str, stacks=Non
         compiled = CompiledModel(base, stacks)
 
         def states(values: np.ndarray) -> DensityMatrix:
-            return compiled.solve(setter.rows(values), lambda k: setter(values[k])).rho
+            return compiled.solve(setter.rows(values)).rho
     else:
         space = model_space(base)
 

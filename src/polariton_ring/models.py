@@ -447,9 +447,15 @@ def build_model(spec: ModelSpec) -> BuildResult:
         with np.errstate(over="ignore", invalid="ignore"):
             return _build_micro(spec.params)
     c = coefficients(spec)
-    if not np.isfinite(c).all():
-        raise FloatingPointError(f"matrix contains non-finite entries: the {spec.model} coefficients overflow")
+    check_coefficients(c, spec.model)
     return model_pieces(spec.model).build(c)
+
+
+def check_coefficients(c: np.ndarray, model: str) -> None:
+    """Raise FloatingPointError unless every coefficient of ``model`` in ``c``
+    (one row, or a stack of rows) is finite; finite parameters can overflow."""
+    if not np.isfinite(c).all():
+        raise FloatingPointError(f"matrix contains non-finite entries: the {model} coefficients overflow")
 
 
 def _field_columns(params, b: int) -> dict:

@@ -48,6 +48,8 @@ class SteadyStateReport:
     # ‖M‖_F·‖M⁻¹‖_F for the trace-zero restriction M, the uniqueness
     # certificate's bound (it certifies below 1e-2/UNIQUENESS_TOL); inf when
     # no bound was formed (LAPACK finds M singular, or L acts on one level)
+    # or a factor overflows, nan when ‖M‖_F underflows to 0 while ‖M⁻¹‖_F
+    # overflows (all rates near 1e-300); neither certifies, and the SVD decides
     uniqueness_bound: float | np.ndarray
 
 
@@ -222,18 +224,18 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     factor structure of ``space``.
 
     :func:`trace_zero_system` plus :func:`steady_state_restricted` on a stack
-    of one: one LU of the real trace-zero restriction M gives both the state
-    (triangular solves) and the uniqueness certificate. Where the bound does
-    not certify, one SVD of M decides uniqueness, σ_min(M) >
+    of one. One LU of the real trace-zero restriction M gives both the state
+    c = c_I + B_r·M⁻¹r (triangular solves) and the uniqueness certificate
+    ‖M‖_F·‖M⁻¹‖_F (:func:`_lu_certificate`). Where the bound does not
+    certify, one SVD of M decides uniqueness, σ_min(M) >
     UNIQUENESS_TOL·σ_max(M) (:func:`_decided`): a unique point keeps the
     LU's state, and a non-unique report carries the minimum-norm solution at
-    that rank rule. L is checked to be trace
-    preserving (AssemblyError), since the residual, on (M, r), cannot see its
-    trace row.
+    that rank rule. L is checked to be trace preserving (AssemblyError),
+    since the residual, on (M, r), cannot see its trace row.
     """
     scale = check_trace_preserving(l).norm_inf()
     _, m, r = _real_restriction(l, scale)
-    rho, residual, min_eig, unique, bound = _solve_stack(space.dim, m[None], r[None], lambda _: l, None)
+    rho, residual, min_eig, unique, bound = _solve_stack(space.dim, m[None], r[None], lambda _: scale)
     return SteadyStateReport(DensityMatrix(space, rho[0]), float(residual[0]), float(min_eig[0]),
                              bool(unique[0]), float(bound[0]))
 
@@ -272,10 +274,9 @@ def _decided(m: np.ndarray, r: np.ndarray, y: np.ndarray | None) -> tuple[np.nda
     M is not unique, an LU's y can be far from any state: for two qubits
     decaying collectively, one also locally at rate 1e-11, its smallest
     eigenvalue is −7.9e-6, against −8e-13 for the minimum-norm y). Raises
-    SteadyStateError where
-    ‖M‖_F is not finite (M has a non-finite entry, or entries beyond about
-    1e154): neither the certificate nor a residual at M's scale can be
-    formed there."""
+    SteadyStateError where ‖M‖_F is not finite (M has a non-finite entry, or
+    entries beyond about 1e154): neither the certificate nor a residual at
+    M's scale can be formed there."""
     if not math.isfinite(_frobenius(m)):
         raise SteadyStateError("steady state is not finite: the norm of its trace-zero system overflows")
     u, s, vt = np.linalg.svd(m)
@@ -286,64 +287,38 @@ def _decided(m: np.ndarray, r: np.ndarray, y: np.ndarray | None) -> tuple[np.nda
     return y, unique
 
 
-def _solve_stack(d: int, m: np.ndarray, r: np.ndarray, liouvillian: Callable[[int], Superoperator],
-                 fallback: Callable[[Superoperator], SteadyStateReport] | None):
+def _solve_stack(d: int, m: np.ndarray, r: np.ndarray, norm: Callable[[int], float]):
     """The arrays (ρ, residual, smallest eigenvalue, unique, bound) of
-    :func:`steady_state_restricted`; a point that does not certify goes to
-    ``fallback``, or, where that is None, to :func:`_decided` and the shared
-    tail."""
+    :func:`steady_state_restricted`. Each certificate and SVD runs with
+    numpy's overflow and invalid-value warnings off: a bound that overflows
+    does not certify, and a non-finite M fails without a warning."""
     b = len(m)
     bound, unique = np.empty(b), np.ones(b, dtype=bool)
-    solved, coords, fallen = [], [], {}
-    # once per stack, fallbacks included: a bound that overflows does not
-    # certify, and a non-finite M fails without a warning
+    coords = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(b):
             y, bound[k] = _lu_certificate(m[k], r[k])
-            if _certified_unique(bound[k]):
-                solved.append(k)
-                coords.append(y)
-            elif fallback is None:
+            if not _certified_unique(bound[k]):
                 y, unique[k] = _decided(m[k], r[k], y)
-                solved.append(k)
-                coords.append(y)
-            else:
-                fallen[k] = fallback(liouvillian(k))
-    rho, residual, min_eig = np.empty((b, d, d), dtype=complex), np.empty(b), np.empty(b)
-    if solved:
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = _restricted_coordinates(coords, d)
-        if not np.isfinite(c).all():  # a y that overflowed
-            raise SteadyStateError("steady state is not finite")
-        sel = solved if fallen else slice(None)  # views, not copies, when none fell back
-        rho[sel], min_eig[sel], residual[sel] = _states(
-            m[sel], r[sel], c, lambda i: liouvillian(solved[i]).norm_inf())
-    for k, report in fallen.items():
-        rho[k], residual[k], min_eig[k] = report.rho.mat, report.residual, report.min_eigenvalue
-        unique[k], bound[k] = report.unique, report.uniqueness_bound
+            coords.append(y)
+        c = _restricted_coordinates(coords, d)
+    if not np.isfinite(c).all():  # a y that overflowed
+        raise SteadyStateError("steady state is not finite")
+    rho, min_eig, residual = _states(m, r, c, norm)
     return rho, residual, min_eig, unique, bound
 
 
 def steady_state_restricted(space: HilbertSpace, m: np.ndarray, r: np.ndarray,
-                            liouvillian: Callable[[int], Superoperator],
-                            fallback: Callable[[Superoperator], SteadyStateReport]) -> SteadyStateReport:
+                            norm: Callable[[int], float]) -> SteadyStateReport:
     """:func:`steady_state_on` for a stack of B generators from their systems
     (M, r) of :func:`trace_zero_system`, already formed and checked (for
     example contracted from compiled pieces): ``m`` (B, k, k) and ``r``
-    (B, k). ``liouvillian(k)`` forms the k-th point's L, only for a point
-    that falls back or a residual above RESIDUAL_TOL.
-
-    Per point, one LU of M gives both the state c = c_I + B_r·M⁻¹r, by
-    triangular solves, and the certificate ‖M‖_F·‖M⁻¹‖_F, from the inverse
-    (‖M‖_F = ‖L_r·B_r‖_F, since L maps into the trace-zero subspace). A point
-    whose M is singular, or whose bound does not certify uniqueness, goes
-    alone to ``fallback`` with its own L, which returns its report. The
-    certified points then share one tail (:func:`_states`). Returns one
-    report for the stack, whose states are checked together. Each
-    certificate, and the ``liouvillian`` and ``fallback`` of a point that
-    falls back, run with numpy's overflow and invalid-value warnings off: a
-    non-finite M falls back and fails there without a warning."""
-    rho, residual, min_eig, unique, bound = _solve_stack(space.dim, m, r, liouvillian, fallback)
+    (B, k). ``norm(k)`` is the k-th point's ‖L‖_∞, asked only for a residual
+    above RESIDUAL_TOL. Each point is decided on its own (M, r) by the rule
+    of :func:`steady_state_on`, and the states share one tail
+    (:func:`_states`). Returns one report for the stack, whose states are
+    checked together."""
+    rho, residual, min_eig, unique, bound = _solve_stack(space.dim, m, r, norm)
     return SteadyStateReport(DensityMatrix(space, rho), residual, min_eig, unique, bound)
 
 

@@ -704,9 +704,9 @@ def test_base_coefficient_overflow_fails_the_run(tmp_path, capsys, command, conf
 
 
 def test_solve_on_a_huge_drive_exits_1(tmp_path, capsys):
-    # a drive of 1e200 is inside the model's domain, but the trace of its
-    # steady state overflows: the single-point solve reports a failed run, as
-    # the sweep and the optimizer do, not a traceback
+    # a drive of 1e200 is inside the model's domain, but the norm ‖M‖_F of its
+    # trace-zero system overflows: the single-point solve reports a failed
+    # run, as the sweep and the optimizer do, not a traceback
     model = with_value(OPTIMIZE_CFG["model"], ["x", 1], [1e200, 0.0])
     out = tmp_path / "data.csv"
     with warnings.catch_warnings(record=True) as caught:

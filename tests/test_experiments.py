@@ -68,7 +68,7 @@ def coefficient_rows(specs):
 
 def solve_points(compiled, specs):
     """``compiled.solve`` at the points ``specs``, each given as its ModelSpec."""
-    return compiled.solve(coefficient_rows(specs), specs.__getitem__)
+    return compiled.solve(coefficient_rows(specs))
 
 
 def small_pair_plan(count=3):
@@ -768,30 +768,9 @@ def test_compile_rejects_corrupted_trace_zero_piece_where_no_unique_steady_state
     assert_corrupted_pieces_rejected(monkeypatch, dark)
 
 
-def test_compiled_solve_hands_uncertified_points_to_steady_state_on(monkeypatch):
-    seen = []
-    original = experiments.steady_state_on
-
-    def spy(liouv, space):
-        seen.append(liouv)
-        return original(liouv, space)
-
-    def liouvillian(spec):
-        return assemble(*build_model(spec)[1:]).mat
-
-    compiled = CompiledModel(thermal_pair_spec(x=1.0))
-    monkeypatch.setattr(experiments, "steady_state_on", spy)
-    chunk = [thermal_pair_spec(x=x) for x in (0.5, 1.5, 2.5)]
-    certified = solve_points(compiled, chunk)
-    assert seen == []
-    # singular M in the middle of a chunk: with z = 1 the pair decays only
-    # collectively and has a dark state; only that point reaches steady_state_on
-    dark = thermal_pair_spec(x=0.0, y=0.0, z=1.0)
-    with pytest.raises(SteadyStateError, match="not unique"):
-        solve_points(compiled, [chunk[0], dark, chunk[2]])
-    assert len(seen) == 1 and np.array_equal(seen[0].mat, liouvillian(dark))
-    # invertible M whose bound does not certify, in the middle of a chunk: the
-    # second certification of the solve (chunk[1]) declines
+def declining_second_certification(monkeypatch):
+    """Make the second certification from here on decline its bound; returns
+    the list every bound asked about is appended to."""
     certify = steady._certified_unique
     calls = []
 
@@ -800,27 +779,59 @@ def test_compiled_solve_hands_uncertified_points_to_steady_state_on(monkeypatch)
         return len(calls) != 2 and certify(bound)
 
     monkeypatch.setattr(steady, "_certified_unique", decline_second)
+    return calls
+
+
+def test_compiled_solve_decides_uncertified_points_on_their_own_system(monkeypatch):
+    seen, decided = [], []
+    original, honest_decided = experiments.steady_state_on, steady._decided
+
+    def spy(liouv, space):
+        seen.append(liouv)
+        return original(liouv, space)
+
+    compiled = CompiledModel(thermal_pair_spec(x=1.0))
+    monkeypatch.setattr(experiments, "steady_state_on", spy)
+    monkeypatch.setattr(steady, "_decided", lambda *args: decided.append(args) or honest_decided(*args))
+    chunk = [thermal_pair_spec(x=x) for x in (0.5, 1.5, 2.5)]
+    certified = solve_points(compiled, chunk)
+    assert decided == []
+    # singular M in the middle of a chunk: with z = 1 the pair decays only
+    # collectively and has a dark state, which its own SVD finds not unique
+    dark = thermal_pair_spec(x=0.0, y=0.0, z=1.0)
+    with pytest.raises(SteadyStateError, match="not unique"):
+        solve_points(compiled, [chunk[0], dark, chunk[2]])
+    assert len(decided) == 1 and np.array_equal(decided[0][0], compiled.system(coefficient_rows([dark]))[0][0])
+    # invertible M whose bound is declined, in the middle of a chunk: the
+    # SVD of that point alone finds it unique, and it keeps its LU's state, so
+    # the report is the certified one bit for bit, bound included
+    calls = declining_second_certification(monkeypatch)
     report = solve_points(compiled, chunk)
-    assert len(seen) == 2 and np.array_equal(seen[1].mat, liouvillian(chunk[1]))
-    # the fallback's report takes that point's place in the stack (its bound is
-    # the one steady_state_on formed, the third certification)
-    assert len(calls) == 4 and report.uniqueness_bound[1] == calls[2] and report.unique.all()
-    assert np.abs(report.rho.mat - certified.rho.mat).max() <= 1e-12
-    assert np.array_equal(report.rho.mat[[0, 2]], certified.rho.mat[[0, 2]])
+    assert len(calls) == 3 and len(decided) == 2 and report.unique.all()
+    assert np.array_equal(report.rho.mat, certified.rho.mat)
+    for name in ("residual", "min_eigenvalue", "uniqueness_bound"):
+        assert np.array_equal(getattr(report, name), getattr(certified, name)), name
+    # no point of the compiled route reaches steady_state_on
+    assert seen == []
 
 
-def test_compiled_fallback_states_equal_solve_spec(monkeypatch):
-    # with certification declined every point falls back, and is solved on the
-    # L of the one builder, as solve_spec solves it: bit for bit
-    monkeypatch.setattr(steady, "_certified_unique", lambda bound: False)
+def test_compiled_uncertified_states_equal_certified_ones(monkeypatch):
+    # with certification declined at every point of all three effective
+    # models, each point is decided by its SVD and keeps its LU's state: the
+    # report is the certified one bit for bit, and each state stays within
+    # 5e-15 of solve_spec's (test_single_point_sweep_equals_solve)
     for model, compiled in _COMPILED.items():
         chunk = [spec for spec in effective_specs() if spec.model == model]
         chunk += [apply_path(spec, "x[0].phase", 0.9) for spec in chunk]
-        report = solve_points(compiled, chunk)
+        certified = solve_points(compiled, chunk)
+        with monkeypatch.context() as patch:
+            patch.setattr(steady, "_certified_unique", lambda bound: False)
+            report = solve_points(compiled, chunk)
+        assert np.array_equal(report.rho.mat, certified.rho.mat), model
+        for name in ("residual", "min_eigenvalue", "unique", "uniqueness_bound"):
+            assert np.array_equal(getattr(report, name), getattr(certified, name)), (model, name)
         for k, spec in enumerate(chunk):
-            want, rho = solve_spec(spec)
-            assert np.array_equal(report.rho.mat[k], rho.mat), model
-            assert report.residual[k] == want.residual and report.uniqueness_bound[k] == want.uniqueness_bound
+            assert np.abs(report.rho.mat[k] - solve_spec(spec)[1].mat).max() <= 5e-15, model
 
 
 def test_single_point_solve_does_not_depend_on_the_rate_unit():
@@ -876,7 +887,7 @@ def test_compiled_residual_is_the_residual_on_the_assembled_liouvillian(spec):
     try:
         report = solve_points(_COMPILED[spec.model], [spec])
     except SteadyStateError:
-        assume(False)  # not unique: the fallback forms its own residual
+        assume(False)  # not unique: there is no state to compare
     liouv = assemble(*build_model(spec)[1:])
     want = np.linalg.norm(liouv.mat @ vec(report.rho.mat[0]))
     assert abs(report.residual[0] - want) <= 1e-14 * max(liouv.norm_inf(), 1.0)
@@ -914,8 +925,8 @@ def built_params(monkeypatch):
 
 
 def test_compiled_points_build_no_model_spec(monkeypatch):
-    # a chunk goes from its values to its coefficient rows: a certified point
-    # builds no ModelSpec, a point that falls back builds its own
+    # a chunk goes from its values to its coefficient rows: no point builds a
+    # ModelSpec, whether its bound certifies or not
     concurrence01 = (ObservableSpec("concurrence", sites=(0, 1)),)
     sweep = point_evaluator(fig5_pair_spec(), [("x[0].phase",), ("x[2].phase",)], concurrence01, "grid point")
     config = json.loads((CONFIGS / "fig3_optimize.json").read_text())
@@ -924,22 +935,14 @@ def test_compiled_points_build_no_model_spec(monkeypatch):
                             (ObservableSpec("concurrence", sites=(1, 2)),), "parameters")
     chunk = list(itertools.product(np.linspace(0.0, 2 * np.pi, 16), repeat=2))  # one full chunk
     starts = np.random.default_rng(2).uniform(-5.0, 5.0, (9, len(groups)))
-    second = apply_path(apply_path(fig5_pair_spec(), "x[0].phase", chunk[1][0]), "x[2].phase", chunk[1][1])
     built = built_params(monkeypatch)
     certified = sweep(chunk)
     batch(starts)
     assert len(certified) == CHUNK and built == []
-    certify = steady._certified_unique
-    calls = []
-
-    def decline_second(bound):
-        calls.append(bound)
-        return len(calls) != 2 and certify(bound)
-
-    monkeypatch.setattr(steady, "_certified_unique", decline_second)
+    calls = declining_second_certification(monkeypatch)
     rows = sweep(chunk)
-    assert built == [second.params]
-    assert np.abs(np.array(rows) - certified).max() <= 1e-12
+    assert len(calls) == CHUNK and built == []
+    assert rows == certified
 
 
 def test_a_compiled_chunk_checks_its_states_once(monkeypatch):

@@ -160,7 +160,7 @@ def test_spin_flip_keeps_the_bits_of_the_products(rng):
     base = fig5_pair_spec()
     setter = PathSetter(base, ["x[0].phase", "x[2].phase"])
     values = np.array(list(itertools.product(phase_grid(41), repeat=2)))
-    fig5 = CompiledModel(base).solve(setter.rows(values), lambda k: setter(values[k])).rho.mat
+    fig5 = CompiledModel(base).solve(setter.rows(values)).rho.mat
     assert _spin_flip(fig5).tobytes() == spin_flip_by_products(fig5).tobytes()
 
 

@@ -456,18 +456,12 @@ def test_gap_and_propagation_reject_non_hermiticity_preserving_generator(rng):
         evolve_to_steady(liouv, QUBIT)
 
 
-def restricted(liouv, space, fallback=None):
+def restricted(liouv, space):
     """steady_state_restricted on a stack of one point; its report, and
-    whether the point went to the fallback (steady_state_on by default)."""
-    seen = []
-
-    def spy(l):
-        seen.append(l)
-        return (fallback or steady_state_on)(l, space)
-
+    whether the point was not certified (its SVD decided it)."""
     m, r = trace_zero_system(liouv)
-    report = steady_state_restricted(space, m[None], r[None], lambda _: liouv, spy)
-    return report, bool(seen)
+    report = steady_state_restricted(space, m[None], r[None], lambda _: liouv.norm_inf())
+    return report, not steady._certified_unique(report.uniqueness_bound[0])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
@@ -479,8 +473,8 @@ def test_trace_zero_system_matches_dense_basis(rng, d):
     b = traceless_basis(d)
     c_i = vec(np.eye(d, dtype=complex) / d)
     y = np.linalg.solve(b.conj().T @ liouv.mat @ b, -b.conj().T @ liouv.mat @ c_i)
-    report, fell_back = restricted(liouv, HilbertSpace((d,)))
-    assert not fell_back
+    report, uncertified = restricted(liouv, HilbertSpace((d,)))
+    assert not uncertified
     assert np.abs(report.rho.mat[0] - unvec(c_i + b @ y)).max() <= 1e-12
 
 
@@ -488,9 +482,9 @@ def test_trace_zero_system_matches_dense_basis(rng, d):
 def test_restricted_solve_matches_steady_state_on(rng, d):
     space = HilbertSpace((d,))
     liouv = random_lindblad(rng, d)
-    report, fell_back = restricted(liouv, space)
+    report, uncertified = restricted(liouv, space)
     reference = steady_state_on(liouv, space)
-    assert not fell_back and report.unique[0] and reference.unique
+    assert not uncertified and report.unique[0] and reference.unique
     assert np.abs(report.rho.mat[0] - reference.rho.mat).max() <= 1e-12
     assert report.residual[0] <= 1e-12 * max(1.0, liouv.norm_inf())
     # the two routes form the same certificate bound
@@ -501,8 +495,8 @@ def test_restricted_solve_matches_steady_state_on(rng, d):
 def test_restricted_solve_declines_what_it_cannot_certify(monkeypatch):
     # a dark singlet: M is singular, and no bound is formed on either route
     space, liouv = collective_decay_liouvillian()
-    report, fell_back = restricted(liouv, space)
-    assert fell_back and not report.unique[0] and report.uniqueness_bound[0] == np.inf
+    report, uncertified = restricted(liouv, space)
+    assert uncertified and not report.unique[0] and report.uniqueness_bound[0] == np.inf
     reference = steady_state_on(liouv, space)
     assert not reference.unique and reference.uniqueness_bound == np.inf
     # a nearly dark one: M is invertible, but its bound does not certify
@@ -517,14 +511,14 @@ def test_restricted_solve_declines_what_it_cannot_certify(monkeypatch):
 
 def test_restricted_solve_checks_each_point_of_a_stack(rng):
     # a stack of points gives, per point, the state of its own stack of one,
-    # bit for bit; the fallback's report takes its point's place
+    # bit for bit; the dark point is decided by its own SVD
     space = HilbertSpace((4,))
     points = [random_lindblad(rng, 4) for _ in range(3)]
     _, dark = collective_decay_liouvillian()
     points.insert(1, dark)
     systems = [trace_zero_system(l) for l in points]
     report = steady_state_restricted(space, np.array([m for m, _ in systems]), np.array([r for _, r in systems]),
-                                     points.__getitem__, lambda l: steady_state_on(l, space))
+                                     lambda k: points[k].norm_inf())
     assert report.unique.tolist() == [True, False, True, True]
     for k, liouv in enumerate(points):
         alone, _ = restricted(liouv, space)
