@@ -3,8 +3,10 @@
 Usage:  polariton-ring <command> --config cfg.json --out data.csv [--workers 1]
 
 Each run writes the data CSV plus a ``<out>.summary.json`` with the echoed
-configuration, solver diagnostics and wall time. Writes are atomic (temp file
-plus rename), and a malformed config aborts before any file is created.
+configuration, the command's results and wall time; only ``solve`` adds
+solver diagnostics (residual, smallest eigenvalue, uniqueness and its bound).
+Writes are atomic (temp file plus rename), and a malformed config aborts
+before any file is created.
 Exit codes: 0 success, 1 solver/validation failure, 2 config error: any value
 checked before the first solve, such as a sweep axis value or an optimizer
 bound endpoint outside the model's domain. Every command runs on one
@@ -183,10 +185,10 @@ def _cmd_optimize(cfg: dict) -> tuple[str, dict]:
     model = _decode_model(cfg["model"])
     free = decode_list(cfg["free"], "free", _decode_free)
     bounds = decode_list(cfg["bounds"], "bounds", _decode_bound)
-    budget = decode_int(cfg.get("budget", 2000), "budget")
+    budget = {"budget": decode_int(cfg["budget"], "budget")} if "budget" in cfg else {}  # unset: the default
     sites = decode_list(cfg["sites"], "sites", decode_int) if "sites" in cfg else None
     try:
-        report = optimize_concurrence(model, free, bounds, budget=budget, sites=sites)
+        report = optimize_concurrence(model, free, bounds, sites=sites, **budget)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     names = list(report.best_params)
@@ -205,10 +207,9 @@ def _cmd_thermal(cfg: dict) -> tuple[str, dict]:
     _require_keys(cfg, {"x_grid", "t_grid", "y", "z"}, {"t_grid"}, "thermal config")
     x_grid = _decode_grid(cfg["x_grid"], "x_grid") if "x_grid" in cfg else signed_x_grid()
     t_grid = _decode_grid(cfg["t_grid"], "t_grid")
-    y = decode_float(cfg.get("y", 15.0), "y")
-    z = decode_float(cfg.get("z", 1.01), "z")
+    point = {key: decode_float(cfg[key], key) for key in ("y", "z") if key in cfg}  # unset: the defaults
     try:
-        result = thermal_map(x_grid, t_grid, y=y, z=z)
+        result = thermal_map(x_grid, t_grid, **point)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     d_col = result.column("d")

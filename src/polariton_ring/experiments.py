@@ -8,6 +8,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -153,9 +154,7 @@ class ObservableSpec:
             return population(partial_trace(rho, self.sites), self.level)
         if self.kind == "trace_distance_to_gibbs":
             return trace_distance(rho, self.gibbs)
-        if self.sites is not None:
-            return purity(partial_trace(rho, self.sites))
-        return purity(rho)
+        return purity(rho if self.sites is None else partial_trace(rho, self.sites))
 
 
 def _check_values(model: ModelSpec, paths: tuple[str, ...], values, where: str) -> None:
@@ -246,7 +245,8 @@ def solve_spec(spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
 # assembled L, relative to max(‖L‖_∞, 1), that the compile's self-check accepts.
 COMPILE_TOL = 1e-12
 # Largest entry of compiled ρ minus the reference ρ at the base point that
-# the self-check accepts.
+# the self-check accepts, unless ε·bound, the first-order forward error of a
+# solve at its uniqueness bound, is larger.
 COMPILE_RHO_TOL = 1e-12
 
 
@@ -255,14 +255,16 @@ class CompileError(RuntimeError):
     a fault of the program, not of the run's configuration."""
 
 
+@cache
 def piece_systems(model: str) -> tuple[np.ndarray, np.ndarray]:
     """The trace-zero systems (M_k, r_k) of :func:`steady.trace_zero_system`
     of each piece of :func:`models.model_pieces` of an effective model, as
     two read-only stacks: row k of the first is M_k in Fortran order, as
     LAPACK takes it, and row k of the second is r_k. Each piece is assembled
     (which checks its trace) one at a time, so that the K dense pieces are
-    never all held at once. The stacks depend on the model alone; its
-    parameters enter only through the coefficient rows."""
+    never all held at once. The stacks depend on the model alone (its
+    parameters enter only through the coefficient rows), so they are built
+    once per process and model: about 0.5 MB for the three effective models."""
     pieces = model_pieces(model)
     d = pieces.space.dim
     zero_h = np.zeros((d, d), dtype=complex)
@@ -282,31 +284,30 @@ class CompiledModel:
     """One effective model as L(θ) = Σ_k c_k(θ)·L_k, for the points of one call.
 
     Its pieces are kept only as their trace-zero systems (M_k, r_k), in the
-    two read-only stacks of :func:`piece_systems`, built here unless
-    ``stacks`` holds them already: they depend on the model alone, so a call
-    that compiles one model at several bases (a thermal map) builds them
-    once. A stack of points is then two contractions of their
-    coefficient rows, for M and r, and :func:`steady_state_restricted`: per
-    point, one LU of M solves and certifies, and one SVD of M decides where
-    the bound does not certify, the rule of :func:`steady_state_on`. No point
-    builds a ModelSpec; a point's L is assembled from its row only for the
-    scale of a residual above RESIDUAL_TOL.
+    two read-only stacks of :func:`piece_systems`. A stack of points is then
+    two contractions of their coefficient rows, for M and r, and
+    :func:`steady_state_restricted`: per point, one LU of M solves and
+    certifies, and one SVD of M decides where the bound does not certify, the
+    rule of :func:`steady_state_on`. No point builds a ModelSpec; a point's L
+    is assembled from its row only for the scale of a residual above
+    RESIDUAL_TOL.
 
-    The compile checks itself at ``base``, on shared stacks too: the
-    contracted (M, r) must match the trace-zero system of
+    The compile checks itself at ``base``: the contracted (M, r) must match
+    the trace-zero system of
     ``assemble(*build_model(base)[1:])`` to COMPILE_TOL; the compiled solve
     must succeed where ``steady_state_on`` finds a unique steady state on that
     assembled L; and where the compiled bound certifies, its ρ must match, to
-    COMPILE_RHO_TOL, the reference that shares neither the restriction nor
-    the LU: :func:`steady.lstsq_state`, least squares on the unrestricted
-    system, from the L_r that the (M, r) check forms. Otherwise it raises
+    max(COMPILE_RHO_TOL, ε·bound) (ε the float64 machine epsilon), the
+    reference that shares neither the restriction nor the LU:
+    :func:`steady.lstsq_state`, least squares on the unrestricted system,
+    from the L_r that the (M, r) check forms. Otherwise it raises
     CompileError. This is the only least-squares solve left, one per compile.
     """
 
-    def __init__(self, base: ModelSpec, stacks: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, base: ModelSpec):
         self.model = base.model
         self.space = model_pieces(base.model).space
-        self._m_stack, self._r_stack = piece_systems(base.model) if stacks is None else stacks
+        self._m_stack, self._r_stack = piece_systems(base.model)
         self._check(base)
 
     def _check(self, base: ModelSpec) -> None:
@@ -330,13 +331,13 @@ class CompiledModel:
         except SteadyStateError as exc:
             raise CompileError(f"compiled {base.model} solve fails where the assembled one succeeds: {exc}") from exc
         if not _certified_unique(report.uniqueness_bound[0]):
-            return  # M is too ill-conditioned for its state to hold COMPILE_RHO_TOL
+            return  # M is too ill-conditioned for its state to be compared
         try:
             reference = lstsq_state(lr, want_m, want_r, scale)
         except SteadyStateError:
             return  # the reference fails its own checks: nothing to compare
         error = float(np.abs(report.rho.mat[0] - reference).max())
-        if error > COMPILE_RHO_TOL:
+        if error > max(COMPILE_RHO_TOL, np.finfo(float).eps * report.uniqueness_bound[0]):
             raise CompileError(f"compiled {base.model} steady state differs from the assembled one by {error:.2e}")
 
     def system(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,13 +374,12 @@ class CompiledModel:
 CHUNK = 256
 
 
-def point_evaluator(base: ModelSpec, groups, observables, label: str, stacks=None):
+def point_evaluator(base: ModelSpec, groups, observables, label: str):
     """The rows (values, then observables) of a chunk of points of one sweep
     or optimizer call near ``base``: one value per group of paths, taken by
     every path of the group. Paths are parsed once (:class:`models.PathSetter`).
-    An effective model is compiled once, on ``stacks`` if given (its
-    :func:`piece_systems`), and a chunk goes from its values to its
-    coefficient rows (:meth:`models.PathSetter.rows`) and is solved as one
+    An effective model is compiled once, and a chunk goes from its values to
+    its coefficient rows (:meth:`models.PathSetter.rows`) and is solved as one
     stack, without a ModelSpec. ``micro`` builds one per point and is solved
     point by point by :func:`solve_spec`. Observables see the chunk's states as one stack. One
     failure rule: if anything fails in a chunk, or a row is not finite, the
@@ -389,7 +389,7 @@ def point_evaluator(base: ModelSpec, groups, observables, label: str, stacks=Non
     setter = PathSetter(base, [path for group in groups for path in group])
     column = [g for g, group in enumerate(groups) for _ in group]  # each path's value column
     if base.model in EFFECTIVE:
-        compiled = CompiledModel(base, stacks)
+        compiled = CompiledModel(base)
 
         def states(values: np.ndarray) -> DensityMatrix:
             return compiled.solve(setter.rows(values)).rho
@@ -427,14 +427,13 @@ def point_evaluator(base: ModelSpec, groups, observables, label: str, stacks=Non
     return evaluate
 
 
-def run_sweep(plan: SweepPlan, stacks=None) -> SweepResult:
+def run_sweep(plan: SweepPlan) -> SweepResult:
     """Evaluate the plan on the full grid.
 
-    The model is compiled once for the whole grid, on ``stacks`` if given (its
-    :func:`piece_systems`), and the grid is walked in row order, one chunk of
-    CHUNK points after another.
+    The model is compiled once for the whole grid, and the grid is walked in
+    row order, one chunk of CHUNK points after another.
     """
-    evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point", stacks)
+    evaluate = point_evaluator(plan.model, [(a.path,) for a in plan.axes], plan.observables, "grid point")
     points = itertools.product(*(a.grid for a in plan.axes))
     chunks = iter(lambda: list(itertools.islice(points, CHUNK)), [])
     return SweepResult(header=plan.header, rows=[row for chunk in chunks for row in evaluate(chunk)])
@@ -514,9 +513,8 @@ def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult
     The x grid needs at least two points, for the derivative.
     Each temperature is one :func:`run_sweep` of the pair_thermal model at
     n_p = n(T) over ``x[0].re``, observing the distance to the Gibbs state at
-    T; every plan is built before the first solve. n_p enters only the
-    coefficient rows, so the model's :func:`piece_systems` are built once and
-    every temperature is compiled on them, with its own self-check at its base. The sign of x is a gauge
+    T; every plan is built before the first solve, and each sweep's compile
+    checks itself at its own base. The sign of x is a gauge
     (e^{iπN}), so the map is even in x. Temperatures above 0.1 (units of the
     polariton quantum) are outside the model's validity; they are computed
     anyway and flagged.
@@ -536,11 +534,10 @@ def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult
     plans = [(t, SweepPlan(model=thermal_pair_spec(x=0.0, n_p=thermal_occupation(t), y=y, z=z),
                            axes=(Axis("x[0].re", xs),),
                            observables=(ObservableSpec("trace_distance_to_gibbs", T=t),))) for t in ts]
-    stacks = piece_systems("pair_thermal")
     columns = []
     for t, plan in plans:
         try:
-            columns.append(run_sweep(plan, stacks).column("d_gibbs"))
+            columns.append(run_sweep(plan).column("d_gibbs"))
         except SweepError as exc:
             raise SweepError(f"T_R = {t}: {exc}") from exc
     d = np.column_stack(columns)

@@ -84,8 +84,7 @@ ROWS = (
 )
 GEOMETRIES = {(row.n_sites, row.n_guides): row for row in ROWS}  # the full models, by (n_sites, number of guides)
 EFFECTIVE = {row.model: row for row in ROWS}  # the eliminated models, by name
-EFFECTIVE_MODELS = tuple(EFFECTIVE)
-MODEL_NAMES = EFFECTIVE_MODELS + ("micro",)
+MODEL_NAMES = tuple(EFFECTIVE) + ("micro",)
 
 
 @cache

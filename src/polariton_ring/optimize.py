@@ -153,7 +153,7 @@ def at_bound(params: dict[str, float], bounds: Bounds) -> dict[str, str | None]:
 
 def multistart_maximize(
     bounds: Bounds,
-    budget: int = 2000,
+    budget: int,
     param_names: Sequence[str] | None = None,
 ) -> Generator[list[np.ndarray], list[float], OptimizeReport]:
     """Maximize over a box: Nelder-Mead from each corner start, the starts in

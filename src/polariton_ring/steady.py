@@ -291,7 +291,10 @@ def _solve_stack(d: int, m: np.ndarray, r: np.ndarray, norm: Callable[[int], flo
     """The arrays (ρ, residual, smallest eigenvalue, unique, bound) of
     :func:`steady_state_restricted`. Each certificate and SVD runs with
     numpy's overflow and invalid-value warnings off: a bound that overflows
-    does not certify, and a non-finite M fails without a warning."""
+    does not certify, and a non-finite M fails without a warning. Where the
+    states fail their checks and a point is not unique, the SteadyStateError
+    says "not unique": a minimum-norm solution need not be a state (at rates
+    near 1e-310, whose M is subnormal, it has an eigenvalue of −8e-4)."""
     b = len(m)
     bound, unique = np.empty(b), np.ones(b, dtype=bool)
     coords = []
@@ -304,7 +307,12 @@ def _solve_stack(d: int, m: np.ndarray, r: np.ndarray, norm: Callable[[int], flo
         c = _restricted_coordinates(coords, d)
     if not np.isfinite(c).all():  # a y that overflowed
         raise SteadyStateError("steady state is not finite")
-    rho, min_eig, residual = _states(m, r, c, norm)
+    try:
+        rho, min_eig, residual = _states(m, r, c, norm)
+    except SteadyStateError as exc:
+        if unique.all():
+            raise
+        raise SteadyStateError("steady state is not unique") from exc
     return rho, residual, min_eig, unique, bound
 
 

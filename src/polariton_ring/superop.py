@@ -87,15 +87,11 @@ class DissipatorTerm:
         w = float(self.weight)
         if not np.isfinite(w):
             raise ValueError("weight must be finite")
-        if self.is_diagonal(left, right) and w < 0:
+        if np.array_equal(left, right) and w < 0:
             raise ValueError(f"diagonal term must have nonnegative weight, got {w}")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "weight", w)
-
-    @staticmethod
-    def is_diagonal(left: np.ndarray, right: np.ndarray) -> bool:
-        return bool(np.array_equal(left, right))
 
 
 def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:

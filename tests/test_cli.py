@@ -718,6 +718,42 @@ def test_solve_on_a_huge_drive_exits_1(tmp_path, capsys):
     assert not summary_path(out).exists()
 
 
+def test_solve_at_subnormal_rates_exits_1_naming_non_uniqueness(tmp_path, capsys):
+    # at Gamma = 1e-310 the SVD finds the trace-zero system not unique, and its
+    # minimum-norm solution is no state: the run fails as "not unique"
+    model = {"model": "pair_thermal", "Gamma": [1e-310], "x": [[1.0, 0.0]], "y": [15.0], "z": [1.01]}
+    out = tmp_path / "data.csv"
+    assert main(["solve", "--config", str(write_config(tmp_path, {"model": model})), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "run failed: steady state is not unique" in err
+    assert "completely positive" not in err and "Traceback" not in err
+    assert not out.exists()
+    assert not summary_path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, defaults",
+    [
+        ("thermal", {"x_grid": [-1.0, 0.0, 1.0], "t_grid": [0.05]}, {"y": 15.0, "z": 1.01}),
+        ("optimize", {"model": pair_model_json(), "free": ["x[1].re"], "bounds": [[-1.0, 1.0]]}, {"budget": 2000}),
+    ],
+    ids=["thermal", "optimize"],
+)
+def test_unset_keys_run_at_the_library_defaults(tmp_path, command, config, defaults):
+    # the CLI passes only the keys a config sets, so a config without them
+    # writes what one setting them to the defaults of thermal_map and
+    # optimize_concurrence writes, and echoes only what it was given
+    outputs = []
+    for name, cfg in (("unset", config), ("set", {**config, **defaults})):
+        out = tmp_path / f"{name}.csv"
+        assert main([command, "--config", str(write_config(tmp_path, cfg, f"{name}.json")), "--out", str(out)]) == 0
+        summary = json.loads(summary_path(out).read_text())
+        assert set(summary.pop("config")) == set(cfg)
+        del summary["wall_time_s"]
+        outputs.append((out.read_bytes(), summary))
+    assert outputs[0] == outputs[1]
+
+
 def micro_json(geometry, **changes):
     """A decodable micro model of one geometry at J/kappa = 0.05, with ``changes`` applied."""
     n_sites, n_guides = {"pair1": (2, 1), "pair3": (2, 3), "ring3": (3, 3)}[geometry]

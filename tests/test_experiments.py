@@ -48,6 +48,7 @@ from polariton_ring.models import (
     derive_effective,
     fig3_ring_spec,
     fig5_pair_spec,
+    model_pieces,
     model_spec_from_json,
     model_spec_to_json,
     model_space,
@@ -670,6 +671,35 @@ def least_squares_state(liouv):
     return steady.lstsq_state(lr, m, r, liouv.norm_inf())
 
 
+def test_compile_holds_at_ill_conditioned_bases():
+    # the compiled state and the least-squares reference each stay within 6e-11
+    # of the exact state there (test_compiled_solve_is_accurate_where_ill_conditioned),
+    # but differ by up to 5.9e-11 at bounds of 1.9e6-1.1e7: the self-check
+    # compares them at ε·bound, the first-order forward error, not at 1e-12.
+    # Every bound certifies, so every comparison runs
+    for spec in ill_conditioned_specs():
+        bound = CompiledModel(spec).solve(coefficient_rows([spec])).uniqueness_bound[0]
+        assert 1e6 < bound and steady._certified_unique(bound), spec
+
+
+@pytest.mark.parametrize("spec", [fig5_pair_spec(), next(ill_conditioned_specs())], ids=["fig5", "ill-conditioned"])
+def test_compile_rejects_a_state_beyond_its_tolerance(monkeypatch, spec):
+    # a reference moved by twice max(COMPILE_RHO_TOL, ε·bound) in one entry
+    # fails the compile, at a bound of 473 (tolerance 1e-12) and of 3.0e6 (6.6e-10)
+    bound = _COMPILED[spec.model].solve(coefficient_rows([spec])).uniqueness_bound[0]
+    shift = 2 * max(experiments.COMPILE_RHO_TOL, np.finfo(float).eps * bound)
+    honest = experiments.lstsq_state
+
+    def moved(*args):
+        rho = honest(*args).copy()
+        rho[0, 0] += shift
+        return rho
+
+    monkeypatch.setattr(experiments, "lstsq_state", moved)
+    with pytest.raises(CompileError, match="steady state differs"):
+        CompiledModel(spec)
+
+
 def test_compiled_solve_is_accurate_where_ill_conditioned():
     # there the routes differ by more than 1e-12, so each is measured against
     # the exact state: on each model, the compiled route's worst error must not
@@ -728,11 +758,22 @@ def full_support_specs():
     return specs
 
 
+@pytest.fixture
+def fresh_piece_systems():
+    """Clear the per-process cache of :func:`experiments.piece_systems` before
+    and after a test that corrupts or counts piece builds, so that every build
+    in it is seen and no corrupted stack outlives it."""
+    experiments.piece_systems.cache_clear()
+    yield
+    experiments.piece_systems.cache_clear()
+
+
 def assert_corrupted_pieces_rejected(monkeypatch, spec):
     """A wrong M_k or r_k, for any one piece k whose coefficient c_k is nonzero
     at ``spec``, fails the compile at ``spec``, even one that moves c_k·M_k or
     c_k·r_k by only 1e-8·(random unit entries): that stays below the residual
-    check's 1e-8·‖L‖, but not below the (M, r) check's 1e-12·‖L‖."""
+    check's 1e-8·‖L‖, but not below the (M, r) check's 1e-12·‖L‖. Each
+    corruption builds the pieces again, from an empty cache."""
     honest = experiments.trace_zero_system
     rng = np.random.default_rng(5)
     for k, c_k in enumerate(experiments.coefficients(spec)):
@@ -749,17 +790,19 @@ def assert_corrupted_pieces_rejected(monkeypatch, spec):
                 return tuple(system)
 
             monkeypatch.setattr(experiments, "trace_zero_system", corrupted)
+            experiments.piece_systems.cache_clear()
             with pytest.raises(CompileError, match="trace-zero system"):
                 CompiledModel(spec)
+            assert len(calls) > k  # the corrupted piece was built
             monkeypatch.setattr(experiments, "trace_zero_system", honest)
 
 
-def test_compile_rejects_corrupted_trace_zero_piece(monkeypatch):
+def test_compile_rejects_corrupted_trace_zero_piece(monkeypatch, fresh_piece_systems):
     for spec in full_support_specs():
         assert_corrupted_pieces_rejected(monkeypatch, spec)
 
 
-def test_compile_rejects_corrupted_trace_zero_piece_where_no_unique_steady_state(monkeypatch):
+def test_compile_rejects_corrupted_trace_zero_piece_where_no_unique_steady_state(monkeypatch, fresh_piece_systems):
     # with z = 1 the undriven pair decays only collectively and has a dark
     # state: the base-point ρ check cannot run, the (M, r) check still does
     dark = thermal_pair_spec(x=0.0, y=0.0, z=1.0)
@@ -843,6 +886,20 @@ def test_single_point_solve_does_not_depend_on_the_rate_unit():
     report, rho = solve_spec(apply_path(thermal_pair_spec(x=1.0), "Gamma[0]", 1e-300))
     assert report.unique
     assert np.abs(rho.mat - want).max() <= 1e-13
+
+
+def test_subnormal_rates_fail_as_not_unique():
+    # at Γ = 1e-310 the entries of M are subnormal and its SVD finds it not
+    # unique; the minimum-norm solution is then no state (an eigenvalue of
+    # −8e-4), and the error says "not unique", not "not completely positive"
+    with pytest.raises(SteadyStateError, match="not unique") as caught:
+        solve_spec(apply_path(thermal_pair_spec(x=1.0), "Gamma[0]", 1e-310))
+    assert "completely positive" in str(caught.value.__cause__)
+    # a point that is not unique but whose state passes the checks still
+    # comes back as a report with unique False: the dark pair
+    dark = thermal_pair_spec(x=0.0, y=0.0, z=1.0)
+    report = steady.steady_state_on(assemble(*build_model(dark)[1:]), model_space(dark))
+    assert not report.unique and np.isfinite(report.rho.mat).all()
 
 
 def test_least_squares_runs_once_per_compile_as_its_reference(monkeypatch):
@@ -1008,24 +1065,37 @@ def test_thermal_map_matches_per_point_solve():
         assert abs(d - trace_distance(rho, gibbs_two_qubit(t))) <= 1e-12
 
 
-def test_thermal_map_builds_its_stacks_once_and_checks_every_temperature(monkeypatch):
-    builds, checked = [], []
-    honest_build, honest_check = experiments.piece_systems, CompiledModel._check
+def test_piece_systems_are_built_once_per_model_and_every_compile_checks_itself(monkeypatch, fresh_piece_systems):
+    built, checked = [], []
+    honest_system, honest_check = experiments.trace_zero_system, CompiledModel._check
 
-    def build(model):
-        builds.append(model)
-        return honest_build(model)
+    def system(liouv):
+        built.append(liouv)
+        return honest_system(liouv)
 
     def check(self, base):
-        checked.append(base.params.n_p)
+        checked.append((base.model, base.params.n_p))
         honest_check(self, base)
 
-    monkeypatch.setattr(experiments, "piece_systems", build)
+    monkeypatch.setattr(experiments, "trace_zero_system", system)
     monkeypatch.setattr(CompiledModel, "_check", check)
     ts = (0.02, 0.05, 0.08)
+    run_sweep(small_pair_plan())
+    run_sweep(small_pair_plan())
     thermal_map((-1.0, 0.0, 2.0), ts)
-    assert builds == ["pair_thermal"]
-    assert checked == [thermal_occupation(t) for t in ts]
+    # one trace-zero system per piece of each model, once per process
+    pieces = [model_pieces(model) for model in ("pair_eff", "pair_thermal")]
+    assert len(built) == sum(len(p.hams) + len(p.groups) for p in pieces)
+    # and a self-check per compile, each temperature's at its own n_p
+    assert checked == [("pair_eff", 0.0)] * 2 + [("pair_thermal", thermal_occupation(t)) for t in ts]
+    stacks = experiments.piece_systems("pair_thermal")
+    assert all(not a.flags.writeable for a in stacks)
+    with pytest.raises(ValueError, match="read-only"):
+        stacks[0][0, 0] = 1.0
+    experiments.piece_systems.cache_clear()
+    rebuilt = experiments.piece_systems("pair_thermal")
+    assert rebuilt[0] is not stacks[0]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stacks, rebuilt))
 
 
 @pytest.mark.parametrize("ts", [(0.05,), (0.0, 0.03, 0.1)], ids=["one-temperature", "three-temperatures"])
