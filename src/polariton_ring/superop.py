@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NonHermitianError, _kron, as_complex, herm_defect
+from .linalg import HERM_TOL, NonHermitianError, _kron, as_complex, herm_defect
 
 TRACE_PRESERVATION_TOL = 1e-10
 
@@ -104,7 +104,7 @@ def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:
     and trace preservation is asserted after assembly.
     """
     h = as_complex(h)
-    if herm_defect(h) > 1e-10:
+    if herm_defect(h) > HERM_TOL:
         raise NonHermitianError(f"Hamiltonian not Hermitian: defect {herm_defect(h):.2e}")
     d = h.shape[0]
     m = np.zeros((d, d), dtype=complex)

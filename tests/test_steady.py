@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from conftest import basis_state, bundled_models, random_hermitian
 from polariton_ring import steady
 from polariton_ring.linalg import DensityMatrix, HilbertSpace, embed, hermitize
-from polariton_ring.models import SIGMA_MINUS, EffectiveParams, ModelSpec, build_model
+from polariton_ring.models import SIGMA_MINUS, EffectiveParams, ModelSpec, build_model, thermal_pair_spec
 from polariton_ring.observables import trace_distance
 from polariton_ring.steady import (
     CLAMP_TOL,
@@ -99,11 +99,28 @@ def test_steady_state_detects_degenerate_kernel():
     assert not report.unique
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_evolve_to_steady_rejects_degenerate_kernel():
     space, liouv = collective_decay_liouvillian()
     with pytest.raises(SteadyStateError, match="degenerate"):
         evolve_to_steady(liouv, space)
+
+
+def test_exactly_singular_dark_pair_has_zero_gap():
+    # the undriven pair at z = 1 decays only collectively and has a dark state at
+    # y = 0: getrf finds its M exactly singular, and under the suite's warning
+    # filter the gap is 0.0 and the propagation refuses, with no LAPACK warning
+    space, h, terms = build_model(thermal_pair_spec(x=0.0, y=0.0, z=1.0))
+    liouv = assemble(h, terms)
+    assert steady._getrf(trace_zero_system(liouv)[0])[2] == 5
+    assert spectral_gap(liouv) == 0.0
+    with pytest.raises(SteadyStateError, match="numerically zero"):
+        evolve_to_steady(liouv, space)
+
+
+def test_spectral_gap_of_one_level_is_zero(capfd):
+    # its M is 0×0, which getrf rejects with a message on stdout
+    assert spectral_gap(assemble(np.zeros((1, 1)), [])) == 0.0
+    assert capfd.readouterr() == ("", "")
 
 
 def test_steady_state_unique_for_thermal_pair():
