@@ -9,8 +9,6 @@ from .linalg import (
     NonHermitianError,
     embed,
     herm_eig,
-    kron,
-    lstsq_solve,
     partial_trace,
 )
 from .superop import (
@@ -37,6 +35,7 @@ from .models import (
 from .steady import (
     SteadyStateError,
     SteadyStateReport,
+    lstsq_solve,
     steady_state_on,
 )
 from .observables import (

@@ -149,6 +149,7 @@ def _cmd_solve(cfg: dict) -> tuple[str, dict]:
     _require_keys(cfg, {"model", "observables"}, {"model"}, "solve config")
     model = _decode_model(cfg["model"])
     observables = decode_list(cfg.get("observables", []), "observables", _decode_observable)
+    check_distinct([obs.column for obs in observables], "observable columns")
     for k, obs in enumerate(observables):
         try:
             obs.check_space(model_space(model))

@@ -79,8 +79,9 @@ class Axis:
 class ObservableSpec:
     """One column of a sweep: what to compute from the steady state.
 
-    kinds: ``concurrence`` (two sites), ``purity`` (optional site subset),
-    ``population`` (one site, one level, 0 when not given),
+    kinds: ``concurrence`` (two sites), ``purity`` (a nonempty site subset,
+    or none for the whole state), ``population`` (one site, one level, 0
+    when not given),
     ``trace_distance_to_gibbs`` (two-qubit states only, the whole state,
     needs a temperature T in units of the polariton quantum and takes no
     sites; its Gibbs state is built here, once). A level on any kind but
@@ -112,6 +113,8 @@ class ObservableSpec:
             object.__setattr__(self, "gibbs", gibbs_two_qubit(self.T))
         elif self.kind != "purity":
             raise ValueError(f"unknown observable kind {self.kind!r}")
+        elif self.sites == ():
+            raise ValueError("purity sites must not be empty: omit sites for the whole state")
         if self.level is not None and self.kind != "population":
             raise ValueError(f"{self.kind} takes no level: only population does")
         if self.T is not None and self.kind != "trace_distance_to_gibbs":
@@ -201,6 +204,7 @@ class SweepPlan:
             raise ValueError("a sweep needs at least one observable")
         check_grid_points(math.prod(self.shape), "sweep grid")
         check_distinct([axis.path for axis in self.axes], "axes name")
+        check_distinct([obs.column for obs in self.observables], "observable columns")
         for axis in self.axes:
             _check_values(self.model, (axis.path,), axis.grid, "grid value")
         space = model_space(self.model)
@@ -496,14 +500,15 @@ def central_difference(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def signed_x_grid(x_max: float = 10.0, count: int = 101) -> tuple[float, ...]:
-    """Default driving-strength grid for the thermalization map.
+def signed_x_grid() -> tuple[float, ...]:
+    """Default driving-strength grid for the thermalization map: 101 points
+    from −10 to 10.
 
     Symmetric about zero: the distance is even in the drive amplitude, and the
     two ridges of |∂d/∂x| sit at ±x*. (A nonnegative grid shows a single
     interior peak.)
     """
-    return tuple(np.linspace(-x_max, x_max, count))
+    return tuple(np.linspace(-10.0, 10.0, 101))
 
 
 def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult:

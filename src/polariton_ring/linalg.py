@@ -1,28 +1,25 @@
 """Dense complex linear algebra and Hilbert-space composition.
 
-Everything here works on plain ``numpy`` arrays of ``complex128``, except that
-:func:`lstsq_solve` keeps a real system real. States carry
-their tensor-factor structure through :class:`HilbertSpace` /
-:class:`DensityMatrix`, which validate the physical invariants (hermiticity,
-unit trace, positivity) on construction. A DensityMatrix, and the matrix
-functions that states pass through, also take a stack of matrices along a
-leading axis; every check then holds for each matrix of the stack.
+Everything here works on plain ``numpy`` arrays of ``complex128``, with numpy
+alone. States carry their tensor-factor structure through
+:class:`HilbertSpace` / :class:`DensityMatrix`, which validate the physical
+invariants (hermiticity, unit trace, positivity) on construction. A
+DensityMatrix, and the matrix functions that states pass through, also take a
+stack of matrices along a leading axis; every check then holds for each matrix
+of the stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, reduce
 from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg.lapack
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-8
-LSTSQ_COND = 1e-12
 
 
 class NonHermitianError(ValueError):
@@ -140,15 +137,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * t)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two dense complex matrices."""
-    return _kron(as_complex(a), as_complex(b))
-
-
-def kron_all(*ops) -> np.ndarray:
-    return reduce(_kron, (as_complex(op) for op in ops))
-
-
 def embed(op, site: int, space: HilbertSpace) -> np.ndarray:
     """Lift a single-factor operator to the composite space: I ⊗ … ⊗ op ⊗ … ⊗ I."""
     op = as_complex(op)
@@ -160,35 +148,28 @@ def embed(op, site: int, space: HilbertSpace) -> np.ndarray:
         raise ValueError(f"operator shape {op.shape} does not match factor dim {d}")
     left = np.eye(prod(dims[:site]), dtype=complex)
     right = np.eye(prod(dims[site + 1:]), dtype=complex)
-    return kron_all(left, op, right)
-
-
-def partial_trace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a raw matrix, or of each matrix of a stack, over the
-    factors not in ``keep``."""
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    lead = mat.shape[:-2]
-    t = mat.reshape(*lead, *dims, *dims)
-    for ax in sorted((i for i in range(n) if i not in keep), reverse=True):
-        factors = (t.ndim - len(lead)) // 2
-        t = np.trace(t, axis1=len(lead) + ax, axis2=len(lead) + ax + factors)
-    d_keep = prod(dims[i] for i in keep)
-    return t.reshape(*lead, d_keep, d_keep)
+    return _kron(_kron(left, op), right)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Reduced state on the kept factors, in their original order (per state
     of a stack). Keeping every factor returns ``rho`` itself."""
     dims = rho.space.factor_dims
+    n = len(dims)
     keep = sorted(set(int(k) for k in keep))
-    if keep == list(range(len(dims))):
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"keep indices {keep} out of range for {n} factors")
+    if len(keep) == n:
         return rho
-    out = partial_trace_mat(rho.mat, dims, keep)
+    lead = rho.mat.shape[:-2]
+    t = rho.mat.reshape(*lead, *dims, *dims)
+    for ax in sorted((i for i in range(n) if i not in keep), reverse=True):
+        factors = (t.ndim - len(lead)) // 2
+        t = np.trace(t, axis1=len(lead) + ax, axis2=len(lead) + ax + factors)
+    d_keep = prod(dims[i] for i in keep)
+    out = t.reshape(*lead, d_keep, d_keep)
     return DensityMatrix(HilbertSpace(dims[i] for i in keep), hermitize(out))
 
 
@@ -217,41 +198,3 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
 def herm_eigvals(a) -> np.ndarray:
     """The eigenvalues of :func:`herm_eig`, ascending, without the eigenvectors."""
     return np.linalg.eigvalsh(_checked_hermitian(a))
-
-
-@cache
-def _gelsy(dtype: str, rows: int, cols: int, nrhs: int):
-    """LAPACK ?gelsy for one dtype and system shape, with its workspace size."""
-    gelsy, gelsy_lwork = scipy.linalg.lapack.get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.dtype(dtype))
-    work, info = gelsy_lwork(rows, cols, nrhs, LSTSQ_COND)
-    if info != 0:
-        raise ValueError(f"gelsy workspace query failed with info {info}")
-    return gelsy, int(work.real)
-
-
-def lstsq_solve(m, b) -> tuple[np.ndarray, float]:
-    """Least-squares solve min ‖m·x − b‖₂ via column-pivoted QR (LAPACK gelsy).
-
-    A real system is solved in real arithmetic and gives a real x; a complex
-    m or b gives a complex x. Returns the solution together with the achieved
-    residual norm. Where the numerical rank (at LSTSQ_COND) falls below the
-    column count, x is gelsy's minimum-norm solution at that rank. Raises
-    ``ValueError`` for non-finite input.
-    """
-    dtype = complex if np.iscomplexobj(m) or np.iscomplexobj(b) else float
-    m = np.asarray(m, dtype=dtype)
-    b = np.asarray(b, dtype=dtype)
-    if not (np.isfinite(m).all() and np.isfinite(b).all()):
-        raise ValueError("matrix contains non-finite entries")
-    rows, cols = m.shape
-    if rows < cols:
-        raise ValueError(f"system is underdetermined: {rows} rows < {cols} cols")
-    if b.shape[0] != rows:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, matrix has {rows}")
-    gelsy, lwork = _gelsy(m.dtype.char, rows, cols, b.shape[1] if b.ndim == 2 else 1)
-    _, x, _, _, info = gelsy(m, b, np.zeros(cols, dtype=np.int32), LSTSQ_COND, lwork)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gelsy")
-    x = x[:cols]
-    residual = float(np.linalg.norm(m @ x - b))
-    return x, residual

@@ -4,7 +4,8 @@ unrestricted system (:func:`lstsq_state`), which only the compile's
 self-check runs, as its reference; and exact time propagation with a
 spectral-gap estimate for its horizon (inverse iteration on M through the
 same getrf/getrs), which no command calls: the tests compare the solve
-against it as an independent reference."""
+against it as an independent reference. This is the one module of the
+package that imports scipy."""
 
 from __future__ import annotations
 
@@ -17,12 +18,13 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .linalg import HERM_TOL, DensityMatrix, HilbertSpace, hermitize, lstsq_solve
+from .linalg import HERM_TOL, DensityMatrix, HilbertSpace, hermitize
 from .superop import Superoperator, check_trace_preserving, unvec, vec
 
 RESIDUAL_TOL = 1e-8
 CLAMP_TOL = 1e-8
 UNIQUENESS_TOL = 1e-10
+LSTSQ_COND = 1e-12  # relative rank cutoff of lstsq_solve's column-pivoted QR
 # Unused by the package; only bench/tracing.py reads it, as the step-size
 # rule dt·‖L‖ = 0.1 behind its steady.rk4_steps count.
 STABILITY_LIMIT = 0.1
@@ -241,6 +243,23 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
                              bool(unique[0]), float(bound[0]))
 
 
+def lstsq_solve(m, b) -> np.ndarray:
+    """Least-squares solution x of min ‖m·x − b‖₂ by column-pivoted QR
+    (scipy's gelsy). A real system gives a real x, a complex one a complex x.
+    Where the numerical rank (at LSTSQ_COND) falls below the column count, x
+    is gelsy's minimum-norm solution at that rank. Raises ``ValueError`` for
+    non-finite input or an underdetermined system."""
+    m, b = np.asarray(m), np.asarray(b)
+    if not (np.isfinite(m).all() and np.isfinite(b).all()):
+        raise ValueError("matrix contains non-finite entries")
+    rows, cols = m.shape
+    if rows < cols:
+        raise ValueError(f"system is underdetermined: {rows} rows < {cols} cols")
+    if b.shape[0] != rows:
+        raise ValueError(f"right-hand side has {b.shape[0]} rows, matrix has {rows}")
+    return scipy.linalg.lstsq(m, b, cond=LSTSQ_COND, check_finite=False, lapack_driver="gelsy")[0]
+
+
 def lstsq_state(lr: np.ndarray, m: np.ndarray, r: np.ndarray, scale: float) -> np.ndarray:
     """The steady state by least squares on the unrestricted real system
     [L_r; t]·c = [0; 1] (L_r of :func:`_real_restriction`, t the trace row),
@@ -256,7 +275,7 @@ def lstsq_state(lr: np.ndarray, m: np.ndarray, r: np.ndarray, scale: float) -> n
     stacked[n, :d] = 1.0
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
-    c, _ = lstsq_solve(stacked, rhs)
+    c = lstsq_solve(stacked, rhs)
     return _states(m[None], r[None], c[None], lambda _: scale)[0][0]
 
 

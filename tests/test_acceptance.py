@@ -38,7 +38,7 @@ from polariton_ring.experiments import (
     thermal_map,
     validate_effective,
 )
-from polariton_ring.linalg import DensityMatrix, HilbertSpace, kron, partial_trace
+from polariton_ring.linalg import DensityMatrix, HilbertSpace, partial_trace
 from polariton_ring.models import (
     build_model,
     fig3_ring_spec,
@@ -210,7 +210,7 @@ def test_criterion_3_phase_coherence(fig5_sweep, fig3_sweep):
 def test_criterion_4_thermalization():
     started = time.perf_counter()
     t_grid = (0.01, 0.05, 0.1)
-    x_grid = signed_x_grid(10.0, 101)
+    x_grid = signed_x_grid()
     result = thermal_map(x_grid, t_grid, y=15.0, z=1.01)
     xs = np.array(x_grid)
     d = result.column("d").reshape(len(xs), len(t_grid))
@@ -300,7 +300,7 @@ def test_criterion_6_property_suites(rng):
         mat = random_density_mat(rng, 4)
         c = concurrence(DensityMatrix(space2, mat))
         worst_bound = max(worst_bound, max(-c, c - 1.0))
-        u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         c2 = concurrence(DensityMatrix(space2, u @ mat @ u.conj().T))
         worst_lu = max(worst_lu, abs(c - c2))
     ok &= check("6f concurrence bounds (1000 states)", worst_bound <= 1e-12, f"worst excess {worst_bound:.2e}")

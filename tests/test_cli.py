@@ -446,6 +446,8 @@ def no_solve(monkeypatch):
         ({"kind": "trace_distance_to_gibbs", "T": 0.05, "sites": [0]}, "takes no sites"),
         # not an object: stands for the whole observables value
         (5, "observables must be a list"),
+        # an empty site list is not the whole state: that is an omitted one
+        ({"kind": "purity", "sites": []}, "purity sites must not be empty"),
     ],
 )
 def test_solve_observable_outside_model_exits_2(tmp_path, capsys, no_solve, observable, message):
@@ -586,6 +588,15 @@ def with_value(cfg, keys, value):
         # a repeated ratio, rejected before the first solve
         ("validate", with_value(VALIDATE_CFG, ["j_over_kappa"], [0.05, 0.025, 0.05]),
          "j_over_kappa names ['0.05'] more than once"),
+        ("sweep", with_value(THERMAL_SWEEP_CFG, ["observables"], [{"kind": "purity", "sites": []}]),
+         "observables[0]: purity sites must not be empty: omit sites for the whole state"),
+        # two columns of one name would repeat a CSV header and merge in column_stats, or in
+        # solve's summary, where d_gibbs at two temperatures kept only the last
+        ("sweep", with_value(THERMAL_SWEEP_CFG, ["observables"], [{"kind": "purity"}, {"kind": "purity"}]),
+         "observable columns ['purity'] more than once"),
+        ("solve", with_value(THERMAL_SOLVE_CFG, ["observables"], [{"kind": "trace_distance_to_gibbs", "T": 0.01},
+                                                                  {"kind": "trace_distance_to_gibbs", "T": 0.05}]),
+         "observable columns ['d_gibbs'] more than once"),
     ],
     ids=["sweep-Gamma-string", "validate-n_boson-fraction", "validate-n_sites-fraction", "optimize-free-scalar",
          "optimize-free-numbers", "thermal-y-list", "thermal-y-overflow", "optimize-free-empty",
@@ -594,7 +605,8 @@ def with_value(cfg, keys, value):
          "solve-concurrence-level", "optimize-bound-z-below-1", "optimize-group-bound-Gamma-negative",
          "optimize-free-repeated-across-groups", "optimize-free-repeated-in-group", "optimize-bounds-reversed",
          "optimize-bound-infinite", "optimize-budget-0", "sweep-axis-repeated", "sweep-axis-empty-index",
-         "thermal-x-one-point", "thermal-x-count-1", "validate-ratio-repeated"],
+         "thermal-x-one-point", "thermal-x-count-1", "validate-ratio-repeated", "sweep-purity-sites-empty",
+         "sweep-observable-column-repeated", "solve-observable-column-repeated"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
     out = tmp_path / "data.csv"

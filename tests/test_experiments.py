@@ -509,7 +509,7 @@ def test_phase_sweep_plan_defaults():
 
 
 def test_signed_x_grid_symmetric():
-    grid = signed_x_grid(10.0, 101)
+    grid = signed_x_grid()
     assert len(grid) == 101
     assert grid[0] == -10.0 and grid[-1] == 10.0
     assert min(abs(v) for v in grid) == 0.0
@@ -1100,7 +1100,7 @@ def test_piece_systems_are_built_once_per_model_and_every_compile_checks_itself(
 
 @pytest.mark.parametrize("ts", [(0.05,), (0.0, 0.03, 0.1)], ids=["one-temperature", "three-temperatures"])
 def test_thermal_map_on_shared_stacks_equals_each_temperatures_own_sweep(ts):
-    xs = signed_x_grid(10.0, 101)  # two chunks per temperature
+    xs = signed_x_grid()  # two chunks per temperature
     d = thermal_map(xs, ts).column("d").reshape(len(xs), len(ts))
     for j, t in enumerate(ts):
         plan = SweepPlan(model=thermal_pair_spec(x=0.0, n_p=thermal_occupation(t)), axes=(Axis("x[0].re", xs),),

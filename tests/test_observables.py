@@ -5,7 +5,7 @@ import pytest
 
 from conftest import phase_grid, psd_sqrt, random_density_mat, random_unitary
 from polariton_ring.experiments import CompiledModel
-from polariton_ring.linalg import DensityMatrix, HilbertSpace, hermitize, kron, partial_trace
+from polariton_ring.linalg import DensityMatrix, HilbertSpace, hermitize, partial_trace
 from polariton_ring.models import PathSetter, fig5_pair_spec
 from polariton_ring.observables import (
     _spin_flip,
@@ -68,7 +68,7 @@ def test_concurrence_bounds_on_random_states(rng):
 def test_concurrence_local_unitary_invariance(rng):
     for _ in range(100):
         rho = random_density_mat(rng, 4)
-        u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         c1 = concurrence(state(rho))
         c2 = concurrence(state(u @ rho @ u.conj().T))
         assert abs(c1 - c2) <= 1e-8

@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,3 +571,15 @@ def test_lu_certificate_bound_is_the_product_of_numpy_norms(seed, k, exponent, o
     assert bound == want or (np.isnan(bound) and np.isnan(want))
     if m_norm == np.inf:
         assert not steady._certified_unique(bound)
+
+
+def test_steady_is_the_only_module_that_imports_scipy():
+    # scipy stays behind one module, so that replacing it touches one file
+    importers = set()
+    for path in sorted((Path(steady.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                importers.add(path.stem)
+    assert importers == {"steady"}
