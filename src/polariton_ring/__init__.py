@@ -40,7 +40,7 @@ from .steady import (
 )
 from .observables import (
     concurrence,
-    gibbs_two_qubit,
+    gibbs_state,
     population,
     purity,
     thermal_occupation,

@@ -30,8 +30,9 @@ from .models import (
     thermal_pair_spec,
 )
 from .observables import (
+    check_temperature,
     concurrence,
-    gibbs_two_qubit,
+    gibbs_state,
     population,
     purity,
     thermal_occupation,
@@ -82,17 +83,17 @@ class ObservableSpec:
     kinds: ``concurrence`` (two sites), ``purity`` (a nonempty site subset,
     or none for the whole state), ``population`` (one site, one level, 0
     when not given),
-    ``trace_distance_to_gibbs`` (two-qubit states only, the whole state,
-    needs a temperature T in units of the polariton quantum and takes no
-    sites; its Gibbs state is built here, once). A level on any kind but
-    population, or a T on any kind but trace_distance_to_gibbs, is rejected.
+    ``trace_distance_to_gibbs`` (all-qubit states only, the whole state
+    against the Gibbs state on as many qubits; needs a temperature T in
+    units of the polariton quantum and takes no sites). A level on any kind
+    but population, or a T on any kind but trace_distance_to_gibbs, is
+    rejected.
     """
 
     kind: str
     sites: tuple[int, ...] | None = None
     level: int | None = None
     T: float | None = None
-    gibbs: DensityMatrix | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sites is not None:
@@ -109,8 +110,8 @@ class ObservableSpec:
             if self.T is None:
                 raise ValueError("trace_distance_to_gibbs needs a temperature T")
             if self.sites is not None:
-                raise ValueError("trace_distance_to_gibbs takes no sites: it compares the whole two-qubit state")
-            object.__setattr__(self, "gibbs", gibbs_two_qubit(self.T))
+                raise ValueError("trace_distance_to_gibbs takes no sites: it compares the whole state")
+            check_temperature(self.T)
         elif self.kind != "purity":
             raise ValueError(f"unknown observable kind {self.kind!r}")
         elif self.sites == ():
@@ -133,8 +134,8 @@ class ObservableSpec:
         if self.kind == "population" and not 0 <= self.level < dims[self.sites[0]]:
             raise ValueError(f"population level {self.level} out of range for a factor of dimension "
                              f"{dims[self.sites[0]]}")
-        if self.kind == "trace_distance_to_gibbs" and dims != (2, 2):
-            raise ValueError(f"trace_distance_to_gibbs needs a two-qubit model, got factors {dims}")
+        if self.kind == "trace_distance_to_gibbs" and set(dims) != {2}:
+            raise ValueError(f"trace_distance_to_gibbs needs an all-qubit model, got factors {dims}")
 
     @property
     def column(self) -> str:
@@ -156,7 +157,7 @@ class ObservableSpec:
         if self.kind == "population":
             return population(partial_trace(rho, self.sites), self.level)
         if self.kind == "trace_distance_to_gibbs":
-            return trace_distance(rho, self.gibbs)
+            return trace_distance(rho, gibbs_state(self.T, rho.space.n_factors))
         return purity(rho if self.sites is None else partial_trace(rho, self.sites))
 
 
@@ -164,10 +165,10 @@ def _check_values(model: ModelSpec, paths: tuple[str, ...], values, where: str) 
     """Raise ValueError naming ``{'path': value}`` unless each of the ascending
     ``values``, set on all ``paths`` at ``model``, is in the model's domain.
     Every domain a path reaches is an interval in its value (each entry's
-    domain is one: Gamma > 0, z >= 1, n_p >= 0, or 0 without pumping, and so
-    on), so the values are in it when their two ends are. Only when an end is
-    not are the values scanned in order, so that the error names the first
-    bad one of a grid or of a box."""
+    domain is one: Gamma > 0, z >= 1, n_p >= 0, and so on), so the values are
+    in it when their two ends are. Only when an end is not are the values
+    scanned in order, so that the error names the first bad one of a grid or
+    of a box."""
     setter = PathSetter(model, paths)
     name = "|".join(paths)
 
@@ -268,7 +269,7 @@ def piece_systems(model: str) -> tuple[np.ndarray, np.ndarray]:
     (which checks its trace) one at a time, so that the K dense pieces are
     never all held at once. The stacks depend on the model alone (its
     parameters enter only through the coefficient rows), so they are built
-    once per process and model: about 0.5 MB for the three effective models."""
+    once per process and model: about 0.6 MB for the three effective models."""
     pieces = model_pieces(model)
     d = pieces.space.dim
     zero_h = np.zeros((d, d), dtype=complex)

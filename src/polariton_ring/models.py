@@ -6,10 +6,12 @@ Four families are covered, all in the rotating frame of the drive:
   after adiabatic elimination of the guides.
 * ``pair_eff``   - two polariton qubits coupled by a middle guide, with two
   additional end guides (three drives total), guides eliminated.
-* ``pair_thermal`` - two polariton qubits sharing a single guide, with local
-  thermal pumping of the qubits; the model behind the thermalization maps.
+* ``pair_thermal`` - two polariton qubits sharing a single guide; the model
+  behind the thermalization maps.
 * ``micro``      - the full qubits-plus-truncated-boson-modes models used to
   validate the eliminated ones.
+
+Every model pumps its qubits thermally at the occupation ``n_p``.
 
 Conventions. Rates are dimensionless ratios; pick the scale by setting the
 first guide-induced rate to 1. Each qubit has ground state at index 0 with
@@ -58,7 +60,6 @@ class Geometry(typing.NamedTuple):
     name: str
     guide_sites: tuple[tuple[int, ...], ...]  # the qubit sites each guide couples to, one or two
     model: str  # the eliminated model
-    thermal: bool  # whether the eliminated model has thermal pumping
     concurrence_sites: tuple[int, int]  # the pair the optimizer maximizes by default
 
     @property
@@ -78,9 +79,9 @@ class Geometry(typing.NamedTuple):
 
 
 ROWS = (
-    Geometry("ring3", ((0, 1), (1, 2), (2, 0)), "ring3_eff", thermal=False, concurrence_sites=(1, 2)),
-    Geometry("pair3", ((0,), (0, 1), (1,)), "pair_eff", thermal=False, concurrence_sites=(0, 1)),
-    Geometry("pair1", ((0, 1),), "pair_thermal", thermal=True, concurrence_sites=(0, 1)),
+    Geometry("ring3", ((0, 1), (1, 2), (2, 0)), "ring3_eff", concurrence_sites=(1, 2)),
+    Geometry("pair3", ((0,), (0, 1), (1,)), "pair_eff", concurrence_sites=(0, 1)),
+    Geometry("pair1", ((0, 1),), "pair_thermal", concurrence_sites=(0, 1)),
 )
 GEOMETRIES = {(row.n_sites, row.n_guides): row for row in ROWS}  # the full models, by (n_sites, number of guides)
 EFFECTIVE = {row.model: row for row in ROWS}  # the eliminated models, by name
@@ -159,8 +160,8 @@ class EffectiveParams:
     drive, ``y[i]`` the induced hopping strength and ``z[i]`` the local decay
     dressing (z = 1 corresponds to no bare qubit decay). Lengths are one per
     guide: 3 for the ring and three-guide pair, 1 for the single-guide pair.
-    ``n_p`` is the qubits' thermal occupation; only ``pair_thermal`` has
-    thermal pumping, and ModelSpec keeps it 0 on the other models.
+    ``n_p`` is the qubits' thermal occupation, which pumps every site of
+    every effective model.
     """
 
     Gamma: tuple[float, ...]
@@ -299,24 +300,21 @@ def model_pieces(model: str) -> ModelPieces:
     """The fixed operator pieces of an effective model (cached, read-only),
     from its row: per guide i coupling the sites S_i, the hopping P_a†P_b if
     it couples two sites a, b, then the drive pair of Σ_{s∈S_i} P_s†; per
-    site, its decay group, then its upward group if the row is thermal; per
-    two-site guide, its cross group."""
+    site, its downward group; per two-site guide, its cross group; last, per
+    site, its upward group."""
     row = EFFECTIVE[model]
     space = HilbertSpace((2,) * row.n_sites)
     P = _qubit_ops(space.factor_dims)
-    hams, groups, cross = [], [], []
+    hams, cross = [], []
     for sites in row.guide_sites:
         if len(sites) == 2:
             a, b = sites
             hams.append(_herm(P[a].conj().T @ P[b]))
             cross.append(_group((P[a], P[b]), (P[b], P[a])))
         hams += _herm_pair(sum(P[s].conj().T for s in sites))
-    for s in range(row.n_sites):
-        groups.append(_group((P[s], P[s])))
-        if row.thermal:
-            up = _frozen(P[s].conj().T)
-            groups.append(_group((up, up)))
-    return ModelPieces(space, tuple(hams), tuple(groups + cross))
+    down = [_group((p, p)) for p in P]
+    up = [_group((r, r)) for r in (_frozen(p.conj().T) for p in P)]
+    return ModelPieces(space, tuple(hams), tuple(down + cross + up))
 
 
 def _total(terms: list):
@@ -329,30 +327,26 @@ def _coefficients(model: str, p) -> list:
     scalars or (B,) columns. The model is
     H = Σ_i Γ_i [ y_i P_a†P_b (guides on two sites a, b) + x_i Σ_{s∈S_i} P_s† ] + h.c.,
     with a cross pair (P_a, P_b), (P_b, P_a) at weight Γ_i for each two-site
-    guide, and site s decaying with weight Σ Γ_i z_i over its dressed guides
-    plus Σ Γ_i over its undressed ones. On a thermal row the bare decay hidden
-    in z, γ = 2 Σ_dressed Γ_i(z_i − 1), takes its thermal form: the downward
-    weight Σ Γ_i + γ(n_p+1)/2 and the upward weight γ n_p/2.
+    guide. Site s is pumped up with weight w_up = γ n_p/2 by the bare decay
+    hidden in z, γ = 2 Σ_dressed Γ_i(z_i − 1), and decays with weight
+    Σ Γ_i z_i over its dressed guides plus Σ Γ_i over its undressed ones plus
+    w_up. At n_p = 0, w_up is exactly 0.
 
     Coefficients: per guide, Γ_i y_i if it couples two sites, then Re and Im
-    of Γ_i x_i; per site, its decay weight (thermal: downward, upward); last,
-    Γ_i for each two-site guide."""
-    row = EFFECTIVE[model]
-    c, cross = [], []
-    for i, sites in enumerate(row.guide_sites):
+    of Γ_i x_i; per site, its downward weight; Γ_i for each two-site guide;
+    last, per site, its upward weight."""
+    c, cross, up = [], [], []
+    for i, sites in enumerate(EFFECTIVE[model].guide_sites):
         if len(sites) == 2:
             c.append(p.Gamma[i] * p.y[i])
             cross.append(p.Gamma[i])
         gx = p.Gamma[i] * p.x[i]
         c += [gx.real, gx.imag]
     for dressed, undressed in _site_guides(model):
-        if row.thermal:
-            gamma = _total([2.0 * p.Gamma[i] * (p.z[i] - 1.0) for i in dressed])
-            w_down = _total([p.Gamma[i] for i in dressed + undressed]) + gamma * (p.n_p + 1.0) / 2.0
-            c += [w_down, gamma * p.n_p / 2.0]
-        else:
-            c.append(_total([p.Gamma[i] * p.z[i] for i in dressed] + [p.Gamma[i] for i in undressed]))
-    return c + cross
+        w_up = _total([2.0 * p.Gamma[i] * (p.z[i] - 1.0) for i in dressed]) * p.n_p / 2.0
+        c.append(_total([p.Gamma[i] * p.z[i] for i in dressed] + [p.Gamma[i] for i in undressed]) + w_up)
+        up.append(w_up)
+    return c + cross + up
 
 
 def _build_micro(p: MicroParams) -> BuildResult:
@@ -429,11 +423,9 @@ class ModelSpec:
                     f"over the budget of {MICRO_L_BYTES_BUDGET / 2**20:.0f} MiB"
                 )
         else:
-            row = EFFECTIVE[self.model]
-            if len(self.params.Gamma) != row.n_guides:
-                raise ValueError(f"{self.model} needs {row.n_guides} guide entries")
-            if self.params.n_p != 0 and not row.thermal:
-                raise ValueError(f"n_p must be 0 on {self.model}, which has no thermal pumping; got {self.params.n_p}")
+            n_guides = EFFECTIVE[self.model].n_guides
+            if len(self.params.Gamma) != n_guides:
+                raise ValueError(f"{self.model} needs {n_guides} guide entries")
 
 
 def build_model(spec: ModelSpec) -> BuildResult:

@@ -1,6 +1,6 @@
-"""Figures of merit: two-qubit concurrence, trace distance, Gibbs reference
-states and Bose-Einstein occupations. Temperatures are measured in units of
-the polariton quantum (ħ = k_B = 1).
+"""Figures of merit: two-qubit concurrence, trace distance, n-qubit Gibbs
+reference states and Bose-Einstein occupations. Temperatures are measured in
+units of the polariton quantum (ħ = k_B = 1).
 
 Each figure of merit of a state is a float; of a stack of states (a
 DensityMatrix with a leading axis), an array with one value per state."""
@@ -18,7 +18,8 @@ from .linalg import DensityMatrix, HilbertSpace, herm_eig, herm_eigvals
 _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
-def _check_temperature(T: float) -> None:
+def check_temperature(T: float) -> None:
+    """Raise ValueError unless T is a temperature: finite and >= 0."""
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"temperature must be finite and >= 0, got {T}")
 
@@ -82,25 +83,26 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float | np.ndarray:
     return _value(0.5 * np.abs(w).sum(axis=-1))
 
 
-def gibbs_two_qubit(T: float) -> DensityMatrix:
-    """Two-qubit Gibbs state of the excitation-number Hamiltonian.
+def gibbs_state(T: float, n_qubits: int) -> DensityMatrix:
+    """Gibbs state of n qubits under the excitation-number Hamiltonian.
 
-    Diagonal with weights ∝ e^{−n/T} for total excitation n ∈ {0,1,1,2};
-    T = 0 gives the ground-state projector.
+    Diagonal with weights ∝ e^{−k/T}, k the excitation count of each basis
+    state (k ∈ {0, 1, 1, 2} on two qubits); T = 0 gives the ground-state
+    projector.
     """
-    _check_temperature(T)
-    n = np.array([0.0, 1.0, 1.0, 2.0])
+    check_temperature(T)
+    k = np.array([bin(i).count("1") for i in range(2**n_qubits)], dtype=float)
     if T == 0:
-        w = np.array([1.0, 0.0, 0.0, 0.0])
+        w = (k == 0).astype(float)
     else:
-        w = np.exp(-n / T)
+        w = np.exp(-k / T)
     w = w / w.sum()
-    return DensityMatrix(HilbertSpace((2, 2)), np.diag(w).astype(complex))
+    return DensityMatrix(HilbertSpace((2,) * n_qubits), np.diag(w).astype(complex))
 
 
 def thermal_occupation(T: float) -> float:
     """Bose-Einstein occupation 1/(e^{1/T} − 1); zero at T = 0."""
-    _check_temperature(T)
+    check_temperature(T)
     if T == 0:
         return 0.0
     return float(1.0 / np.expm1(1.0 / T))

@@ -246,6 +246,30 @@ def test_criterion_4_thermalization():
     assert ok
 
 
+def test_criterion_4_ring_thermalization():
+    # 4a and 4d on the ring at the fig3 point with y = -15 on every guide,
+    # against the three-qubit Gibbs state. Measured (numpy 2.4, scipy 1.17):
+    # the undriven distance is 5.7e-9 at T = 0.05 and 1.26e-4 at T = 0.1, and
+    # C(1, 2) is 0.417334 at T = 0 and 0.417318 at T = 0.1, a move of 1.6e-5.
+    # Both bounds are twice the largest measured value.
+    ring = fig3_ring_spec()
+    for i in range(3):
+        ring = apply_path(ring, f"y[{i}]", -15.0)
+    undriven = apply_path(apply_path(ring, "x[0].abs", 0.0), "x[2].abs", 0.0)
+    d_undriven, c_12 = [], []
+    for t in (0.0, 0.01, 0.05, 0.1):
+        gibbs = ObservableSpec("trace_distance_to_gibbs", T=t)
+        d_undriven.append(gibbs.evaluate(solve_spec(apply_path(undriven, "n_p", thermal_occupation(t)))[1]))
+        _, rho = solve_spec(apply_path(ring, "n_p", thermal_occupation(t)))
+        c_12.append(concurrence(partial_trace(rho, (1, 2))))
+    ok = check("4f ring distance vanishes undriven", max(d_undriven) <= 2.5e-4,
+               f"max_T d(x=0) = {max(d_undriven):.2e}")
+    spread = max(c_12) - min(c_12)
+    ok &= check("4g ring C_12 temperature independence", spread <= 3.2e-5,
+                f"C_12 {c_12[0]:.6f} at T = 0 to {c_12[-1]:.6f} at T = 0.1, spread {spread:.1e}")
+    assert ok
+
+
 def test_criterion_5_effective_validation():
     started = time.perf_counter()
     d1 = validate_effective(validation_micro_spec(j_over_kappa=0.05).params)

@@ -223,10 +223,10 @@ def test_thermal_map_derivative_vs_richardson():
     # central difference at step h against the Richardson estimate from h and h/2
     y, z, T = 15.0, 1.01, 0.05
     from polariton_ring.models import thermal_pair_spec
-    from polariton_ring.observables import gibbs_two_qubit, thermal_occupation, trace_distance
+    from polariton_ring.observables import gibbs_state, thermal_occupation, trace_distance
 
     n_p = thermal_occupation(T)
-    gibbs = gibbs_two_qubit(T)
+    gibbs = gibbs_state(T, 2)
 
     def d(x):
         _, rho = solve_spec(thermal_pair_spec(x=x, n_p=n_p, y=y, z=z))
@@ -423,8 +423,7 @@ def micro_on(row):
 
 def edge_paths(spec):
     """(path, edge, inclusive) of every addressable float path of ``spec``
-    whose domain has an edge. n_p of a model without pumping has the domain
-    {0}, whose lower edge is 0."""
+    whose domain has an edge."""
     if spec.model == "micro":
         n = len(spec.params.J)
         return ([("kappa", 0.0, False), ("gamma_p", 0.0, True), ("n_c", 0.0, True), ("n_p", 0.0, True)]
@@ -450,7 +449,6 @@ def test_grid_check_specs_cover_every_row():
 def test_grid_check_at_the_ends_matches_the_per_value_scan(spec):
     # every domain a path reaches is an interval in its value, so checking a
     # grid at its two ends gives the per-value scan's verdict and message
-    pumped = spec.model == "micro" or EFFECTIVE[spec.model].thermal
     paths = edge_paths(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # micro grids leave the weak-driving regime
@@ -460,13 +458,9 @@ def test_grid_check_at_the_ends_matches_the_per_value_scan(spec):
             for grid in (inside, crossing, crossing[2:], (edge - 1.0,), (edge + 2.0,)):
                 assert ends_check(spec, (path,), grid) == per_value_check(spec, (path,), grid), (path, grid)
             assert f"{{{path!r}: {edge - 1.0}}}" in ends_check(spec, (path,), crossing)
-            if path == "n_p" and not pumped:
-                # the domain {0}: the tail crosses it, and the first bad value is named
-                assert f"{{'n_p': {edge + 0.5}}}: n_p must be 0" in ends_check(spec, (path,), inside)
-            else:
-                assert ends_check(spec, (path,), inside) is None, path
+            assert ends_check(spec, (path,), inside) is None, path
         # one value on every edge path at once: the domains' intersection, an interval too
-        group = tuple(path for path, _, _ in paths if pumped or path != "n_p")
+        group = tuple(path for path, _, _ in paths)
         for grid in ((-1.0, 0.0, 0.5, 1.0, 2.0), (0.5, 1.0, 2.0), (1.0, 2.0, 3.0)):
             assert ends_check(spec, group, grid, "bounds[0] endpoint") == per_value_check(
                 spec, group, grid, "bounds[0] endpoint"), grid
@@ -523,9 +517,9 @@ def effective_specs():
     a complex middle drive, middle hoppings, and thermal up-pumping."""
     specs = [s for s in bundled_models().values() if s.model != "micro"]
     ring = apply_path(apply_path(fig3_ring_spec(), "x[1].re", 0.3), "x[1].im", -0.7)
-    specs.append(apply_path(ring, "y[1]", 2.5))
+    specs.append(apply_path(apply_path(ring, "y[1]", 2.5), "n_p", 0.3))
     pair = apply_path(apply_path(fig5_pair_spec(), "x[1].re", -1.1), "x[1].im", 0.4)
-    specs.append(apply_path(pair, "y[1]", 3.0))
+    specs.append(apply_path(apply_path(pair, "y[1]", 3.0), "n_p", 0.3))
     specs.append(thermal_pair_spec(x=1.5, n_p=0.3))
     return specs
 
@@ -538,18 +532,14 @@ _dressing = st.floats(1.0, 12.0)
 @st.composite
 def drawn_specs(draw):
     model = draw(st.sampled_from(["ring3_eff", "pair_eff", "pair_thermal"]))
-    if model == "pair_thermal":
-        params = EffectiveParams(
-            Gamma=(draw(_rate),), x=(complex(draw(_finite), draw(_finite)),), y=(draw(_finite),),
-            z=(draw(_dressing),), n_p=draw(st.floats(0.0, 2.0)),
-        )
-    else:
-        params = EffectiveParams(
-            Gamma=tuple(draw(_rate) for _ in range(3)),
-            x=tuple(complex(draw(_finite), draw(_finite)) for _ in range(3)),
-            y=tuple(draw(_finite) for _ in range(3)),
-            z=tuple(draw(_dressing) for _ in range(3)),
-        )
+    g = EFFECTIVE[model].n_guides
+    params = EffectiveParams(
+        Gamma=tuple(draw(_rate) for _ in range(g)),
+        x=tuple(complex(draw(_finite), draw(_finite)) for _ in range(g)),
+        y=tuple(draw(_finite) for _ in range(g)),
+        z=tuple(draw(_dressing) for _ in range(g)),
+        n_p=draw(st.floats(0.0, 2.0)),
+    )
     return ModelSpec(model, params)
 
 
@@ -1056,13 +1046,13 @@ def test_run_sweep_matches_per_point_solve():
 
 
 def test_thermal_map_matches_per_point_solve():
-    from polariton_ring.observables import gibbs_two_qubit, thermal_occupation, trace_distance
+    from polariton_ring.observables import gibbs_state, thermal_occupation, trace_distance
 
     result = thermal_map((-2.0, 0.0, 1.5), (0.02, 0.05))
     for x, t, d in zip(result.column("x"), result.column("T_R"), result.column("d")):
         spec = thermal_pair_spec(x=x, n_p=thermal_occupation(t))
         _, rho = solve_spec(spec)
-        assert abs(d - trace_distance(rho, gibbs_two_qubit(t))) <= 1e-12
+        assert abs(d - trace_distance(rho, gibbs_state(t, 2))) <= 1e-12
 
 
 def test_piece_systems_are_built_once_per_model_and_every_compile_checks_itself(monkeypatch, fresh_piece_systems):
@@ -1140,12 +1130,20 @@ def test_sweep_compiles_once(monkeypatch):
         (ObservableSpec("concurrence", sites=(0, 5)), "out of range"),
         (ObservableSpec("purity", sites=(1, 1)), "distinct"),
         (ObservableSpec("population", sites=(0,), level=2), "level 2"),
-        (ObservableSpec("trace_distance_to_gibbs", T=0.05), "two-qubit"),
     ],
 )
 def test_sweep_plan_checks_observables_against_model(observable, message):
     with pytest.raises(ValueError, match=message):
         SweepPlan(model=fig3_ring_spec(), axes=(Axis("x[0].phase", (0.0,)),), observables=(observable,))
+
+
+def test_gibbs_distance_needs_an_all_qubit_model():
+    # every effective model is all qubits; a micro model's guide factors are not
+    observable = ObservableSpec("trace_distance_to_gibbs", T=0.05)
+    for spec in (fig3_ring_spec(), fig5_pair_spec(), thermal_pair_spec(x=1.0)):
+        observable.check_space(experiments.model_space(spec))
+    with pytest.raises(ValueError, match="needs an all-qubit model"):
+        observable.check_space(experiments.model_space(validation_micro_spec(n_boson=3)))
 
 
 def test_concurrence_needs_qubit_sites():

@@ -28,7 +28,7 @@ from polariton_ring.models import (
     thermal_pair_spec,
     validation_micro_spec,
 )
-from polariton_ring.observables import concurrence, gibbs_two_qubit, trace_distance
+from polariton_ring.observables import concurrence, gibbs_state, trace_distance
 from polariton_ring.steady import steady_state_on
 from polariton_ring.superop import assemble
 
@@ -219,7 +219,7 @@ def test_thermal_detailed_balance_limit():
     assert np.abs(report.rho.mat - want).max() <= 1e-4
     # matches the Bose-Einstein Gibbs state at the corresponding temperature
     t = 1.0 / np.log(1.0 / n_p + 1.0)
-    assert trace_distance(report.rho, gibbs_two_qubit(t)) <= 1e-4
+    assert trace_distance(report.rho, gibbs_state(t, 2)) <= 1e-4
 
 
 def test_thermal_drive_phase_is_a_gauge():
@@ -454,8 +454,7 @@ def test_accepted_guide_paths_are_exactly_those_that_enter_the_model(row):
     # a generic point of the row's model: every y[i] and z[i] that _parse_path
     # accepts changes the coefficients, and every one it rejects does not
     g = row.n_guides
-    spec = ModelSpec(row.model, EffectiveParams(Gamma=(1.0,) * g, x=(1.0,) * g, y=(0.5,) * g, z=(1.01,) * g,
-                                                n_p=0.2 if row.thermal else 0.0))
+    spec = ModelSpec(row.model, EffectiveParams(Gamma=(1.0,) * g, x=(1.0,) * g, y=(0.5,) * g, z=(1.01,) * g, n_p=0.2))
     for name in ("y", "z"):
         for i in range(g):
             path = f"{name}[{i}]"
@@ -630,12 +629,18 @@ def test_model_spec_type_checks():
 
 
 @pytest.mark.parametrize("spec", [fig3_ring_spec(), fig5_pair_spec()], ids=["ring3_eff", "pair_eff"])
-def test_n_p_is_zero_without_thermal_pumping(spec):
-    # only pair_thermal reads n_p; elsewhere a nonzero one would be dropped silently
+def test_n_p_pumps_every_effective_model(spec):
+    # every effective model reads n_p: it adds an upward weight at each site,
+    # and n_p = 0 leaves the coefficients as they were bit for bit
     assert apply_path(spec, "n_p", 0.0) == spec
-    with pytest.raises(ValueError, match=f"n_p must be 0 on {spec.model}"):
-        apply_path(spec, "n_p", 0.5)
-    assert apply_path(thermal_pair_spec(x=1.0), "n_p", 0.5).params.n_p == 0.5
+    warm = apply_path(spec, "n_p", 0.5)
+    assert warm.params.n_p == 0.5
+    n_sites = EFFECTIVE[spec.model].n_sites
+    cold_c, warm_c = models.coefficients(spec), models.coefficients(warm)
+    assert not cold_c[-n_sites:].any() and (warm_c[-n_sites:] > 0).all()
+    assert (warm_c[:-n_sites] != cold_c[:-n_sites]).any()
+    with pytest.raises(ValueError, match="n_p must be nonnegative"):
+        apply_path(spec, "n_p", -0.5)
 
 
 # --- cached qubit operators -------------------------------------------------------
@@ -688,33 +693,37 @@ def _sigma_minus(n):
 
 def reference_generator(spec):
     """The effective models written out term by term, independently of the
-    pieces: (h, [(left, right, weight), ...])."""
+    pieces: (h, [(left, right, weight), ...]). Each site s decays at its
+    weight plus the upward weight γ_s n_p/2, γ_s its bare decay, and is pumped
+    up at that upward weight."""
     p = spec.params
     if spec.model == "ring3_eff":
         P = _sigma_minus(3)
         h = np.zeros((8, 8), dtype=complex)
-        terms = [(P[i], P[i], p.Gamma[i - 1] * p.z[i - 1] + p.Gamma[i] * p.z[i]) for i in range(3)]
+        down = [p.Gamma[i - 1] * p.z[i - 1] + p.Gamma[i] * p.z[i] for i in range(3)]
+        gamma = [2 * p.Gamma[i - 1] * (p.z[i - 1] - 1) + 2 * p.Gamma[i] * (p.z[i] - 1) for i in range(3)]
+        cross = []
         for i in range(3):
             j = (i + 1) % 3
             h += p.Gamma[i] * (p.y[i] * P[i].conj().T @ P[j] + p.x[i] * (P[i].conj().T + P[j].conj().T))
-            terms += [(P[i], P[j], p.Gamma[i]), (P[j], P[i], p.Gamma[i])]
+            cross += [(P[i], P[j], p.Gamma[i]), (P[j], P[i], p.Gamma[i])]
     elif spec.model == "pair_eff":
-        P1, P2 = _sigma_minus(2)
+        P = _sigma_minus(2)
         g1, g2, g3 = p.Gamma
-        h = g2 * p.y[1] * P1.conj().T @ P2 + (g1 * p.x[0] + g2 * p.x[1]) * P1.conj().T
-        h = h + (g2 * p.x[1] + g3 * p.x[2]) * P2.conj().T
-        terms = [(P1, P1, g2 * p.z[1] + g1), (P2, P2, g2 * p.z[1] + g3), (P1, P2, g2), (P2, P1, g2)]
+        h = g2 * p.y[1] * P[0].conj().T @ P[1] + (g1 * p.x[0] + g2 * p.x[1]) * P[0].conj().T
+        h = h + (g2 * p.x[1] + g3 * p.x[2]) * P[1].conj().T
+        down = [g2 * p.z[1] + g1, g2 * p.z[1] + g3]
+        gamma = [2 * g2 * (p.z[1] - 1)] * 2
+        cross = [(P[0], P[1], g2), (P[1], P[0], g2)]
     else:
-        P1, P2 = _sigma_minus(2)
+        P = _sigma_minus(2)
         g = p.Gamma[0]
-        gamma = 2 * g * (p.z[0] - 1)
-        h = g * p.y[0] * P1.conj().T @ P2 + g * p.x[0] * (P1.conj().T + P2.conj().T)
-        terms = []
-        for P in (P1, P2):
-            terms.append((P, P, g + gamma * (p.n_p + 1) / 2))
-            if p.n_p * gamma > 0:
-                terms.append((P.conj().T, P.conj().T, gamma * p.n_p / 2))
-        terms += [(P1, P2, g), (P2, P1, g)]
+        h = g * p.y[0] * P[0].conj().T @ P[1] + g * p.x[0] * (P[0].conj().T + P[1].conj().T)
+        down = [g * p.z[0]] * 2
+        gamma = [2 * g * (p.z[0] - 1)] * 2
+        cross = [(P[0], P[1], g), (P[1], P[0], g)]
+    terms = [(P[s], P[s], w + gamma[s] * p.n_p / 2) for s, w in enumerate(down)] + cross
+    terms += [(P[s].conj().T, P[s].conj().T, gamma[s] * p.n_p / 2) for s in range(len(P)) if p.n_p * gamma[s] > 0]
     return h + h.conj().T, terms
 
 
@@ -725,6 +734,9 @@ def test_builders_match_written_out_models(rng):
         y, z, gam = rng.normal(size=3) * 5, 1 + rng.uniform(0, 3, 3), rng.uniform(0.1, 3, 3)
         specs.append(ModelSpec("ring3_eff", EffectiveParams(tuple(gam), x, tuple(y), tuple(z))))
         specs.append(ModelSpec("pair_eff", EffectiveParams(tuple(gam), x, tuple(y), tuple(z))))
+        # the upward terms, written out at n_p > 0 on every model
+        specs.append(ModelSpec("ring3_eff", EffectiveParams(tuple(gam), x, tuple(y), tuple(z), rng.uniform(0, 1))))
+        specs.append(ModelSpec("pair_eff", EffectiveParams(tuple(gam), x, tuple(y), tuple(z), rng.uniform(0, 1))))
         specs.append(thermal_pair_spec(x=x[0], n_p=rng.uniform(0, 1), y=y[0], z=z[0]))
     for spec in specs:
         _, h, terms = build_model(spec)
@@ -736,7 +748,7 @@ def test_builders_match_written_out_models(rng):
             assert term.weight == pytest.approx(weight, rel=1e-15)
 
 
-@pytest.mark.parametrize("name, n_hams, n_groups", [("ring3_eff", 9, 6), ("pair_eff", 7, 3), ("pair_thermal", 3, 5)])
+@pytest.mark.parametrize("name, n_hams, n_groups", [("ring3_eff", 9, 9), ("pair_eff", 7, 5), ("pair_thermal", 3, 5)])
 def test_model_pieces_shape_and_read_only(name, n_hams, n_groups):
     pieces = models.model_pieces(name)
     assert pieces is models.model_pieces(name)

@@ -10,7 +10,7 @@ from polariton_ring.models import PathSetter, fig5_pair_spec
 from polariton_ring.observables import (
     _spin_flip,
     concurrence,
-    gibbs_two_qubit,
+    gibbs_state,
     population,
     purity,
     thermal_occupation,
@@ -212,24 +212,38 @@ def test_trace_distance_space_mismatch(rng):
 
 
 def test_gibbs_zero_temperature():
-    rho = gibbs_two_qubit(0.0)
+    rho = gibbs_state(0.0, 2)
     assert rho.mat[0, 0] == 1.0
 
 
 def test_gibbs_infinite_temperature_limit():
-    rho = gibbs_two_qubit(1e9)
+    rho = gibbs_state(1e9, 2)
     assert np.abs(rho.mat - np.eye(4) / 4).max() <= 1e-9
 
 
 def test_gibbs_ln2_weights():
-    rho = gibbs_two_qubit(1.0 / np.log(2.0))
+    rho = gibbs_state(1.0 / np.log(2.0), 2)
     want = np.diag([4 / 9, 2 / 9, 2 / 9, 1 / 9])
     assert np.abs(rho.mat - want).max() <= 1e-12
 
 
 def test_gibbs_is_diagonal():
-    rho = gibbs_two_qubit(0.3)
+    rho = gibbs_state(0.3, 2)
     assert np.abs(rho.mat - np.diag(np.diag(rho.mat))).max() == 0.0
+
+
+def test_gibbs_on_n_qubits_is_a_product_of_single_qubit_states():
+    # weights e^{-k/T} over the excitation count k of each basis state
+    for t in (0.0, 0.05, 0.3, 1.0 / np.log(2.0)):
+        single = gibbs_state(t, 1)
+        assert single.space.factor_dims == (2,)
+        for n in (2, 3):
+            rho = gibbs_state(t, n)
+            assert rho.space.factor_dims == (2,) * n
+            product = single.mat
+            for _ in range(n - 1):
+                product = np.kron(product, single.mat)
+            assert np.abs(rho.mat - product).max() <= 1e-15
 
 
 def test_thermal_occupation_values():
@@ -242,7 +256,7 @@ def test_thermal_spec_validation():
     # a temperature must be finite and >= 0
     for bad in (-1.0, -1e-300, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="temperature"):
-            gibbs_two_qubit(bad)
+            gibbs_state(bad, 2)
         with pytest.raises(ValueError, match="temperature"):
             thermal_occupation(bad)
 
@@ -258,7 +272,7 @@ def test_observables_of_a_stack_equal_each_state(rng):
     # one value per state of a stack, each bit for bit the value of that state alone
     space = HilbertSpace((2, 2))
     mats = np.array([random_density_mat(rng, 4) for _ in range(6)])
-    gibbs = gibbs_two_qubit(0.05)
+    gibbs = gibbs_state(0.05, 2)
     for observable in (concurrence, purity, lambda r: population(r, 2), lambda r: trace_distance(r, gibbs),
                        lambda r: trace_distance(gibbs, r)):
         values = observable(DensityMatrix(space, mats))
