@@ -34,6 +34,7 @@ from .experiments import (
     SweepError,
     SweepPlan,
     SweepResult,
+    check_validity_regime,
     optimize_concurrence,
     run_sweep,
     signed_x_grid,
@@ -233,19 +234,17 @@ def _cmd_validate(cfg: dict) -> tuple[str, dict]:
         raise ConfigError(f"j_over_kappa values must be finite and > 0, got {bad}")
     keys = [CSV_FORMAT % r for r in ratios]  # a ratio's CSV cell and summary key
     check_distinct(keys, "j_over_kappa names")
+    scales = [ratio * base.kappa / max(base.J) for ratio in ratios]
     result = SweepResult(["j_over_kappa", "distance"])
-    for ratio in ratios:
-        scale = ratio * base.kappa / max(base.J)
-        try:
-            micro = replace(
-                base,
-                J=tuple(j * scale for j in base.J),
-                alpha=tuple(a * scale for a in base.alpha),
-            )
-            dist = validate_effective(micro)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        result.rows.append([ratio, dist])
+    try:
+        micros = [replace(base, J=tuple(j * s for j in base.J), alpha=tuple(a * s for a in base.alpha))
+                  for s in scales]
+        for micro in micros:  # every ratio, before the first solve
+            check_validity_regime(micro)
+        for ratio, micro in zip(ratios, micros):
+            result.rows.append([ratio, validate_effective(micro)])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return result.to_csv(), {"distances": {key: dist for key, (_, dist) in zip(keys, result.rows)}}
 
 

@@ -553,17 +553,10 @@ def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult
     return SweepResult(header=["x", "T_R", "d", "abs_dd_dx", "t_in_range"], rows=rows)
 
 
-def validate_effective(micro: MicroParams) -> float:
-    """Trace distance between the polariton marginal of the full model's steady
-    state and the eliminated model's steady state, both from :func:`solve_spec`.
-
-    Enforces the weak-coupling regime J ≤ 0.1 κ and cold guides (n_c = 0: the
-    elimination has no thermal-guide form) before doing anything. The
-    eliminated model is derived and solved first, since it is cheap and is
-    where a parameter without an effective form fails (ValueError,
-    ZeroDivisionError for a zero J, or FloatingPointError where the form
-    overflows).
-    """
+def check_validity_regime(micro: MicroParams) -> None:
+    """Raise ValueError unless the eliminated models are meant to describe
+    ``micro``: cold guides (n_c = 0: the elimination has no thermal-guide form)
+    and the weak-coupling regime J ≤ 0.1 κ."""
     if micro.n_c > 0:
         raise ValueError(f"n_c = {micro.n_c}: the eliminated models have no thermal guides, so validate needs n_c = 0")
     if max(micro.J) > WEAK_COUPLING_RATIO * micro.kappa:
@@ -571,6 +564,18 @@ def validate_effective(micro: MicroParams) -> float:
             f"J/kappa = {max(micro.J) / micro.kappa:.3f} outside the validity regime "
             f"(<= {WEAK_COUPLING_RATIO})"
         )
+
+
+def validate_effective(micro: MicroParams) -> float:
+    """Trace distance between the polariton marginal of the full model's steady
+    state and the eliminated model's steady state, both from :func:`solve_spec`.
+
+    Runs :func:`check_validity_regime` before doing anything. The eliminated
+    model is derived and solved first, since it is cheap and is where a
+    parameter without an effective form fails (ValueError, ZeroDivisionError
+    for a zero J, or FloatingPointError where the form overflows).
+    """
+    check_validity_regime(micro)
     _, eff_rho = solve_spec(ModelSpec(micro.geometry.model, derive_effective(micro)))
     _, rho_full = solve_spec(ModelSpec("micro", micro))
     return trace_distance(partial_trace(rho_full, range(micro.n_sites)), eff_rho)

@@ -42,7 +42,10 @@ WEAK_COUPLING_RATIO = 0.1
 # Largest dense Liouvillian (complex128, d² × d²) a micro ModelSpec may need;
 # MicroParams alone is not limited, since only a ModelSpec is built into L.
 # Admits the ring at n_boson=2 (d = 64, 256 MiB); rejects it at n_boson=3
-# (d = 216, about 35 GB).
+# (d = 216, about 35 GB). It bounds L, not the solve: a solve peaks at about
+# 4.5 times L, most of it the full-size copies of L that steady._real_form
+# makes. The ring at n_boson=2 peaks at 1085 MB, and an L at the budget would
+# need about 2.3 GB.
 MICRO_L_BYTES_BUDGET = 512 * 2**20
 
 # Most grid points one sweep or thermal map may hold. Points are solved in turn

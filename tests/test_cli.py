@@ -489,6 +489,8 @@ def test_optimize_sites_outside_model_exit_2(tmp_path, capsys, no_solve):
         (pair_model_json(), "Gamma[0]", [-1.0, 0.5, 1.0], "{'Gamma[0]': -1.0}: all Gamma must be positive"),
         ({"model": "pair_thermal", "Gamma": [1.0], "x": [[2.0, 0.0]], "y": [15.0], "z": [1.01]},
          "z[0]", [0.5, 1.5], "{'z[0]': 0.5}"),
+        # a grid is checked at its ends, so of its two bad values only the first is named
+        (pair_model_json(), "Gamma[1]", [-1.0, -0.5, 0.5], "{'Gamma[1]': -1.0}: all Gamma must be positive"),
     ],
 )
 def test_sweep_grid_outside_model_domain_exits_2(tmp_path, capsys, no_solve, model, path, grid, message):
@@ -498,6 +500,7 @@ def test_sweep_grid_outside_model_domain_exits_2(tmp_path, capsys, no_solve, mod
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+    assert "-0.5" not in err
     assert not out.exists()
     assert not summary_path(out).exists()
 
@@ -588,7 +591,12 @@ def with_value(cfg, keys, value):
         # a repeated ratio, rejected before the first solve
         ("validate", with_value(VALIDATE_CFG, ["j_over_kappa"], [0.05, 0.025, 0.05]),
          "j_over_kappa names ['0.05'] more than once"),
+        # a ratio outside the weak-coupling regime, rejected before the solves of the ratios ahead of it
+        ("validate", with_value(VALIDATE_CFG, ["j_over_kappa"], [0.05, 0.2]),
+         "J/kappa = 0.200 outside the validity regime"),
         ("sweep", with_value(THERMAL_SWEEP_CFG, ["observables"], [{"kind": "purity", "sites": []}]),
+         "observables[0]: purity sites must not be empty: omit sites for the whole state"),
+        ("solve", with_value(THERMAL_SOLVE_CFG, ["observables"], [{"kind": "purity", "sites": []}]),
          "observables[0]: purity sites must not be empty: omit sites for the whole state"),
         # two columns of one name would repeat a CSV header and merge in column_stats, or in
         # solve's summary, where d_gibbs at two temperatures kept only the last
@@ -605,8 +613,9 @@ def with_value(cfg, keys, value):
          "solve-concurrence-level", "optimize-bound-z-below-1", "optimize-group-bound-Gamma-negative",
          "optimize-free-repeated-across-groups", "optimize-free-repeated-in-group", "optimize-bounds-reversed",
          "optimize-bound-infinite", "optimize-budget-0", "sweep-axis-repeated", "sweep-axis-empty-index",
-         "thermal-x-one-point", "thermal-x-count-1", "validate-ratio-repeated", "sweep-purity-sites-empty",
-         "sweep-observable-column-repeated", "solve-observable-column-repeated"],
+         "thermal-x-one-point", "thermal-x-count-1", "validate-ratio-repeated", "validate-ratio-outside-regime",
+         "sweep-purity-sites-empty", "solve-purity-sites-empty", "sweep-observable-column-repeated",
+         "solve-observable-column-repeated"],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
     out = tmp_path / "data.csv"
@@ -634,14 +643,6 @@ def test_inert_pair_eff_path_exits_2(tmp_path, capsys, no_solve, command, path):
     assert not summary_path(out).exists()
 
 
-# finite parameters whose coefficient Γ₁x₁ overflows: the sweep config and its message
-COEFFICIENT_OVERFLOW = (
-    {"model": with_value(pair_model_json(), ["x", 0], [1e10, 0.0]),
-     "axes": [{"path": "Gamma[0]", "grid": [1.0, 1e300]}], "observables": [{"kind": "purity"}]},
-    "run failed: grid point {'Gamma[0]': 1e+300} failed: matrix contains non-finite entries",
-)
-
-
 @pytest.mark.parametrize(
     "command, config, message",
     [
@@ -650,7 +651,10 @@ COEFFICIENT_OVERFLOW = (
         ("sweep", {"model": OPTIMIZE_CFG["model"], "axes": [{"path": "x[1].re", "grid": [-1e200, 1e200]}],
                    "observables": [{"kind": "purity"}]},
          "run failed: grid point {'x[1].re': -1e+200} failed: "),
-        ("sweep", *COEFFICIENT_OVERFLOW),
+        # finite parameters whose coefficient Γ₁x₁ overflows
+        ("sweep", {"model": with_value(pair_model_json(), ["x", 0], [1e10, 0.0]),
+                   "axes": [{"path": "Gamma[0]", "grid": [1.0, 1e300]}], "observables": [{"kind": "purity"}]},
+         "run failed: grid point {'Gamma[0]': 1e+300} failed: matrix contains non-finite entries"),
     ],
     ids=["optimize", "sweep", "sweep-coefficient-overflow"],
 )
@@ -666,16 +670,6 @@ def test_point_failure_exits_1_naming_the_point(tmp_path, capsys, command, confi
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
     assert not summary_path(out).exists()
-
-
-def test_coefficient_overflow_fails_without_numpy_warnings(tmp_path, capsys):
-    config, message = COEFFICIENT_OVERFLOW
-    out = tmp_path / "data.csv"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
-    assert message in capsys.readouterr().err
-    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 # finite base parameters whose coefficient Γ₁x₁ overflows
@@ -830,17 +824,21 @@ def test_validate_three_guide_pair_with_thermal_pumping(tmp_path):
     [
         ("solve", {"model": dict(pair_model_json(), n_p=0.5),
                    "observables": [{"kind": "trace_distance_to_gibbs", "T": 0.1}]}),
+        ("solve", {"model": dict(RING_MODEL, n_p=0.1), "observables": [{"kind": "trace_distance_to_gibbs", "T": 0.1}]}),
         ("sweep", {"model": RING_MODEL, "axes": [{"path": "n_p", "grid": [0.0, 1.0, 5.0]}],
                    "observables": [{"kind": "concurrence", "sites": [1, 2]},
                                    {"kind": "trace_distance_to_gibbs", "T": 0.1}]}),
         ("optimize", {"model": RING_MODEL, "free": ["n_p"], "bounds": [[0.0, 1.0]], "budget": 5}),
     ],
-    ids=["solve", "sweep", "optimize"],
+    ids=["solve", "solve-ring", "sweep", "optimize"],
 )
 def test_n_p_on_every_effective_model_exits_0(tmp_path, command, cfg):
     out = tmp_path / "data.csv"
     assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
     assert out.exists() and summary_path(out).exists()
+    if command == "solve":
+        d = json.loads(summary_path(out).read_text())["observables"]["d_gibbs"]
+        assert isinstance(d, float) and np.isfinite(d)
 
 
 def test_zero_n_p_stays_valid_without_thermal_pumping(tmp_path):
