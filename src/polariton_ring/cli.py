@@ -237,10 +237,10 @@ def _cmd_validate(cfg: dict) -> tuple[str, dict]:
     scales = [ratio * base.kappa / max(base.J) for ratio in ratios]
     result = SweepResult(["j_over_kappa", "distance"])
     try:
-        micros = [replace(base, J=tuple(j * s for j in base.J), alpha=tuple(a * s for a in base.alpha))
-                  for s in scales]
-        for micro in micros:  # every ratio, before the first solve
-            check_validity_regime(micro)
+        couplings = [tuple(j * s for j in base.J) for s in scales]
+        for J in couplings:  # every ratio, before its model is built and before the first solve
+            check_validity_regime(base.n_c, J, base.kappa)
+        micros = [replace(base, J=J, alpha=tuple(a * s for a in base.alpha)) for J, s in zip(couplings, scales)]
         for ratio, micro in zip(ratios, micros):
             result.rows.append([ratio, validate_effective(micro)])
     except ValueError as exc:

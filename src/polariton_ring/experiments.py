@@ -46,6 +46,7 @@ from .steady import (
     _real_restriction,
     evolve_to_steady,  # unused here: bench/tracing.py wraps experiments.evolve_to_steady by name
     lstsq_state,
+    steady_state_of,
     steady_state_on,
     steady_state_restricted,
     trace_zero_system,
@@ -236,11 +237,12 @@ class SweepResult:
 
 
 def solve_spec(spec: ModelSpec) -> tuple[SteadyStateReport, DensityMatrix]:
-    """Build, assemble and solve one model; returns the report and the state
-    tagged with its factor structure. Raises SteadyStateError if the steady
-    state is not unique."""
+    """Build one model and solve it from the nonzeros of its generator
+    (:func:`steady.steady_state_of`: no dense Liouvillian is formed); returns
+    the report and the state tagged with its factor structure. Raises
+    SteadyStateError if the steady state is not unique."""
     space, h, terms = build_model(spec)
-    report = steady_state_on(assemble(h, terms), space)
+    report = steady_state_of(h, terms, space)
     if not report.unique:
         raise SteadyStateError(f"steady state is not unique for this {spec.model} model")
     return report, report.rho
@@ -553,17 +555,16 @@ def thermal_map(x_grid, t_grid, y: float = 15.0, z: float = 1.01) -> SweepResult
     return SweepResult(header=["x", "T_R", "d", "abs_dd_dx", "t_in_range"], rows=rows)
 
 
-def check_validity_regime(micro: MicroParams) -> None:
-    """Raise ValueError unless the eliminated models are meant to describe
-    ``micro``: cold guides (n_c = 0: the elimination has no thermal-guide form)
-    and the weak-coupling regime J ≤ 0.1 κ."""
-    if micro.n_c > 0:
-        raise ValueError(f"n_c = {micro.n_c}: the eliminated models have no thermal guides, so validate needs n_c = 0")
-    if max(micro.J) > WEAK_COUPLING_RATIO * micro.kappa:
-        raise ValueError(
-            f"J/kappa = {max(micro.J) / micro.kappa:.3f} outside the validity regime "
-            f"(<= {WEAK_COUPLING_RATIO})"
-        )
+def check_validity_regime(n_c: float, J: tuple[float, ...], kappa: float) -> None:
+    """Raise ValueError unless the eliminated models are meant to describe a
+    full model with guide occupation ``n_c``, couplings ``J`` and guide decay
+    ``kappa``: cold guides (n_c = 0: the elimination has no thermal-guide
+    form) and the weak-coupling regime J ≤ 0.1 κ. It takes the fields, not a
+    MicroParams, so that a caller can check them before building one."""
+    if n_c > 0:
+        raise ValueError(f"n_c = {n_c}: the eliminated models have no thermal guides, so validate needs n_c = 0")
+    if max(J) > WEAK_COUPLING_RATIO * kappa:
+        raise ValueError(f"J/kappa = {max(J) / kappa:.3f} outside the validity regime (<= {WEAK_COUPLING_RATIO})")
 
 
 def validate_effective(micro: MicroParams) -> float:
@@ -575,7 +576,7 @@ def validate_effective(micro: MicroParams) -> float:
     parameter without an effective form fails (ValueError, ZeroDivisionError
     for a zero J, or FloatingPointError where the form overflows).
     """
-    check_validity_regime(micro)
+    check_validity_regime(micro.n_c, micro.J, micro.kappa)
     _, eff_rho = solve_spec(ModelSpec(micro.geometry.model, derive_effective(micro)))
     _, rho_full = solve_spec(ModelSpec("micro", micro))
     return trace_distance(partial_trace(rho_full, range(micro.n_sites)), eff_rho)

@@ -23,6 +23,8 @@ Hamiltonians contain hopping and drive terms only.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import sys
 import typing
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
@@ -39,13 +41,16 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 # J <= WEAK_COUPLING_RATIO * kappa counts as the adiabatic-elimination regime.
 WEAK_COUPLING_RATIO = 0.1
 
-# Largest dense Liouvillian (complex128, d² × d²) a micro ModelSpec may need;
-# MicroParams alone is not limited, since only a ModelSpec is built into L.
+# Largest dense Liouvillian (complex128, d² × d²) a micro ModelSpec may stand
+# for; MicroParams alone is not limited, since only a ModelSpec is solved.
 # Admits the ring at n_boson=2 (d = 64, 256 MiB); rejects it at n_boson=3
-# (d = 216, about 35 GB). It bounds L, not the solve: a solve peaks at about
-# 4.5 times L, most of it the full-size copies of L that steady._real_form
-# makes. The ring at n_boson=2 peaks at 1085 MB, and an L at the budget would
-# need about 2.3 GB.
+# (d = 216, about 35 GB). No command forms that L: a micro solve builds its
+# real form and M from the generator's nonzeros (steady.generator_system) and
+# holds at most two real d²×d² arrays at once (the real form and M, then M and
+# its LU), together the size of L. So the budget bounds the solve's working
+# set at about its own value: the ring at n_boson=2 peaks at 338 MB (1085 MB
+# when L was assembled), the pair3 micro at n_boson=2 at 84.5 MB (128.5 MB),
+# of which about 65 MB is the interpreter (one BLAS thread).
 MICRO_L_BYTES_BUDGET = 512 * 2**20
 
 # Most grid points one sweep or thermal map may hold. Points are solved in turn
@@ -100,6 +105,17 @@ def _site_guides(model: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], .
                   tuple(i for i in guides if len(row.guide_sites[i]) == 1)) for guides in at)
 
 
+def _constructor_stacklevel() -> int:
+    """The ``stacklevel`` that points a warning of a dataclass's
+    ``__post_init__`` (this function's caller) at the code that builds the
+    instance, past the generated ``__init__`` (file ``<string>``) and
+    ``dataclasses.replace``."""
+    frame, level = sys._getframe(2), 2
+    while frame.f_code.co_filename in ("<string>", dataclasses.__file__):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass(frozen=True)
 class MicroParams:
     """Physical parameters of a full (qubits + guides) model.
@@ -147,7 +163,7 @@ class MicroParams:
             warnings.warn(
                 "parameters leave the weak-driving regime (alpha_i <= J_i << kappa); "
                 "effective models may not apply",
-                stacklevel=2,
+                stacklevel=_constructor_stacklevel(),
             )
 
     @property

@@ -1,11 +1,14 @@
 """Steady states of Liouvillians: the solve that every command uses, one LU
-of the real trace-zero restriction per point; a least-squares solve of the
-unrestricted system (:func:`lstsq_state`), which only the compile's
-self-check runs, as its reference; and exact time propagation with a
-spectral-gap estimate for its horizon (inverse iteration on M through the
-same getrf/getrs), which no command calls: the tests compare the solve
-against it as an independent reference. This is the one module of the
-package that imports scipy."""
+of the real trace-zero restriction M per point, with M formed either from a
+dense Liouvillian (:func:`steady_state_on`, :func:`trace_zero_system`) or,
+for a single model, from the nonzeros of its (h, terms) without forming L
+(:func:`generator_system`, :func:`steady_state_of`, the route of
+``experiments.solve_spec``); a least-squares solve of the unrestricted
+system (:func:`lstsq_state`), which only the compile's self-check runs, as
+its reference; and exact time propagation with a spectral-gap estimate for
+its horizon (inverse iteration on M through the same getrf/getrs), which no
+command calls: the tests compare the solve against it as an independent
+reference. This is the one module of the package that imports scipy."""
 
 from __future__ import annotations
 
@@ -19,7 +22,15 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .linalg import HERM_TOL, DensityMatrix, HilbertSpace, hermitize
-from .superop import Superoperator, check_trace_preserving, unvec, vec
+from .superop import (
+    DissipatorTerm,
+    Superoperator,
+    check_trace_defect,
+    check_trace_preserving,
+    checked_sources,
+    unvec,
+    vec,
+)
 
 RESIDUAL_TOL = 1e-8
 CLAMP_TOL = 1e-8
@@ -129,15 +140,138 @@ def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.nd
     Raises SteadyStateError when L_r has an imaginary part above
     HERM_TOL·max(scale, 1), ``scale`` being ‖L‖_∞: L then does not preserve
     hermiticity."""
-    d = l.dim
     lc = _real_form(l)
-    if float(np.abs(lc.imag).max()) > HERM_TOL * max(scale, 1.0):
+    return lc.real, *_restrict(lc.real, float(np.abs(lc.imag).max()), scale)
+
+
+def _restrict(lr: np.ndarray, defect: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M, r) of :func:`_real_restriction` from the real part ``lr`` of the
+    real form, whose imaginary part has largest entry ``defect``: the
+    Householder block on the diagonal coordinates, then copies, so that only
+    L_r and M are held at full size. Raises SteadyStateError when ``defect``
+    exceeds HERM_TOL·max(scale, 1)."""
+    if defect > HERM_TOL * max(scale, 1.0):
         raise SteadyStateError("generator does not preserve hermiticity")
-    lr = lc.real
+    n, d = len(lr), math.isqrt(len(lr))
     _, house = _hermitian_basis(d)
-    lb = np.concatenate([lr[:, :d] @ house[:, 1:], lr[:, d:]], axis=1)
+    diagonal = lr[:, :d] @ house[:, 1:]
+    m = np.empty((n - 1, n - 1))
+    m[:d - 1] = house[1:] @ np.concatenate([diagonal[:d], lr[:d, d:]], axis=1)
+    m[d - 1:, :d - 1] = diagonal[d:]
+    m[d - 1:, d - 1:] = lr[d:, d:]
     li = lr[:, :d].sum(axis=1) / d
-    return lr, np.concatenate([house[1:] @ lb[:d], lb[d:]]), -np.concatenate([house[1:] @ li[:d], li[d:]])
+    return m, -np.concatenate([house[1:] @ li[:d], li[d:]])
+
+
+@cache
+def _vec_coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where each entry of a d×d matrix lands in the coordinates of
+    :func:`_hermitian_basis`, indexed by the entry's vec index p = i + d·j,
+    as four read-only arrays of d² entries: the two coordinates of its pair,
+    (E_ij + E_ji)/√2 and then i(E_ij − E_ji)/√2 (i and j ordered), and the
+    entries U[p, ·] of the unitary U whose columns are that basis, √½ and
+    ±i√½, + for i < j. A diagonal entry has the one coordinate E_ii, at 1;
+    its second coordinate repeats it, at 0."""
+    index, _ = _hermitian_basis(d)
+    coordinate = np.empty(d * d, dtype=np.intp)
+    coordinate[index] = np.arange(d * d)  # of each row-major entry
+    j, i = np.divmod(np.arange(d * d), d)
+    diagonal = i == j
+    r = np.sqrt(0.5)
+    sym = np.where(diagonal, i, coordinate[np.minimum(i, j) * d + np.maximum(i, j)])
+    anti = np.where(diagonal, i, sym + d * (d - 1) // 2)
+    arrays = (sym, anti, np.where(diagonal, 1.0, r) + 0j, np.where(diagonal, 0j, np.where(i < j, 1j * r, -1j * r)))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _generator_entries(h, terms: list[DissipatorTerm]) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the generator L that ``superop.assemble(h, terms)``
+    forms, without forming L: the flat indices row·d² + col of the entries
+    that have an addend, and their values, each the sum of its addends in
+    assemble's order, so equal to assemble's entry to the bit. L is
+    Σ_s c_s·A_s ⊗ B_s over the sources s: each term (R̄, L_t, 2w), then
+    (I, K, 1) and ((ih − m)ᵀ, I, 1), with K = −ih − m and m = Σ w R†L_t; an
+    addend is c_s times a nonzero of A_s times a nonzero of B_s. Raises what
+    :func:`superop.checked_sources` raises; numpy stays quiet where an addend
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, m = checked_sources(h, terms)
+        d = len(h)
+        n = d * d
+        eye = np.eye(d, dtype=complex)
+        a = np.array([t.right.conj() for t in terms] + [eye, (1j * h - m).T])
+        b = np.array([t.left for t in terms] + [-1j * h - m, eye])
+        c = np.array([2.0 * t.weight for t in terms] + [1.0, 1.0])
+        # every pair of a nonzero of A_s with one of B_s, source by source
+        sa, ia, ja = np.nonzero(a)
+        sb, ib, jb = np.nonzero(b)
+        per_b = np.bincount(sb, minlength=len(c))
+        count = per_b[sa]
+        end = np.cumsum(count)
+        pair_a = np.repeat(np.arange(len(sa)), count)
+        pair_b = np.arange(end[-1]) + np.repeat(np.cumsum(per_b)[sa] - per_b[sa] - end + count, count)
+        addend = c[sa][pair_a] * (a[sa, ia, ja][pair_a] * b[sb, ib, jb][pair_b])
+    # the addend's row in vec order is (ib, ia), its column (jb, ja)
+    at = (d * (ia * n + ja))[pair_a] + (ib * n + jb)[pair_b]
+    # one label per entry: the position of one of its addends
+    first = np.empty(n * n, dtype=np.int32)  # read only where written
+    first[at] = np.arange(len(at))
+    label = first[at]
+    del first
+    entry = np.flatnonzero(label == np.arange(len(at)))
+    return at[entry], np.bincount(label, addend.real)[entry] + 1j * np.bincount(label, addend.imag)[entry]
+
+
+def generator_system(h, terms: list[DissipatorTerm]) -> tuple[np.ndarray, np.ndarray, float]:
+    """(M, r) of :func:`trace_zero_system` and ‖L‖_∞ of the generator L that
+    ``superop.assemble(h, terms)`` forms, from the nonzeros of its factors
+    (:func:`_generator_entries`), without forming L or any other d²×d²
+    complex array.
+
+    ‖L‖_∞ and the trace row are summed as Superoperator sums them, over
+    assemble's entries, so both are assemble's to the bit. Each entry of L
+    lands on at most four entries of the real form U†LU of
+    :func:`_real_form`, times its column factor and then its row factor, as
+    there; np.bincount sums them, and :func:`_restrict` runs the Householder
+    tail. M and r are :func:`_real_restriction`'s to the bit where each entry
+    of the real form is one entry of L or a conjugate pair of them (every
+    bundled model), and to rounding where other entries of L meet in one.
+
+    Raises what assemble and :func:`_real_restriction` raise: ValueError (h
+    not finite, a term of another dimension, or an entry of L that is not
+    finite), NonHermitianError (h not Hermitian), AssemblyError (L not trace
+    preserving) and SteadyStateError (L does not preserve hermiticity);
+    unlike assemble, without a numpy warning where L overflows."""
+    at, value = _generator_entries(h, terms)
+    d = len(h)
+    n = d * d
+    row, col = np.divmod(at, n)
+    # |L| row by row, zeros included, as Superoperator.norm_inf sums it
+    magnitude = np.zeros(n * n)
+    magnitude[at] = np.abs(value)
+    scale = float(magnitude.reshape(n, n).sum(axis=1).max(initial=0.0))
+    del magnitude
+    if not math.isfinite(scale):
+        raise ValueError("matrix contains non-finite entries: the generator overflows")
+    # the rows (i, i), summed over i as Superoperator.trace_defect sums them
+    on_trace = row % (d + 1) == 0
+    trace_rows = np.zeros((d, n), dtype=complex)
+    trace_rows[row[on_trace] // (d + 1), col[on_trace]] = value[on_trace]
+    check_trace_defect(float(np.abs(trace_rows.sum(axis=0)).max(initial=0.0)))
+    # each entry's four addends of U†LU: the column factor first, then the row factor
+    sym, anti, f_sym, f_anti = _vec_coordinates(d)
+    by_sym, by_anti = f_sym[col] * value, f_anti[col] * value
+    g_sym, g_anti = f_sym[row].conj(), f_anti[row].conj()
+    addend = np.concatenate([g_sym * by_sym, g_sym * by_anti, g_anti * by_sym, g_anti * by_anti])
+    to_sym, to_anti = n * sym[row], n * anti[row]
+    target = np.concatenate([to_sym + sym[col], to_sym + anti[col], to_anti + sym[col], to_anti + anti[col]])
+    imag = np.bincount(target, addend.imag, minlength=n * n)
+    defect = float(np.abs(imag, out=imag).max(initial=0.0))
+    del imag
+    lr = np.bincount(target, addend.real, minlength=n * n).reshape(n, n)
+    return *_restrict(lr, defect, scale), scale
 
 
 def trace_zero_system(l: Superoperator) -> tuple[np.ndarray, np.ndarray]:
@@ -238,6 +372,19 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     """
     scale = check_trace_preserving(l).norm_inf()
     _, m, r = _real_restriction(l, scale)
+    return _point_report(space, m, r, scale)
+
+
+def steady_state_of(h, terms: list[DissipatorTerm], space: HilbertSpace) -> SteadyStateReport:
+    """:func:`steady_state_on` for the generator that ``superop.assemble(h,
+    terms)`` forms, solved from the system (M, r) and ‖L‖_∞ of
+    :func:`generator_system`, which never forms L. Raises what
+    :func:`generator_system` raises."""
+    return _point_report(space, *generator_system(h, terms))
+
+
+def _point_report(space: HilbertSpace, m: np.ndarray, r: np.ndarray, scale: float) -> SteadyStateReport:
+    """The report of one generator from its trace-zero system (M, r) and ‖L‖_∞ ``scale``."""
     rho, residual, min_eig, unique, bound = _solve_stack(space.dim, m[None], r[None], lambda _: scale)
     return SteadyStateReport(DensityMatrix(space, rho[0]), float(residual[0]), float(min_eig[0]),
                              bool(unique[0]), float(bound[0]))

@@ -100,19 +100,14 @@ def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:
     With M = Σ w R†L the generator is
     Σ 2w (R̄ ⊗ L) + I ⊗ (−ih − M) + (ih − M)ᵀ ⊗ I: one Kronecker product per
     term plus two. Terms are added in the order given; builders emit them in
-    a fixed order, so repeated assembly is bit-stable. h must be Hermitian,
-    and trace preservation is asserted after assembly.
+    a fixed order, so repeated assembly is bit-stable. h and the terms are
+    checked by :func:`checked_sources`, and trace preservation is asserted
+    after assembly.
     """
-    h = as_complex(h)
-    if herm_defect(h) > HERM_TOL:
-        raise NonHermitianError(f"Hamiltonian not Hermitian: defect {herm_defect(h):.2e}")
-    d = h.shape[0]
-    m = np.zeros((d, d), dtype=complex)
+    h, m = checked_sources(h, terms)
+    d = len(h)
     mat = np.zeros((d * d, d * d), dtype=complex)
     for term in terms:
-        if term.left.shape[0] != d:
-            raise ValueError(f"term dimension {term.left.shape[0]} != Hamiltonian dimension {d}")
-        m += term.weight * (term.right.conj().T @ term.left)
         mat += (2.0 * term.weight) * _kron(term.right.conj(), term.left)
     eye = np.eye(d, dtype=complex)
     mat += _kron(eye, -1j * h - m)
@@ -120,12 +115,33 @@ def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:
     return check_trace_preserving(Superoperator(d, mat))
 
 
+def checked_sources(h, terms: list[DissipatorTerm]) -> tuple[np.ndarray, np.ndarray]:
+    """The complex h and M = Σ w R†L of a generator, summed in the order of
+    ``terms``. Raises ValueError if h is not finite or a term's dimension is
+    not h's, and NonHermitianError if h is not Hermitian."""
+    h = as_complex(h)
+    if herm_defect(h) > HERM_TOL:
+        raise NonHermitianError(f"Hamiltonian not Hermitian: defect {herm_defect(h):.2e}")
+    d = h.shape[0]
+    m = np.zeros((d, d), dtype=complex)
+    for term in terms:
+        if term.left.shape[0] != d:
+            raise ValueError(f"term dimension {term.left.shape[0]} != Hamiltonian dimension {d}")
+        m += term.weight * (term.right.conj().T @ term.left)
+    return h, m
+
+
 def check_trace_preserving(l: Superoperator) -> Superoperator:
     """``l`` itself; raises AssemblyError if its trace defect exceeds TRACE_PRESERVATION_TOL."""
-    defect = l.trace_defect()
+    check_trace_defect(l.trace_defect())
+    return l
+
+
+def check_trace_defect(defect: float) -> None:
+    """Raise AssemblyError if a generator's trace defect, the largest entry of
+    vec(I)†·L, exceeds TRACE_PRESERVATION_TOL."""
     if defect > TRACE_PRESERVATION_TOL:
         raise AssemblyError(
             f"assembled Liouvillian is not trace preserving (defect {defect:.2e}); "
             "check term weights/units"
         )
-    return l

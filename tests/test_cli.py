@@ -431,6 +431,7 @@ def no_solve(monkeypatch):
         raise AssertionError("a steady state was solved before the config was checked")
 
     monkeypatch.setattr(experiments, "steady_state_on", forbidden)
+    monkeypatch.setattr(experiments, "steady_state_of", forbidden)
 
 
 @pytest.mark.parametrize(
@@ -619,7 +620,11 @@ def with_value(cfg, keys, value):
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, no_solve, command, config, message):
     out = tmp_path / "data.csv"
-    assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    # one message per fault: a ratio outside the regime is rejected before its model is built, which would warn
+    assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == []
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not out.exists()

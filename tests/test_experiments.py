@@ -17,7 +17,7 @@ from conftest import (
     smooth3,
     three_guide_pair_micro,
 )
-from polariton_ring import experiments, steady
+from polariton_ring import experiments, steady, superop
 from polariton_ring.experiments import (
     Axis,
     CHUNK,
@@ -96,8 +96,9 @@ def test_single_point_sweep_equals_solve():
     spec = apply_path(fig5_pair_spec(), "x[0].phase", np.pi)
     _, rho = solve_spec(spec)
     # both routes take ρ from an LU of (M, r): the sweep's M is contracted from
-    # the compiled pieces, solve_spec's is formed from the assembled L, and the
-    # two states differ by 6e-16 in their last bits
+    # the compiled pieces, solve_spec's is built from the generator's nonzeros
+    # (the assembled L's to the bit), and the two states differ by 6e-16 in
+    # their last bits
     assert np.abs(solve_points(CompiledModel(spec), [spec]).rho.mat[0] - rho.mat).max() <= 5e-15
     # here ρ has an eigenvalue 4e-9, and the concurrence moves by 3.6e-14 with
     # those bits (2.7e-14 when solve_spec used gelsy): 1e-13 keeps a margin of
@@ -865,6 +866,25 @@ def test_compiled_uncertified_states_equal_certified_ones(monkeypatch):
             assert np.array_equal(getattr(report, name), getattr(certified, name)), (model, name)
         for k, spec in enumerate(chunk):
             assert np.abs(report.rho.mat[k] - solve_spec(spec)[1].mat).max() <= 5e-15, model
+
+
+@pytest.mark.parametrize("spec", [validation_micro_spec(), fig3_ring_spec()], ids=["micro", "ring3_eff"])
+def test_solve_spec_forms_no_dense_liouvillian(monkeypatch, spec):
+    # (M, r) and ‖L‖_∞ come from the generator's nonzeros, the assembled L's
+    # to the bit, so the report is the dense route's, bit for bit
+    space, h, terms = build_model(spec)
+    want = steady.steady_state_on(assemble(h, terms), space)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_spec formed a dense Liouvillian")
+
+    monkeypatch.setattr(experiments, "assemble", forbidden)
+    monkeypatch.setattr(experiments, "steady_state_on", forbidden)
+    monkeypatch.setattr(superop.Superoperator, "__post_init__", forbidden)
+    report, rho = solve_spec(spec)
+    assert np.array_equal(rho.mat, want.rho.mat)
+    for name in ("residual", "min_eigenvalue", "unique", "uniqueness_bound"):
+        assert getattr(report, name) == getattr(want, name), name
 
 
 def test_single_point_solve_does_not_depend_on_the_rate_unit():

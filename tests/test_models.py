@@ -331,6 +331,19 @@ def test_micro_weak_driving_warning():
         )
 
 
+def test_micro_weak_driving_warning_names_the_line_that_builds_the_params():
+    # past the generated __init__ (file "<string>") and dataclasses.replace
+    fields = dict(n_sites=2, J=(0.5,), kappa=1.0, gamma_p=0.0, alpha=(0.1,), phi=(0.0,), omega_c=(1.0,),
+                  omega_p=(1.0, 1.0), omega_d=1.0)
+    with pytest.warns(UserWarning, match="weak-driving") as built:
+        params = MicroParams(**fields)
+    with pytest.warns(UserWarning, match="weak-driving") as replaced:
+        replace(params, J=(0.6,))
+    source = Path(__file__).read_text().splitlines()
+    assert [(w.filename, source[w.lineno - 1].strip()) for w in [*built, *replaced]] == [
+        (__file__, "params = MicroParams(**fields)"), (__file__, "replace(params, J=(0.6,))")]
+
+
 def test_geometry_table_agrees_with_effective_models():
     # one tuple of rows feeds both lookups; what a row states must fit its
     # eliminated model's pieces and coefficient map

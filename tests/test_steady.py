@@ -1,15 +1,24 @@
 import ast
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import basis_state, bundled_models, random_hermitian
+from conftest import basis_state, bundled_models, random_hermitian, three_guide_pair_micro, validation_micro_spec
 from polariton_ring import steady
 from polariton_ring.linalg import DensityMatrix, HilbertSpace, embed, hermitize
-from polariton_ring.models import SIGMA_MINUS, EffectiveParams, ModelSpec, build_model, thermal_pair_spec
+from polariton_ring.models import (
+    EFFECTIVE,
+    SIGMA_MINUS,
+    EffectiveParams,
+    ModelSpec,
+    build_model,
+    model_pieces,
+    thermal_pair_spec,
+)
 from polariton_ring.observables import trace_distance
 from polariton_ring.steady import (
     CLAMP_TOL,
@@ -23,7 +32,9 @@ from polariton_ring.steady import (
     _trace_zero_coordinates,
     evolve,
     evolve_to_steady,
+    generator_system,
     spectral_gap,
+    steady_state_of,
     steady_state_on,
     steady_state_restricted,
     trace_zero_system,
@@ -583,3 +594,122 @@ def test_steady_is_the_only_module_that_imports_scipy():
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 importers.add(path.stem)
     assert importers == {"steady"}
+
+
+# --- the sparse builder of (M, r) against the dense route ---------------------
+
+
+def dense_system(h, terms):
+    """(M, r, ‖L‖_∞) by the dense route: assemble L, then its real restriction."""
+    liouv = assemble(h, terms)
+    scale = liouv.norm_inf()
+    return (*_real_restriction(liouv, scale)[1:], scale)
+
+
+def assert_system_is_the_dense_routes(h, terms, exact=True):
+    """generator_system's (M, r) equals the dense route's to the bit, or, with
+    ``exact`` False, to rounding: where entries of L other than a conjugate
+    pair meet in one entry of the real form, as with random dense operators,
+    the two routes add those (at most four, each below ‖L‖_∞) in another
+    order, and the Householder tail mixes d such entries, so
+    16·d·ε·max(‖L‖_∞, 1) bounds the gap. ‖L‖_∞ is summed as
+    Superoperator.norm_inf sums it, so it is always equal."""
+    m, r, scale = generator_system(h, terms)
+    want_m, want_r, want_scale = dense_system(h, terms)
+    assert scale == want_scale
+    assert m.shape == want_m.shape and r.shape == want_r.shape
+    if exact:
+        assert np.array_equal(m, want_m) and np.array_equal(r, want_r)
+    else:
+        bound = 16 * len(h) * np.finfo(float).eps * max(want_scale, 1.0)
+        assert max(np.abs(m - want_m).max(), np.abs(r - want_r).max()) <= bound
+
+
+@pytest.mark.parametrize("model", sorted(EFFECTIVE))
+def test_generator_system_is_the_dense_routes_on_every_effective_row(rng, model):
+    # random coefficients on every piece (every upward group on, n_p > 0), and
+    # the same rows with the upward groups off (n_p = 0), which build leaves out
+    pieces = model_pieces(model)
+    n_up = EFFECTIVE[model].n_sites
+    for _ in range(10):
+        c = rng.uniform(0.0, 2.0, len(pieces.hams) + len(pieces.groups))
+        assert_system_is_the_dense_routes(*pieces.build(c)[1:])
+        c[-n_up:] = 0.0
+        assert_system_is_the_dense_routes(*pieces.build(c)[1:])
+
+
+@pytest.mark.parametrize("n_c, n_p", [(0.0, 0.0), (0.1, 0.2), (0.3, 0.0)])
+@pytest.mark.parametrize("geometry, n_boson", [("pair1", 2), ("pair1", 3), ("pair3", 2)])
+def test_generator_system_is_the_dense_routes_on_micro_models(geometry, n_boson, n_c, n_p):
+    # warm guides and pumped qubits add upward terms whose addends meet the
+    # downward ones in the same entries of L; pair3 at n_boson 3 (d = 108) is
+    # over MICRO_L_BYTES_BUDGET
+    base = validation_micro_spec().params if geometry == "pair1" else three_guide_pair_micro(0.05)
+    assert_system_is_the_dense_routes(*build_model(ModelSpec("micro", replace(base, n_boson=n_boson, n_c=n_c,
+                                                                              n_p=n_p)))[1:])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_generator_system_matches_dense_route_with_cross_and_zero_weight_terms(rng, d):
+    ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
+    terms = [DissipatorTerm(a, a, float(rng.uniform(0.1, 1.0))) for a in ops]
+    terms += [DissipatorTerm(ops[0], ops[1], 0.05), DissipatorTerm(ops[1], ops[0], 0.05)]
+    h = random_hermitian(rng, d)
+    assert_system_is_the_dense_routes(h, terms, exact=False)
+    zero = [DissipatorTerm(ops[2], ops[0], 0.0), DissipatorTerm(ops[0], ops[2], 0.0),
+            DissipatorTerm(ops[1], ops[1], 0.0)]
+    assert_system_is_the_dense_routes(h, zero[:2] + terms + zero[2:], exact=False)
+    # with a sparse model's operators, zero-weight terms leave every bit alone
+    _, h, terms = build_model(thermal_pair_spec(x=1.0, n_p=0.1))
+    zero = [DissipatorTerm(t.right, t.left, 0.0) for t in terms]
+    assert_system_is_the_dense_routes(h, zero + terms)
+
+
+def test_generator_system_of_one_level():
+    terms = [DissipatorTerm(np.ones((1, 1)), np.ones((1, 1)), 0.5)]
+    m, r, scale = generator_system(np.array([[0.3]]), terms)
+    assert m.shape == (0, 0) and r.shape == (0,) and scale == 0.0
+    assert_system_is_the_dense_routes(np.array([[0.3]]), terms)
+    report = steady_state_of(np.array([[0.3]]), terms, HilbertSpace((1,)))
+    assert report.unique and report.rho.mat.tolist() == [[1.0]]
+
+
+def solve_error(solve):
+    """What ``solve`` raises, or None; RuntimeWarnings are errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            solve()
+        except Exception as exc:
+            return exc
+    return None
+
+
+def generators_that_fail(rng):
+    d = 2
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    decay = DissipatorTerm(SIGMA_MINUS, SIGMA_MINUS, 0.5)
+    return {
+        "h-not-hermitian": (np.array([[0.0, 1.0], [0.0, 0.0]]), [decay]),
+        "h-not-finite": (np.array([[np.inf, 0.0], [0.0, 0.0]]), [decay]),
+        "term-dimension": (np.zeros((2, 2)), [decay, DissipatorTerm(np.eye(3), np.eye(3), 0.1)]),
+        "unpaired-cross-term": (np.zeros((2, 2)), [decay, DissipatorTerm(a, SIGMA_MINUS, 0.3)]),
+        # rounding of rates near 1e9 leaves L's trace row above TRACE_PRESERVATION_TOL
+        "trace-defect": (random_hermitian(rng, d), [DissipatorTerm(a, a, 1e9)]),
+        # 2w overflows: L has non-finite entries
+        "rate-overflow": (np.zeros((2, 2)), [DissipatorTerm(SIGMA_MINUS, SIGMA_MINUS, 1e308)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["h-not-hermitian", "h-not-finite", "term-dimension", "unpaired-cross-term",
+                                  "trace-defect", "rate-overflow"])
+def test_generator_system_raises_what_the_dense_route_raises(rng, case):
+    h, terms = generators_that_fail(rng)[case]
+    space = HilbertSpace((2,))
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # the dense route is loud where L overflows
+        want = solve_error(lambda: steady_state_on(assemble(h, terms), space))
+    got = solve_error(lambda: steady_state_of(h, terms, space))  # and quiet
+    assert want is not None and type(got) is type(want), (got, want)
+    if case == "trace-defect":  # the trace row is summed as the dense route sums it
+        assert str(got) == str(want)
