@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +96,15 @@ def _decode_model(obj, where: str = "model") -> ModelSpec:
         return model_spec_from_json(obj)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _decode_unsolved_model(obj, where: str) -> ModelSpec:
+    """:func:`_decode_model` for a model that is not solved as given
+    (``validate``'s base, which is only rescaled, and the summary's echo),
+    without the weak-driving warning: only a model that is solved warns."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "parameters leave the weak-driving regime", UserWarning)
+        return _decode_model(obj, where)
 
 
 def _decode_observable(obj, where: str) -> ObservableSpec:
@@ -221,7 +231,7 @@ def _cmd_thermal(cfg: dict) -> tuple[str, dict]:
 
 def _cmd_validate(cfg: dict) -> tuple[str, dict]:
     _require_keys(cfg, {"micro", "j_over_kappa"}, {"micro"}, "validate config")
-    model = _decode_model(cfg["micro"], "micro")
+    model = _decode_unsolved_model(cfg["micro"], "micro")
     if model.model != "micro":
         raise ConfigError("validate needs a micro model")
     base = model.params
@@ -278,7 +288,7 @@ def _echo_config(cfg: dict) -> dict:
     echo = dict(cfg)
     for key in ("model", "micro"):
         if key in echo:
-            echo[key] = model_spec_to_json(_decode_model(echo[key], key))
+            echo[key] = model_spec_to_json(_decode_unsolved_model(echo[key], key))
     return echo
 
 

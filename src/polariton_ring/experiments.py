@@ -43,13 +43,13 @@ from .steady import (
     SteadyStateError,
     SteadyStateReport,
     _certified_unique,
-    _real_restriction,
+    _dense_system,
     evolve_to_steady,  # unused here: bench/tracing.py wraps experiments.evolve_to_steady by name
+    generator_system,
     lstsq_state,
     steady_state_of,
     steady_state_on,
     steady_state_restricted,
-    trace_zero_system,
 )
 from .superop import assemble
 
@@ -267,11 +267,12 @@ def piece_systems(model: str) -> tuple[np.ndarray, np.ndarray]:
     """The trace-zero systems (M_k, r_k) of :func:`steady.trace_zero_system`
     of each piece of :func:`models.model_pieces` of an effective model, as
     two read-only stacks: row k of the first is M_k in Fortran order, as
-    LAPACK takes it, and row k of the second is r_k. Each piece is assembled
-    (which checks its trace) one at a time, so that the K dense pieces are
-    never all held at once. The stacks depend on the model alone (its
-    parameters enter only through the coefficient rows), so they are built
-    once per process and model: about 0.6 MB for the three effective models."""
+    LAPACK takes it, and row k of the second is r_k. Each piece's system is
+    built from the entries of its (h, terms) by :func:`steady.generator_system`
+    (which checks its trace), so no piece's dense L is formed. The stacks
+    depend on the model alone (its parameters enter only through the
+    coefficient rows), so they are built once per process and model: about
+    0.6 MB for the three effective models."""
     pieces = model_pieces(model)
     d = pieces.space.dim
     zero_h = np.zeros((d, d), dtype=complex)
@@ -280,7 +281,7 @@ def piece_systems(model: str) -> tuple[np.ndarray, np.ndarray]:
     m_stack = np.empty((len(sources), (n - 1) ** 2))
     r_stack = np.empty((len(sources), n - 1))
     for k, (h, terms) in enumerate(sources):
-        m, r_stack[k] = trace_zero_system(assemble(h, terms))
+        m, r_stack[k], _ = generator_system(h, terms)
         m_stack[k] = m.T.ravel()
     for a in (m_stack, r_stack):
         a.setflags(write=False)
@@ -319,8 +320,7 @@ class CompiledModel:
 
     def _check(self, base: ModelSpec) -> None:
         expected = assemble(*build_model(base)[1:])
-        scale = expected.norm_inf()
-        lr, want_m, want_r = _real_restriction(expected, scale)
+        lr, want_m, want_r, scale = _dense_system(expected)
         c = coefficients(base)[None]
         (m,), (r,) = self.system(c)
         error = max(float(np.abs(m - want_m).max()), float(np.abs(r - want_r).max()))

@@ -41,16 +41,13 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 # J <= WEAK_COUPLING_RATIO * kappa counts as the adiabatic-elimination regime.
 WEAK_COUPLING_RATIO = 0.1
 
-# Largest dense Liouvillian (complex128, d² × d²) a micro ModelSpec may stand
-# for; MicroParams alone is not limited, since only a ModelSpec is solved.
-# Admits the ring at n_boson=2 (d = 64, 256 MiB); rejects it at n_boson=3
-# (d = 216, about 35 GB). No command forms that L: a micro solve builds its
-# real form and M from the generator's nonzeros (steady.generator_system) and
-# holds at most two real d²×d² arrays at once (the real form and M, then M and
-# its LU), together the size of L. So the budget bounds the solve's working
-# set at about its own value: the ring at n_boson=2 peaks at 338 MB (1085 MB
-# when L was assembled), the pair3 micro at n_boson=2 at 84.5 MB (128.5 MB),
-# of which about 65 MB is the interpreter (one BLAS thread).
+# Largest working set of a solve a micro ModelSpec may stand for: the two real
+# d²×d² arrays it holds at once (the real form and M, then M and its LU),
+# 16·d⁴ bytes; MicroParams alone is not limited, since only a ModelSpec is
+# solved. Admits the ring at n_boson=2 (d = 64, 256 MiB); rejects it at
+# n_boson=3 (d = 216, about 35 GB). The ring at n_boson=2 peaks at 338 MB,
+# the pair3 micro at n_boson=2 at 84.5 MB, of which about 65 MB is the
+# interpreter (one BLAS thread).
 MICRO_L_BYTES_BUDGET = 512 * 2**20
 
 # Most grid points one sweep or thermal map may hold. Points are solved in turn
@@ -438,7 +435,7 @@ class ModelSpec:
             d = _micro_space(self.params).dim
             if 16 * d**4 > MICRO_L_BYTES_BUDGET:
                 raise ValueError(
-                    f"dense Liouvillian of dimension {d}² needs {16 * d**4 / 2**20:.0f} MiB, "
+                    f"a solve of dimension {d} holds two real {d}²×{d}² arrays, {16 * d**4 / 2**20:.0f} MiB, "
                     f"over the budget of {MICRO_L_BYTES_BUDGET / 2**20:.0f} MiB"
                 )
         else:

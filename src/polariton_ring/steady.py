@@ -1,14 +1,17 @@
 """Steady states of Liouvillians: the solve that every command uses, one LU
-of the real trace-zero restriction M per point, with M formed either from a
-dense Liouvillian (:func:`steady_state_on`, :func:`trace_zero_system`) or,
-for a single model, from the nonzeros of its (h, terms) without forming L
-(:func:`generator_system`, :func:`steady_state_of`, the route of
-``experiments.solve_spec``); a least-squares solve of the unrestricted
-system (:func:`lstsq_state`), which only the compile's self-check runs, as
-its reference; and exact time propagation with a spectral-gap estimate for
-its horizon (inverse iteration on M through the same getrf/getrs), which no
-command calls: the tests compare the solve against it as an independent
-reference. This is the one module of the package that imports scipy."""
+of the real trace-zero restriction M per point. One builder forms M, the
+right-hand side r and ‖L‖_∞ from a generator's entries
+(:func:`_real_system`): for a single model, the entries of its (h, terms),
+without forming L (:func:`generator_system`, :func:`steady_state_of`, the
+route of ``experiments.solve_spec`` and of the compiled pieces); for a dense
+Liouvillian, its nonzeros (:func:`steady_state_on`,
+:func:`trace_zero_system`). Beside it: a least-squares solve of the
+unrestricted system (:func:`lstsq_state`), which only the compile's
+self-check runs, as its reference; and exact time propagation with a
+spectral-gap estimate for its horizon (inverse iteration on M through the
+same getrf/getrs), which no command calls: the tests compare the solve
+against it as an independent reference. This is the one module of the
+package that imports scipy."""
 
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ from .superop import (
     DissipatorTerm,
     Superoperator,
     check_trace_defect,
-    check_trace_preserving,
     checked_sources,
     unvec,
     vec,
@@ -90,24 +92,6 @@ def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
     return index, house
 
 
-def _real_form(l: Superoperator) -> np.ndarray:
-    """U†LU for the unitary U whose columns are the Hermitian basis of
-    :func:`_hermitian_basis`, without forming U: one permutation to the vec
-    order diagonal, upper (E_ij), lower (E_ji), then block sums and
-    differences of the off-diagonal halves. Returned complex; its
-    imaginary part vanishes (to rounding) when L preserves hermiticity, as
-    every Lindblad generator does."""
-    d = l.dim
-    n = d * d
-    index, _ = _hermitian_basis(d)
-    perm = index // d + d * (index % d)  # each coordinate's entry, column-stacked
-    p, q = slice(d, (n + d) // 2), slice((n + d) // 2, n)
-    r = np.sqrt(0.5)
-    a = l.mat[np.ix_(perm, perm)]
-    a = np.concatenate([a[:, :d], r * (a[:, p] + a[:, q]), (1j * r) * (a[:, p] - a[:, q])], axis=1)
-    return np.concatenate([a[:d], r * (a[p] + a[q]), (-1j * r) * (a[p] - a[q])])
-
-
 def _from_real(c: np.ndarray, d: int) -> np.ndarray:
     """The Hermitian matrix with coordinates c in the basis of
     :func:`_hermitian_basis`, or the stack of them for a stack of rows c."""
@@ -131,25 +115,12 @@ def _trace_zero_coordinates(rho: np.ndarray) -> np.ndarray:
     return np.concatenate([(entries[:, None, :d].real @ house[:, 1:])[:, 0], upper.real, upper.imag], axis=1)
 
 
-def _real_restriction(l: Superoperator, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The real L_r of :func:`_real_form` and L's steady-state equation on the
-    trace-zero subspace, M·y = r: M = B_rᵀ·L_r·B_r and r = −B_rᵀ·L_r·c_I, for
-    the orthonormal basis B_r of :func:`_hermitian_basis` (never formed) and
-    the coordinates c_I of I/d, so that the steady state is c = c_I + B_r·y.
-    As L maps into that subspace, M's singular values are those of L_r·B_r.
-    Raises SteadyStateError when L_r has an imaginary part above
-    HERM_TOL·max(scale, 1), ``scale`` being ‖L‖_∞: L then does not preserve
-    hermiticity."""
-    lc = _real_form(l)
-    return lc.real, *_restrict(lc.real, float(np.abs(lc.imag).max()), scale)
-
-
 def _restrict(lr: np.ndarray, defect: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """(M, r) of :func:`_real_restriction` from the real part ``lr`` of the
-    real form, whose imaginary part has largest entry ``defect``: the
-    Householder block on the diagonal coordinates, then copies, so that only
-    L_r and M are held at full size. Raises SteadyStateError when ``defect``
-    exceeds HERM_TOL·max(scale, 1)."""
+    """(M, r) of :func:`_real_system` from the real form ``lr``, whose
+    imaginary part has largest entry ``defect``: the Householder block on the
+    diagonal coordinates, then copies, so that only L_r and M are held at full
+    size. Raises SteadyStateError when ``defect`` exceeds
+    HERM_TOL·max(scale, 1): L then does not preserve hermiticity."""
     if defect > HERM_TOL * max(scale, 1.0):
         raise SteadyStateError("generator does not preserve hermiticity")
     n, d = len(lr), math.isqrt(len(lr))
@@ -224,28 +195,25 @@ def _generator_entries(h, terms: list[DissipatorTerm]) -> tuple[np.ndarray, np.n
     return at[entry], np.bincount(label, addend.real)[entry] + 1j * np.bincount(label, addend.imag)[entry]
 
 
-def generator_system(h, terms: list[DissipatorTerm]) -> tuple[np.ndarray, np.ndarray, float]:
-    """(M, r) of :func:`trace_zero_system` and ‖L‖_∞ of the generator L that
-    ``superop.assemble(h, terms)`` forms, from the nonzeros of its factors
-    (:func:`_generator_entries`), without forming L or any other d²×d²
-    complex array.
+def _real_system(d: int, at: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The real trace-zero system of a generator L on d levels, from its
+    entries: the flat indices row·d² + col of the entries given (any that are
+    left out are zero) and their values. Returns (L_r, M, r, ‖L‖_∞): L_r =
+    U†LU for the unitary U whose columns are the Hermitian basis of
+    :func:`_hermitian_basis`, real where L preserves hermiticity; and L's
+    steady-state equation on the trace-zero subspace, M·y = r, with M =
+    B_rᵀ·L_r·B_r and r = −B_rᵀ·L_r·c_I for the orthonormal basis B_r of
+    :func:`_hermitian_basis` (never formed) and the coordinates c_I of I/d,
+    so that the steady state is c = c_I + B_r·y. As L maps into that
+    subspace, M's singular values are those of L_r·B_r.
 
-    ‖L‖_∞ and the trace row are summed as Superoperator sums them, over
-    assemble's entries, so both are assemble's to the bit. Each entry of L
-    lands on at most four entries of the real form U†LU of
-    :func:`_real_form`, times its column factor and then its row factor, as
-    there; np.bincount sums them, and :func:`_restrict` runs the Householder
-    tail. M and r are :func:`_real_restriction`'s to the bit where each entry
-    of the real form is one entry of L or a conjugate pair of them (every
-    bundled model), and to rounding where other entries of L meet in one.
-
-    Raises what assemble and :func:`_real_restriction` raise: ValueError (h
-    not finite, a term of another dimension, or an entry of L that is not
-    finite), NonHermitianError (h not Hermitian), AssemblyError (L not trace
-    preserving) and SteadyStateError (L does not preserve hermiticity);
-    unlike assemble, without a numpy warning where L overflows."""
-    at, value = _generator_entries(h, terms)
-    d = len(h)
+    ‖L‖_∞ and the trace row are summed as Superoperator sums them, over all
+    d²×d² entries, so both are the dense L's to the bit. Each entry of L
+    lands on at most four entries of U†LU, times its column factor and then
+    its row factor; np.bincount sums them, and :func:`_restrict` runs the
+    Householder tail. Raises ValueError when ‖L‖_∞ is not finite,
+    AssemblyError when L is not trace preserving and SteadyStateError when L
+    does not preserve hermiticity."""
     n = d * d
     row, col = np.divmod(at, n)
     # |L| row by row, zeros included, as Superoperator.norm_inf sums it
@@ -271,13 +239,33 @@ def generator_system(h, terms: list[DissipatorTerm]) -> tuple[np.ndarray, np.nda
     defect = float(np.abs(imag, out=imag).max(initial=0.0))
     del imag
     lr = np.bincount(target, addend.real, minlength=n * n).reshape(n, n)
-    return *_restrict(lr, defect, scale), scale
+    return lr, *_restrict(lr, defect, scale), scale
+
+
+def generator_system(h, terms: list[DissipatorTerm]) -> tuple[np.ndarray, np.ndarray, float]:
+    """(M, r) of :func:`trace_zero_system` and ‖L‖_∞ of the generator L that
+    ``superop.assemble(h, terms)`` forms, by :func:`_real_system` on the
+    entries of :func:`_generator_entries`, assemble's to the bit (in another
+    order, so M and r can differ from trace_zero_system's by rounding where
+    several entries meet in one entry of L_r), without forming L or any
+    other d²×d² complex array. Raises what assemble raises
+    (ValueError, NonHermitianError, AssemblyError) and SteadyStateError when L
+    does not preserve hermiticity; unlike assemble, without a numpy warning
+    where L overflows."""
+    return _real_system(len(h), *_generator_entries(h, terms))[1:]
+
+
+def _dense_system(l: Superoperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """:func:`_real_system` of a dense L, from its nonzeros."""
+    flat = l.mat.ravel()
+    at = np.flatnonzero(flat)
+    return _real_system(l.dim, at, flat[at])
 
 
 def trace_zero_system(l: Superoperator) -> tuple[np.ndarray, np.ndarray]:
-    """(M, r) of :func:`_real_restriction`, linear in L: the system of Σ c_k·L_k
-    is Σ c_k·(M_k, r_k). Raises SteadyStateError when L does not preserve hermiticity."""
-    return _real_restriction(l, l.norm_inf())[1:]
+    """(M, r) of :func:`_real_system` for a dense L, linear in L: the system of
+    Σ c_k·L_k is Σ c_k·(M_k, r_k). Raises what :func:`_real_system` raises."""
+    return _dense_system(l)[1:3]
 
 
 def _lu_certificate(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, float]:
@@ -367,12 +355,11 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
     certify, one SVD of M decides uniqueness, σ_min(M) >
     UNIQUENESS_TOL·σ_max(M) (:func:`_decided`): a unique point keeps the
     LU's state, and a non-unique report carries the minimum-norm solution at
-    that rank rule. L is checked to be trace preserving (AssemblyError),
-    since the residual, on (M, r), cannot see its trace row.
+    that rank rule. L is checked to be trace preserving (AssemblyError,
+    raised by :func:`_real_system`), since the residual, on (M, r), cannot
+    see its trace row.
     """
-    scale = check_trace_preserving(l).norm_inf()
-    _, m, r = _real_restriction(l, scale)
-    return _point_report(space, m, r, scale)
+    return _point_report(space, *_dense_system(l)[1:])
 
 
 def steady_state_of(h, terms: list[DissipatorTerm], space: HilbertSpace) -> SteadyStateReport:
@@ -409,7 +396,7 @@ def lstsq_solve(m, b) -> np.ndarray:
 
 def lstsq_state(lr: np.ndarray, m: np.ndarray, r: np.ndarray, scale: float) -> np.ndarray:
     """The steady state by least squares on the unrestricted real system
-    [L_r; t]·c = [0; 1] (L_r of :func:`_real_restriction`, t the trace row),
+    [L_r; t]·c = [0; 1] (L_r of :func:`_real_system`, t the trace row),
     rebuilt and checked by the solver's own tail (:func:`_states`, on the
     system (M, r) of the same L and its ‖L‖_∞ ``scale``). No solve route uses
     it: it shares neither the trace-zero basis nor the LU with them, so the
@@ -515,14 +502,14 @@ def evolve(l: Superoperator, rho0: DensityMatrix, t_final: float) -> DensityMatr
 def spectral_gap(l: Superoperator) -> float:
     """Estimate of min |Re λ| over the nonzero Liouvillian spectrum.
 
-    Inverse iteration on the restriction M of :func:`_real_restriction`, from
+    Inverse iteration on the restriction M of :func:`trace_zero_system`, from
     a fixed complex start, on the solver's LU of M: one getrf, then per step
     one getrs on the iterate's real and imaginary parts as two columns. About
     10% accuracy, which is all the time-horizon choice needs. Returns 0.0 if
     getrf finds M singular (degenerate steady state) or an iterate is not
-    finite; raises SteadyStateError if L does not preserve hermiticity.
+    finite; raises what :func:`trace_zero_system` raises.
     """
-    m = _real_restriction(l, l.norm_inf())[1]
+    m = trace_zero_system(l)[0]
     if not len(m):  # a one-level L has no nonzero spectrum, and LAPACK rejects its 0×0 M
         return 0.0
     lu, piv, info = _getrf(m)

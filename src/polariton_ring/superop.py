@@ -112,7 +112,9 @@ def assemble(h, terms: list[DissipatorTerm]) -> Superoperator:
     eye = np.eye(d, dtype=complex)
     mat += _kron(eye, -1j * h - m)
     mat += _kron((1j * h - m).T, eye)
-    return check_trace_preserving(Superoperator(d, mat))
+    l = Superoperator(d, mat)
+    check_trace_defect(l.trace_defect())
+    return l
 
 
 def checked_sources(h, terms: list[DissipatorTerm]) -> tuple[np.ndarray, np.ndarray]:
@@ -129,12 +131,6 @@ def checked_sources(h, terms: list[DissipatorTerm]) -> tuple[np.ndarray, np.ndar
             raise ValueError(f"term dimension {term.left.shape[0]} != Hamiltonian dimension {d}")
         m += term.weight * (term.right.conj().T @ term.left)
     return h, m
-
-
-def check_trace_preserving(l: Superoperator) -> Superoperator:
-    """``l`` itself; raises AssemblyError if its trace defect exceeds TRACE_PRESERVATION_TOL."""
-    check_trace_defect(l.trace_defect())
-    return l
 
 
 def check_trace_defect(defect: float) -> None:

@@ -14,6 +14,7 @@ from polariton_ring.models import (
     validation_micro_spec,
 )
 from polariton_ring.optimize import OptimizeReport, check_box, corner_starts, drive, multistart_maximize, nelder_mead
+from polariton_ring.superop import vec
 
 hypothesis.settings.register_profile("default", max_examples=25, deadline=None)
 hypothesis.settings.register_profile("thorough", max_examples=200, deadline=None)
@@ -74,6 +75,51 @@ def hermiticity_defect(l, n_probes=20, seed=1234):
         probe /= max(1.0, float(np.abs(probe).max()))
         worst = max(worst, herm_defect(l.apply(probe)))
     return worst
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Oracle: the unitary U whose columns are vec of E_ii, then (E_ij + E_ji)/√2,
+    then i(E_ij − E_ji)/√2 for i < j in ``np.triu_indices`` order."""
+    cols = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        cols.append(vec(e))
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    for phase, sign in ((1.0, 1.0), (1j, -1.0)):
+        for i, j in pairs:
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = phase / np.sqrt(2)
+            e[j, i] = sign * phase / np.sqrt(2)
+            cols.append(vec(e))
+    return np.array(cols).T
+
+
+def trace_zero_basis(d: int) -> np.ndarray:
+    """Oracle: the orthonormal basis B_r (columns) of the trace-zero subspace
+    of the coordinates of :func:`hermitian_basis`, written out densely:
+    columns 1.. of the Householder reflection that maps e₀ to the normalized
+    trace row on the diagonal coordinates."""
+    n = d * d
+    w = np.zeros(n)
+    w[:d] = 1.0 / np.sqrt(d)
+    w[0] -= 1.0
+    if np.linalg.norm(w) > 1e-14:
+        w /= np.linalg.norm(w)
+    return (np.eye(n) - 2.0 * np.outer(w, w))[:, 1:]
+
+
+def system_oracle(lmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oracle: U†LU (complex) of a dense d²×d² L, and its real part's
+    trace-zero system M = B_rᵀ·L_r·B_r, r = −B_rᵀ·L_r·c_I (c_I the coordinates
+    of I/d), by dense products with :func:`hermitian_basis` and
+    :func:`trace_zero_basis`."""
+    d = round(len(lmat) ** 0.5)
+    u, b = hermitian_basis(d), trace_zero_basis(d)
+    lu = u.conj().T @ lmat @ u
+    c_i = np.zeros(d * d)
+    c_i[:d] = 1.0 / d
+    return lu, b.T @ lu.real @ b, -b.T @ lu.real @ c_i
 
 
 def apply_path(spec: ModelSpec, path: str, value: float) -> ModelSpec:

@@ -824,6 +824,23 @@ def test_validate_three_guide_pair_with_thermal_pumping(tmp_path):
     assert 0 < distance <= 2.2e-3
 
 
+def test_validate_warns_only_for_the_models_it_solves(tmp_path):
+    # the base micro is only rescaled: outside the weak-driving regime (J = 0.2
+    # kappa), it gives no warning when every solved micro is inside it
+    micro = dict(VALIDATE_CFG["micro"], J=[0.2], alpha=[0.1])
+    cfg = write_config(tmp_path, dict(VALIDATE_CFG, micro=micro, j_over_kappa=[0.05]))
+    out = tmp_path / "val.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == []
+    # a solved micro whose alpha exceeds its J warns, once
+    cfg = write_config(tmp_path, dict(VALIDATE_CFG, micro=dict(micro, alpha=[0.3]), j_over_kappa=[0.05]))
+    with pytest.warns(UserWarning, match="weak-driving regime") as caught:
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(caught) == 1
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [

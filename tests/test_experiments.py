@@ -15,6 +15,7 @@ from conftest import (
     fwhm,
     phase_sweep_plan,
     smooth3,
+    system_oracle,
     three_guide_pair_micro,
 )
 from polariton_ring import experiments, steady, superop
@@ -565,24 +566,8 @@ def test_compile_rejects_corrupted_coefficient_map(monkeypatch):
             monkeypatch.setattr(experiments, "coefficients", honest)
 
 
-def restriction_oracle(spec):
-    """M of steady._real_restriction on the assembled L, and r = −B_rᵀ·L_r·c_I
-    with the basis B_r and the coordinates c_I of I/d written out densely."""
-    liouv = assemble(*build_model(spec)[1:])
-    lr, m, _ = steady._real_restriction(liouv, liouv.norm_inf())
-    d = liouv.dim
-    n = d * d
-    _, house = steady._hermitian_basis(d)
-    b = np.zeros((n, n - 1))
-    b[:d, :d - 1] = house[:, 1:]
-    b[d:, d - 1:] = np.eye(n - d)
-    c_i = np.zeros(n)
-    c_i[:d] = 1.0 / d
-    return m, -b.T @ lr @ c_i
-
-
 def system_error(compiled, spec):
-    want_m, want_r = restriction_oracle(spec)
+    _, want_m, want_r = system_oracle(assemble(*build_model(spec)[1:]).mat)
     (m,), (r,) = compiled.system(coefficient_rows([spec]))
     scale = max(np.abs(want_m).max(), np.abs(want_r).max(), 1.0)
     return max(np.abs(m - want_m).max(), np.abs(r - want_r).max()) / scale
@@ -658,8 +643,7 @@ def ill_conditioned_specs():
 def least_squares_state(liouv):
     """The state of :func:`steady.lstsq_state`, gelsy on the unrestricted
     stacked system [L_r; t]: the compile's self-check reference."""
-    lr, m, r = steady._real_restriction(liouv, liouv.norm_inf())
-    return steady.lstsq_state(lr, m, r, liouv.norm_inf())
+    return steady.lstsq_state(*steady._dense_system(liouv))
 
 
 def test_compile_holds_at_ill_conditioned_bases():
@@ -765,7 +749,7 @@ def assert_corrupted_pieces_rejected(monkeypatch, spec):
     c_k·r_k by only 1e-8·(random unit entries): that stays below the residual
     check's 1e-8·‖L‖, but not below the (M, r) check's 1e-12·‖L‖. Each
     corruption builds the pieces again, from an empty cache."""
-    honest = experiments.trace_zero_system
+    honest = experiments.generator_system
     rng = np.random.default_rng(5)
     for k, c_k in enumerate(experiments.coefficients(spec)):
         if c_k == 0:
@@ -773,19 +757,19 @@ def assert_corrupted_pieces_rejected(monkeypatch, spec):
         for part in (0, 1):
             calls = []
 
-            def corrupted(liouv, k=k, part=part, calls=calls, delta=1e-8 / c_k):
-                system = list(honest(liouv))
+            def corrupted(h, terms, k=k, part=part, calls=calls, delta=1e-8 / c_k):
+                system = list(honest(h, terms))
                 if len(calls) == k:
                     system[part] = system[part] + delta * rng.normal(size=system[part].shape)
-                calls.append(liouv)
+                calls.append(h)
                 return tuple(system)
 
-            monkeypatch.setattr(experiments, "trace_zero_system", corrupted)
+            monkeypatch.setattr(experiments, "generator_system", corrupted)
             experiments.piece_systems.cache_clear()
             with pytest.raises(CompileError, match="trace-zero system"):
                 CompiledModel(spec)
             assert len(calls) > k  # the corrupted piece was built
-            monkeypatch.setattr(experiments, "trace_zero_system", honest)
+            monkeypatch.setattr(experiments, "generator_system", honest)
 
 
 def test_compile_rejects_corrupted_trace_zero_piece(monkeypatch, fresh_piece_systems):
@@ -1077,17 +1061,17 @@ def test_thermal_map_matches_per_point_solve():
 
 def test_piece_systems_are_built_once_per_model_and_every_compile_checks_itself(monkeypatch, fresh_piece_systems):
     built, checked = [], []
-    honest_system, honest_check = experiments.trace_zero_system, CompiledModel._check
+    honest_system, honest_check = experiments.generator_system, CompiledModel._check
 
-    def system(liouv):
-        built.append(liouv)
-        return honest_system(liouv)
+    def system(h, terms):
+        built.append(h)
+        return honest_system(h, terms)
 
     def check(self, base):
         checked.append((base.model, base.params.n_p))
         honest_check(self, base)
 
-    monkeypatch.setattr(experiments, "trace_zero_system", system)
+    monkeypatch.setattr(experiments, "generator_system", system)
     monkeypatch.setattr(CompiledModel, "_check", check)
     ts = (0.02, 0.05, 0.08)
     run_sweep(small_pair_plan())
@@ -1106,6 +1090,44 @@ def test_piece_systems_are_built_once_per_model_and_every_compile_checks_itself(
     rebuilt = experiments.piece_systems("pair_thermal")
     assert rebuilt[0] is not stacks[0]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(stacks, rebuilt))
+
+
+def piece_sources(model):
+    """The (h, terms) of each piece of a model, in the order of its stacks."""
+    pieces = model_pieces(model)
+    d = pieces.space.dim
+    return [(h, []) for h in pieces.hams] + [(np.zeros((d, d)), list(g)) for g in pieces.groups]
+
+
+@pytest.mark.parametrize("model", sorted(EFFECTIVE))
+def test_piece_systems_match_the_dense_oracle(model):
+    # each row against B_rᵀ(U†L_kU)B_r of the assembled piece, U and B_r
+    # written out densely
+    m_stack, r_stack = experiments.piece_systems(model)
+    for k, (h, terms) in enumerate(piece_sources(model)):
+        liouv = assemble(h, terms)
+        _, want_m, want_r = system_oracle(liouv.mat)
+        m = m_stack[k].reshape(want_m.shape).T
+        tol = 1e-14 * max(liouv.norm_inf(), 1.0)
+        assert max(np.abs(m - want_m).max(), np.abs(r_stack[k] - want_r).max()) <= tol, (model, k)
+
+
+def test_piece_systems_form_no_dense_liouvillian(monkeypatch, fresh_piece_systems):
+    # each piece's system comes from the entries of its (h, terms): the
+    # stacks build with assemble and Superoperator forbidden, and equal the
+    # stacks of the pieces' assembled L to the bit
+    want = {model: [steady.trace_zero_system(assemble(h, terms)) for h, terms in piece_sources(model)]
+            for model in sorted(EFFECTIVE)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("piece_systems formed a dense Liouvillian")
+
+    monkeypatch.setattr(experiments, "assemble", forbidden)
+    monkeypatch.setattr(superop.Superoperator, "__post_init__", forbidden)
+    for model, systems in want.items():
+        m_stack, r_stack = experiments.piece_systems(model)
+        assert m_stack.tobytes() == np.array([m.T.ravel() for m, _ in systems]).tobytes(), model
+        assert r_stack.tobytes() == np.array([r for _, r in systems]).tobytes(), model
 
 
 @pytest.mark.parametrize("ts", [(0.05,), (0.0, 0.03, 0.1)], ids=["one-temperature", "three-temperatures"])

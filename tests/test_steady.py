@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import basis_state, bundled_models, random_hermitian, three_guide_pair_micro, validation_micro_spec
+from conftest import (
+    basis_state,
+    bundled_models,
+    hermitian_basis,
+    random_hermitian,
+    system_oracle,
+    three_guide_pair_micro,
+    trace_zero_basis,
+    validation_micro_spec,
+)
 from polariton_ring import steady
 from polariton_ring.linalg import DensityMatrix, HilbertSpace, embed, hermitize
 from polariton_ring.models import (
@@ -25,8 +34,7 @@ from polariton_ring.steady import (
     UNIQUENESS_TOL,
     SteadyStateError,
     _from_real,
-    _real_form,
-    _real_restriction,
+    _generator_entries,
     _restricted_coordinates,
     _states,
     _trace_zero_coordinates,
@@ -218,7 +226,7 @@ def test_traceless_columns_match_dense_basis(rng, d):
     # trace-zero subspace, which L maps into, so their singular values agree
     n = d * d
     liouv = random_lindblad(rng, d)
-    _, m, _ = _real_restriction(liouv, liouv.norm_inf())
+    m, _ = trace_zero_system(liouv)
     assert m.shape == (n - 1, n - 1)
     want = np.linalg.svd(liouv.mat @ traceless_basis(d), compute_uv=False)
     assert np.abs(np.linalg.svd(m, compute_uv=False) - want).max() <= 1e-13 * want[0]
@@ -238,7 +246,7 @@ def test_real_restriction_spectrum_matches_dense_basis(rng, d):
     basis = traceless_basis(d)
     for _ in range(3):
         liouv = random_lindblad(rng, d)
-        _, m, _ = _real_restriction(liouv, liouv.norm_inf())
+        m, _ = trace_zero_system(liouv)
         want = np.linalg.eigvals(basis.conj().T @ liouv.mat @ basis)
         assert matched_distance(np.linalg.eigvals(m), want) <= 1e-12 * np.abs(want).max()
 
@@ -257,24 +265,6 @@ def test_steady_state_one_level():
     assert report.unique
     assert report.rho.mat.tolist() == [[1.0]]
     assert report.residual == 0.0
-
-
-def hermitian_basis(d: int) -> np.ndarray:
-    """Oracle: the unitary U whose columns are vec of E_ii, then (E_ij + E_ji)/√2,
-    then i(E_ij − E_ji)/√2 for i < j in ``np.triu_indices`` order."""
-    cols = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        cols.append(vec(e))
-    pairs = list(zip(*np.triu_indices(d, 1)))
-    for phase, sign in ((1.0, 1.0), (1j, -1.0)):
-        for i, j in pairs:
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = phase / np.sqrt(2)
-            e[j, i] = sign * phase / np.sqrt(2)
-            cols.append(vec(e))
-    return np.array(cols).T
 
 
 def random_lindblad(rng, d, n_jumps=3):
@@ -304,20 +294,43 @@ def bare_svd_unique(liouv) -> bool:
     return bool(svals[-1] > UNIQUENESS_TOL * svals[0])
 
 
+def real_form(monkeypatch, lmat):
+    """L_r of the builder on a dense L, and the hermiticity defect it checks,
+    its largest imaginary entry of U†LU; the check itself is passed, so that
+    L need not preserve hermiticity."""
+    honest, defects = steady._restrict, []
+
+    def restrict(lr, defect, scale):
+        defects.append(defect)
+        return honest(lr, 0.0, scale)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(steady, "_restrict", restrict)
+        lr = steady._dense_system(Superoperator(round(len(lmat) ** 0.5), lmat))[0]
+    return lr, defects[0]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
-def test_real_form_matches_dense_basis(rng, d):
+def test_real_form_matches_dense_basis(rng, monkeypatch, d):
     u = hermitian_basis(d)
     assert np.abs(u.conj().T @ u - np.eye(d * d)).max() <= 1e-14
     liouv = random_lindblad(rng, d)
-    oracle = u.conj().T @ liouv.mat @ u
+    oracle = system_oracle(liouv.mat)[0]
     scale = max(1.0, liouv.norm_inf())
     assert np.abs(oracle.imag).max() <= 1e-14 * scale
-    assert np.abs(_real_form(liouv).imag).max() <= 1e-14 * scale
-    assert np.abs(_real_form(liouv) - oracle).max() <= 1e-14 * scale
-    # any complex matrix: the transform itself, imaginary part included
+    lr, defect = real_form(monkeypatch, liouv.mat)
+    assert defect <= 1e-14 * scale
+    assert np.abs(lr - oracle.real).max() <= 1e-14 * scale
+    # any complex trace-preserving matrix (the builder checks the trace): the
+    # transform itself, its imaginary part seen through the defect
     n = d * d
     lmat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    assert np.abs(_real_form(Superoperator(d, lmat)) - u.conj().T @ lmat @ u).max() <= 1e-13
+    w = vec(np.eye(d)) / np.sqrt(d)
+    lmat -= np.outer(w, w @ lmat)
+    oracle = u.conj().T @ lmat @ u
+    lr, defect = real_form(monkeypatch, lmat)
+    assert np.abs(lr - oracle.real).max() <= 1e-13
+    assert abs(defect - np.abs(oracle.imag).max()) <= 1e-13 and defect > 0.1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -333,16 +346,7 @@ def test_from_real_round_trips(rng, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
 def test_trace_zero_coordinates_match_dense_basis(rng, d):
-    # B_r written out densely on the Hermitian coordinates: columns 1.. of the
-    # Householder reflection that maps e₀ to the normalized trace row
-    n = d * d
-    w = np.zeros(n)
-    w[:d] = 1.0 / np.sqrt(d)
-    w[0] -= 1.0
-    if np.linalg.norm(w) > 1e-14:
-        w /= np.linalg.norm(w)
-    b_r = (np.eye(n) - 2.0 * np.outer(w, w))[:, 1:]
-    u = hermitian_basis(d)
+    b_r, u = trace_zero_basis(d), hermitian_basis(d)
     rho = np.array([random_hermitian(rng, d) for _ in range(5)])
     want = np.array([b_r.T @ (u.conj().T @ vec(a)).real for a in rho])
     scale = max(1.0, np.abs(rho).max())
@@ -596,26 +600,21 @@ def test_steady_is_the_only_module_that_imports_scipy():
     assert importers == {"steady"}
 
 
-# --- the sparse builder of (M, r) against the dense route ---------------------
-
-
-def dense_system(h, terms):
-    """(M, r, ‖L‖_∞) by the dense route: assemble L, then its real restriction."""
-    liouv = assemble(h, terms)
-    scale = liouv.norm_inf()
-    return (*_real_restriction(liouv, scale)[1:], scale)
+# --- the entries of (h, terms) against the assembled L -------------------------
 
 
 def assert_system_is_the_dense_routes(h, terms, exact=True):
-    """generator_system's (M, r) equals the dense route's to the bit, or, with
-    ``exact`` False, to rounding: where entries of L other than a conjugate
-    pair meet in one entry of the real form, as with random dense operators,
-    the two routes add those (at most four, each below ‖L‖_∞) in another
-    order, and the Householder tail mixes d such entries, so
-    16·d·ε·max(‖L‖_∞, 1) bounds the gap. ‖L‖_∞ is summed as
-    Superoperator.norm_inf sums it, so it is always equal."""
+    """generator_system's (M, r) equals that of the dense route, the builder
+    on the nonzeros of the assembled L, to the bit, or, with ``exact`` False,
+    to 16·d·ε·max(‖L‖_∞, 1). The two routes give the builder the same
+    entries (test_generator_entries_are_assembles_to_the_bit) in another
+    order, so where entries of L other than a conjugate pair meet in one
+    entry of the real form, as with random dense operators, they are added
+    (at most four, each below ‖L‖_∞) in another order, and the Householder
+    tail mixes d such entries. ‖L‖_∞ is summed as Superoperator.norm_inf
+    sums it, so it is always equal."""
     m, r, scale = generator_system(h, terms)
-    want_m, want_r, want_scale = dense_system(h, terms)
+    want_m, want_r, want_scale = steady._dense_system(assemble(h, terms))[1:]
     assert scale == want_scale
     assert m.shape == want_m.shape and r.shape == want_r.shape
     if exact:
@@ -623,6 +622,35 @@ def assert_system_is_the_dense_routes(h, terms, exact=True):
     else:
         bound = 16 * len(h) * np.finfo(float).eps * max(want_scale, 1.0)
         assert max(np.abs(m - want_m).max(), np.abs(r - want_r).max()) <= bound
+
+
+def assert_entries_are_assembles(h, terms):
+    """The entries of :func:`steady._generator_entries`, written into a zero
+    d²×d² array, are the assembled L to the bit, signed zeros included."""
+    at, value = _generator_entries(h, terms)
+    n = len(h) ** 2
+    mat = np.zeros(n * n, dtype=complex)
+    mat[at] = value
+    assert len(np.unique(at)) == len(at)
+    assert mat.reshape(n, n).tobytes() == assemble(h, terms).mat.tobytes()
+
+
+def test_generator_entries_are_assembles_to_the_bit(rng):
+    for spec in bundled_models().values():
+        assert_entries_are_assembles(*build_model(spec)[1:])
+    for model in sorted(EFFECTIVE):
+        pieces = model_pieces(model)
+        for _ in range(3):
+            c = rng.uniform(0.0, 2.0, len(pieces.hams) + len(pieces.groups))
+            assert_entries_are_assembles(*pieces.build(c)[1:])
+    # dense random operators, cross terms and zero weights
+    for d in (1, 2, 3):
+        ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+        terms = [DissipatorTerm(a, a, 0.7) for a in ops] + [DissipatorTerm(ops[0], ops[1], 0.05),
+                                                           DissipatorTerm(ops[1], ops[0], 0.05),
+                                                           DissipatorTerm(ops[1], ops[1], 0.0)]
+        assert_entries_are_assembles(random_hermitian(rng, d), terms)
+        assert_entries_are_assembles(random_hermitian(rng, d), [])
 
 
 @pytest.mark.parametrize("model", sorted(EFFECTIVE))
