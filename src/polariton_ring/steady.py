@@ -1,5 +1,6 @@
 """Steady states of Liouvillians: the solve that every command uses, one LU
-of the real trace-zero restriction M per point. One builder forms M, the
+and inverse of the real trace-zero restriction M per point, in one LAPACK
+pass over a stack (:func:`_solve_stack`). One builder forms M, the
 right-hand side r and ‖L‖_∞ from a generator's entries
 (:func:`_real_system`): for a single model, the entries of its (h, terms),
 without forming L (:func:`generator_system`, :func:`steady_state_of`, the
@@ -268,32 +269,12 @@ def trace_zero_system(l: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     return _dense_system(l)[1:3]
 
 
-def _lu_certificate(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """One LU of M (getrf, on a copy) gives both the solution y of M·y = r
-    (getrs) and the uniqueness bound ‖M‖_F·‖M⁻¹‖_F (getri). Returns
-    (None, inf) when LAPACK finds M exactly singular; the bound is inf when
-    getri does. Run it with numpy's overflow and invalid-value warnings off:
-    a bound that overflows does not certify. The 0×0 M of a one-level L, which
-    LAPACK rejects, gives (empty y, inf)."""
-    if not len(m):
-        return np.zeros(0), np.inf
-    lu, piv, info = _getrf(m)
-    if info != 0:
-        return None, np.inf
-    # y by triangular solves, before getri overwrites the factors: the
-    # inverse times r moved ρ by up to 1e-8 at bounds near 5e6, where
-    # these solves keep it within 5e-12 of the exact state
-    y, _ = _getrs(lu, piv, r)
-    inv, info = _getri(lu, piv, overwrite_lu=True)
-    return y, _frobenius(m) * _frobenius(inv) if info == 0 else np.inf
-
-
-def _frobenius(a: np.ndarray) -> float:
-    """‖a‖_F of a real array, computed as ``np.linalg.norm(a)`` computes it
-    (one dot product of the flat array with itself, in memory order), to the
-    bit, without its dispatch."""
-    x = a.ravel(order="K")
-    return math.sqrt(x.dot(x))
+def _frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """‖a_p‖_F of each matrix of a real stack (B, k, k), bit for bit
+    ``np.linalg.norm(a_p)``: one dot product of the matrix, flat in its
+    memory order, with itself (a stacked einsum moves the last bit)."""
+    x = (a.swapaxes(1, 2) if a.strides[1] < a.strides[2] else a).reshape(len(a), 1, -1)
+    return np.sqrt(x @ x.swapaxes(1, 2)).ravel()
 
 
 def _certified_unique(bound: float) -> bool:
@@ -350,8 +331,8 @@ def steady_state_on(l: Superoperator, space: HilbertSpace) -> SteadyStateReport:
 
     :func:`trace_zero_system` plus :func:`steady_state_restricted` on a stack
     of one. One LU of the real trace-zero restriction M gives both the state
-    c = c_I + B_r·M⁻¹r (triangular solves) and the uniqueness certificate
-    ‖M‖_F·‖M⁻¹‖_F (:func:`_lu_certificate`). Where the bound does not
+    c = c_I + B_r·M⁻¹r (triangular solves) and, through M⁻¹, the uniqueness
+    certificate ‖M‖_F·‖M⁻¹‖_F (:func:`_solve_stack`). Where the bound does not
     certify, one SVD of M decides uniqueness, σ_min(M) >
     UNIQUENESS_TOL·σ_max(M) (:func:`_decided`): a unique point keeps the
     LU's state, and a non-unique report carries the minimum-norm solution at
@@ -413,14 +394,13 @@ def lstsq_state(lr: np.ndarray, m: np.ndarray, r: np.ndarray, scale: float) -> n
     return _states(m[None], r[None], c[None], lambda _: scale)[0][0]
 
 
-def _restricted_coordinates(ys: list[np.ndarray], d: int) -> np.ndarray:
-    """The Hermitian-basis coordinates c = c_I + B_r·y, one row per solution y."""
-    y = np.array(ys)
+def _restricted_coordinates(y: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian-basis coordinates c = c_I + B_r·y, one row per row y of the stack (B, d² − 1)."""
     _, house = _hermitian_basis(d)
     return np.concatenate([(house[:, 1:] @ y[:, :d - 1, None])[..., 0] + 1.0 / d, y[:, d - 1:]], axis=1)
 
 
-def _decided(m: np.ndarray, r: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, bool]:
+def _decided(m: np.ndarray, r: np.ndarray, y: np.ndarray | None, m_norm: float) -> tuple[np.ndarray, bool]:
     """Uniqueness of a point whose bound does not certify, by one SVD of M:
     σ_min > UNIQUENESS_TOL·σ_max. Returns it with the point's y: the LU's
     ``y`` where M is unique and getrf factored it, else the minimum-norm
@@ -428,10 +408,10 @@ def _decided(m: np.ndarray, r: np.ndarray, y: np.ndarray | None) -> tuple[np.nda
     M is not unique, an LU's y can be far from any state: for two qubits
     decaying collectively, one also locally at rate 1e-11, its smallest
     eigenvalue is −7.9e-6, against −8e-13 for the minimum-norm y). Raises
-    SteadyStateError where ‖M‖_F is not finite (M has a non-finite entry, or
-    entries beyond about 1e154): neither the certificate nor a residual at
-    M's scale can be formed there."""
-    if not math.isfinite(_frobenius(m)):
+    SteadyStateError where ``m_norm`` = ‖M‖_F is not finite (M has a
+    non-finite entry, or entries beyond about 1e154): neither the
+    certificate nor a residual at M's scale can be formed there."""
+    if not math.isfinite(m_norm):
         raise SteadyStateError("steady state is not finite: the norm of its trace-zero system overflows")
     u, s, vt = np.linalg.svd(m)
     keep = s > UNIQUENESS_TOL * max(s.max(initial=0.0), 1e-300)
@@ -443,22 +423,34 @@ def _decided(m: np.ndarray, r: np.ndarray, y: np.ndarray | None) -> tuple[np.nda
 
 def _solve_stack(d: int, m: np.ndarray, r: np.ndarray, norm: Callable[[int], float]):
     """The arrays (ρ, residual, smallest eigenvalue, unique, bound) of
-    :func:`steady_state_restricted`. Each certificate and SVD runs with
-    numpy's overflow and invalid-value warnings off: a bound that overflows
-    does not certify, and a non-finite M fails without a warning. Where the
-    states fail their checks and a point is not unique, the SteadyStateError
-    says "not unique": a minimum-norm solution need not be a state (at rates
-    near 1e-310, whose M is subnormal, it has an eigenvalue of −8e-4)."""
-    b = len(m)
-    bound, unique = np.empty(b), np.ones(b, dtype=bool)
-    coords = []
+    :func:`steady_state_restricted`, from one LAPACK pass in a work copy of
+    the stack, each matrix in Fortran order: per point, one LU of M (getrf),
+    y by its triangular solves (getrs; the inverse times r moved ρ by up to
+    1e-8 at bounds near 5e6, where these keep it within 5e-12), then M⁻¹ in
+    place (getri). ‖M‖_F and ‖M⁻¹‖_F are formed once for the stack. The
+    bound is inf where LAPACK finds M exactly singular (getri tests getrf's
+    U) or rejects the 0×0 M of a one-level L; where it does not certify, one
+    SVD decides (:func:`_decided`). All of it runs with numpy's overflow and
+    invalid-value warnings off: a bound that overflows does not certify, and
+    a non-finite M fails without a warning. Where the states fail their
+    checks and a point is not unique, the SteadyStateError says "not
+    unique": a minimum-norm solution need not be a state (at rates near
+    1e-310, whose M is subnormal, it has an eigenvalue of −8e-4)."""
+    b, k = m.shape[:2]
+    work, y = m.transpose(0, 2, 1).copy().transpose(0, 2, 1), r.copy()
+    factored, unique = np.zeros(b, dtype=bool), np.ones(b, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(b):
-            y, bound[k] = _lu_certificate(m[k], r[k])
-            if not _certified_unique(bound[k]):
-                y, unique[k] = _decided(m[k], r[k], y)
-            coords.append(y)
-        c = _restricted_coordinates(coords, d)
+        for p in range(b if k else 0):
+            lu, piv, info = _getrf(work[p], overwrite_a=True)
+            if info == 0:
+                _getrs(lu, piv, y[p], overwrite_b=True)
+                factored[p] = _getri(lu, piv, overwrite_lu=True)[1] == 0
+        m_norm = _frobenius_norms(m)
+        bound = np.where(factored, m_norm * _frobenius_norms(work), np.inf)
+        for p in range(b):
+            if not _certified_unique(bound[p]):
+                y[p], unique[p] = _decided(m[p], r[p], y[p] if factored[p] else None, m_norm[p])
+        c = _restricted_coordinates(y, d)
     if not np.isfinite(c).all():  # a y that overflowed
         raise SteadyStateError("steady state is not finite")
     try:

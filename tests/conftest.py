@@ -1,7 +1,9 @@
 import hypothesis
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrf, dgetri, dgetrs
 
+from polariton_ring import steady
 from polariton_ring.experiments import Axis, ObservableSpec, SweepPlan
 from polariton_ring.linalg import HERM_TOL, DensityMatrix, herm_defect, herm_eig, hermitize
 from polariton_ring.models import (
@@ -120,6 +122,38 @@ def system_oracle(lmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     c_i = np.zeros(d * d)
     c_i[:d] = 1.0 / d
     return lu, b.T @ lu.real @ b, -b.T @ lu.real @ c_i
+
+
+def certificate_oracle(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """Oracle: one point's LU certificate, formed on its own: the solution y
+    of M·y = r by getrf and getrs on a copy of M, and the bound
+    np.linalg.norm(M)·np.linalg.norm(M⁻¹), M⁻¹ by getri. (None, inf) where
+    getrf finds M exactly singular; (empty y, inf) for a 0×0 M, which LAPACK
+    rejects. Run it with numpy's overflow and invalid-value warnings off."""
+    if not len(m):
+        return np.zeros(0), np.inf
+    lu, piv, info = dgetrf(m)
+    if info != 0:
+        return None, np.inf
+    y, _ = dgetrs(lu, piv, r)
+    inv, info = dgetri(lu, piv)
+    return y, float(np.linalg.norm(m)) * float(np.linalg.norm(inv)) if info == 0 else np.inf
+
+
+def lapack_calls(monkeypatch) -> dict[str, int]:
+    """Count the solver's factorizations (getrf), inversions (getri) and
+    SVDs from here on, in the dict returned."""
+    calls = {"getrf": 0, "getri": 0, "svd": 0}
+
+    def counted(key, honest):
+        def spy(*args, **kwargs):
+            calls[key] += 1
+            return honest(*args, **kwargs)
+        return spy
+
+    for owner, name, key in ((steady, "_getrf", "getrf"), (steady, "_getri", "getri"), (np.linalg, "svd", "svd")):
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+    return calls
 
 
 def apply_path(spec: ModelSpec, path: str, value: float) -> ModelSpec:

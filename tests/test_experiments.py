@@ -13,6 +13,7 @@ from conftest import (
     bundled_models,
     count_interior_maxima,
     fwhm,
+    lapack_calls,
     phase_sweep_plan,
     smooth3,
     system_oracle,
@@ -831,6 +832,17 @@ def test_compiled_solve_decides_uncertified_points_on_their_own_system(monkeypat
         assert np.array_equal(getattr(report, name), getattr(certified, name)), name
     # no point of the compiled route reaches steady_state_on
     assert seen == []
+
+
+def test_a_declined_point_adds_one_svd_and_no_second_factorization(monkeypatch):
+    # the declined point is decided from the pass's own LU: one SVD more, and
+    # still one factorization and one inversion per point
+    compiled = CompiledModel(thermal_pair_spec(x=1.0))
+    chunk = [thermal_pair_spec(x=x) for x in (0.5, 1.5, 2.5)]
+    declining_second_certification(monkeypatch)
+    calls = lapack_calls(monkeypatch)
+    assert solve_points(compiled, chunk).unique.all()
+    assert calls == {"getrf": 3, "getri": 3, "svd": 1}
 
 
 def test_compiled_uncertified_states_equal_certified_ones(monkeypatch):

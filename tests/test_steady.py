@@ -10,7 +10,9 @@ from hypothesis import example, given, strategies as st
 from conftest import (
     basis_state,
     bundled_models,
+    certificate_oracle,
     hermitian_basis,
+    lapack_calls,
     random_hermitian,
     system_oracle,
     three_guide_pair_micro,
@@ -359,7 +361,7 @@ def test_trace_zero_coordinates_match_dense_basis(rng, d):
 def test_states_of_a_point_do_not_depend_on_its_stack(rng, d):
     liouvs = [random_lindblad(rng, d) for _ in range(64)]
     m, r = (np.array(a) for a in zip(*map(trace_zero_system, liouvs)))
-    c = _restricted_coordinates([np.linalg.solve(mk, rk) for mk, rk in zip(m, r)], d)
+    c = _restricted_coordinates(np.array([np.linalg.solve(mk, rk) for mk, rk in zip(m, r)]), d)
     stacked = _states(m, r, c, lambda k: liouvs[k].norm_inf())
     y = _trace_zero_coordinates(stacked[0])
     for k in range(len(liouvs)):
@@ -565,27 +567,88 @@ def test_trace_zero_system_rejects_non_hermiticity_preserving_generator(rng):
         trace_zero_system(non_hermiticity_preserving(rng))
 
 
+def stack_pass(m, r, bounds):
+    """steady._solve_stack on a stack (m, r) of k×k systems, any k, with the
+    tail that makes states of its y stubbed out: returns the y stack it
+    hands on, its unique flags and its bounds, and appends the bound each
+    point asks _certified_unique about to ``bounds``."""
+    certify = steady._certified_unique
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steady, "_certified_unique", lambda bound: bounds.append(bound) or certify(bound))
+        patch.setattr(steady, "_restricted_coordinates", lambda y, d: y)
+        patch.setattr(steady, "_states", lambda m, r, c, norm: (c, None, None))
+        y, _, _, unique, bound = steady._solve_stack(0, m, r, None)
+    assert np.array_equal(bound, bounds[-len(m):], equal_nan=True)
+    return y, unique, bound
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("k", [0, 1, 3, 15, 63])
+def test_stack_pass_equals_the_per_point_certificate(k, order):
+    # each point's y and bound are those of its own LU certificate, bit for
+    # bit, whether the stack is in C order (as _point_report passes m[None])
+    # or each matrix in Fortran order (as CompiledModel.system passes them),
+    # and whatever the stack: alone, or in the reversed stack. Point 2 is
+    # exactly singular: getrf stops, no bound is formed, and its SVD finds it
+    # not unique. At k = 0 (a one-level L) no LU runs and every point is unique
+    rng = np.random.default_rng(k)
+    m = rng.normal(size=(5, k, k)) * 10.0 ** np.array([0, -3, 0, 4, 1])[:, None, None]
+    m[2, :, -1:] = 0.0
+    r = rng.normal(size=(5, k))
+    if order == "F":
+        m = np.ascontiguousarray(m.swapaxes(1, 2)).swapaxes(1, 2)
+    y, unique, bound = stack_pass(m, r, [])
+    for p in range(5):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_y, want = certificate_oracle(m[p], r[p])
+        assert bound[p] == want
+        if want_y is None:
+            assert k and p == 2 and want == np.inf and not unique[p]
+        else:
+            assert unique[p] and y[p].tobytes() == want_y.tobytes()
+        alone = stack_pass(m[p:p + 1], r[p:p + 1], [])
+        assert alone[0].tobytes() == y[p:p + 1].tobytes() and alone[2].tobytes() == bound[p:p + 1].tobytes()
+    reversed_y, _, reversed_bound = stack_pass(m[::-1], r[::-1], [])
+    assert reversed_y[::-1].tobytes() == y.tobytes() and reversed_bound[::-1].tobytes() == bound.tobytes()
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(-150, 200), st.sampled_from("CF"))
 @example(seed=0, k=9, exponent=155, order="F")  # ‖M‖_F² overflows: the bound is inf
 @example(seed=0, k=9, exponent=200, order="C")  # ‖M⁻¹‖_F² underflows as well: the bound is nan
-def test_lu_certificate_bound_is_the_product_of_numpy_norms(seed, k, exponent, order):
-    # the bound keeps the bits of np.linalg.norm(M)·np.linalg.norm(M⁻¹), for M
-    # in either memory order, stays silent where it overflows, and then does
-    # not certify
+def test_stack_bound_is_the_product_of_numpy_norms(seed, k, exponent, order):
+    # through the stack pass, the bound keeps the bits of
+    # np.linalg.norm(M)·np.linalg.norm(M⁻¹) and y those of getrs, for M in
+    # either memory order; the pass stays silent where the bound overflows,
+    # which then does not certify, and a point whose ‖M‖_F overflows fails
     rng = np.random.default_rng(seed)
     m = np.asarray(rng.normal(size=(k, k)) * 10.0**exponent, order=order)
     r = rng.normal(size=k)
-    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-        warnings.simplefilter("error")
-        y, bound = steady._lu_certificate(m, r)
-        lu, piv, _ = steady._getrf(m)
-        inv, _ = steady._getri(lu, piv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_y, want = certificate_oracle(m, r)
         m_norm = float(np.linalg.norm(m))
-        want = m_norm * float(np.linalg.norm(inv))
-    assert y is not None
-    assert bound == want or (np.isnan(bound) and np.isnan(want))
+    assert want_y is not None
+    bounds = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if m_norm == np.inf:
+            with pytest.raises(SteadyStateError, match="overflows"):
+                stack_pass(m[None], r[None], bounds)
+        else:
+            y, unique, _ = stack_pass(m[None], r[None], bounds)
+            assert unique[0] and y[0].tobytes() == want_y.tobytes()
+    assert bounds == [want] or (np.isnan(bounds[0]) and np.isnan(want))
     if m_norm == np.inf:
-        assert not steady._certified_unique(bound)
+        assert not steady._certified_unique(bounds[0])
+
+
+def test_a_certified_stack_makes_one_lapack_pass(rng, monkeypatch):
+    # B certified points: B factorizations, B inversions and no SVD
+    points = [random_lindblad(rng, 4) for _ in range(6)]
+    m, r = (np.array(a) for a in zip(*map(trace_zero_system, points)))
+    calls = lapack_calls(monkeypatch)
+    report = steady_state_restricted(HilbertSpace((4,)), m, r, lambda k: points[k].norm_inf())
+    assert all(map(steady._certified_unique, report.uniqueness_bound))
+    assert calls == {"getrf": 6, "getri": 6, "svd": 0}
 
 
 def test_steady_is_the_only_module_that_imports_scipy():
