@@ -11,19 +11,28 @@ unrestricted system (:func:`lstsq_state`), which only the compile's
 self-check runs, as its reference; and exact time propagation with a
 spectral-gap estimate for its horizon (inverse iteration on M through the
 same getrf/getrs), which no command calls: the tests compare the solve
-against it as an independent reference. This is the one module of the
-package that imports scipy."""
+against it as an independent reference.
+
+This is the one module of the package that uses scipy, and at import it loads
+only scipy's Fortran LAPACK extension, ``scipy/linalg/_flapack``, by its file
+location (:func:`_load_flapack`), never the ``scipy.linalg`` package around
+it: ``dgetrf``, ``dgetrs`` and ``dgetri`` for the solve and the spectral gap,
+``dgelsy``/``zgelsy`` for :func:`lstsq_solve`. Where that file is missing,
+the import fails with an ImportError naming its path. Only :func:`evolve`
+imports ``scipy.linalg``, for ``expm``, inside the function."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .linalg import HERM_TOL, DensityMatrix, HilbertSpace, hermitize
 from .superop import (
@@ -45,7 +54,37 @@ STABILITY_LIMIT = 0.1
 _GAP_MAX_ITER = 100  # inverse-iteration steps of spectral_gap
 _GAP_SEED = 7  # seed of spectral_gap's start vector
 
-_getrf, _getrs, _getri = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs", "getri"), dtype=np.float64)
+
+def _load_flapack(root: Path):
+    """scipy's Fortran LAPACK extension module, ``linalg/_flapack`` under
+    scipy's package directory ``root``, loaded by its file location without
+    importing ``scipy.linalg``. It is registered in ``sys.modules`` under its
+    own name, scipy.linalg._flapack, and an entry already there is reused, so
+    that the package and a later (or earlier) ``import scipy.linalg`` share one
+    module object and the extension is initialised once. Raises ImportError
+    naming the path where the file is missing; there is no other route."""
+    path = root / "linalg" / f"_flapack{EXTENSION_SUFFIXES[0]}"
+    if not path.is_file():
+        raise ImportError(f"scipy's LAPACK extension is missing: no file {path}", path=str(path))
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def _scipy_dir() -> Path:
+    """scipy's package directory, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("polariton_ring needs scipy, which is not installed", name="scipy")
+    return Path(spec.origin).parent
+
+
+_flapack = _load_flapack(_scipy_dir())
+_getrf, _getrs, _getri = _flapack.dgetrf, _flapack.dgetrs, _flapack.dgetri
 
 
 class SteadyStateError(RuntimeError):
@@ -359,11 +398,16 @@ def _point_report(space: HilbertSpace, m: np.ndarray, r: np.ndarray, scale: floa
 
 
 def lstsq_solve(m, b) -> np.ndarray:
-    """Least-squares solution x of min ‖m·x − b‖₂ by column-pivoted QR
-    (scipy's gelsy). A real system gives a real x, a complex one a complex x.
-    Where the numerical rank (at LSTSQ_COND) falls below the column count, x
-    is gelsy's minimum-norm solution at that rank. Raises ``ValueError`` for
-    non-finite input or an underdetermined system."""
+    """Least-squares solution x of min ‖m·x − b‖₂ by column-pivoted QR: one
+    LAPACK ``dgelsy`` call for a real system, ``zgelsy`` for a complex one
+    (either ``m`` or ``b`` complex), in double precision, with the workspace
+    that ``*gelsy_lwork`` asks for, as ``scipy.linalg.lstsq(m, b,
+    cond=LSTSQ_COND, lapack_driver="gelsy")`` calls it, so x is its x to the
+    bit. A real system gives a real x, a complex one a complex x; a 1-D ``b``
+    a 1-D x. Where the numerical rank (at LSTSQ_COND) falls below the column
+    count, x is gelsy's minimum-norm solution at that rank. Raises
+    ``ValueError`` for non-finite input, an underdetermined system, a
+    right-hand side of another row count, or a LAPACK error."""
     m, b = np.asarray(m), np.asarray(b)
     if not (np.isfinite(m).all() and np.isfinite(b).all()):
         raise ValueError("matrix contains non-finite entries")
@@ -372,7 +416,17 @@ def lstsq_solve(m, b) -> np.ndarray:
         raise ValueError(f"system is underdetermined: {rows} rows < {cols} cols")
     if b.shape[0] != rows:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, matrix has {rows}")
-    return scipy.linalg.lstsq(m, b, cond=LSTSQ_COND, check_finite=False, lapack_driver="gelsy")[0]
+    routine = "zgelsy" if np.iscomplexobj(m) or np.iscomplexobj(b) else "dgelsy"
+    if not cols:  # LAPACK rejects the empty pivot array
+        return np.zeros((0,) + b.shape[1:], dtype=complex if routine == "zgelsy" else float)
+    work, info = getattr(_flapack, f"{routine}_lwork")(rows, cols, b.shape[1] if b.ndim == 2 else 1, LSTSQ_COND)
+    if info != 0:
+        raise ValueError(f"LAPACK {routine}_lwork failed with info {info}")
+    pivots = np.zeros(cols, dtype=np.int32)  # 0: every column is free to move
+    _, x, _, _, info = getattr(_flapack, routine)(m, b, pivots, LSTSQ_COND, int(work.real), False, False)
+    if info != 0:
+        raise ValueError(f"LAPACK {routine} failed with info {info}")
+    return x[:cols]
 
 
 def lstsq_state(lr: np.ndarray, m: np.ndarray, r: np.ndarray, scale: float) -> np.ndarray:
@@ -487,7 +541,9 @@ def evolve(l: Superoperator, rho0: DensityMatrix, t_final: float) -> DensityMatr
         raise ValueError("need t_final >= 0")
     if rho0.dim != l.dim:
         raise ValueError("state and Liouvillian dimensions differ")
-    v = scipy.linalg.expm(t_final * l.mat) @ vec(rho0.mat)
+    from scipy.linalg import expm  # only here: no command runs evolve, so no command loads scipy.linalg
+
+    v = expm(t_final * l.mat) @ vec(rho0.mat)
     return DensityMatrix(rho0.space, hermitize(unvec(v)))
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
@@ -154,6 +159,15 @@ def lapack_calls(monkeypatch) -> dict[str, int]:
     for owner, name, key in ((steady, "_getrf", "getrf"), (steady, "_getri", "getri"), (np.linalg, "svd", "svd")):
         monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
     return calls
+
+
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter with ``args`` as sys.argv[1:] and
+    the package's source first on its path, capturing its output: only such a
+    process shows what an import or a command loads."""
+    src = str(Path(steady.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=300)
 
 
 def apply_path(spec: ModelSpec, path: str, value: float) -> ModelSpec:

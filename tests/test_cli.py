@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import run_fresh
 from polariton_ring import experiments, steady
 from polariton_ring.cli import main, summary_path
 from polariton_ring.steady import UNIQUENESS_TOL
@@ -302,6 +303,36 @@ def test_single_point_commands_make_no_least_squares_solve(tmp_path, monkeypatch
     monkeypatch.setattr(steady, "lstsq_solve", lambda *args: calls.append(args) or honest(*args))
     assert main([command, "--config", str(CONFIGS / config), "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == []
+
+
+SHIPPED_RUNS = [("solve", "solve_ring_undriven"), ("validate", "validate"), ("sweep", "fig5_sweep"),
+                ("sweep", "fig3_sweep"), ("thermal", "thermal_map"), ("optimize", "fig3_optimize")]
+
+SCIPY_FOOTPRINT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import polariton_ring
+assert scipy_modules() == ["scipy.linalg._flapack"], f"import polariton_ring loads {scipy_modules()}"
+from polariton_ring.cli import main
+configs, out = sys.argv[1:3]
+for command, config in json.loads(sys.argv[3]):
+    assert main([command, "--config", f"{configs}/{config}.json", "--out", f"{out}/{config}.csv"]) == 0, config
+    assert scipy_modules() == ["scipy.linalg._flapack"], f"{command} --config {config}.json loads {scipy_modules()}"
+print("footprint held")
+"""
+
+
+def test_no_command_loads_scipy_linalg(tmp_path):
+    # the package takes its LAPACK from scipy's _flapack extension alone; the
+    # scipy.linalg package around it would cost every call about 0.18 s of
+    # import and 18 MB: in one fresh process, neither the import nor any
+    # shipped command may load any other scipy module, scipy.linalg included
+    done = run_fresh(SCIPY_FOOTPRINT, str(CONFIGS), str(tmp_path), json.dumps(SHIPPED_RUNS))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "footprint held"
 
 
 @pytest.mark.parametrize("grid", [[0.0, float("nan")], [float("-inf"), 0.0]])

@@ -298,12 +298,22 @@ def test_lstsq_real_system_stays_real(rng):
 
 
 def test_lstsq_complex_matches_scipy_gelsy(rng):
-    m = rng.normal(size=(17, 16)) + 1j * rng.normal(size=(17, 16))
-    for b in (rng.normal(size=17) + 1j * rng.normal(size=17), rng.normal(size=17)):
-        x = lstsq_solve(m, b)
-        x_ref, *_ = scipy.linalg.lstsq(m, b, cond=LSTSQ_COND, lapack_driver="gelsy")
-        assert x.dtype == np.complex128
-        assert np.array_equal(x, x_ref)
+    # lstsq_solve calls _flapack's gelsy as scipy.linalg.lstsq does, so x is its
+    # x to the bit: real and complex, full rank and rank 40 of 64 columns, a 1-D
+    # and a 2-D right-hand side, and a real b with a complex m
+    for dtype in (float, complex):
+        for rank in (64, 40):
+            m = rng.normal(size=(65, rank)) @ rng.normal(size=(rank, 64))
+            if dtype is complex:
+                m = m + 1j * rng.normal(size=(65, rank)) @ rng.normal(size=(rank, 64))
+            rhs = [rng.normal(size=65), rng.normal(size=(65, 3))]
+            if dtype is complex:
+                rhs = [b + 1j * rng.normal(size=b.shape) for b in rhs] + [rng.normal(size=65)]
+            for b in rhs:
+                x = lstsq_solve(m, b)
+                x_ref, *_ = scipy.linalg.lstsq(m, b, cond=LSTSQ_COND, lapack_driver="gelsy")
+                assert x.dtype == np.dtype(dtype) and x.shape == (64,) + b.shape[1:]
+                assert np.array_equal(x, x_ref), (dtype, rank, b.shape)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -14,6 +14,7 @@ from conftest import (
     hermitian_basis,
     lapack_calls,
     random_hermitian,
+    run_fresh,
     system_oracle,
     three_guide_pair_micro,
     trace_zero_basis,
@@ -652,15 +653,59 @@ def test_a_certified_stack_makes_one_lapack_pass(rng, monkeypatch):
 
 
 def test_steady_is_the_only_module_that_imports_scipy():
-    # scipy stays behind one module, so that replacing it touches one file
-    importers = set()
+    # scipy stays behind one module, so that replacing it touches one file; at
+    # import that module loads only the _flapack extension, by file location,
+    # and its one import statement of scipy is the expm that evolve imports
+    importers, statements = set(), []
     for path in sorted((Path(steady.__file__).parent).glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        scope = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 importers.add(path.stem)
+                statements.append((scope.get(id(node)), ast.unparse(node)))
     assert importers == {"steady"}
+    assert statements == [("evolve", "from scipy.linalg import expm")]
+
+
+FLAPACK_IDENTITY = """
+import sys
+first = sys.argv[1]
+if first == "scipy":
+    import scipy.linalg.lapack
+from polariton_ring import steady
+import scipy.linalg.lapack as lapack
+ours = {"dgetrf": steady._getrf, "dgetrs": steady._getrs, "dgetri": steady._getri,
+        "dgelsy": steady._flapack.dgelsy, "zgelsy": steady._flapack.zgelsy}
+assert sys.modules["scipy.linalg._flapack"] is steady._flapack
+for name, routine in ours.items():
+    assert getattr(lapack, name) is routine, name
+print("shared")
+"""
+
+
+@pytest.mark.parametrize("first", ["polariton_ring", "scipy"])
+def test_steady_shares_scipys_lapack_module_in_either_import_order(first):
+    # the extension is registered under its canonical name, so an import of
+    # scipy.linalg after the package, or before it, finds the same module
+    # object and the same routines: the .so is initialised once
+    done = run_fresh(FLAPACK_IDENTITY, first)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["shared"]
+
+
+def test_a_missing_lapack_extension_fails_naming_its_path(tmp_path):
+    # one route: where _flapack is not on disk there is no fallback to scipy.linalg
+    with pytest.raises(ImportError) as info:
+        steady._load_flapack(tmp_path)
+    path = Path(info.value.path)
+    assert path.parent == tmp_path / "linalg" and path.name.startswith("_flapack")
+    assert str(path) in str(info.value)
+    # where it is, a second load returns the registered module, not a new one
+    assert steady._load_flapack(steady._scipy_dir()) is steady._flapack
 
 
 # --- the entries of (h, terms) against the assembled L -------------------------
